@@ -17,7 +17,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import PreconditionError
-from .hyptest import BetaCertificate, beta_epsilon
+from .hyptest import beta_epsilon
 from .probcore import (
     Channel,
     JointDist,
@@ -97,10 +97,6 @@ def _z_names(J: JointDist, z) -> list[str]:
 
 def _party_vars(J: JointDist, z_names: Sequence[str]) -> list[str]:
     return [n for n in J.var_names if n not in set(z_names)]
-
-
-def neg_log2_beta(cert: BetaCertificate) -> float:
-    return cert.neg_log2_beta
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .probcore import (
     conditional_product,
     fuse_vars,
     load_dist,
+    reject_json_constant,
 )
 from .protosim import (
     eval_sk_security,
@@ -83,7 +84,7 @@ def _load_params(args) -> dict:
     if getattr(args, "params", None):
         with open(args.params, "r", encoding="utf-8") as fh:
             try:
-                merged.update(json.load(fh))
+                merged.update(json.load(fh, parse_constant=reject_json_constant))
             except json.JSONDecodeError as exc:
                 raise PreconditionError(f"malformed parameters JSON: {exc}") from None
     return merged
@@ -234,7 +235,7 @@ def _channel_from_json(path: str) -> Channel:
 
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=reject_json_constant)
         except json.JSONDecodeError as exc:
             raise PreconditionError(f"malformed channel JSON: {exc}") from None
     try:
@@ -338,7 +339,7 @@ def _dispatch(args) -> int:
             J = load_dist(args.dist)
             with open(args.protocol, "r", encoding="utf-8") as fh:
                 try:
-                    obj = json.load(fh)
+                    obj = json.load(fh, parse_constant=reject_json_constant)
                 except json.JSONDecodeError as exc:
                     raise PreconditionError(
                         f"malformed protocol JSON: {exc}"
@@ -424,7 +425,7 @@ def _dispatch_bound(args, merged: dict) -> int:
     if task == "compute":
         with open(args.g, "r", encoding="utf-8") as fh:
             try:
-                g_obj = json.load(fh)
+                g_obj = json.load(fh, parse_constant=reject_json_constant)
             except json.JSONDecodeError as exc:
                 raise PreconditionError(f"malformed function JSON: {exc}") from None
         table = g_obj["outputs"] if isinstance(g_obj, dict) else g_obj

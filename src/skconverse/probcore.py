@@ -112,9 +112,6 @@ class _MassMixin:
         for idx in np.ndindex(*self.shape):
             yield tuple(alphas[i][j] for i, j in enumerate(idx))
 
-    def same_structure(self, other: "_MassMixin") -> bool:
-        return self.vars == other.vars
-
 
 def _prepare_pmf(vars: tuple[Var, ...], pmf) -> np.ndarray:
     arr = np.asarray(pmf, dtype=np.float64).reshape(-1).copy()
@@ -123,6 +120,8 @@ def _prepare_pmf(vars: tuple[Var, ...], pmf) -> np.ndarray:
         raise PreconditionError(
             f"pmf length {arr.size} does not equal product alphabet size {want}"
         )
+    if not np.isfinite(arr).all():
+        raise PreconditionError("pmf entries must be finite")
     if arr.min(initial=0.0) < -1e-12:
         raise PreconditionError("pmf entries must be nonnegative")
     np.clip(arr, 0.0, None, out=arr)
@@ -191,6 +190,8 @@ class Channel:
             arr = np.asarray(row, dtype=np.float64).reshape(-1).copy()
             if arr.size != out_size:
                 raise PreconditionError("channel row has wrong length")
+            if not np.isfinite(arr).all():
+                raise PreconditionError("channel row entries must be finite")
             if arr.min(initial=0.0) < -1e-12:
                 raise PreconditionError("channel row entries must be nonnegative")
             np.clip(arr, 0.0, None, out=arr)
@@ -208,10 +209,6 @@ class Channel:
     @property
     def out_shape(self) -> tuple[int, ...]:
         return tuple(len(a) for _, a in self.out_vars)
-
-    def row_for_symbols(self, symbols: Sequence[str]) -> np.ndarray | None:
-        key = tuple(a.index(s) for (_, a), s in zip(self.in_vars, symbols))
-        return self.rows.get(key)
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +278,23 @@ def _partition_blocks(partition) -> list[list[int]]:
     return [sorted(int(i) for i in b) for b in blocks]
 
 
+def block_product(cond: np.ndarray, block_axes: Sequence[Sequence[int]]) -> np.ndarray:
+    """Product of the block marginals of one normalized array.
+
+    ``block_axes`` partitions the axes of ``cond``; each block's axes must
+    be sorted, so that its marginal broadcasts back in place.
+    """
+    prod = np.ones_like(cond)
+    for axes in block_axes:
+        other = tuple(a for a in range(cond.ndim) if a not in axes)
+        bm = cond.sum(axis=other) if other else cond
+        shape = [1] * cond.ndim
+        for a in axes:
+            shape[a] = cond.shape[a]
+        prod = prod * bm.reshape(shape)
+    return prod
+
+
 def conditional_product(J: JointDist, partition, z=None) -> JointDist:
     """Product distribution across partition blocks, conditioned on ``z``.
 
@@ -305,7 +319,6 @@ def conditional_product(J: JointDist, partition, z=None) -> JointDist:
     perm = [J.axis(n) for n in z_names] + [J.axis(n) for n in nonz]
     arr = np.transpose(J.array(), perm)
     z_shape = arr.shape[: len(z_names)]
-    x_shape = arr.shape[len(z_names):]
     out = np.zeros_like(arr)
     block_axes = [[i - 1 for i in b] for b in blocks]
 
@@ -315,17 +328,7 @@ def conditional_product(J: JointDist, partition, z=None) -> JointDist:
         mass = sl.sum()
         if mass <= 0.0:
             continue
-        cond = sl / mass
-        prod = np.ones_like(cond)
-        for axes in block_axes:
-            other = tuple(a for a in range(len(x_shape)) if a not in axes)
-            bm = cond.sum(axis=other) if other else cond
-            shape = [1] * len(x_shape)
-            for a in axes:
-                shape[a] = x_shape[a]
-            # bm axes follow sorted block order, matching `axes` (sorted)
-            prod = prod * bm.reshape(shape)
-        out[zi] = prod * mass
+        out[zi] = block_product(sl / mass, block_axes) * mass
 
     inv = np.argsort(perm)
     out = np.transpose(out, inv)
@@ -600,10 +603,15 @@ def dist_to_json(J: JointDist) -> dict:
     return out
 
 
+def reject_json_constant(token: str):
+    """``parse_constant`` for ``json.load``: NaN and +-Infinity are errors."""
+    raise PreconditionError(f"non-finite number {token} in JSON input")
+
+
 def load_dist(path) -> JointDist:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_constant=reject_json_constant)
         except json.JSONDecodeError as exc:
             raise PreconditionError(f"malformed JSON in {path}: {exc}") from None
     return dist_from_json(obj)

@@ -26,6 +26,7 @@ from .errors import CapExceededError, PreconditionError
 from .probcore import (
     Alphabet,
     JointDist,
+    block_product,
     conditional_product,
     factorizes,
     fuse_vars,
@@ -53,7 +54,10 @@ class LocalRand:
         object.__setattr__(self, "probs", probs)
         if len(probs) != len(self.symbols):
             raise PreconditionError("randomness symbols and probs differ in length")
-        if any(p < 0 for p in probs) or abs(sum(probs) - 1.0) > 1e-9:
+        if (
+            not all(math.isfinite(p) and p >= 0 for p in probs)
+            or abs(sum(probs) - 1.0) > 1e-9
+        ):
             raise PreconditionError("randomness probabilities must form a pmf")
 
     @classmethod
@@ -136,19 +140,70 @@ def _branches(value) -> list[tuple[str, float]]:
         return [(value, 1.0)]
     items = sorted((str(k), float(p)) for k, p in value.items())
     total = sum(p for _, p in items)
-    if abs(total - 1.0) > 1e-9 or any(p < 0 for _, p in items):
+    if abs(total - 1.0) > 1e-9 or not all(
+        math.isfinite(p) and p >= 0 for _, p in items
+    ):
         raise PreconditionError("stochastic map values must form a pmf")
     return [(s, p) for s, p in items if p > 0]
 
 
-def _rand_space(p: Protocol) -> list[tuple[tuple, float]]:
+def _runs(
+    J: JointDist,
+    obs_vars: Sequence[Sequence[str]],
+    rounds: int,
+    message_maps: Mapping[tuple[int, int], MapLike],
+    randomness: Sequence[LocalRand | None],
+    cap: int = STATE_CAP,
+):
+    """Yield (outcome, obs, rand, transcript, weight) for every complete run.
+
+    Party i observes the J variables ``obs_vars[i-1]`` and the local
+    randomness ``randomness[i-1]`` (None: no randomness) and speaks by
+    ``message_maps`` in the order of ``Protocol.schedule``.  Outcomes come
+    in row-major order, then randomness points, then depth-first over the
+    messages; ``outcome`` and ``obs`` are the same objects for every run of
+    one outcome.  Raises when support x randomness points exceeds ``cap``.
+    """
+    positions = {n: i for i, n in enumerate(J.var_names)}
+    for group in obs_vars:
+        for n in group:
+            if n not in positions:
+                raise PreconditionError(f"protocol observes unknown variable {n!r}")
     space = [((), 1.0)]
-    for r in p.randomness:
+    for r in randomness:
         syms = [(None, 1.0)] if r is None else list(zip(r.symbols, r.probs))
         space = [
             (combo + (s,), w * pw) for combo, w in space for s, pw in syms if pw > 0
         ]
-    return space
+    support = int(np.count_nonzero(J.pmf))
+    if support * len(space) > cap:
+        raise CapExceededError(
+            f"{support} outcomes x {len(space)} randomness points "
+            f"exceed the cap {cap}"
+        )
+    obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
+    sched = [
+        (j, i) for j in range(1, rounds + 1) for i in range(1, len(obs_vars) + 1)
+    ]
+    for syms, prob in zip(J.outcomes(), J.pmf.tolist()):
+        if prob == 0.0:
+            continue
+        obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
+        for rand, rw in space:
+            stack = [((), prob * rw, 0)]
+            while stack:
+                transcript, w, pos = stack.pop()
+                if pos == len(sched):
+                    yield syms, obs, rand, transcript, w
+                    continue
+                j, i = sched[pos]
+                m = message_maps.get((j, i))
+                if m is None:
+                    stack.append((transcript + ("-",), w, pos + 1))
+                    continue
+                val = _map_value(m, obs[i - 1], rand[i - 1], transcript)
+                for sym, pw in _branches(val):
+                    stack.append((transcript + (sym,), w * pw, pos + 1))
 
 
 def protocol_law(
@@ -163,65 +218,36 @@ def protocol_law(
     factorization checks.  Raises when the enumeration would exceed ``cap``.
     """
     positions = {n: i for i, n in enumerate(J.var_names)}
-    for group in p.obs_vars:
-        for n in group:
-            if n not in positions:
-                raise PreconditionError(f"protocol observes unknown variable {n!r}")
     for n in p.eve_vars:
         if n not in positions:
             raise PreconditionError(f"unknown eavesdropper variable {n!r}")
-    rand_space = _rand_space(p)
-    support = int(np.count_nonzero(J.pmf))
-    if support * len(rand_space) > cap:
-        raise CapExceededError(
-            f"{support} outcomes x {len(rand_space)} randomness points "
-            f"exceed the cap {cap}"
-        )
-    obs_pos = [tuple(positions[n] for n in group) for group in p.obs_vars]
     eve_pos = tuple(positions[n] for n in p.eve_vars)
-    sched = p.schedule()
     law: dict = defaultdict(float)
     key_set = set(p.key_symbols)
-
-    symbols_cache = list(J.outcomes())
-    for flat_idx, prob in enumerate(J.pmf):
-        if prob == 0.0:
-            continue
-        syms = symbols_cache[flat_idx]
-        obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
-        z = tuple(syms[k] for k in eve_pos)
-        for rand, rw in rand_space:
-            stack = [((), prob * rw, 0)]
-            while stack:
-                transcript, w, pos = stack.pop()
-                if pos < len(sched):
-                    j, i = sched[pos]
-                    m = p.message_maps.get((j, i))
-                    if m is None:
-                        stack.append((transcript + ("-",), w, pos + 1))
-                        continue
-                    val = _map_value(m, obs[i - 1], rand[i - 1], transcript)
-                    for sym, pw in _branches(val):
-                        stack.append((transcript + (sym,), w * pw, pos + 1))
-                    continue
-                # transcript complete: evaluate keys, branching if stochastic
-                key_stack = [((), w)]
-                for i in range(p.num_parties):
-                    val = _map_value(p.key_maps[i], obs[i], rand[i], transcript)
-                    nxt = []
-                    for keys, kw in key_stack:
-                        for sym, pw in _branches(val):
-                            if sym not in key_set:
-                                raise PreconditionError(
-                                    f"key map returned {sym!r} outside the key alphabet"
-                                )
-                            nxt.append((keys + (sym,), kw * pw))
-                    key_stack = nxt
-                for keys, kw in key_stack:
-                    if with_outcomes:
-                        law[(keys, transcript, z, syms)] += kw
-                    else:
-                        law[(keys, transcript, z)] += kw
+    syms_of_z = None
+    for syms, obs, rand, transcript, w in _runs(
+        J, p.obs_vars, p.rounds, p.message_maps, p.randomness, cap
+    ):
+        if syms is not syms_of_z:
+            syms_of_z, z = syms, tuple(syms[k] for k in eve_pos)
+        # evaluate keys, branching if stochastic
+        key_stack = [((), w)]
+        for i in range(p.num_parties):
+            val = _map_value(p.key_maps[i], obs[i], rand[i], transcript)
+            nxt = []
+            for keys, kw in key_stack:
+                for sym, pw in _branches(val):
+                    if sym not in key_set:
+                        raise PreconditionError(
+                            f"key map returned {sym!r} outside the key alphabet"
+                        )
+                    nxt.append((keys + (sym,), kw * pw))
+            key_stack = nxt
+        for keys, kw in key_stack:
+            if with_outcomes:
+                law[(keys, transcript, z, syms)] += kw
+            else:
+                law[(keys, transcript, z)] += kw
     return dict(law)
 
 
@@ -250,44 +276,59 @@ class SecurityReport:
         }
 
 
+def _tv(law: Mapping, ref: Mapping) -> float:
+    """Total variation distance between two dict laws.
+
+    Sums |law - ref| over the keys of ``law`` in its order, then the ``ref``
+    mass on keys ``law`` misses, in ``ref``'s order.  Rounding can carry
+    the distance of two laws of mass 1 just above 1: a result in
+    (1, 1 + _TOL] is returned as 1.0, and a larger one, which rounding
+    does not explain, raises AssertionError.
+    """
+    total = 0.0
+    for key, w in law.items():
+        total += abs(w - ref.get(key, 0.0))
+    for key, r in ref.items():
+        if key not in law:
+            total += r
+    dist = 0.5 * total
+    if dist > 1.0 + _TOL:
+        raise AssertionError(f"distance {dist!r} exceeds 1 by more than {_TOL}")
+    return min(dist, 1.0)
+
+
+def _product_ref(law: Mapping) -> dict:
+    """Product of the marginals of a law keyed (a, b), keyed the same way."""
+    pa: dict = defaultdict(float)
+    pb: dict = defaultdict(float)
+    for (a, b), w in law.items():
+        pa[a] += w
+        pb[b] += w
+    return {(a, b): wa * wb for a, wa in pa.items() for b, wb in pb.items()}
+
+
 def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> SecurityReport:
     """Measure a protocol's exact secret-key parameters on J."""
     law = protocol_law(J, p, cap=cap)
     nk = len(p.key_symbols)
     pfz: dict = defaultdict(float)
     agree = 0.0
+    law1: dict = defaultdict(float)
     for (keys, f, z), w in law.items():
         pfz[(f, z)] += w
         if all(k == keys[0] for k in keys):
             agree += w
+        law1[(keys[0], f, z)] += w
 
     # combined criterion: distance to uniform agreed keys x real (F, Z)
-    total = 0.0
-    seen = set()
-    for (keys, f, z), w in law.items():
-        if all(k == keys[0] for k in keys):
-            total += abs(w - pfz[(f, z)] / nk)
-            seen.add((keys[0], f, z))
-        else:
-            total += w
-    for (f, z), m in pfz.items():
-        for k in p.key_symbols:
-            if (k, f, z) not in seen:
-                total += m / nk
-    eps = 0.5 * total
-
+    n = p.num_parties
+    eps = _tv(law, {
+        ((k,) * n, f, z): m / nk for (f, z), m in pfz.items() for k in p.key_symbols
+    })
     # split criteria on the first party's key
-    law1: dict = defaultdict(float)
-    for (keys, f, z), w in law.items():
-        law1[(keys[0], f, z)] += w
-    total1 = 0.0
-    for (k, f, z), w in law1.items():
-        total1 += abs(w - pfz[(f, z)] / nk)
-    for (f, z), m in pfz.items():
-        for k in p.key_symbols:
-            if (k, f, z) not in law1:
-                total1 += m / nk
-    delta_sec = 0.5 * total1
+    delta_sec = _tv(law1, {
+        (k, f, z): m / nk for (f, z), m in pfz.items() for k in p.key_symbols
+    })
 
     return SecurityReport(
         eps=float(eps),
@@ -298,34 +339,46 @@ def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> Securit
     )
 
 
-def _party_var_blocks(J: JointDist, p: Protocol) -> list[list[str]]:
-    """Per party, the observed variables that are not eavesdropper variables.
+def _party_var_blocks(J: JointDist, p: Protocol, cond=None) -> list[list[str]]:
+    """Per party, the observed variables outside the conditioning names.
 
-    These blocks must partition J's non-eve variables: every secret variable
-    belongs to exactly one party.
+    ``cond`` defaults to the eavesdropper variables.  These blocks must
+    partition J's other variables: every secret variable belongs to exactly
+    one party.
     """
-    eve = set(p.eve_vars)
-    blocks = [[n for n in group if n not in eve] for group in p.obs_vars]
+    cond = set(p.eve_vars if cond is None else cond)
+    blocks = [[n for n in group if n not in cond] for group in p.obs_vars]
     flat = [n for b in blocks for n in b]
-    nonz = [n for n in J.var_names if n not in eve]
+    nonz = [n for n in J.var_names if n not in cond]
     if sorted(flat) != sorted(nonz):
         raise PreconditionError(
-            "party observations must partition the non-eavesdropper variables"
+            "party observations must partition the non-conditioning variables"
         )
     return blocks
 
 
-def _q_pi(J: JointDist, p: Protocol, partition: Partition) -> JointDist:
-    """Conditional product across party blocks given the eve variables."""
-    blocks = _party_var_blocks(J, p)
-    nonz = [n for n in J.var_names if n not in set(p.eve_vars)]
+def _var_blocks(
+    J: JointDist, p: Protocol, partition: Partition, cond=None
+) -> list[frozenset[int]]:
+    """A partition of the parties as blocks of J's non-conditioning variables.
+
+    Variables outside ``cond`` (default: the eavesdropper variables) are
+    numbered from 1 in J's order, as ``conditional_product`` expects.
+    """
+    blocks = _party_var_blocks(J, p, cond)
+    cond = set(p.eve_vars if cond is None else cond)
+    nonz = [n for n in J.var_names if n not in cond]
     index_of = {n: i + 1 for i, n in enumerate(nonz)}
-    var_blocks = [
+    return [
         frozenset(index_of[n] for i in b for n in blocks[i - 1])
         for b in partition.blocks
     ]
+
+
+def _q_pi(J: JointDist, p: Protocol, partition: Partition) -> JointDist:
+    """Conditional product across party blocks given the eve variables."""
     return conditional_product(
-        J, var_blocks, list(p.eve_vars) if p.eve_vars else None
+        J, _var_blocks(J, p, partition), list(p.eve_vars) if p.eve_vars else None
     )
 
 
@@ -359,12 +412,11 @@ def sk_instance_dist(J: JointDist, p: Protocol) -> JointDist:
     blocks = _party_var_blocks(J, p)
     keep = [n for b in blocks for n in b] + list(p.eve_vars)
     sub = marginal(J, keep)
-    groups = [b for b in blocks]
     names = [f"P{i+1}" for i in range(len(blocks))]
     if p.eve_vars:
-        groups = groups + [list(p.eve_vars)]
+        blocks = blocks + [list(p.eve_vars)]
         names = names + ["Z"]
-    fused = fuse_vars(sub, groups, names)
+    fused = fuse_vars(sub, blocks, names)
     if p.eve_vars:
         fused = JointDist(fused.vars, fused.pmf, eve="Z")
     return fused
@@ -492,23 +544,14 @@ def interactive_independence_check(
     pair of positive probability.
     """
     z_names = list(p.eve_vars) if z is None else ([z] if isinstance(z, str) else list(z))
-    blocks = [[n for n in group if n not in set(z_names)] for group in p.obs_vars]
-    nonz = [n for n in J.var_names if n not in set(z_names)]
-    if sorted(n for b in blocks for n in b) != sorted(nonz):
-        raise PreconditionError(
-            "party observations must partition the non-conditioning variables"
-        )
-    index_of = {n: i + 1 for i, n in enumerate(nonz)}
-    var_blocks = [
-        frozenset(index_of[n] for i in b for n in blocks[i - 1])
-        for b in partition.blocks
-    ]
+    var_blocks = _var_blocks(J, p, partition, z_names)
     if not factorizes(J, var_blocks, z_names if z_names else None, tol=tol):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"
         )
     law = protocol_law(J, p, with_outcomes=True, cap=cap)
     positions = {n: i for i, n in enumerate(J.var_names)}
+    nonz = [n for n in J.var_names if n not in set(z_names)]
     nonz_pos = [positions[n] for n in nonz]
     shape = tuple(len(J.alphabet(n)) for n in nonz)
     sym_index = [
@@ -525,15 +568,7 @@ def interactive_independence_check(
         if mass <= 0:
             continue
         cond = arr / mass
-        prod = np.ones_like(cond)
-        for axes in axis_blocks:
-            other = tuple(a for a in range(cond.ndim) if a not in axes)
-            bm = cond.sum(axis=other) if other else cond
-            shape_b = [1] * cond.ndim
-            for a in axes:
-                shape_b[a] = shape[a]
-            prod = prod * bm.reshape(shape_b)
-        if np.max(np.abs(cond - prod)) > tol:
+        if np.max(np.abs(cond - block_product(cond, axis_blocks))) > tol:
             return False
     return True
 
@@ -708,66 +743,27 @@ class OTReport:
         return {"eps": self.eps, "delta1": self.delta1, "delta2": self.delta2}
 
 
-def _tv_dict(joint: Mapping, split) -> float:
-    """TV distance between a dict law and the product of its split marginals.
-
-    ``split(key)`` returns (a, b); the product law is P_A x P_B.
-    """
-    pa: dict = defaultdict(float)
-    pb: dict = defaultdict(float)
-    for key, w in joint.items():
-        a, b = split(key)
-        pa[a] += w
-        pb[b] += w
-    total = 0.0
-    seen = set()
-    for key, w in joint.items():
-        a, b = split(key)
-        total += abs(w - pa[a] * pb[b])
-        seen.add((a, b))
-    for a, wa in pa.items():
-        for b, wb in pb.items():
-            if (a, b) not in seen:
-                total += wa * wb
-    return 0.5 * total
+def _ot_randomness(otp: OTProtocol) -> tuple[LocalRand, LocalRand]:
+    """Party 1's uniform string pair K0 K1 and party 2's uniform choice bit."""
+    strings = otp.strings()
+    return (
+        LocalRand.uniform([s0 + s1 for s0 in strings for s1 in strings]),
+        LocalRand.uniform(["0", "1"]),
+    )
 
 
 def _ot_transcripts(J: JointDist, otp: OTProtocol):
     """Yield (x1, x2, k0, k1, b, transcript, weight) over the whole space."""
     if len(J.vars) != 2:
         raise PreconditionError("OT resource must be a bivariate distribution")
+    rand = _ot_randomness(otp)
     l = otp.length
-    strings = otp.strings()
-    pair_w = 1.0 / (len(strings) ** 2)
-    sched = [(j, i) for j in range(1, otp.rounds + 1) for i in (1, 2)]
-    arr = J.array()
-    a1, a2 = J.vars[0][1].symbols, J.vars[1][1].symbols
-    for i1, x1 in enumerate(a1):
-        for i2, x2 in enumerate(a2):
-            prob = float(arr[i1, i2])
-            if prob == 0.0:
-                continue
-            for k0 in strings:
-                for k1 in strings:
-                    for b in ("0", "1"):
-                        base = prob * pair_w * 0.5
-                        stack = [((), base, 0)]
-                        while stack:
-                            tr, w, pos = stack.pop()
-                            if pos == len(sched):
-                                yield (x1, x2, k0, k1, b, tr, w)
-                                continue
-                            j, i = sched[pos]
-                            m = otp.message_maps.get((j, i))
-                            if m is None:
-                                stack.append((tr + ("-",), w, pos + 1))
-                                continue
-                            if i == 1:
-                                val = _map_value(m, (x1,), k0 + k1, tr)
-                            else:
-                                val = _map_value(m, (x2,), b, tr)
-                            for sym, pw in _branches(val):
-                                stack.append((tr + (sym,), w * pw, pos + 1))
+    pairs = {s: (s[:l], s[l:]) for s in rand[0].symbols}
+    for (x1, x2), _, (k, b), tr, w in _runs(
+        J, [[n] for n in J.var_names], otp.rounds, otp.message_maps, rand
+    ):
+        k0, k1 = pairs[k]
+        yield x1, x2, k0, k1, b, tr, w
 
 
 def measure_ot(J: JointDist, otp: OTProtocol) -> OTReport:
@@ -788,8 +784,8 @@ def measure_ot(J: JointDist, otp: OTProtocol) -> OTReport:
             err += w
         law1[(kbar, (x2, b, tr))] += w
         law2[(b, (k0, k1, x1, tr))] += w
-    d1 = _tv_dict(law1, lambda key: key)
-    d2 = _tv_dict(law2, lambda key: key)
+    d1 = _tv(law1, _product_ref(law1))
+    d2 = _tv(law2, _product_ref(law2))
     return OTReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
@@ -849,6 +845,21 @@ def ideal_ot_protocol(l: int, cap: int = STATE_CAP) -> tuple[JointDist, OTProtoc
     return J, otp
 
 
+def _x2_view(message_maps: Mapping[tuple[int, int], MapLike]) -> dict:
+    """A primitive's message maps, for a party 2 that observes (V, X2).
+
+    The reductions give party 2 a label V next to X2; its maps read (X2,)
+    alone.  Party 1's maps are kept as they are.
+    """
+
+    def view(m):
+        return lambda obs, rand, tr: _map_value(m, (obs[1],), rand, tr)
+
+    return {
+        (j, i): view(m) if i == 2 else m for (j, i), m in message_maps.items()
+    }
+
+
 @dataclass(frozen=True)
 class ReducedSK:
     """A secret-key instance produced by a reduction, ready for evaluation."""
@@ -875,21 +886,14 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     x1, x2 = J.var_names
     l = otp.length
     strings = otp.strings()
-    rand1 = LocalRand.uniform([s0 + s1 for s0 in strings for s1 in strings])
-    rand2 = LocalRand.uniform(["0", "1"])
+    randomness = _ot_randomness(otp)
     n_ot_msgs = 2 * otp.rounds
-
-    def ot_messages() -> dict:
-        maps = {}
-        for (j, i), m in otp.message_maps.items():
-            maps[(j, i)] = m
-        return maps
 
     if variant == 1:
         lab0, _ = mcf(J, x1, x2)
         JV = attach_label(J, lab0, "V0")
 
-        maps = ot_messages()
+        maps = dict(otp.message_maps)
         maps[(otp.rounds + 1, 2)] = lambda obs, rand, tr: rand  # broadcast B
 
         def key1(obs, rand, tr):
@@ -907,7 +911,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
             key_maps=(key1, key2),
             key_symbols=tuple(strings),
             eve_vars=("V0",),
-            randomness=(rand1, rand2),
+            randomness=randomness,
         )
         return ReducedSK(dist=JV, protocol=proto)
 
@@ -932,13 +936,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     cond_v = {k: _normalized(v) for k, v in cond_v.items()}
     fallback_hit = False
 
-    # party 2 now observes (V1, X2); OT maps expect (X2,) alone
-    def _x2_view(m):
-        return lambda obs, rand, tr: _map_value(m, (obs[1],), rand, tr)
-
-    maps = {}
-    for (j, i), m in otp.message_maps.items():
-        maps[(j, i)] = _x2_view(m) if i == 2 else m
+    maps = _x2_view(otp.message_maps)
     maps[(otp.rounds + 1, 2)] = lambda obs, rand, tr: rand  # broadcast B
 
     def key1(obs, rand, tr):
@@ -967,7 +965,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
         key_maps=(key1, key2),
         key_symbols=tuple(strings),
         eve_vars=(x2,),
-        randomness=(rand1, rand2),
+        randomness=randomness,
     )
     # probe every reachable key-map input so the fallback flag is accurate
     eval_sk_security(JV, proto)
@@ -1010,34 +1008,11 @@ def _bc_commit_law(J: JointDist, bcp: BCProtocol):
     """Yield (k, x1, x2, transcript, weight) over the commit phase."""
     if len(J.vars) != 2:
         raise PreconditionError("BC resource must be a bivariate distribution")
-    keys = bcp.keys()
-    kw = 1.0 / len(keys)
-    sched = [(j, i) for j in range(1, bcp.rounds + 1) for i in (1, 2)]
-    arr = J.array()
-    a1, a2 = J.vars[0][1].symbols, J.vars[1][1].symbols
-    for i1, x1 in enumerate(a1):
-        for i2, x2 in enumerate(a2):
-            prob = float(arr[i1, i2])
-            if prob == 0.0:
-                continue
-            for k in keys:
-                stack = [((), prob * kw, 0)]
-                while stack:
-                    tr, w, pos = stack.pop()
-                    if pos == len(sched):
-                        yield (k, x1, x2, tr, w)
-                        continue
-                    j, i = sched[pos]
-                    m = bcp.message_maps.get((j, i))
-                    if m is None:
-                        stack.append((tr + ("-",), w, pos + 1))
-                        continue
-                    if i == 1:
-                        val = _map_value(m, (x1,), k, tr)
-                    else:
-                        val = _map_value(m, (x2,), None, tr)
-                    for sym, pw in _branches(val):
-                        stack.append((tr + (sym,), w * pw, pos + 1))
+    rand = (LocalRand.uniform(bcp.keys()), None)
+    for (x1, x2), _, (k, _), tr, w in _runs(
+        J, [[n] for n in J.var_names], bcp.rounds, bcp.message_maps, rand
+    ):
+        yield k, x1, x2, tr, w
 
 
 def measure_bc(J: JointDist, bcp: BCProtocol) -> BCReport:
@@ -1057,7 +1032,7 @@ def measure_bc(J: JointDist, bcp: BCProtocol) -> BCReport:
         err += w * (1.0 - float(bcp.test(k, x1, x2, tr)))
         law_hide[(k, (x2, tr))] += w
         view[(k, x1, tr)][x2] += w
-    d1 = _tv_dict(law_hide, lambda key: key)
+    d1 = _tv(law_hide, _product_ref(law_hide))
     d2 = 0.0
     for (k, x1, tr), x2_law in view.items():
         best = 0.0
@@ -1144,14 +1119,7 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
         decoder[(v, tr)] = best_pair[0]
 
     rand1 = LocalRand.uniform(keys)
-
-    # party 2 now observes (V1, X2); commit maps expect (X2,) alone
-    def _x2_view(m):
-        return lambda obs, rand, tr: _map_value(m, (obs[1],), None, tr)
-
-    maps = {}
-    for (j, i), m in bcp.message_maps.items():
-        maps[(j, i)] = _x2_view(m) if i == 2 else m
+    maps = _x2_view(bcp.message_maps)
 
     def key1(obs, rand, tr):
         return rand

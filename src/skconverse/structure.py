@@ -139,6 +139,27 @@ def _finalize_labels(var, alphabet, raw: list[int | None]) -> Labeling:
     return Labeling(var, alphabet, tuple(out), k, unsupported)
 
 
+def _components(n: int, edges) -> list[int]:
+    """Union-find over 0..n-1: the root of each element after all ``edges``.
+
+    Every root is the minimum index of its component, whatever the order
+    of the edges.
+    """
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j in edges:
+        a, b = find(i), find(j)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
 def mcf(J: JointDist, v1: str, v2: str) -> tuple[Labeling, Labeling]:
     """Maximum common function of two variables.
 
@@ -151,18 +172,9 @@ def mcf(J: JointDist, v1: str, v2: str) -> tuple[Labeling, Labeling]:
     sub = marginal(J, [v1, v2])
     arr = np.transpose(sub.array(), (sub.axis(v1), sub.axis(v2)))
     n1, n2 = arr.shape
-    parent = list(range(n1 + n2))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j in zip(*np.nonzero(arr > 0)):
-        a, b = find(int(i)), find(int(n1 + j))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+    root = _components(
+        n1 + n2, ((int(i), int(n1 + j)) for i, j in zip(*np.nonzero(arr > 0)))
+    )
 
     sup1 = arr.sum(axis=1) > 0
     sup2 = arr.sum(axis=0) > 0
@@ -173,17 +185,15 @@ def mcf(J: JointDist, v1: str, v2: str) -> tuple[Labeling, Labeling]:
         if not sup1[i]:
             raw1.append(None)
             continue
-        root = find(i)
-        remap.setdefault(root, len(remap))
-        raw1.append(remap[root])
+        remap.setdefault(root[i], len(remap))
+        raw1.append(remap[root[i]])
     raw2: list[int | None] = []
     for j in range(n2):
         if not sup2[j]:
             raw2.append(None)
             continue
-        root = find(n1 + j)
-        remap.setdefault(root, len(remap))
-        raw2.append(remap[root])
+        remap.setdefault(root[n1 + j], len(remap))
+        raw2.append(remap[root[n1 + j]])
     k = len(remap)
     unsup = k if (any(l is None for l in raw1) or any(l is None for l in raw2)) else None
     total = k + (1 if unsup is not None else 0)
@@ -223,24 +233,14 @@ def mss(J: JointDist, given: str, target: str, tol: float = 1e-9) -> Labeling:
     pos = masses > 0
     rows[pos] = arr[pos] / masses[pos, None]
 
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     sup = [i for i in range(n) if pos[i]]
-    for ai in range(len(sup)):
-        for bi in range(ai + 1, len(sup)):
-            i, j = sup[ai], sup[bi]
-            if np.max(np.abs(rows[i] - rows[j])) <= tol:
-                a, b = find(i), find(j)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
-
-    raw: list[int | None] = [find(i) if pos[i] else None for i in range(n)]
+    root = _components(n, (
+        (sup[ai], sup[bi])
+        for ai in range(len(sup))
+        for bi in range(ai + 1, len(sup))
+        if np.max(np.abs(rows[sup[ai]] - rows[sup[bi]])) <= tol
+    ))
+    raw: list[int | None] = [root[i] if pos[i] else None for i in range(n)]
     return _finalize_labels(given, J.alphabet(given), raw)
 
 

@@ -197,6 +197,60 @@ def test_error_exits(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_finite_input_exits_one(tmp_path, capsys):
+    # NaN fails every comparison, so each loader must reject it explicitly
+    q = write_dist(tmp_path, ber(0.5), "q.json")
+    bad = tmp_path / "bad.json"
+    for token in ("NaN", "Infinity", "-Infinity", "1e999"):
+        bad.write_text(
+            '{"variables": [{"name": "X", "symbols": ["0", "1"]}], '
+            f'"pmf": [{token}, 1.0]}}'
+        )
+        code, _, _ = run(capsys, ["beta", "--p", str(bad), "--q", q, "--eps", "0.1"])
+        assert code == 1, token
+
+    bad.write_text('{"eps": NaN}')
+    code, _, _ = run(capsys, ["beta", "--p", q, "--q", q, "--params", str(bad)])
+    assert code == 1
+
+    d = write_dist(tmp_path, dsbs(0.11), "d.json")
+    bad.write_text(
+        '{"inputs": [{"name": "X1", "symbols": ["0", "1"]}], '
+        '"outputs": [{"name": "U", "symbols": ["0", "1"]}], '
+        '"rows": {"0": [NaN, 1.0], "1": [0.5, 0.5]}}'
+    )
+    code, _, _ = run(capsys, [
+        "bound", "sk", "--dist", d, "--aux-channel", str(bad), "--eps", "0.1",
+        "--eta", "0.2", "--delta", "0.1", "--eta1", "0.05", "--eta2", "0.05",
+    ])
+    assert code == 1
+
+    bad.write_text('{"outputs": [0, NaN, 1, 0]}')
+    code, _, _ = run(capsys, [
+        "bound", "compute", "--dist", d, "--g", str(bad), "--eps", "0.1",
+        "--delta", "0.1",
+    ])
+    assert code == 1
+
+    J, proto = random_sk_instance([9, 0], m=2, rounds=1)
+    obj = protocol_to_json(proto)
+    table = obj["messages"]["1:1"]
+    table[next(iter(table))] = {"0": 0.5, "1": 0.5}
+    bad.write_text(json.dumps(obj).replace("0.5", "NaN", 1))
+    code, _, _ = run(capsys, [
+        "protocol", "eval", "--dist", write_dist(tmp_path, J, "j.json"),
+        "--protocol", str(bad),
+    ])
+    assert code == 1
+
+
+def test_fuzz_report_distance_at_most_one(capsys):
+    # the report once gave max_eps = 1.0000000000000009 here
+    code, out, _ = run(capsys, ["protocol", "fuzz", "--count", "300", "--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["result"]["max_eps"] == 1.0
+
+
 def test_params_file_merging(tmp_path, capsys):
     p = write_dist(tmp_path, ber(0.3), "p.json")
     q = write_dist(tmp_path, ber(0.5), "q.json")

@@ -40,6 +40,12 @@ def test_construction_validation():
         Alphabet(("a", "a"))
     with pytest.raises(PreconditionError):
         SubDist((("X", BIT),), [0.7, 0.7])
+    # NaN fails every comparison, so only an explicit finiteness check sees it
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError):
+            JointDist((("X", BIT),), [bad, 1.0])
+        with pytest.raises(PreconditionError):
+            SubDist((("X", BIT),), [bad, 0.0])
     # subnormalized is fine
     SubDist((("X", BIT),), [0.2, 0.2])
 
@@ -267,6 +273,8 @@ def test_extend_with_channel():
     base = J.array()
     assert abs(arr[0, 1, 0] - base[0, 1] * 0.9) <= 1e-15
     assert abs(arr[1, 0, 1] - base[1, 0] * 0.8) <= 1e-15
+    with pytest.raises(PreconditionError):
+        Channel((("X1", BIT),), (("U", BIT),), {(0,): [math.nan, 1.0]})
 
 
 def test_json_roundtrip(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -23,8 +25,10 @@ from skconverse import (
     reduce_bc_to_sk,
     reduce_ot_to_sk,
 )
+from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product
 from skconverse.protosim import (
+    _tv,
     protocol_from_json,
     protocol_law,
     protocol_to_json,
@@ -329,8 +333,6 @@ def test_protocol_law_total_domain_error():
 
 
 def test_protocol_cap():
-    from skconverse.errors import CapExceededError
-
     big = LocalRand.uniform([str(i) for i in range(1000)])
     p = Protocol(
         num_parties=2,
@@ -360,3 +362,36 @@ def test_stochastic_message_maps_branch_exactly():
     assert rep.eps_rec == 0.0
     assert abs(rep.eps - 0.5) <= 1e-12
     assert abs(rep.delta_sec - 0.5) <= 1e-12
+
+
+def test_non_finite_randomness_and_map_values_rejected():
+    with pytest.raises(PreconditionError):
+        LocalRand(("0", "1"), (math.nan, 1.0))
+    p = Protocol(
+        num_parties=2,
+        obs_vars=(("X1",), ("X2",)),
+        rounds=1,
+        message_maps={(1, 1): lambda o, r, t: {"0": math.nan, "1": 1.0}},
+        key_maps=(lambda o, r, t: "0", lambda o, r, t: "0"),
+        key_symbols=("0", "1"),
+    )
+    with pytest.raises(PreconditionError):
+        protocol_law(indep_bits(), p)
+
+
+def test_distances_clipped_to_one():
+    # rounding once reported eps = 1.0000000000000002 on this instance
+    J, p = random_sk_instance([0, 0], m=2, rounds=1)
+    rep = eval_sk_security(J, p)
+    assert rep.eps == 1.0
+    assert 0.0 <= rep.delta_sec <= 1.0
+    # within the rounding tolerance the distance is 1; beyond it, a fault
+    assert _tv({"a": 1.0 + 1e-13}, {"b": 1.0}) == 1.0
+    with pytest.raises(AssertionError):
+        _tv({"a": 1.5}, {"b": 1.0})
+
+
+def test_measure_ot_respects_state_cap():
+    # 2^13 resource outcomes x 2^13 randomness points = 6.7e7 runs
+    with pytest.raises(CapExceededError):
+        measure_ot(*ideal_ot_protocol(6))
