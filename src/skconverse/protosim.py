@@ -24,6 +24,7 @@ import numpy as np
 from .bounds import cit_bound, cit_bound_best
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
+    SUM_TOL,
     Alphabet,
     JointDist,
     block_product,
@@ -185,7 +186,7 @@ def _runs(
     sched = [
         (j, i) for j in range(1, rounds + 1) for i in range(1, len(obs_vars) + 1)
     ]
-    for syms, prob in zip(J.outcomes(), J.pmf.tolist()):
+    for syms, prob in zip(J.outcomes(), map(float, J.pmf)):
         if prob == 0.0:
             continue
         obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
@@ -276,35 +277,47 @@ class SecurityReport:
         }
 
 
-def _tv(law: Mapping, ref: Mapping) -> float:
-    """Total variation distance between two dict laws.
+def _tv(law: Mapping, ref) -> float:
+    """TV distance between a dict law and a dict or ``_ProductLaw`` ``ref``.
 
     Sums |law - ref| over the keys of ``law`` in its order, then the ``ref``
-    mass on keys ``law`` misses, in ``ref``'s order.  Rounding can carry
-    the distance of two laws of mass 1 just above 1: a result in
-    (1, 1 + _TOL] is returned as 1.0, and a larger one, which rounding
-    does not explain, raises AssertionError.
+    mass on keys ``law`` misses, in ``ref``'s order.  A result above the
+    mean of the two masses by more than SUM_TOL is a fault (AssertionError);
+    one above 1, from rounding or from input masses of 1 within SUM_TOL, is
+    returned as 1.0.
     """
-    total = 0.0
+    total = law_mass = ref_mass = 0.0
     for key, w in law.items():
         total += abs(w - ref.get(key, 0.0))
+        law_mass += w
     for key, r in ref.items():
+        ref_mass += r
         if key not in law:
             total += r
     dist = 0.5 * total
-    if dist > 1.0 + _TOL:
-        raise AssertionError(f"distance {dist!r} exceeds 1 by more than {_TOL}")
+    if dist > 0.5 * (law_mass + ref_mass) + SUM_TOL:
+        raise AssertionError(f"distance {dist!r} exceeds the mean of its masses")
     return min(dist, 1.0)
 
 
-def _product_ref(law: Mapping) -> dict:
-    """Product of the marginals of a law keyed (a, b), keyed the same way."""
-    pa: dict = defaultdict(float)
-    pb: dict = defaultdict(float)
-    for (a, b), w in law.items():
-        pa[a] += w
-        pb[b] += w
-    return {(a, b): wa * wb for a, wa in pa.items() for b, wb in pb.items()}
+class _ProductLaw:
+    """Product of the marginals of a law keyed (a, b), without its |A| x |B| cells."""
+
+    def __init__(self, law: Mapping) -> None:
+        self.pa: dict = defaultdict(float)
+        self.pb: dict = defaultdict(float)
+        for (a, b), w in law.items():
+            self.pa[a] += w
+            self.pb[b] += w
+
+    def get(self, key, default: float = 0.0) -> float:
+        a, b = key
+        return self.pa[a] * self.pb[b] if a in self.pa and b in self.pb else default
+
+    def items(self):
+        for a, wa in self.pa.items():
+            for b, wb in self.pb.items():
+                yield (a, b), wa * wb
 
 
 def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> SecurityReport:
@@ -358,15 +371,15 @@ def _party_var_blocks(J: JointDist, p: Protocol, cond=None) -> list[list[str]]:
 
 
 def _var_blocks(
-    J: JointDist, p: Protocol, partition: Partition, cond=None
+    J: JointDist, p: Protocol, partition: Partition, cond: Sequence[str]
 ) -> list[frozenset[int]]:
     """A partition of the parties as blocks of J's non-conditioning variables.
 
-    Variables outside ``cond`` (default: the eavesdropper variables) are
-    numbered from 1 in J's order, as ``conditional_product`` expects.
+    Variables outside the names ``cond`` are numbered from 1 in J's order,
+    as ``conditional_product`` expects.
     """
     blocks = _party_var_blocks(J, p, cond)
-    cond = set(p.eve_vars if cond is None else cond)
+    cond = set(cond)
     nonz = [n for n in J.var_names if n not in cond]
     index_of = {n: i + 1 for i, n in enumerate(nonz)}
     return [
@@ -378,7 +391,7 @@ def _var_blocks(
 def _q_pi(J: JointDist, p: Protocol, partition: Partition) -> JointDist:
     """Conditional product across party blocks given the eve variables."""
     return conditional_product(
-        J, _var_blocks(J, p, partition), list(p.eve_vars) if p.eve_vars else None
+        J, _var_blocks(J, p, partition, p.eve_vars), list(p.eve_vars) or None
     )
 
 
@@ -784,8 +797,8 @@ def measure_ot(J: JointDist, otp: OTProtocol) -> OTReport:
             err += w
         law1[(kbar, (x2, b, tr))] += w
         law2[(b, (k0, k1, x1, tr))] += w
-    d1 = _tv(law1, _product_ref(law1))
-    d2 = _tv(law2, _product_ref(law2))
+    d1 = _tv(law1, _ProductLaw(law1))
+    d2 = _tv(law2, _ProductLaw(law2))
     return OTReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
@@ -1004,11 +1017,16 @@ class BCReport:
         return {"eps": self.eps, "delta1": self.delta1, "delta2": self.delta2}
 
 
+def _bc_randomness(bcp: BCProtocol) -> tuple[LocalRand, None]:
+    """Party 1's uniform committed string; party 2 has no randomness."""
+    return (LocalRand.uniform(bcp.keys()), None)
+
+
 def _bc_commit_law(J: JointDist, bcp: BCProtocol):
     """Yield (k, x1, x2, transcript, weight) over the commit phase."""
     if len(J.vars) != 2:
         raise PreconditionError("BC resource must be a bivariate distribution")
-    rand = (LocalRand.uniform(bcp.keys()), None)
+    rand = _bc_randomness(bcp)
     for (x1, x2), _, (k, _), tr, w in _runs(
         J, [[n] for n in J.var_names], bcp.rounds, bcp.message_maps, rand
     ):
@@ -1032,7 +1050,7 @@ def measure_bc(J: JointDist, bcp: BCProtocol) -> BCReport:
         err += w * (1.0 - float(bcp.test(k, x1, x2, tr)))
         law_hide[(k, (x2, tr))] += w
         view[(k, x1, tr)][x2] += w
-    d1 = _tv(law_hide, _product_ref(law_hide))
+    d1 = _tv(law_hide, _ProductLaw(law_hide))
     d2 = 0.0
     for (k, x1, tr), x2_law in view.items():
         best = 0.0
@@ -1118,7 +1136,6 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
                     best, best_pair = acc, (khat, x1hat)
         decoder[(v, tr)] = best_pair[0]
 
-    rand1 = LocalRand.uniform(keys)
     maps = _x2_view(bcp.message_maps)
 
     def key1(obs, rand, tr):
@@ -1135,7 +1152,7 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
         key_maps=(key1, key2),
         key_symbols=tuple(keys),
         eve_vars=(x2,),
-        randomness=(rand1, None),
+        randomness=_bc_randomness(bcp),
     )
     return ReducedSK(dist=JV, protocol=proto)
 

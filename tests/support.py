@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from skconverse import Alphabet, JointDist
+from skconverse import Alphabet, JointDist, Protocol
 
 BIT = Alphabet(("0", "1"))
 
@@ -48,6 +48,26 @@ def random_dist(rng, sizes, names=None, full_support=True, eve=None) -> JointDis
         (n, Alphabet(tuple(str(s) for s in range(k)))) for n, k in zip(names, sizes)
     )
     return JointDist(vars, pmf, eve=eve)
+
+
+def disagreeing_keys(mass: float = 1.0) -> tuple[JointDist, Protocol]:
+    """Two bits of total mass ``mass``; party 1 always outputs key 0, party 2 key 1.
+
+    The keys never agree, so eps is the whole mass of the law.
+    """
+    J = JointDist((("X1", BIT), ("X2", BIT)), [0.25, 0.25, 0.25, mass - 0.75])
+    tables = tuple(
+        {((s,), None, ()): key for s in BIT.symbols} for key in ("0", "1")
+    )
+    p = Protocol(
+        num_parties=2,
+        obs_vars=(("X1",), ("X2",)),
+        rounds=0,
+        message_maps={},
+        key_maps=tables,
+        key_symbols=("0", "1"),
+    )
+    return J, p
 
 
 def random_channel_rows(rng, n_in: int, n_out: int) -> dict:

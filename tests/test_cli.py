@@ -5,7 +5,7 @@ import numpy as np
 from skconverse import save_dist
 from skconverse.cli import main
 from skconverse.protosim import protocol_to_json, random_sk_instance
-from support import ber, dsbs, random_dist
+from support import ber, disagreeing_keys, dsbs, random_dist
 
 
 def write_dist(tmp_path, J, name):
@@ -288,3 +288,15 @@ def test_thread_env_does_not_change_results(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SKCONVERSE_THREADS", "4")
     _, threaded, _ = run(capsys, argv)
     assert serial == threaded
+
+
+def test_eval_on_mass_within_input_tolerance(tmp_path, capsys):
+    J, proto = disagreeing_keys(1.0 + 5e-10)
+    pfile = tmp_path / "p.json"
+    pfile.write_text(json.dumps(protocol_to_json(proto)))
+    code, out, _ = run(capsys, [
+        "protocol", "eval", "--dist", write_dist(tmp_path, J, "j.json"),
+        "--protocol", str(pfile),
+    ])
+    assert code == 0
+    assert json.loads(out)["result"]["eps"] == 1.0

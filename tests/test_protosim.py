@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -28,13 +29,14 @@ from skconverse import (
 from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product
 from skconverse.protosim import (
+    _ProductLaw,
     _tv,
     protocol_from_json,
     protocol_law,
     protocol_to_json,
     random_sk_instance,
 )
-from support import BIT, random_dist
+from support import BIT, disagreeing_keys, random_dist
 
 
 def shared_bit() -> JointDist:
@@ -385,10 +387,36 @@ def test_distances_clipped_to_one():
     rep = eval_sk_security(J, p)
     assert rep.eps == 1.0
     assert 0.0 <= rep.delta_sec <= 1.0
-    # within the rounding tolerance the distance is 1; beyond it, a fault
+    # a distance above 1 is returned as 1; one above the mean of the two
+    # masses is a fault (here a negative weight)
     assert _tv({"a": 1.0 + 1e-13}, {"b": 1.0}) == 1.0
     with pytest.raises(AssertionError):
-        _tv({"a": 1.5}, {"b": 1.0})
+        _tv({"a": -0.5}, {"a": 1.0})
+
+
+def test_distance_on_mass_within_input_tolerance():
+    # the pmf check admits a mass of 1 + 5e-10; the keys never agree
+    J, p = disagreeing_keys(1.0 + 5e-10)
+    rep = eval_sk_security(J, p)
+    assert rep.eps == 1.0 and rep.eps_rec == 1.0
+    # party 1's key is constant: half the mass away from uniform
+    assert abs(rep.delta_sec - 0.5) <= 1e-9
+
+
+def test_product_law_matches_dict_product():
+    rng = np.random.default_rng(5)
+    w = rng.random(6)
+    law = dict(zip([("a", 0), ("a", 1), ("b", 1), ("c", 0), ("c", 2), ("b", 2)], w / w.sum()))
+    ref = _ProductLaw(law)
+    pa, pb = defaultdict(float), defaultdict(float)
+    for (a, b), v in law.items():
+        pa[a] += v
+        pb[b] += v
+    product = {(a, b): va * vb for a, va in pa.items() for b, vb in pb.items()}
+    assert list(ref.items()) == list(product.items())
+    assert all(ref.get(key) == product[key] for key in product)
+    assert ref.get(("a", 9)) == 0.0
+    assert _tv(law, ref) == _tv(law, product)
 
 
 def test_measure_ot_respects_state_cap():
