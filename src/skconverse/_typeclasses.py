@@ -24,15 +24,22 @@ def count_compositions(n: int, k: int) -> int:
 
 
 def compositions(n: int, k: int) -> np.ndarray:
-    """All count vectors of length k summing to n, lexicographic order."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    parts = []
-    for first in range(n + 1):
-        rest = compositions(n - first, k - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        parts.append(np.hstack([col, rest]))
-    return np.vstack(parts)
+    """All count vectors of length k summing to n, lexicographic order.
+
+    Built column by column: a row with ``r`` left to place expands into
+    ``r + 1`` consecutive rows taking 0..r, so rows stay lexicographic.
+    """
+    left = np.array([n], dtype=np.int64)
+    cols: list[np.ndarray] = []
+    for _ in range(k - 1):
+        reps = left + 1
+        starts = np.cumsum(reps) - reps
+        take = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        cols = [np.repeat(c, reps) for c in cols]
+        cols.append(take)
+        left = np.repeat(left, reps) - take
+    cols.append(left)
+    return np.stack(cols, axis=1)
 
 
 def log2_factorials(n: int) -> np.ndarray:

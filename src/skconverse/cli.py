@@ -30,11 +30,12 @@ from .bounds import (
     sk_capacity_formula,
 )
 from .errors import CapExceededError, PreconditionError
-from .hyptest import beta_epsilon, beta_epsilon_iid, stein_scan_csv
+from .hyptest import beta_epsilon, beta_epsilon_iid, stein_scan
 from .probcore import (
     Channel,
     JointDist,
     conditional_product,
+    divergence,
     fuse_vars,
     load_dist,
     reject_json_constant,
@@ -50,7 +51,7 @@ from .protosim import (
     reduce_bc_to_sk,
     reduce_ot_to_sk,
 )
-from .smoothinfo import d_max_smooth, dmax_scan_csv, h_min_smooth
+from .smoothinfo import d_max_smooth, dmax_convergence_scan, h_min_smooth
 from .structure import Partition, mcf, mss
 
 
@@ -322,16 +323,20 @@ def _dispatch(args) -> int:
     if verb == "scan":
         eps = _num(args, merged, "eps")
         ns = _ns(args.n)
-        if args.what == "stein":
-            csv = stein_scan_csv(load_dist(args.p), load_dist(args.q), eps, ns)
-            _emit(csv, args.out)
-        elif args.what == "dmax":
-            csv = dmax_scan_csv(load_dist(args.p), load_dist(args.q), eps, ns)
-            _emit(csv, args.out)
-        else:
+        if args.what == "capacity":
             eta = _num(args, merged, "eta")
-            csv = _capacity_scan_csv(load_dist(args.dist), eps, eta, ns)
-            _emit(csv, args.out)
+            header = "n,cit_bound_over_n,capacity_limit"
+            rows, limit = _capacity_scan(load_dist(args.dist), eps, eta, ns)
+        else:
+            P, Q = load_dist(args.p), load_dist(args.q)
+            limit = divergence(P, Q, kind="kl")
+            if args.what == "stein":
+                header = "n,neg_log_beta_over_n,kl_limit"
+                rows = stein_scan(P, Q, eps, ns)
+            else:
+                header = "n,dmax_eps_over_n,kl_limit"
+                rows = dmax_convergence_scan(P, Q, eps, ns)
+        _emit(_scan_csv(header, rows, limit), args.out)
         return 0
 
     if verb == "protocol":
@@ -499,8 +504,8 @@ def _dispatch_reduce(args) -> int:
     return 0
 
 
-def _capacity_scan_csv(J: JointDist, eps: float, eta: float, ns: list[int]) -> str:
-    """(1/n) cit bound on the n-fold source vs the capacity formula limit."""
+def _capacity_scan(J: JointDist, eps: float, eta: float, ns: list[int]):
+    """Rows (n, (1/n) cit bound on the n-fold source) and the capacity limit."""
     if J.eve is not None:
         raise PreconditionError("capacity scan expects no eve variable")
     if len(J.vars) != 2:
@@ -510,11 +515,16 @@ def _capacity_scan_csv(J: JointDist, eps: float, eta: float, ns: list[int]) -> s
     fuse = lambda d: fuse_vars(d, [list(d.var_names)], ["AB"])
     pair = fuse(J)
     prod = fuse(conditional_product(J, pi, None))
-    lines = ["n,cit_bound_over_n,capacity_limit"]
+    rows = []
     for n in ns:
         cert = beta_epsilon_iid(pair, prod, n, eps + eta)
-        val = (cert.neg_log2_beta + 2 * math.log2(1.0 / eta)) / n
-        lines.append(f"{n},{val:.12g},{cap:.12g}")
+        rows.append((n, (cert.neg_log2_beta + 2 * math.log2(1.0 / eta)) / n))
+    return rows, cap
+
+
+def _scan_csv(header: str, rows, limit: float) -> str:
+    """CSV of a convergence scan: one (n, value) row each, plus the limit."""
+    lines = [header] + [f"{n},{v:.12g},{limit:.12g}" for n, v in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -28,24 +28,45 @@ from .probcore import LOG2_ZERO, JointDist, _check_same_shape, divergence, log2_
 _MASS_SLACK = 1e-15
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BetaCertificate:
     """Optimal type-II error plus the achieving randomized threshold test.
 
     Outcomes `order[:n_full]` are accepted with probability 1 and
     `order[n_full]` with probability `gamma`; everything later is rejected.
     For the type-class variant, indices refer to classes and
-    `outcome_labels` carries their count vectors.
+    `outcome_labels[i]` is the count vector of class `order[i]`.  Both are
+    read-only int64 arrays.  Certificates compare and hash by value: two
+    are equal when every scalar field and every entry of the arrays are.
     """
 
     beta: float
     log2_beta: float
     eps: float
-    order: tuple[int, ...]
+    order: np.ndarray
     n_full: int
     gamma: float
     type1_error: float
-    outcome_labels: tuple | None = None
+    outcome_labels: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for arr in (self.order, self.outcome_labels):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def _key(self) -> tuple:
+        arrays = tuple(None if a is None else (a.shape, a.tobytes())
+                       for a in (self.order, self.outcome_labels))
+        scalars = (self.beta, self.log2_beta, self.eps, self.n_full, self.gamma, self.type1_error)
+        return scalars + arrays
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BetaCertificate):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def neg_log2_beta(self) -> float:
@@ -53,11 +74,10 @@ class BetaCertificate:
 
     def test_vector(self) -> np.ndarray:
         """T(0|x) over outcomes, in the original outcome order."""
-        t = np.zeros(len(self.order))
-        idx = np.asarray(self.order)
-        t[idx[: self.n_full]] = 1.0
-        if self.n_full < len(self.order) and self.gamma > 0:
-            t[idx[self.n_full]] = self.gamma
+        t = np.zeros(self.order.size)
+        t[self.order[: self.n_full]] = 1.0
+        if self.n_full < self.order.size and self.gamma > 0:
+            t[self.order[self.n_full]] = self.gamma
         return t
 
 
@@ -66,7 +86,7 @@ def _ratio_order(logp: np.ndarray, logq: np.ndarray) -> np.ndarray:
     ratio = logp - logq
     # p == 0 outcomes can never help; force them last regardless of q
     ratio[logp <= LOG2_ZERO] = -np.inf
-    return np.lexsort((np.arange(ratio.size), -ratio))
+    return np.argsort(-ratio, kind="stable")
 
 
 def _greedy_threshold(p_sorted: np.ndarray, target: float):
@@ -99,7 +119,7 @@ def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
         beta=beta,
         log2_beta=log2_beta,
         eps=eps,
-        order=tuple(int(i) for i in order),
+        order=order,
         n_full=b,
         gamma=gamma,
         type1_error=1.0 - covered,
@@ -142,11 +162,11 @@ def beta_epsilon_iid(
         beta=float(np.exp2(log2_beta)) if log2_beta > -math.inf else 0.0,
         log2_beta=log2_beta,
         eps=eps,
-        order=tuple(int(i) for i in order),
+        order=order,
         n_full=b,
         gamma=gamma,
         type1_error=1.0 - covered,
-        outcome_labels=tuple(tuple(int(c) for c in counts[i]) for i in order),
+        outcome_labels=counts[order],
     )
 
 
@@ -228,11 +248,3 @@ def stein_scan(
         return n, cert.neg_log2_beta / n
 
     return parallel_map(one, ns)
-
-
-def stein_scan_csv(P: JointDist, Q: JointDist, eps: float, ns, cap: int = DEFAULT_CLASS_CAP) -> str:
-    kl = divergence(P, Q, kind="kl")
-    lines = ["n,neg_log_beta_over_n,kl_limit"]
-    for n, v in stein_scan(P, Q, eps, ns, cap=cap):
-        lines.append(f"{n},{v:.12g},{kl:.12g}")
-    return "\n".join(lines) + "\n"

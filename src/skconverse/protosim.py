@@ -491,6 +491,19 @@ class RegionTestReport:
         }
 
 
+def _region_mass(law: Mapping, inside) -> float:
+    """Mass of ``law`` on the keys where ``inside`` holds, clipped to 1 as in
+    ``_tv``; a sum above the law's whole mass by more than SUM_TOL is a fault."""
+    part = total = 0.0
+    for key, w in law.items():
+        total += w
+        if inside(key):
+            part += w
+    if part > total + SUM_TOL:
+        raise AssertionError(f"region mass {part!r} exceeds the law's mass {total!r}")
+    return min(part, 1.0)
+
+
 def acceptance_region_test(
     J: JointDist,
     p: Protocol,
@@ -531,13 +544,11 @@ def acceptance_region_test(
         qc = qw / mfz
         return -math.log2(nk) - math.log2(qc) >= lam - 1e-12
 
-    type2 = sum(w for (keys, f, z), w in q_law.items() if in_region(keys, f, z))
-    type1 = sum(w for (keys, f, z), w in p_law.items() if not in_region(keys, f, z))
     return RegionTestReport(
         lam=lam,
-        type1=float(type1),
+        type1=_region_mass(p_law, lambda key: not in_region(*key)),
         type1_bound=float(rep.eps + eta),
-        type2=float(type2),
+        type2=_region_mass(q_law, lambda key: in_region(*key)),
         type2_bound=float(nk ** (1 - l) * eta ** (-l)),
     )
 

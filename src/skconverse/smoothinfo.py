@@ -27,11 +27,12 @@ from .probcore import (
     SubDist,
     _check_same_shape,
     _resolve_names,
-    divergence,
     log2_pmf,
 )
 
 _MASS_SLACK = 1e-15
+_SEGMENT_BLOCK = 1 << 14  # segments tested per numpy pass in _dmax_cap_log
+_CANDIDATE_TOL = 1e-10  # relative widening of the candidate test
 
 
 @dataclass(frozen=True)
@@ -178,19 +179,30 @@ def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
     p_lin = np.exp2(lp)
     p_cum = np.concatenate([[0.0], np.cumsum(p_lin)])  # p mass of capped prefix
     # log2 of Q-mass of the uncapped suffix, built from the top
-    q_tail = np.full(lq.size + 1, -math.inf)
-    q_tail[:-1] = np.logaddexp2.accumulate(lq[::-1])[::-1]
-    # segment j: first j outcomes capped at p, rest contribute q*t
-    for j in range(lq.size + 1):
-        if j > 0 and p_cum[j] >= target - _MASS_SLACK:
-            return float(ratio[j - 1])  # coverage reached exactly at breakpoint
-        if q_tail[j] == -math.inf:
-            continue
-        log_t = math.log2(target - p_cum[j]) - q_tail[j]
-        lo = ratio[j - 1] if j > 0 else -math.inf
-        hi = ratio[j] if j < lq.size else math.inf
-        if lo - 1e-12 <= log_t <= hi + 1e-12:
-            return float(min(max(log_t, lo), hi))
+    q_tail = np.logaddexp2.accumulate(lq[::-1])[::-1]
+
+    # Segment j: the first j outcomes are capped at p, the rest contribute
+    # q*t.  Segments are tested a block at a time: numpy marks candidates
+    # with a test looser than the scalar one (its log2 may differ from
+    # math's in the last bits), and the scalar test decides.  Segment
+    # lq.size would give ratio[-1] whichever way it ends.
+    for a in range(0, lq.size, _SEGMENT_BLOCK):
+        b = min(a + _SEGMENT_BLOCK, lq.size)
+        his = ratio[a:b]
+        los = ratio[a - 1 : b - 1] if a else np.concatenate(([-np.inf], his[:-1]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ts = np.log2(target - p_cum[a:b]) - q_tail[a:b]
+            near = _CANDIDATE_TOL * (1.0 + np.abs(log_ts))
+            hit = (p_cum[a:b] >= target - _MASS_SLACK) | (
+                (los - near <= log_ts) & (log_ts <= his + near)
+            )
+        for j in (a + np.flatnonzero(hit)).tolist():
+            if j > 0 and p_cum[j] >= target - _MASS_SLACK:
+                return float(ratio[j - 1])  # coverage reached exactly at breakpoint
+            log_t = math.log2(target - p_cum[j]) - q_tail[j]
+            lo = ratio[j - 1] if j > 0 else -math.inf
+            if lo - 1e-12 <= log_t <= ratio[j] + 1e-12:
+                return float(min(max(log_t, lo), ratio[j]))
     return float(ratio[-1])
 
 
@@ -219,11 +231,3 @@ def dmax_convergence_scan(
         return n, val / n
 
     return parallel_map(one, ns)
-
-
-def dmax_scan_csv(P: JointDist, Q: JointDist, eps: float, ns, cap: int = DEFAULT_CLASS_CAP) -> str:
-    kl = divergence(P, Q, kind="kl")
-    lines = ["n,dmax_eps_over_n,kl_limit"]
-    for n, v in dmax_convergence_scan(P, Q, eps, ns, cap=cap):
-        lines.append(f"{n},{v:.12g},{kl:.12g}")
-    return "\n".join(lines) + "\n"

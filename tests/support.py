@@ -1,14 +1,16 @@
 """Shared builders and independent oracles for the test suite.
 
 Oracles here deliberately avoid the implementation's algorithms: the beta
-oracle enumerates candidate tests as subset-plus-one-fractional-point
-vertices of the linear program, and the smoothing oracles bisect the
-monotone feasibility functions.  Expected values asserted in the tests are
+oracles enumerate candidate tests as subset-plus-one-fractional-point
+vertices of the linear program or hand the program to scipy's LP solver,
+the composition oracle filters all k-tuples by their sum, and the smoothing
+oracles bisect the monotone feasibility functions.  Expected values asserted in the tests are
 computed by these oracles, not copied from the code under test.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -109,6 +111,31 @@ def beta_oracle(P: JointDist, Q: JointDist, eps: float) -> float:
                 frac = (target - pmass) / p[j]
                 best = min(best, qmass + frac * q[j])
     return best
+
+
+def beta_lp_oracle(P: JointDist, Q: JointDist, eps: float) -> float:
+    """Solve min Q[T] s.t. P[T] >= 1 - eps, 0 <= T <= 1 with scipy's LP solver."""
+    from scipy.optimize import linprog
+
+    res = linprog(
+        c=Q.pmf,
+        A_ub=-P.pmf[None, :],
+        b_ub=[-(1.0 - eps)],
+        bounds=[(0.0, 1.0)] * P.pmf.size,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+# ---------------------------------------------------------------------------
+# type classes: filter all k-tuples in [0, n]^k by their sum
+
+
+def compositions_oracle(n: int, k: int) -> np.ndarray:
+    """Count vectors of length k summing to n, in lexicographic order."""
+    rows = [c for c in itertools.product(range(n + 1), repeat=k) if sum(c) == n]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from skconverse import save_dist
+from skconverse import divergence, save_dist, stein_scan
 from skconverse.cli import main
 from skconverse.protosim import protocol_to_json, random_sk_instance
 from support import ber, disagreeing_keys, dsbs, random_dist
@@ -89,7 +89,9 @@ def test_scan_verbs(tmp_path, capsys):
     )
     assert code == 0
     assert out.splitlines()[0] == "n,neg_log_beta_over_n,kl_limit"
-    assert len(out.strip().splitlines()) == 3
+    kl = divergence(ber(0.3), ber(0.5))
+    rows = stein_scan(ber(0.3), ber(0.5), 0.1, [10, 100])
+    assert out.splitlines()[1:] == [f"{n},{v:.12g},{kl:.12g}" for n, v in rows]
 
     code, out, _ = run(
         capsys, ["scan", "dmax", "--p", p, "--q", q, "--eps", "0.25", "--n", "10"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -15,11 +16,12 @@ from skconverse import (
     renyi_beta_bound,
     stein_scan,
 )
+from skconverse._typeclasses import compositions, typeclass_table
 from skconverse.errors import CapExceededError
-from skconverse.hyptest import default_gamma_grid, stein_scan_csv
+from skconverse.hyptest import default_gamma_grid
 from skconverse.probcore import apply_channel, Channel
 from skconverse.smoothinfo import d_max
-from support import ber, beta_oracle, random_dist
+from support import ber, beta_lp_oracle, beta_oracle, compositions_oracle, random_dist
 
 
 def test_beta_self_is_one_minus_eps():
@@ -113,6 +115,74 @@ def test_iid_dense_agreement_ternary():
     assert abs(got.beta - dense.beta) <= 1e-12
 
 
+def test_iid_dense_agreement_at_half_a_million_cells():
+    # k = 3, n = 12: 3^12 = 531,441 dense cells against 91 type classes
+    rng = np.random.default_rng(43)
+    P, Q = random_dist(rng, [3]), random_dist(rng, [3])
+    Pn, Qn = iid_extend(P, 12), iid_extend(Q, 12)
+    for eps in (0.0, 0.05, 0.3):
+        via_types = beta_epsilon_iid(P, Q, 12, eps)
+        dense = beta_epsilon(Pn, Qn, eps)
+        assert abs(via_types.beta - dense.beta) <= 1e-9 * dense.beta
+        assert abs(via_types.type1_error - dense.type1_error) <= 1e-9
+
+
+def test_beta_matches_lp_oracle():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(47)
+    for trial in range(40):
+        k = int(rng.integers(2, 9))
+        P = random_dist(rng, [k], full_support=bool(rng.integers(0, 2)))
+        Q = random_dist(rng, [k], full_support=bool(rng.integers(0, 2)))
+        eps = float(rng.uniform(0.0, 0.5))
+        assert abs(beta_epsilon(P, Q, eps).beta - beta_lp_oracle(P, Q, eps)) <= 1e-9, trial
+
+
+def test_compositions_match_product_oracle():
+    for n, k in [(0, 1), (7, 1), (0, 2), (0, 4), (1, 3), (5, 2), (6, 3), (9, 4), (6, 5)]:
+        got = compositions(n, k)
+        want = compositions_oracle(n, k)
+        assert got.dtype == want.dtype == np.int64
+        assert got.shape == want.shape and np.array_equal(got, want), (n, k)
+
+
+def test_certificate_arrays_read_only():
+    rng = np.random.default_rng(71)
+    P, Q = random_dist(rng, [3]), random_dist(rng, [3])
+    dense = beta_epsilon(iid_extend(P, 4), iid_extend(Q, 4), 0.1)
+    iid = beta_epsilon_iid(P, Q, 4, 0.1)
+    assert dense.outcome_labels is None
+    assert np.array_equal(iid.outcome_labels, compositions(4, 3)[iid.order])
+    for arr in (dense.order, iid.order, iid.outcome_labels):
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_certificate_equality_and_hash():
+    rng = np.random.default_rng(73)
+    P, Q = random_dist(rng, [3]), random_dist(rng, [3])
+    for make in (
+        lambda eps: beta_epsilon(iid_extend(P, 3), iid_extend(Q, 3), eps),
+        lambda eps: beta_epsilon_iid(P, Q, 3, eps),
+    ):
+        a, b, other = make(0.1), make(0.1), make(0.2)
+        assert a == b and hash(a) == hash(b)
+        assert a != other and a != "certificate"
+        assert len({a, b, other}) == 2
+        assert np.array_equal(a.test_vector(), b.test_vector())
+    # same scalars and order, different class labels: not equal
+    cert = beta_epsilon_iid(P, Q, 3, 0.1)
+    relabeled = dataclasses.replace(cert, outcome_labels=cert.outcome_labels[::-1].copy())
+    assert cert != relabeled
+    # the type-class test vector has one entry per class, and its P-mass
+    # over the classes is the covered mass
+    _, logp, _ = typeclass_table(P.pmf, Q.pmf, 3)
+    t = cert.test_vector()
+    assert t.size == logp.size
+    assert abs(float(np.exp2(logp) @ t) - (1 - cert.type1_error)) <= 1e-12
+
+
 def test_stein_limit_at_1e4():
     cert = beta_epsilon_iid(ber(0.3), ber(0.5), 10_000, 0.1)
     val = cert.neg_log2_beta / 10_000
@@ -194,6 +264,3 @@ def test_stein_scan():
     diffs = [abs(v - kl) for _, v in rows]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] <= 0.01
-
-    csv = stein_scan_csv(ber(0.3), ber(0.5), 0.1, [10])
-    assert csv.splitlines()[0] == "n,neg_log_beta_over_n,kl_limit"

@@ -13,6 +13,7 @@ from skconverse import (
     Protocol,
     OTProtocol,
     check_converse,
+    enum_partitions,
     eval_sk_security,
     fuzz_converse,
     ideal_bc_protocol,
@@ -30,6 +31,7 @@ from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product
 from skconverse.protosim import (
     _ProductLaw,
+    _region_mass,
     _tv,
     protocol_from_json,
     protocol_law,
@@ -392,6 +394,20 @@ def test_distances_clipped_to_one():
     assert _tv({"a": 1.0 + 1e-13}, {"b": 1.0}) == 1.0
     with pytest.raises(AssertionError):
         _tv({"a": -0.5}, {"a": 1.0})
+
+
+def test_region_masses_clipped_to_one():
+    # rounding once reported type1 = 1.0000000000000002 on every partition
+    J, p = random_sk_instance([0, 13], m=3, rounds=2)
+    for pi in enum_partitions(3):
+        rep = acceptance_region_test(J, p, pi, 0.05)
+        assert rep.type1 == 1.0
+        assert 0.0 <= rep.type2 <= 1.0
+    # a region mass above 1 is returned as 1; one above the law's whole
+    # mass is a fault (here a negative weight outside the region)
+    assert _region_mass({"a": 1.0 + 1e-13}, lambda key: True) == 1.0
+    with pytest.raises(AssertionError):
+        _region_mass({"a": 1.0, "b": -0.5}, lambda key: key == "a")
 
 
 def test_distance_on_mass_within_input_tolerance():

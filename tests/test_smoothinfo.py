@@ -16,8 +16,8 @@ from skconverse import (
     h_min_cond,
     h_min_smooth,
 )
-from skconverse.probcore import Channel, apply_channel
-from skconverse.smoothinfo import dmax_scan_csv
+from skconverse.probcore import LOG2_ZERO, Channel, apply_channel, log2_pmf
+from skconverse.smoothinfo import _SEGMENT_BLOCK, _dmax_cap_log
 from support import (
     BIT,
     ber,
@@ -153,6 +153,51 @@ def test_d_max_smooth_matches_bisection_oracle():
             assert abs(got - want) <= 1e-9
 
 
+def _segment_loop(logp, logq, target):
+    """The scalar segment loop the blocked search in _dmax_cap_log replaced.
+
+    Kept as its exact reference: it walks every segment j (first j outcomes
+    by ratio capped at p, the rest at q*t) and returns at the first that
+    reaches ``target`` at its breakpoint or brackets its solution.
+    """
+    keep = (logp > LOG2_ZERO) & (logq > LOG2_ZERO)
+    lp, lq = logp[keep], logq[keep]
+    ratio = lp - lq
+    order = np.argsort(ratio, kind="stable")
+    lq, ratio = lq[order], ratio[order]
+    p_cum = np.concatenate([[0.0], np.cumsum(np.exp2(lp[order]))])
+    q_tail = np.full(lq.size + 1, -math.inf)
+    q_tail[:-1] = np.logaddexp2.accumulate(lq[::-1])[::-1]
+    for j in range(lq.size + 1):
+        if j > 0 and p_cum[j] >= target - 1e-15:
+            return float(ratio[j - 1])
+        if q_tail[j] == -math.inf:
+            continue
+        log_t = math.log2(target - p_cum[j]) - q_tail[j]
+        lo = ratio[j - 1] if j > 0 else -math.inf
+        hi = ratio[j] if j < lq.size else math.inf
+        if lo - 1e-12 <= log_t <= hi + 1e-12:
+            return float(min(max(log_t, lo), hi))
+    return float(ratio[-1])
+
+
+def test_dmax_segment_search_across_blocks():
+    rng = np.random.default_rng(83)
+    for segments in (_SEGMENT_BLOCK - 1, _SEGMENT_BLOCK, _SEGMENT_BLOCK + 1, 2 * _SEGMENT_BLOCK + 1):
+        p, q = rng.random(segments) ** 2, rng.random(segments) + 0.05
+        # one cell with a fifth of the P-mass and the top ratio: for eps below
+        # that it stays uncapped, so the answer lies in the last segment
+        p[0], q[0] = p[1:].sum() / 4, 1e-3 * q.mean()
+        # cells outside the segments: P only (mass 1e-5), Q only, neither
+        p = np.append(p / p.sum() * (1 - 1e-5), [1e-5, 0.0, 0.0])
+        q = np.append(q / q.sum(), [0.0, 0.5, 0.0])
+        q /= q.sum()
+        for eps in (1e-3, 0.1, 0.3, 0.6, 0.95):
+            got = _dmax_cap_log(log2_pmf(p), log2_pmf(q), 1.0 - eps)
+            assert got == _segment_loop(log2_pmf(p), log2_pmf(q), 1.0 - eps), (segments, eps)
+            assert abs(got - d_max_smooth_oracle(p, q, eps)) <= 1e-9, (segments, eps)
+
+
 def test_d_max_smooth_infinite_when_offsupport_mass_exceeds_eps():
     five = Alphabet(tuple("abcde"))
     P = JointDist((("X", five),), [0.4, 0.3, 0.3, 0.0, 0.0])
@@ -210,6 +255,3 @@ def test_dmax_scan():
         for e in (0.1, 0.25, 0.5)
     ]
     assert vals[0] >= vals[1] - 1e-12 >= vals[2] - 2e-12
-
-    csv = dmax_scan_csv(ber(0.3), ber(0.5), 0.25, [10])
-    assert csv.splitlines()[0] == "n,dmax_eps_over_n,kl_limit"
