@@ -15,15 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import PreconditionError
-from .hyptest import beta_epsilon
+from .hyptest import _neg_log2_betas, beta_epsilon
 from .probcore import (
     Channel,
     JointDist,
+    _block_masks,
+    _chunk_rows,
+    _kl_rows,
+    _q_pi_rows,
     conditional_family,
     conditional_product,
-    divergence,
     entropy,
     extend_with_channel,
     factorizes,
@@ -32,7 +34,15 @@ from .probcore import (
     pushforward_function,
 )
 from .smoothinfo import d_max, d_max_smooth, h_min_smooth
-from .structure import Labeling, Partition, attach_label, enum_partitions, mcf, mss
+from .structure import (
+    Labeling,
+    Partition,
+    _partition_masks,
+    _partition_of,
+    attach_label,
+    mcf,
+    mss,
+)
 
 _TOL = 1e-12
 
@@ -99,6 +109,40 @@ def _party_vars(J: JointDist, z_names: Sequence[str]) -> list[str]:
     return [n for n in J.var_names if n not in set(z_names)]
 
 
+def _partition_scan(J: JointDist, zs: Sequence[str], partition: Partition | None = None):
+    """Q^pi of every partition of J's parties given ``zs``, a chunk at a time.
+
+    Yields (masks, q) pairs: ``masks`` holds one row of block bitmasks per
+    partition (see ``structure._partition_masks``), in ``enum_partitions``
+    order or only ``partition``'s, and ``q`` the pmf rows of their Q^pi,
+    equal bit for bit to ``conditional_product``.  A chunk holds at most
+    2^16 cells of Q^pi, or one row.
+    """
+    m = len(J.vars) - len(zs)
+    if partition is not None:
+        chunks = [np.array([_block_masks(partition, m)])]
+    else:
+        chunks = _partition_masks(m, _chunk_rows(J.n_cells))
+    build = _q_pi_rows(J, zs)
+    return ((masks, build(masks)) for masks in chunks)
+
+
+def _num_blocks(masks: np.ndarray) -> list[int]:
+    return np.count_nonzero(masks, axis=1).tolist()
+
+
+def _check_cit_slacks(eps: float, eta: float) -> None:
+    if not 0.0 <= eps < 1.0:
+        raise PreconditionError("eps must lie in [0, 1)")
+    if not 0.0 < eta < 1.0 - eps:
+        raise PreconditionError("need 0 < eta < 1 - eps")
+
+
+def _cit_value(neg_log2_beta: float, num_blocks: int, eta: float) -> float:
+    """(1/(|pi|-1)) * [ -log2 beta + |pi| log2(1/eta) ]."""
+    return (neg_log2_beta + num_blocks * math.log2(1.0 / eta)) / (num_blocks - 1)
+
+
 # ---------------------------------------------------------------------------
 # secret key agreement
 
@@ -118,10 +162,7 @@ def cit_bound(
     default Q^pi is the conditional product induced by P itself; a supplied
     Q is validated against the factorization test.
     """
-    if not 0.0 <= eps < 1.0:
-        raise PreconditionError("eps must lie in [0, 1)")
-    if not 0.0 < eta < 1.0 - eps:
-        raise PreconditionError("need 0 < eta < 1 - eps")
+    _check_cit_slacks(eps, eta)
     zs = _z_names(J, z)
     parties = _party_vars(J, zs)
     if partition.m != len(parties):
@@ -139,7 +180,7 @@ def cit_bound(
             )
     cert = beta_epsilon(J, q, eps + eta)
     l = partition.num_blocks
-    value = (cert.neg_log2_beta + l * math.log2(1.0 / eta)) / (l - 1)
+    value = _cit_value(cert.neg_log2_beta, l, eta)
     return BoundReport(
         kind="cit",
         value=value,
@@ -155,15 +196,25 @@ def cit_bound(
 
 
 def cit_bound_best(J: JointDist, eps: float, eta: float, z=None) -> BoundReport:
-    """Minimum of the testing bound over all partitions (default Q each)."""
+    """Minimum of the testing bound over all partitions (default Q each).
+
+    The first partition with the least value wins; its report is built by
+    ``cit_bound``.
+    """
     zs = _z_names(J, z)
     m = len(_party_vars(J, zs))
     if m > 12:
         raise PreconditionError("party count must be at most 12")
-    parts = enum_partitions(m)
-    reports = parallel_map(lambda p: cit_bound(J, p, eps, eta, z=zs), parts)
-    best = min(range(len(reports)), key=lambda i: (reports[i].value, i))
-    return reports[best]
+    scan = _partition_scan(J, zs)
+    _check_cit_slacks(eps, eta)
+    best, best_value = None, math.inf
+    for masks, q in scan:
+        nlbs = _neg_log2_betas(J.pmf, q, eps + eta)
+        for row, l, nlb in zip(masks.tolist(), _num_blocks(masks), nlbs):
+            value = _cit_value(nlb, l, eta)
+            if best is None or value < best_value:
+                best, best_value = row, value
+    return cit_bound(J, _partition_of(best, m), eps, eta, z=zs)
 
 
 def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
@@ -175,14 +226,13 @@ def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
         raise PreconditionError(
             "capacity formula requires constant eavesdropper side information"
         )
-    m = len(J.vars)
-    best_val, best_pi = math.inf, None
-    for pi in enum_partitions(m):
-        q = conditional_product(J, pi, None)
-        val = divergence(J, q, kind="kl") / (pi.num_blocks - 1)
-        if val < best_val - _TOL:
-            best_val, best_pi = val, pi
-    return best_val, best_pi
+    best_val, best = math.inf, None
+    for masks, q in _partition_scan(J, []):
+        for row, l, kl in zip(masks.tolist(), _num_blocks(masks), _kl_rows(J.pmf, q)):
+            val = kl / (l - 1)
+            if val < best_val - _TOL:
+                best_val, best = val, row
+    return best_val, None if best is None else _partition_of(best, len(J.vars))
 
 
 def aux_singleshot_bound(
@@ -431,15 +481,13 @@ def sc_necessary_check(
         raise PreconditionError("secure computing check expects no eve variable")
     p_g = pushforward_function(J, g)
     lhs = h_min_smooth(p_g, xi).value
-    parts = [partition] if partition is not None else enum_partitions(len(J.vars))
+    extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
     rows = []
-    for pi in parts:
-        qpi = conditional_product(J, pi, None)
-        cert = beta_epsilon(J, qpi, mu)
-        l = pi.num_blocks
-        rhs = (cert.neg_log2_beta + l * math.log2(1.0 / eta)) / (l - 1)
-        rhs += 2 * math.log2(1.0 / (2 * zeta)) + 1.0
-        rows.append((pi, rhs, rhs - lhs))
+    for masks, q in _partition_scan(J, [], partition):
+        for row, nlb in zip(masks.tolist(), _neg_log2_betas(J.pmf, q, mu)):
+            pi = _partition_of(row, len(J.vars))
+            rhs = _cit_value(nlb, pi.num_blocks, eta) + extra
+            rows.append((pi, rhs, rhs - lhs))
     worst = min(range(len(rows)), key=lambda i: rows[i][2])
     pi_w, rhs_w, slack_w = rows[worst]
     return CheckReport(

@@ -82,11 +82,14 @@ class BetaCertificate:
 
 
 def _ratio_order(logp: np.ndarray, logq: np.ndarray) -> np.ndarray:
-    """Indices sorted by decreasing log-ratio, ties by index (stable)."""
+    """Indices sorted by decreasing log-ratio, ties by index (stable).
+
+    ``logq`` may hold one row per alternative; each row is sorted alone.
+    """
     ratio = logp - logq
     # p == 0 outcomes can never help; force them last regardless of q
-    ratio[logp <= LOG2_ZERO] = -np.inf
-    return np.argsort(-ratio, kind="stable")
+    ratio[..., logp <= LOG2_ZERO] = -np.inf
+    return np.argsort(-ratio, axis=-1, kind="stable")
 
 
 def _greedy_threshold(p_sorted: np.ndarray, target: float):
@@ -102,6 +105,30 @@ def _greedy_threshold(p_sorted: np.ndarray, target: float):
     return b, gamma, before + gamma * float(p_sorted[b])
 
 
+def _np_test(ps: np.ndarray, qs: np.ndarray, eps: float):
+    """Neyman-Pearson test on ratio-sorted masses: (n_full, gamma, covered, beta)."""
+    b, gamma, covered = _greedy_threshold(ps, 1.0 - eps)
+    beta = float(qs[:b].sum())
+    if gamma > 0:
+        beta += gamma * float(qs[b])
+    return b, gamma, covered, beta
+
+
+def _neg_log2_betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
+    """-log2 beta_eps(p, q) for each row q of ``q_rows``.
+
+    Equal, bit for bit, to ``beta_epsilon(P, Q, eps).neg_log2_beta`` of
+    each row: one batched sort, then the same finish row by row.
+    """
+    order = _ratio_order(log2_pmf(p), log2_pmf(q_rows))
+    ps, qs = p[order], q_rows[np.arange(len(q_rows))[:, None], order]
+    out = []
+    for prow, qrow in zip(ps, qs):
+        beta = _np_test(prow, qrow, eps)[3]
+        out.append(-math.log2(beta) if beta > 0 else math.inf)
+    return out
+
+
 def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
     """Exact optimum of the type-II error linear program."""
     _check_same_shape(P, Q)
@@ -109,11 +136,7 @@ def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
         raise PreconditionError("eps must lie in [0, 1)")
     p, q = P.pmf, Q.pmf
     order = _ratio_order(log2_pmf(p), log2_pmf(q))
-    ps, qs = p[order], q[order]
-    b, gamma, covered = _greedy_threshold(ps, 1.0 - eps)
-    beta = float(qs[:b].sum())
-    if gamma > 0:
-        beta += gamma * float(qs[b])
+    b, gamma, covered, beta = _np_test(p[order], q[order], eps)
     log2_beta = math.log2(beta) if beta > 0 else -math.inf
     return BetaCertificate(
         beta=beta,

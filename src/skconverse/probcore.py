@@ -278,6 +278,13 @@ def _partition_blocks(partition) -> list[list[int]]:
     return [sorted(int(i) for i in b) for b in blocks]
 
 
+def _block_marginal(cond: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Marginal of ``cond`` on ``axes``, shaped to broadcast back in place."""
+    other = tuple(a for a in range(cond.ndim) if a not in axes)
+    shape = [n if a in axes else 1 for a, n in enumerate(cond.shape)]
+    return (cond.sum(axis=other) if other else cond).reshape(shape)
+
+
 def block_product(cond: np.ndarray, block_axes: Sequence[Sequence[int]]) -> np.ndarray:
     """Product of the block marginals of one normalized array.
 
@@ -286,12 +293,7 @@ def block_product(cond: np.ndarray, block_axes: Sequence[Sequence[int]]) -> np.n
     """
     prod = np.ones_like(cond)
     for axes in block_axes:
-        other = tuple(a for a in range(cond.ndim) if a not in axes)
-        bm = cond.sum(axis=other) if other else cond
-        shape = [1] * cond.ndim
-        for a in axes:
-            shape[a] = cond.shape[a]
-        prod = prod * bm.reshape(shape)
+        prod = prod * _block_marginal(cond, axes)
     return prod
 
 
@@ -305,34 +307,77 @@ def conditional_product(J: JointDist, partition, z=None) -> JointDist:
     marginals.
     """
     z_names = _resolve_names(J, z) if z is not None else []
-    nonz = [n for n in J.var_names if n not in set(z_names)]
+    m = len(J.vars) - len(z_names)
+    (pmf,) = _q_pi_rows(J, z_names)(np.array([_block_masks(partition, m)]))
+    return JointDist(J.vars, pmf, eve=J.eve)
+
+
+def _block_masks(partition, m: int) -> list[int]:
+    """Bitmask of each block (bit i-1 for variable i), in the partition's order."""
     blocks = _partition_blocks(partition)
     covered = sorted(i for b in blocks for i in b)
-    if covered != list(range(1, len(nonz) + 1)) or len(blocks) < 2:
+    if covered != list(range(1, m + 1)) or len(blocks) < 2:
         raise PreconditionError(
             "partition must split the non-conditioning variables into >= 2 blocks"
         )
     if any(not b for b in blocks):
         raise PreconditionError("partition blocks must be nonempty")
+    return [sum(1 << (i - 1) for i in b) for b in blocks]
 
-    # reorder axes: z first, then non-z in original order
-    perm = [J.axis(n) for n in z_names] + [J.axis(n) for n in nonz]
+
+#: cells of Q^pi rows built at a time; a chunk holds at least one row
+_CHUNK_CELLS = 1 << 16
+
+
+def _chunk_rows(cells: int) -> int:
+    return max(1, _CHUNK_CELLS // cells)
+
+
+def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """Builder of conditional-product pmfs of J given ``z_names``, many at a time.
+
+    The builder maps an (r, k) array of block bitmasks (bit i-1 for the i-th
+    non-z variable, blocks in product order, zero entries ignored) to the
+    (r, cells) pmfs of their Q^pi.  Each z-slice's block marginals are
+    computed when a call first needs them and kept for later calls.  Every
+    row is the product of its blocks' marginals of the slice's conditional
+    law, in block order, times the slice's mass: the same floating-point
+    operations whatever the rows around it.
+    """
+    z_set = set(z_names)
+    perm = [J.axis(n) for n in z_names] + [
+        a for a, n in enumerate(J.var_names) if n not in z_set
+    ]
     arr = np.transpose(J.array(), perm)
     z_shape = arr.shape[: len(z_names)]
-    out = np.zeros_like(arr)
-    block_axes = [[i - 1 for i in b] for b in blocks]
+    x_shape = arr.shape[len(z_names):]
+    slices = [arr[zi] for zi in np.ndindex(*z_shape)]
+    masses = [sl.sum() for sl in slices]
+    # a slice of zero mass keeps Q = 0: its marginals are zero
+    conds = [
+        sl / mass if mass > 0.0 else np.zeros(x_shape) for sl, mass in zip(slices, masses)
+    ]
+    mass_col = np.array(masses).reshape((len(slices),) + (1,) * len(x_shape))
+    back = [0] + [1 + a for a in sorted(range(len(perm)), key=perm.__getitem__)]
+    cache: dict[int, np.ndarray] = {}
 
-    z_iter = np.ndindex(*z_shape) if z_names else iter([()])
-    for zi in z_iter:
-        sl = arr[zi]
-        mass = sl.sum()
-        if mass <= 0.0:
-            continue
-        out[zi] = block_product(sl / mass, block_axes) * mass
+    def block(mask: int) -> np.ndarray:
+        axes = [a for a in range(len(x_shape)) if mask >> a & 1]
+        cache[mask] = np.array([_block_marginal(c, axes) for c in conds])
+        return cache[mask]
 
-    inv = np.argsort(perm)
-    out = np.transpose(out, inv)
-    return JointDist(J.vars, out.reshape(-1), eve=J.eve)
+    def build(masks: np.ndarray) -> np.ndarray:
+        out = np.empty((len(masks), len(slices)) + x_shape)
+        for row, masks_row in zip(out, masks.tolist()):
+            factors = [cache[k] if k in cache else block(k) for k in masks_row if k]
+            prod = factors[0]
+            for bm in factors[1:]:
+                prod = prod * bm
+            np.multiply(prod, mass_col, out=row)
+        out = out.reshape((len(masks),) + z_shape + x_shape)
+        return np.transpose(out, back).reshape(len(masks), -1)
+
+    return build
 
 
 def factorizes(J: JointDist, partition, z=None, tol: float = 1e-9) -> bool:
@@ -531,10 +576,7 @@ def divergence(P: JointDist, Q: JointDist, kind: str = "kl", alpha: float | None
     _check_same_shape(P, Q)
     p, q = P.pmf, Q.pmf
     if kind == "kl":
-        mask = p > 0
-        if np.any(q[mask] == 0):
-            return math.inf
-        return float(np.sum(p[mask] * np.log2(p[mask] / q[mask])))
+        return _kl_rows(p, q[None, :])[0]
     if kind == "renyi":
         if alpha is None or alpha <= 0 or alpha == 1.0:
             raise PreconditionError("renyi divergence requires alpha > 0, alpha != 1")
@@ -546,6 +588,18 @@ def divergence(P: JointDist, Q: JointDist, kind: str = "kl", alpha: float | None
         terms = alpha * np.log2(p[mask]) + (1.0 - alpha) * np.log2(q[mask])
         return logsumexp2(terms) / (alpha - 1.0)
     raise PreconditionError(f"unknown divergence kind {kind!r}")
+
+
+def _kl_rows(p: np.ndarray, q_rows: np.ndarray) -> list[float]:
+    """KL divergence D(p || q) in bits for each row q of ``q_rows``.
+
+    A row with q = 0 where p > 0 has an infinite term, so its sum is +inf.
+    """
+    mask = p > 0
+    pm = p[mask]
+    with np.errstate(divide="ignore"):
+        terms = pm * np.log2(pm / q_rows[:, mask])
+    return [float(t.sum()) for t in terms]
 
 
 def entropy(J: JointDist, of=None) -> float:

@@ -172,6 +172,8 @@ def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
         return math.inf
     if target <= 0.0:
         return -math.inf
+    if not keep.any():
+        return math.inf  # no mass can be covered, and the target is positive
     lp, lq = logp[keep], logq[keep]
     ratio = lp - lq
     order = np.argsort(ratio, kind="stable")

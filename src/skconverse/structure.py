@@ -10,8 +10,9 @@ strings, which gives a canonical, allocation-light order.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -74,14 +75,18 @@ def _rgs(m: int) -> Iterator[tuple[int, ...]]:
     yield from rec(1, 0) if m > 1 else iter([(0,)])
 
 
+def _check_party_count(m: int) -> None:
+    if not 2 <= m <= 12:
+        raise PreconditionError("party count must lie in [2, 12]")
+
+
 def enum_partitions(m: int, min_blocks: int = 2) -> list[Partition]:
     """All set partitions of {1..m} with at least ``min_blocks`` blocks.
 
     Canonical order (restricted-growth-string lexicographic); for
     min_blocks=2 the count is Bell(m) - 1.
     """
-    if not 2 <= m <= 12:
-        raise PreconditionError("party count must lie in [2, 12]")
+    _check_party_count(m)
     out = []
     for labels in _rgs(m):
         k = max(labels) + 1
@@ -92,6 +97,32 @@ def enum_partitions(m: int, min_blocks: int = 2) -> list[Partition]:
             blocks[lab].add(party)
         out.append(Partition(tuple(frozenset(b) for b in blocks), m))
     return out
+
+
+def _partition_masks(m: int, rows: int) -> Iterator[np.ndarray]:
+    """The partitions of ``enum_partitions(m)`` as block bitmasks, ``rows`` at a time.
+
+    Each chunk is an (r, m) int64 array, r <= rows.  Row entries are the
+    bitmasks of the blocks (bit i-1 for party i) ordered by least member,
+    as in ``Partition.blocks``, then zeros.
+    """
+    _check_party_count(m)
+    labels = itertools.islice(_rgs(m), 1, None)  # skip the one-block partition
+    bits = 1 << np.arange(m, dtype=np.int64)
+    block_ids = np.arange(m)[:, None]
+
+    def chunks():
+        while chunk := list(itertools.islice(labels, rows)):
+            yield (np.array(chunk)[:, None, :] == block_ids) @ bits
+
+    return chunks()
+
+
+def _partition_of(masks: Sequence[int], m: int) -> Partition:
+    """The partition of {1..m} whose nonzero block bitmasks are ``masks``."""
+    return Partition(
+        tuple(frozenset(i + 1 for i in range(m) if k >> i & 1) for k in masks if k), m
+    )
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,18 @@
 Oracles here deliberately avoid the implementation's algorithms: the beta
 oracles enumerate candidate tests as subset-plus-one-fractional-point
 vertices of the linear program or hand the program to scipy's LP solver,
-the composition oracle filters all k-tuples by their sum, and the smoothing
-oracles bisect the monotone feasibility functions.  Expected values asserted in the tests are
-computed by these oracles, not copied from the code under test.
+the composition oracle filters all k-tuples by their sum, the smoothing
+oracles bisect the monotone feasibility functions, and the conditional
+product oracle accumulates marginals one cell at a time.  Expected values
+asserted in the tests are computed by these oracles, not copied from the
+code under test.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 
@@ -211,4 +214,33 @@ def marginal_oracle(J: JointDist, keep) -> np.ndarray:
     for flat, w in enumerate(J.pmf):
         idx = np.unravel_index(flat, J.shape)
         out[tuple(idx[i] for i in keep_pos)] += w
+    return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# conditional product: explicit loops over cells
+
+
+def conditional_product_oracle(arr: np.ndarray, blocks, z_axes=()) -> np.ndarray:
+    """Q(z, x) = P(z) * prod_b P(x_b | z), cell by cell, as a row-major pmf.
+
+    ``arr`` holds P with one axis per variable, ``blocks`` the axes of each
+    block and ``z_axes`` the conditioning axes.  Q is 0 where P(z) = 0.
+    """
+    pz = defaultdict(float)
+    pbz = defaultdict(float)
+    for cell in itertools.product(*(range(n) for n in arr.shape)):
+        w = float(arr[cell])
+        z = tuple(cell[a] for a in z_axes)
+        pz[z] += w
+        for i, b in enumerate(blocks):
+            pbz[i, z, tuple(cell[a] for a in b)] += w
+    out = np.zeros(arr.shape)
+    for cell in itertools.product(*(range(n) for n in arr.shape)):
+        z = tuple(cell[a] for a in z_axes)
+        if pz[z] > 0:
+            q = pz[z]
+            for i, b in enumerate(blocks):
+                q *= pbz[i, z, tuple(cell[a] for a in b)] / pz[z]
+            out[cell] = q
     return out.reshape(-1)

@@ -16,6 +16,7 @@ from skconverse import (
     cit_bound,
     cit_bound_best,
     divergence,
+    enum_partitions,
     aux_capacity_bound,
     aux_singleshot_bound,
     iid_extend,
@@ -26,10 +27,17 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse.probcore import conditional_product, extend_with_channel, fuse_vars
+from skconverse.probcore import _chunk_rows, conditional_product, extend_with_channel, fuse_vars
 from skconverse.protosim import ideal_ot_correlation
 from skconverse.smoothinfo import h_min_smooth
-from support import BIT, binary_entropy, dsbs, random_dist, uniform_bits
+from support import (
+    BIT,
+    binary_entropy,
+    conditional_product_oracle,
+    dsbs,
+    random_dist,
+    uniform_bits,
+)
 
 
 def indep_bits(names=("X1", "X2")):
@@ -170,6 +178,134 @@ def test_capacity_formula():
 
     with pytest.raises(PreconditionError):
         sk_capacity_formula(random_dist(rng, [2, 2, 2], names=["X1", "X2", "Z"], eve="Z"))
+
+
+# ---------------------------------------------------------------------------
+# the partition scan against a loop over enum_partitions
+
+
+def _scan_source(rng, sizes, eve=False):
+    """A source with about a quarter of its cells zero, and its array.
+
+    With ``eve`` the last variable is the eavesdropper's, and its value 1
+    has zero mass.
+    """
+    arr = rng.random(sizes)
+    arr[rng.random(sizes) < 0.25] = 0.0
+    if eve:
+        arr[..., 1] = 0.0
+    arr /= arr.sum()
+    m = len(sizes) - eve
+    names = [f"X{i + 1}" for i in range(m)] + (["Z"] if eve else [])
+    vars = tuple(
+        (n, Alphabet(tuple(str(s) for s in range(k)))) for n, k in zip(names, sizes)
+    )
+    return JointDist(vars, arr.reshape(-1), eve="Z" if eve else None), arr
+
+
+def _scan_sources(eve):
+    rng = np.random.default_rng(1018 + eve)
+    sizes = [[k] * m for m in range(2, 6) for k in (2, 3)]
+    if eve:
+        sizes = [s + [3] for s in sizes if len(s) < 5] + [[3, 2, 2, 2, 3]]
+    return [_scan_source(rng, s, eve) for s in sizes]
+
+
+def _oracle_q(arr, pi, eve):
+    z_axes = [arr.ndim - 1] if eve else []
+    return conditional_product_oracle(arr, [sorted(i - 1 for i in b) for b in pi.blocks], z_axes)
+
+
+def _check_q_pi(J, arr, parts, eve):
+    """Each Q^pi is the oracle's up to rounding; returns the library's Q^pi."""
+    qs = [conditional_product(J, pi, J.eve) for pi in parts]
+    for pi, q in zip(parts, qs):
+        np.testing.assert_allclose(q.pmf, _oracle_q(arr, pi, eve), rtol=1e-12, atol=1e-15)
+    return qs
+
+
+@pytest.mark.parametrize("eve", [False, True])
+def test_cit_bound_best_equals_loop_over_partitions(eve):
+    eps, eta = 0.1, 0.05
+    for J, arr in _scan_sources(eve):
+        parts = enum_partitions(arr.ndim - eve)
+        _check_q_pi(J, arr, parts, eve)
+        reports = [cit_bound(J, pi, eps, eta) for pi in parts]
+        best = min(range(len(parts)), key=lambda i: (reports[i].value, i))
+        assert cit_bound_best(J, eps, eta) == reports[best]
+
+
+def _capacity_loop(J, parts, qs):
+    best_val, best_pi = math.inf, None
+    for pi, q in zip(parts, qs):
+        val = divergence(J, q, kind="kl") / (pi.num_blocks - 1)
+        if val < best_val - 1e-12:
+            best_val, best_pi = val, pi
+    return best_val, best_pi
+
+
+def test_capacity_formula_equals_loop_over_partitions():
+    # independent parties: every divergence is zero up to rounding
+    rng = np.random.default_rng(1019)
+    independent = []
+    for sizes in ([2, 3, 2], [3, 2, 2, 2]):
+        arr = np.ones(())
+        for k in sizes:
+            arr = np.multiply.outer(arr, rng.random(k) / 2 + 0.25)
+        arr /= arr.sum()
+        names = tuple((f"X{i + 1}", Alphabet(tuple(map(str, range(k))))) for i, k in enumerate(sizes))
+        independent.append((JointDist(names, arr.reshape(-1)), arr))
+    for J, arr in _scan_sources(False) + independent:
+        parts = enum_partitions(arr.ndim)
+        qs = _check_q_pi(J, arr, parts, False)
+        assert sk_capacity_formula(J) == _capacity_loop(J, parts, qs)
+
+
+def _sc_rows(J, parts, qs, lhs, mu, zeta, eta):
+    rows = []
+    for pi, q in zip(parts, qs):
+        l = pi.num_blocks
+        rhs = (beta_epsilon(J, q, mu).neg_log2_beta + l * math.log2(1 / eta)) / (l - 1)
+        rhs += 2 * math.log2(1 / (2 * zeta)) + 1
+        rows.append((pi, rhs, rhs - lhs))
+    return tuple(rows)
+
+
+def test_sc_check_equals_loop_over_partitions():
+    xi, zeta, eta = 0.01, 0.1, 0.1
+    for J, arr in _scan_sources(False):
+        parts = enum_partitions(arr.ndim)
+        qs = _check_q_pi(J, arr, parts, False)
+        g = [str(i % 3) for i in range(J.n_cells)]
+        rep = sc_necessary_check(J, g, 0.02, 0.02, xi, zeta, eta)
+        rows = _sc_rows(J, parts, qs, rep.lhs, rep.params["mu"], zeta, eta)
+        assert rep.per_partition == rows
+        worst = min(range(len(rows)), key=lambda i: rows[i][2])
+        assert (rep.partition, rep.rhs, rep.slack) == rows[worst]
+        one = sc_necessary_check(J, g, 0.02, 0.02, xi, zeta, eta, partition=parts[-1])
+        assert one.per_partition == (rows[-1],)
+
+
+def test_partition_scan_across_chunks():
+    """m = 8 binary parties: the 4,139 partitions span 17 chunks of Q^pi rows."""
+    J, arr = _scan_source(np.random.default_rng(88), [2] * 8)
+    parts = enum_partitions(8)
+    assert len(parts) > 16 * _chunk_rows(J.n_cells)
+    qs = [conditional_product(J, pi) for pi in parts]
+    eps, eta = 0.1, 0.05
+    reports = [cit_bound(J, pi, eps, eta) for pi in parts]
+    best = min(range(len(parts)), key=lambda i: (reports[i].value, i))
+    assert cit_bound_best(J, eps, eta) == reports[best]
+    assert sk_capacity_formula(J) == _capacity_loop(J, parts, qs)
+    g = [str(bin(i).count("1") % 2) for i in range(J.n_cells)]
+    rep = sc_necessary_check(J, g, 0.02, 0.02, 0.01, 0.1, 0.1)
+    assert rep.per_partition == _sc_rows(J, parts, qs, rep.lhs, rep.params["mu"], 0.1, 0.1)
+    # the oracle on the first and last row of every chunk
+    rows = _chunk_rows(J.n_cells)
+    for i in sorted({j for c in range(0, len(parts), rows) for j in (c, min(c + rows, len(parts)) - 1)}):
+        np.testing.assert_allclose(
+            qs[i].pmf, _oracle_q(arr, parts[i], False), rtol=1e-12, atol=1e-15
+        )
 
 
 # ---------------------------------------------------------------------------

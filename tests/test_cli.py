@@ -134,6 +134,17 @@ def test_smooth_verbs(tmp_path, capsys):
     assert abs(json.loads(out)["result"]["value"] - (-0.3219280948873623)) <= 1e-12
 
 
+def test_smooth_dmax_disjoint_supports(tmp_path, capsys):
+    # no mass of P can be covered, so every positive target is out of reach
+    p = write_dist(tmp_path, ber(1.0), "p.json")
+    q = write_dist(tmp_path, ber(0.0), "q.json")
+    for eps in ("0.5", "0.9999999999999"):
+        code, out, _ = run(capsys, ["smooth", "dmax", "--p", p, "--q", q, "--eps", eps])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["value"] == float("inf") and result["removed_mass"] == 1.0
+
+
 def test_protocol_verbs(tmp_path, capsys):
     J, proto = random_sk_instance([9, 0], m=2, rounds=1)
     d = write_dist(tmp_path, J, "j.json")

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skconverse import (
     Alphabet,
@@ -84,6 +86,53 @@ def test_beta_data_processing():
         before = beta_epsilon(P, Q, eps).beta
         after = beta_epsilon(apply_channel(P, W), apply_channel(Q, W), eps).beta
         assert before <= after + 1e-12
+
+
+@st.composite
+def _pmfs(draw, k):
+    """A pmf on k outcomes with integer weights, zeros allowed."""
+    w = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
+    return np.array(w, dtype=np.float64) / sum(w)
+
+
+def _dist(pmf, name="X"):
+    return JointDist(((name, Alphabet(tuple(str(i) for i in range(len(pmf))))),), pmf)
+
+
+@st.composite
+def _pairs(draw):
+    k = draw(st.integers(1, 8))
+    return _dist(draw(_pmfs(k))), _dist(draw(_pmfs(k)))
+
+
+_EPS = st.floats(0.0, 0.99)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs(), _EPS, _EPS)
+def test_beta_monotone_in_eps_property(pair, e1, e2):
+    P, Q = pair
+    lo, hi = sorted((e1, e2))
+    assert beta_epsilon(P, Q, lo).beta >= beta_epsilon(P, Q, hi).beta - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(_pmfs), _EPS)
+def test_beta_against_itself_property(pmf, eps):
+    P = _dist(pmf)
+    assert abs(beta_epsilon(P, P, eps).beta - (1.0 - eps)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pairs(), st.integers(1, 5), st.data(), _EPS)
+def test_beta_data_processing_property(pair, n_out, data, eps):
+    P, Q = pair
+    rows = {(i,): data.draw(_pmfs(n_out)) for i in range(P.n_cells)}
+    out = (("Y", Alphabet(tuple(str(j) for j in range(n_out)))),)
+    W = Channel(P.vars, out, rows)
+    before = beta_epsilon(P, Q, eps).beta
+    after = beta_epsilon(apply_channel(P, W), apply_channel(Q, W), eps).beta
+    assert before <= after + 1e-12
 
 
 def test_no_dispersion_exactness():
