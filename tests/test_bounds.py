@@ -27,7 +27,12 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse.probcore import _chunk_rows, conditional_product, extend_with_channel, fuse_vars
+from skconverse.probcore import (
+    _chunk_rows,
+    conditional_product,
+    extend_with_channel,
+    fuse_vars,
+)
 from skconverse.protosim import ideal_ot_correlation
 from skconverse.smoothinfo import h_min_smooth
 from support import (
@@ -213,7 +218,8 @@ def _scan_sources(eve):
 
 def _oracle_q(arr, pi, eve):
     z_axes = [arr.ndim - 1] if eve else []
-    return conditional_product_oracle(arr, [sorted(i - 1 for i in b) for b in pi.blocks], z_axes)
+    blocks = [sorted(i - 1 for i in b) for b in pi.blocks]
+    return conditional_product_oracle(arr, blocks, z_axes)
 
 
 def _check_q_pi(J, arr, parts, eve):
@@ -253,8 +259,10 @@ def test_capacity_formula_equals_loop_over_partitions():
         for k in sizes:
             arr = np.multiply.outer(arr, rng.random(k) / 2 + 0.25)
         arr /= arr.sum()
-        names = tuple((f"X{i + 1}", Alphabet(tuple(map(str, range(k))))) for i, k in enumerate(sizes))
-        independent.append((JointDist(names, arr.reshape(-1)), arr))
+        vars = tuple(
+            (f"X{i + 1}", Alphabet(tuple(map(str, range(k))))) for i, k in enumerate(sizes)
+        )
+        independent.append((JointDist(vars, arr.reshape(-1)), arr))
     for J, arr in _scan_sources(False) + independent:
         parts = enum_partitions(arr.ndim)
         qs = _check_q_pi(J, arr, parts, False)
@@ -302,7 +310,8 @@ def test_partition_scan_across_chunks():
     assert rep.per_partition == _sc_rows(J, parts, qs, rep.lhs, rep.params["mu"], 0.1, 0.1)
     # the oracle on the first and last row of every chunk
     rows = _chunk_rows(J.n_cells)
-    for i in sorted({j for c in range(0, len(parts), rows) for j in (c, min(c + rows, len(parts)) - 1)}):
+    firsts = range(0, len(parts), rows)
+    for i in sorted({*firsts, *(min(c + rows, len(parts)) - 1 for c in firsts)}):
         np.testing.assert_allclose(
             qs[i].pmf, _oracle_q(arr, parts[i], False), rtol=1e-12, atol=1e-15
         )
