@@ -38,7 +38,7 @@ from .probcore import (
     divergence,
     fuse_vars,
     load_dist,
-    reject_json_constant,
+    read_json,
 )
 from .protosim import (
     eval_sk_security,
@@ -81,13 +81,11 @@ def _report(command: str, params: dict, result, out_path: str | None) -> None:
 
 
 def _load_params(args) -> dict:
-    merged = {}
-    if getattr(args, "params", None):
-        with open(args.params, "r", encoding="utf-8") as fh:
-            try:
-                merged.update(json.load(fh, parse_constant=reject_json_constant))
-            except json.JSONDecodeError as exc:
-                raise PreconditionError(f"malformed parameters JSON: {exc}") from None
+    if not getattr(args, "params", None):
+        return {}
+    merged = read_json(args.params, "parameters JSON")
+    if not isinstance(merged, dict):
+        raise PreconditionError("malformed parameters JSON: expected an object")
     return merged
 
 
@@ -97,7 +95,10 @@ def _num(args, merged: dict, name: str, required: bool = True):
         val = merged.get(name)
     if val is None and required:
         raise PreconditionError(f"missing required parameter --{name}")
-    return None if val is None else float(val)
+    try:
+        return None if val is None else float(val)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"parameter {name} is not a number: {val!r}") from None
 
 
 def _ns(text: str) -> list[int]:
@@ -234,17 +235,15 @@ def _parse_partition(text: str | None, m: int) -> Partition | None:
 def _channel_from_json(path: str) -> Channel:
     from .probcore import Alphabet
 
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh, parse_constant=reject_json_constant)
-        except json.JSONDecodeError as exc:
-            raise PreconditionError(f"malformed channel JSON: {exc}") from None
+    obj = read_json(path, "channel JSON")
     try:
         in_vars = tuple((v["name"], Alphabet(tuple(v["symbols"]))) for v in obj["inputs"])
         out_vars = tuple((v["name"], Alphabet(tuple(v["symbols"]))) for v in obj["outputs"])
         rows = {tuple(int(i) for i in k.split(",")) if k else (): row
                 for k, row in obj["rows"].items()}
-    except (KeyError, TypeError) as exc:
+    except PreconditionError:  # a ValueError that already names the problem
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed channel JSON: {exc}") from None
     return Channel(in_vars, out_vars, rows)
 
@@ -342,14 +341,7 @@ def _dispatch(args) -> int:
     if verb == "protocol":
         if args.action == "eval":
             J = load_dist(args.dist)
-            with open(args.protocol, "r", encoding="utf-8") as fh:
-                try:
-                    obj = json.load(fh, parse_constant=reject_json_constant)
-                except json.JSONDecodeError as exc:
-                    raise PreconditionError(
-                        f"malformed protocol JSON: {exc}"
-                    ) from None
-            proto = protocol_from_json(obj)
+            proto = protocol_from_json(read_json(args.protocol, "protocol JSON"))
             rep = eval_sk_security(J, proto)
             _report(
                 "protocol eval",
@@ -428,12 +420,13 @@ def _dispatch_bound(args, merged: dict) -> int:
         return 0
 
     if task == "compute":
-        with open(args.g, "r", encoding="utf-8") as fh:
-            try:
-                g_obj = json.load(fh, parse_constant=reject_json_constant)
-            except json.JSONDecodeError as exc:
-                raise PreconditionError(f"malformed function JSON: {exc}") from None
-        table = g_obj["outputs"] if isinstance(g_obj, dict) else g_obj
+        table = read_json(args.g, "function JSON")
+        if isinstance(table, dict):
+            table = table.get("outputs")
+        if not isinstance(table, list):
+            raise PreconditionError(
+                'malformed function JSON: expected a list or {"outputs": [...]}'
+            )
         eps = _num(args, merged, "eps")
         delta = _num(args, merged, "delta")
         slacks = _slacks(args, merged, eps, delta)

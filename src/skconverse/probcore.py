@@ -12,6 +12,7 @@ function, so concurrent use from multiple threads needs no synchronization.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -108,9 +109,7 @@ class _MassMixin:
 
     def outcomes(self) -> Iterable[tuple[str, ...]]:
         """Row-major iteration over symbol tuples."""
-        alphas = [a.symbols for _, a in self.vars]
-        for idx in np.ndindex(*self.shape):
-            yield tuple(alphas[i][j] for i, j in enumerate(idx))
+        return itertools.product(*(a.symbols for _, a in self.vars))
 
 
 def _prepare_pmf(vars: tuple[Var, ...], pmf) -> np.ndarray:
@@ -422,19 +421,10 @@ def fuse_vars(J: JointDist, groups: Sequence[Sequence[str]], names: Sequence[str
     new_vars = []
     for g, nm in zip(groups, names):
         alphas = [J.alphabet(n).symbols for n in g]
-        symbols = ["|".join(combo) for combo in _product_symbols(alphas)]
+        symbols = ["|".join(combo) for combo in itertools.product(*alphas)]
         new_vars.append((nm, Alphabet(tuple(symbols))))
     shape = tuple(len(a) for _, a in new_vars)
     return JointDist(tuple(new_vars), arr.reshape(shape).reshape(-1))
-
-
-def _product_symbols(alphas: Sequence[Sequence[str]]):
-    if not alphas:
-        yield ()
-        return
-    for head in alphas[0]:
-        for rest in _product_symbols(alphas[1:]):
-            yield (head,) + rest
 
 
 def apply_channel(J: JointDist, ch: Channel) -> JointDist:
@@ -662,13 +652,20 @@ def reject_json_constant(token: str):
     raise PreconditionError(f"non-finite number {token} in JSON input")
 
 
-def load_dist(path) -> JointDist:
+def read_json(path, what: str):
+    """The JSON value in the file ``path``; NaN and +-Infinity are rejected.
+
+    A file that does not parse raises ``malformed {what}: ...``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh, parse_constant=reject_json_constant)
+            return json.load(fh, parse_constant=reject_json_constant)
         except json.JSONDecodeError as exc:
-            raise PreconditionError(f"malformed JSON in {path}: {exc}") from None
-    return dist_from_json(obj)
+            raise PreconditionError(f"malformed {what}: {exc}") from None
+
+
+def load_dist(path) -> JointDist:
+    return dist_from_json(read_json(path, f"JSON in {path}"))
 
 
 def save_dist(J: JointDist, path) -> None:

@@ -14,6 +14,7 @@ All randomness is seeded; identical seeds give identical reports.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -320,9 +321,8 @@ class _ProductLaw:
                 yield (a, b), wa * wb
 
 
-def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> SecurityReport:
-    """Measure a protocol's exact secret-key parameters on J."""
-    law = protocol_law(J, p, cap=cap)
+def _security(law: Mapping, p: Protocol) -> SecurityReport:
+    """Secret-key figures of ``p`` from its exact law keyed (keys, f, z)."""
     nk = len(p.key_symbols)
     pfz: dict = defaultdict(float)
     agree = 0.0
@@ -350,6 +350,11 @@ def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> Securit
         key_len_bits=p.key_len_bits,
         num_key_values=nk,
     )
+
+
+def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> SecurityReport:
+    """Measure a protocol's exact secret-key parameters on J."""
+    return _security(protocol_law(J, p, cap=cap), p)
 
 
 def _party_var_blocks(J: JointDist, p: Protocol, cond=None) -> list[list[str]]:
@@ -447,7 +452,14 @@ def check_converse(
     When the achieved eps leaves no room for eta (eps + eta >= 1) the bound
     is vacuously +inf and the check passes trivially.
     """
-    rep = eval_sk_security(J, p, cap=cap)
+    return _converse(J, p, eval_sk_security(J, p, cap=cap), eta, partition)
+
+
+def _converse(
+    J: JointDist, p: Protocol, rep: SecurityReport, eta: float,
+    partition: Partition | None = None,
+) -> ConverseReport:
+    """``check_converse`` given the protocol's security report ``rep``."""
     inst = sk_instance_dist(J, p)
     if rep.eps + eta >= 1.0:
         return ConverseReport(rep.eps, rep.key_len_bits, math.inf, math.inf, None, True)
@@ -520,14 +532,21 @@ def acceptance_region_test(
     is at most |K|^(1-|pi|) eta^(-|pi|) and its P-complement is at most
     achieved-eps + eta.
     """
+    p_law = protocol_law(J, p, cap=cap)
+    return _region_test(J, p, partition, eta, p_law, _security(p_law, p), cap)
+
+
+def _region_test(
+    J: JointDist, p: Protocol, partition: Partition, eta: float, p_law: Mapping,
+    rep: SecurityReport, cap: int = STATE_CAP,
+) -> RegionTestReport:
+    """``acceptance_region_test`` given the protocol's law on J and its report."""
     if eta <= 0 or eta >= 1:
         raise PreconditionError("eta must lie in (0, 1)")
-    rep = eval_sk_security(J, p, cap=cap)
     nk = len(p.key_symbols)
     l = partition.num_blocks
     lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
 
-    p_law = protocol_law(J, p, cap=cap)
     q_dist = _q_pi(J, p, partition)
     q_law = protocol_law(q_dist, p, cap=cap)
     q_fz: dict = defaultdict(float)
@@ -958,7 +977,9 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
 
     cond = {k: _normalized(v) for k, v in cond.items()}
     cond_v = {k: _normalized(v) for k, v in cond_v.items()}
-    fallback_hit = False
+    # every reachable key-map input (v, b, f) reads cond at (v, not b, f)
+    flip = {"0": "1", "1": "0"}
+    used_fallback = any((v, flip[b], f) not in cond for v, b, f in cond)
 
     maps = _x2_view(otp.message_maps)
     maps[(otp.rounds + 1, 2)] = lambda obs, rand, tr: rand  # broadcast B
@@ -968,14 +989,10 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
         return rand[l:] if b == "0" else rand[:l]  # K_{not B}
 
     def key2(obs, rand, tr):
-        nonlocal fallback_hit
         v = obs[0]
-        bbar = "1" if rand == "0" else "0"
+        bbar = flip[rand]
         f_ot = tr[:n_ot_msgs]
-        table = cond.get((v, bbar, f_ot))
-        if table is None:
-            fallback_hit = True
-            table = cond_v[v]
+        table = cond.get((v, bbar, f_ot), cond_v[v])
         out: dict = defaultdict(float)
         for x2s, pw in table.items():
             out[otp.khat(x2s, bbar, f_ot)] += pw
@@ -991,9 +1008,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
         eve_vars=(x2,),
         randomness=randomness,
     )
-    # probe every reachable key-map input so the fallback flag is accurate
-    eval_sk_security(JV, proto)
-    return ReducedSK(dist=JV, protocol=proto, used_fallback=fallback_hit)
+    return ReducedSK(dist=JV, protocol=proto, used_fallback=used_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,19 +1079,20 @@ def measure_bc(J: JointDist, bcp: BCProtocol) -> BCReport:
     d1 = _tv(law_hide, _ProductLaw(law_hide))
     d2 = 0.0
     for (k, x1, tr), x2_law in view.items():
-        best = 0.0
-        for kprime in keys:
-            if kprime == k:
-                continue
-            for x1prime in x1_syms:
-                acc = sum(
-                    w * float(bcp.test(kprime, x1prime, x2, tr))
-                    for x2, w in x2_law.items()
-                )
-                if acc > best:
-                    best = acc
-        d2 += best
+        others = [kp for kp in keys if kp != k]
+        d2 += max(
+            [0.0] + [acc for _, _, acc in _reveals(bcp, others, x1_syms, x2_law, tr)]
+        )
     return BCReport(eps=float(err), delta1=float(d1), delta2=float(d2))
+
+
+def _reveals(bcp: BCProtocol, keys, x1_syms, x2_law: Mapping, tr):
+    """Yield (k', x1', sum of w * test(k', x1', x2, tr) over ``x2_law``), keys outer."""
+    for kprime in keys:
+        for x1prime in x1_syms:
+            yield kprime, x1prime, sum(
+                w * float(bcp.test(kprime, x1prime, x2, tr)) for x2, w in x2_law.items()
+            )
 
 
 def ideal_bc_protocol(l: int, cap: int = STATE_CAP) -> tuple[JointDist, BCProtocol]:
@@ -1136,16 +1152,12 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
     decoder: dict = {}
     for (v, tr), x2_law in by_vf.items():
         tot = sum(x2_law.values())
-        best, best_pair = -1.0, None
-        for khat in keys:
-            for x1hat in x1_syms:
-                acc = sum(
-                    (w / tot) * float(bcp.test(khat, x1hat, x2s, tr))
-                    for x2s, w in x2_law.items()
-                )
-                if acc > best + _TOL:
-                    best, best_pair = acc, (khat, x1hat)
-        decoder[(v, tr)] = best_pair[0]
+        x2_cond = {x2s: w / tot for x2s, w in x2_law.items()}
+        best, best_key = -1.0, None
+        for khat, _, acc in _reveals(bcp, keys, x1_syms, x2_cond, tr):
+            if acc > best + _TOL:
+                best, best_key = acc, khat
+        decoder[(v, tr)] = best_key
 
     maps = _x2_view(bcp.message_maps)
 
@@ -1232,35 +1244,17 @@ def random_sk_instance(
     )
     rand_syms = [("0", "1") if r is not None else (None,) for r in randomness]
 
-    def transcripts(k: int):
-        if k == 0:
-            yield ()
-            return
-        for prefix in transcripts(k - 1):
-            for s in ("0", "1"):
-                yield prefix + (s,)
+    def table(i: int, pos: int, size: int) -> dict:
+        """Party i's map after ``pos`` messages, drawn in row-major key order."""
+        keys = itertools.product(
+            (("0",), ("1",)), rand_syms[i - 1], itertools.product(("0", "1"), repeat=pos)
+        )
+        return {key: str(rng.integers(0, size)) for key in keys}
 
-    maps = {}
-    pos = 0
-    for j in range(1, rounds + 1):
-        for i in range(1, m + 1):
-            table = {}
-            for obs in (("0",), ("1",)):
-                for rs in rand_syms[i - 1]:
-                    for tr in transcripts(pos):
-                        table[(obs, rs, tr)] = str(rng.integers(0, 2))
-            maps[(j, i)] = table
-            pos += 1
-
+    sched = [(j, i) for j in range(1, rounds + 1) for i in range(1, m + 1)]
+    maps = {(j, i): table(i, pos, 2) for pos, (j, i) in enumerate(sched)}
     key_symbols = tuple(str(v) for v in range(key_size))
-    key_maps = []
-    for i in range(1, m + 1):
-        table = {}
-        for obs in (("0",), ("1",)):
-            for rs in rand_syms[i - 1]:
-                for tr in transcripts(pos):
-                    table[(obs, rs, tr)] = str(rng.integers(0, key_size))
-        key_maps.append(table)
+    key_maps = [table(i, len(sched), key_size) for i in range(1, m + 1)]
 
     proto = Protocol(
         num_parties=m,
@@ -1294,7 +1288,8 @@ def fuzz_converse(
         m = int(ms[idx % len(ms)])
         rounds = 1 + (idx % 2)
         J, proto = random_sk_instance([seed, idx], m=m, rounds=rounds)
-        rep = eval_sk_security(J, proto)
+        law = protocol_law(J, proto)
+        rep = _security(law, proto)
         max_eps = max(max_eps, rep.eps)
 
         # relations between the combined and split security criteria
@@ -1303,14 +1298,14 @@ def fuzz_converse(
         if rep.eps_rec > rep.eps + _TOL or rep.delta_sec > rep.eps + _TOL:
             relation_bad += 1
 
-        conv = check_converse(J, proto, eta)
+        conv = _converse(J, proto, rep, eta)
         if not conv.ok:
             conv_bad += 1
         if not conv.trivial:
             min_slack = min(min_slack, conv.slack)
 
         for pi in enum_partitions(m):
-            lem = acceptance_region_test(J, proto, pi, eta)
+            lem = _region_test(J, proto, pi, eta, law, rep)
             if not lem.ok:
                 region_bad += 1
     return FuzzReport(
@@ -1386,7 +1381,7 @@ def protocol_from_json(obj: Mapping) -> Protocol:
             eve_vars=tuple(obj.get("eve_vars", ())),
             randomness=randomness,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed protocol JSON: {exc}") from None
 
 

@@ -17,10 +17,29 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from hypothesis import strategies as st
 
 from skconverse import Alphabet, JointDist, Protocol
 
 BIT = Alphabet(("0", "1"))
+
+
+@st.composite
+def int_weight_pmfs(draw, k):
+    """A pmf on k outcomes with integer weights, zeros allowed."""
+    w = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
+    return np.array(w, dtype=np.float64) / sum(w)
+
+
+def one_var_dist(pmf, name="X"):
+    return JointDist(((name, Alphabet(tuple(str(i) for i in range(len(pmf))))),), pmf)
+
+
+@st.composite
+def int_weight_pairs(draw):
+    """Two pmfs on the same 1 to 8 outcomes, from ``int_weight_pmfs``."""
+    k = draw(st.integers(1, 8))
+    return one_var_dist(draw(int_weight_pmfs(k))), one_var_dist(draw(int_weight_pmfs(k)))
 
 
 def ber(p: float, name: str = "X") -> JointDist:

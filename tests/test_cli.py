@@ -257,6 +257,60 @@ def test_non_finite_input_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+def test_malformed_json_inputs_exit_one(tmp_path, capsys):
+    # each of these once escaped main() as a traceback
+    d = write_dist(tmp_path, dsbs(0.11), "d.json")
+    bad = tmp_path / "bad.json"
+    for g in ({"table": [0, 1, 1, 0]}, 3):
+        bad.write_text(json.dumps(g))
+        code, _, err = run(capsys, [
+            "bound", "compute", "--dist", d, "--g", str(bad), "--eps", "0.1",
+            "--delta", "0.1",
+        ])
+        assert code == 1 and "malformed function JSON" in err
+
+    bad.write_text(json.dumps([0.1]))
+    code, _, err = run(capsys, ["beta", "--p", d, "--q", d, "--params", str(bad)])
+    assert code == 1 and "malformed parameters JSON" in err
+    for value in ("abc", [0.1]):
+        bad.write_text(json.dumps({"eps": value}))
+        code, _, err = run(capsys, ["beta", "--p", d, "--q", d, "--params", str(bad)])
+        assert code == 1 and "not a number" in err
+
+    bad.write_text(
+        '{"inputs": [{"name": "X1", "symbols": ["0", "1"]}], '
+        '"outputs": [{"name": "U", "symbols": ["0", "1"]}], '
+        '"rows": {"a": [0.5, 0.5], "1": [0.5, 0.5]}}'
+    )
+    code, _, err = run(capsys, [
+        "bound", "sk", "--dist", d, "--aux-channel", str(bad), "--eps", "0.1",
+        "--eta", "0.2", "--delta", "0.1", "--eta1", "0.05", "--eta2", "0.05",
+    ])
+    assert code == 1 and "malformed channel JSON" in err
+
+    bad.write_text(json.dumps([]))
+    code, _, err = run(capsys, ["protocol", "eval", "--dist", d, "--protocol", str(bad)])
+    assert code == 1 and "malformed protocol JSON" in err
+
+
+def test_function_table_object_form(tmp_path, capsys):
+    d = write_dist(tmp_path, dsbs(0.11), "d.json")
+    argv = ["bound", "compute", "--dist", d, "--eps", "0.02", "--delta", "0.02"]
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(["0", "1", "1", "0"]))
+    code, listed, _ = run(capsys, argv + ["--g", str(g)])
+    assert code == 0
+    g.write_text(json.dumps({"outputs": ["0", "1", "1", "0"]}))
+    code, wrapped, _ = run(capsys, argv + ["--g", str(g)])
+    assert code == 0 and wrapped == listed
+
+
+def test_fuzz_rejects_eta_outside_unit_interval(capsys):
+    for eta in ("1.5", "0", "1"):
+        code, out, err = run(capsys, ["protocol", "fuzz", "--count", "4", "--eta", eta])
+        assert code == 1 and out == "" and "eta" in err, eta
+
+
 def test_fuzz_report_distance_at_most_one(capsys):
     # the report once gave max_eps = 1.0000000000000009 here
     code, out, _ = run(capsys, ["protocol", "fuzz", "--count", "300", "--seed", "0"])

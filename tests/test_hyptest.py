@@ -23,7 +23,16 @@ from skconverse.errors import CapExceededError
 from skconverse.hyptest import default_gamma_grid
 from skconverse.probcore import apply_channel, Channel
 from skconverse.smoothinfo import d_max
-from support import ber, beta_lp_oracle, beta_oracle, compositions_oracle, random_dist
+from support import (
+    ber,
+    beta_lp_oracle,
+    beta_oracle,
+    compositions_oracle,
+    int_weight_pairs,
+    int_weight_pmfs,
+    one_var_dist,
+    random_dist,
+)
 
 
 def test_beta_self_is_one_minus_eps():
@@ -88,28 +97,11 @@ def test_beta_data_processing():
         assert before <= after + 1e-12
 
 
-@st.composite
-def _pmfs(draw, k):
-    """A pmf on k outcomes with integer weights, zeros allowed."""
-    w = draw(st.lists(st.integers(0, 1000), min_size=k, max_size=k).filter(any))
-    return np.array(w, dtype=np.float64) / sum(w)
-
-
-def _dist(pmf, name="X"):
-    return JointDist(((name, Alphabet(tuple(str(i) for i in range(len(pmf))))),), pmf)
-
-
-@st.composite
-def _pairs(draw):
-    k = draw(st.integers(1, 8))
-    return _dist(draw(_pmfs(k))), _dist(draw(_pmfs(k)))
-
-
 _EPS = st.floats(0.0, 0.99)
 
 
 @settings(max_examples=200, deadline=None)
-@given(_pairs(), _EPS, _EPS)
+@given(int_weight_pairs(), _EPS, _EPS)
 def test_beta_monotone_in_eps_property(pair, e1, e2):
     P, Q = pair
     lo, hi = sorted((e1, e2))
@@ -117,17 +109,17 @@ def test_beta_monotone_in_eps_property(pair, e1, e2):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(_pmfs), _EPS)
+@given(st.integers(1, 8).flatmap(int_weight_pmfs), _EPS)
 def test_beta_against_itself_property(pmf, eps):
-    P = _dist(pmf)
+    P = one_var_dist(pmf)
     assert abs(beta_epsilon(P, P, eps).beta - (1.0 - eps)) <= 1e-12
 
 
 @settings(max_examples=200, deadline=None)
-@given(_pairs(), st.integers(1, 5), st.data(), _EPS)
+@given(int_weight_pairs(), st.integers(1, 5), st.data(), _EPS)
 def test_beta_data_processing_property(pair, n_out, data, eps):
     P, Q = pair
-    rows = {(i,): data.draw(_pmfs(n_out)) for i in range(P.n_cells)}
+    rows = {(i,): data.draw(int_weight_pmfs(n_out)) for i in range(P.n_cells)}
     out = (("Y", Alphabet(tuple(str(j) for j in range(n_out)))),)
     W = Channel(P.vars, out, rows)
     before = beta_epsilon(P, Q, eps).beta

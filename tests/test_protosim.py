@@ -27,6 +27,7 @@ from skconverse import (
     reduce_bc_to_sk,
     reduce_ot_to_sk,
 )
+from skconverse import protosim
 from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product
 from skconverse.protosim import (
@@ -307,6 +308,28 @@ def test_fuzz_quick():
     assert rep.converse_violations == 0
     assert rep.region_test_violations == 0
     assert rep.criteria_relation_violations == 0
+
+
+def test_each_protocol_law_evaluated_once(monkeypatch):
+    # the fuzzer builds one P-law per instance and one Q-law per partition;
+    # the reductions evaluate no law of their own
+    calls = []
+
+    def counting(J, p, *args, **kwargs):
+        calls.append(p)
+        return protocol_law(J, p, *args, **kwargs)
+
+    monkeypatch.setattr(protosim, "protocol_law", counting)
+    fuzz_converse(count=7, seed=3)
+    ms = [(2, 3)[idx % 2] for idx in range(7)]
+    assert len(calls) == sum(1 + len(enum_partitions(m)) for m in ms)
+
+    calls.clear()
+    J, otp = ideal_ot_protocol(1)
+    for variant in (1, 2):
+        reduce_ot_to_sk(J, otp, variant=variant)
+    reduce_bc_to_sk(*ideal_bc_protocol(1))
+    assert calls == []
 
 
 def test_random_instances_are_reproducible():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skconverse import (
     Alphabet,
@@ -24,6 +26,7 @@ from support import (
     d_max_smooth_oracle,
     h_min_cond_grid_oracle,
     h_min_smooth_oracle,
+    int_weight_pairs,
     random_dist,
     uniform_bits,
 )
@@ -255,3 +258,29 @@ def test_dmax_scan():
         for e in (0.1, 0.25, 0.5)
     ]
     assert vals[0] >= vals[1] - 1e-12 >= vals[2] - 2e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    int_weight_pairs(),
+    st.floats(0.0, 0.49),
+    st.floats(0.0, 0.99, exclude_min=True),
+)
+def test_smoothing_witnesses_sit_at_distance_eps_property(pair, eps_h, eps_d):
+    # witnesses only remove mass: h_min_smooth removes 2*eps (distance eps);
+    # a finite d_max_smooth value removes eps, the least mass its constraint
+    # sum min(P, Q 2^lam) >= 1 - eps allows
+    P, Q = pair
+    h = h_min_smooth(P, eps_h)
+    assert np.all(h.witness.pmf <= P.pmf)
+    removed = float(P.pmf.sum() - h.witness.pmf.sum())
+    assert abs(removed - 2 * eps_h) <= 1e-9
+    assert abs(0.5 * float(np.abs(P.pmf - h.witness.pmf).sum()) - eps_h) <= 1e-9
+    assert h.removed_mass == removed
+
+    d = d_max_smooth(P, Q, eps_d)
+    assert np.all(d.witness.pmf <= P.pmf)
+    if math.isfinite(d.value):
+        assert abs(float(P.pmf.sum() - d.witness.pmf.sum()) - eps_d) <= 1e-9
+    else:
+        assert d.removed_mass > eps_d
