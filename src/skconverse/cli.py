@@ -89,6 +89,17 @@ def _load_params(args) -> dict:
     return merged
 
 
+def _finite(val) -> float:
+    """``val`` as a finite float: the type of every float flag and ``_num`` value."""
+    try:
+        num = float(val)
+    except (TypeError, ValueError):
+        raise argparse.ArgumentTypeError(f"not a number: {val!r}") from None
+    if not math.isfinite(num):
+        raise argparse.ArgumentTypeError(f"not a finite number: {val!r}")
+    return num
+
+
 def _num(args, merged: dict, name: str, required: bool = True):
     val = getattr(args, name, None)
     if val is None:
@@ -96,9 +107,9 @@ def _num(args, merged: dict, name: str, required: bool = True):
     if val is None and required:
         raise PreconditionError(f"missing required parameter --{name}")
     try:
-        return None if val is None else float(val)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"parameter {name} is not a number: {val!r}") from None
+        return None if val is None else _finite(val)
+    except argparse.ArgumentTypeError as exc:
+        raise PreconditionError(f"parameter {name} is {exc}") from None
 
 
 def _ns(text: str) -> list[int]:
@@ -120,19 +131,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("beta", help="optimal type-II error with certificate")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=_finite)
     add_out(p)
 
     smooth = sub.add_parser("smooth", help="smoothed entropy quantities")
     ssub = smooth.add_subparsers(dest="quantity", required=True)
     p = ssub.add_parser("hmin")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=_finite)
     add_out(p)
     p = ssub.add_parser("dmax")
     p.add_argument("--p", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=_finite)
     add_out(p)
 
     structure = sub.add_parser("structure", help="mcf / mss label tables")
@@ -146,51 +157,51 @@ def build_parser() -> _Parser:
     p.add_argument("--dist", required=True)
     p.add_argument("--given", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_finite, default=1e-9)
     add_out(p)
 
     bound = sub.add_parser("bound", help="converse bounds and checks")
     bsub = bound.add_subparsers(dest="task", required=True)
     p = bsub.add_parser("sk")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--eps", type=_finite)
+    p.add_argument("--eta", type=_finite)
     p.add_argument("--partition")
     p.add_argument("--all-partitions", action="store_true")
     p.add_argument("--q", help="alternative conditionally factorizing Q")
     p.add_argument("--capacity", action="store_true", help="capacity formula only")
     p.add_argument("--aux-channel", help="auxiliary channel JSON for the two-party bound")
-    p.add_argument("--delta", type=float)
-    p.add_argument("--eta1", type=float)
-    p.add_argument("--eta2", type=float)
+    p.add_argument("--delta", type=_finite)
+    p.add_argument("--eta1", type=_finite)
+    p.add_argument("--eta2", type=_finite)
     add_out(p)
     for task in ("ot", "bc"):
         p = bsub.add_parser(task)
         p.add_argument("--dist", required=True)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--delta1", type=float)
-        p.add_argument("--delta2", type=float)
-        p.add_argument("--xi", type=float)
+        p.add_argument("--eps", type=_finite)
+        p.add_argument("--delta1", type=_finite)
+        p.add_argument("--delta2", type=_finite)
+        p.add_argument("--xi", type=_finite)
         p.add_argument("--capacity", action="store_true")
         add_out(p)
     p = bsub.add_parser("compute")
     p.add_argument("--dist", required=True)
     p.add_argument("--g", required=True, help="JSON function table (row-major list)")
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--eps", type=_finite)
+    p.add_argument("--delta", type=_finite)
+    p.add_argument("--xi", type=_finite)
+    p.add_argument("--zeta", type=_finite)
+    p.add_argument("--eta", type=_finite)
     p.add_argument("--partition")
     add_out(p)
     p = bsub.add_parser("transmit")
     p.add_argument("--dist", required=True)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--xi", type=float)
-    p.add_argument("--zeta", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--kappa", type=_finite)
+    p.add_argument("--eps", type=_finite)
+    p.add_argument("--delta", type=_finite)
+    p.add_argument("--xi", type=_finite)
+    p.add_argument("--zeta", type=_finite)
+    p.add_argument("--eta", type=_finite)
     add_out(p)
 
     scan = sub.add_parser("scan", help="CSV convergence scans")
@@ -199,13 +210,13 @@ def build_parser() -> _Parser:
         p = csub.add_parser(what)
         p.add_argument("--p", required=True)
         p.add_argument("--q", required=True)
-        p.add_argument("--eps", type=float)
+        p.add_argument("--eps", type=_finite)
         p.add_argument("--n", required=True, help="comma-separated n values")
         add_out(p)
     p = csub.add_parser("capacity")
     p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--eta", type=float)
+    p.add_argument("--eps", type=_finite)
+    p.add_argument("--eta", type=_finite)
     p.add_argument("--n", required=True)
     add_out(p)
 
@@ -222,7 +233,7 @@ def build_parser() -> _Parser:
     p = psub.add_parser("fuzz")
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--seed", type=int, default=20240913)
-    p.add_argument("--eta", type=float, default=0.05)
+    p.add_argument("--eta", type=_finite, default=0.05)
     add_out(p)
 
     return top

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -117,12 +117,10 @@ class Protocol:
     def key_len_bits(self) -> float:
         return math.log2(len(self.key_symbols))
 
-    def schedule(self) -> list[tuple[int, int]]:
-        return [
-            (j, i)
-            for j in range(1, self.rounds + 1)
-            for i in range(1, self.num_parties + 1)
-        ]
+
+def _schedule(rounds: int, parties: int) -> list[tuple[int, int]]:
+    """The (round, party) speaking order: parties 1..m in turn, every round."""
+    return [(j, i) for j in range(1, rounds + 1) for i in range(1, parties + 1)]
 
 
 def _map_value(m: MapLike, obs, rand, transcript):
@@ -161,7 +159,7 @@ def _runs(
 
     Party i observes the J variables ``obs_vars[i-1]`` and the local
     randomness ``randomness[i-1]`` (None: no randomness) and speaks by
-    ``message_maps`` in the order of ``Protocol.schedule``.  Outcomes come
+    ``message_maps`` in the order of ``_schedule``.  Outcomes come
     in row-major order, then randomness points, then depth-first over the
     messages; ``outcome`` and ``obs`` are the same objects for every run of
     one outcome.  Raises when support x randomness points exceeds ``cap``.
@@ -184,9 +182,7 @@ def _runs(
             f"exceed the cap {cap}"
         )
     obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
-    sched = [
-        (j, i) for j in range(1, rounds + 1) for i in range(1, len(obs_vars) + 1)
-    ]
+    sched = _schedule(rounds, len(obs_vars))
     for syms, prob in zip(J.outcomes(), map(float, J.pmf)):
         if prob == 0.0:
             continue
@@ -208,22 +204,25 @@ def _runs(
                     stack.append((transcript + (sym,), w * pw, pos + 1))
 
 
-def protocol_law(
-    J: JointDist,
-    p: Protocol,
-    with_outcomes: bool = False,
-    cap: int = STATE_CAP,
-) -> dict:
-    """Exact joint law keyed (keys, transcript, eve_view[, outcome]).
-
-    ``outcome`` is the full symbol tuple of J, included on request for
-    factorization checks.  Raises when the enumeration would exceed ``cap``.
-    """
+def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
+    """Positions in J of the protocol's eavesdropper variables."""
     positions = {n: i for i, n in enumerate(J.var_names)}
     for n in p.eve_vars:
         if n not in positions:
             raise PreconditionError(f"unknown eavesdropper variable {n!r}")
-    eve_pos = tuple(positions[n] for n in p.eve_vars)
+    return tuple(positions[n] for n in p.eve_vars)
+
+
+def protocol_law(
+    J: JointDist,
+    p: Protocol,
+    cap: int = STATE_CAP,
+) -> dict:
+    """Exact joint law keyed (keys, transcript, eve_view).
+
+    Raises when the enumeration would exceed ``cap`` runs.
+    """
+    eve_pos = _eve_pos(J, p)
     law: dict = defaultdict(float)
     key_set = set(p.key_symbols)
     syms_of_z = None
@@ -246,15 +245,33 @@ def protocol_law(
                     nxt.append((keys + (sym,), kw * pw))
             key_stack = nxt
         for keys, kw in key_stack:
-            if with_outcomes:
-                law[(keys, transcript, z, syms)] += kw
-            else:
-                law[(keys, transcript, z)] += kw
+            law[(keys, transcript, z)] += kw
     return dict(law)
 
 
+class _Report:
+    """JSON form of a report dataclass: its fields in order, then ``ok``.
+
+    A partition is written as its string, a nested report by its own
+    ``as_json``, and the field ``lam`` under the name "lambda".
+    """
+
+    def as_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Partition):
+                v = str(v)
+            elif isinstance(v, _Report):
+                v = v.as_json()
+            out["lambda" if f.name == "lam" else f.name] = v
+        if hasattr(self, "ok"):
+            out.setdefault("ok", self.ok)
+        return out
+
+
 @dataclass(frozen=True)
-class SecurityReport:
+class SecurityReport(_Report):
     """Exact secret-key security figures of one protocol run.
 
     ``eps`` is the distance of (K_M, F, Z) from an ideal uniform agreed key
@@ -267,15 +284,6 @@ class SecurityReport:
     delta_sec: float
     key_len_bits: float
     num_key_values: int
-
-    def as_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "eps_rec": self.eps_rec,
-            "delta_sec": self.delta_sec,
-            "key_len_bits": self.key_len_bits,
-            "num_key_values": self.num_key_values,
-        }
 
 
 def _tv(law: Mapping, ref) -> float:
@@ -352,23 +360,20 @@ def _security(law: Mapping, p: Protocol) -> SecurityReport:
     )
 
 
-def eval_sk_security(J: JointDist, p: Protocol, cap: int = STATE_CAP) -> SecurityReport:
+def eval_sk_security(J: JointDist, p: Protocol) -> SecurityReport:
     """Measure a protocol's exact secret-key parameters on J."""
-    return _security(protocol_law(J, p, cap=cap), p)
+    return _security(protocol_law(J, p), p)
 
 
-def _party_var_blocks(J: JointDist, p: Protocol, cond=None) -> list[list[str]]:
-    """Per party, the observed variables outside the conditioning names.
+def _party_var_blocks(J: JointDist, p: Protocol) -> list[list[str]]:
+    """Per party, the observed variables outside the eavesdropper variables.
 
-    ``cond`` defaults to the eavesdropper variables.  These blocks must
-    partition J's other variables: every secret variable belongs to exactly
-    one party.
+    These blocks must partition J's other variables: every secret variable
+    belongs to exactly one party.
     """
-    cond = set(p.eve_vars if cond is None else cond)
-    blocks = [[n for n in group if n not in cond] for group in p.obs_vars]
-    flat = [n for b in blocks for n in b]
-    nonz = [n for n in J.var_names if n not in cond]
-    if sorted(flat) != sorted(nonz):
+    blocks = [[n for n in group if n not in p.eve_vars] for group in p.obs_vars]
+    nonz = [n for n in J.var_names if n not in p.eve_vars]
+    if sorted(n for b in blocks for n in b) != sorted(nonz):
         raise PreconditionError(
             "party observations must partition the non-conditioning variables"
         )
@@ -376,16 +381,15 @@ def _party_var_blocks(J: JointDist, p: Protocol, cond=None) -> list[list[str]]:
 
 
 def _var_blocks(
-    J: JointDist, p: Protocol, partition: Partition, cond: Sequence[str]
+    J: JointDist, p: Protocol, partition: Partition,
 ) -> list[frozenset[int]]:
-    """A partition of the parties as blocks of J's non-conditioning variables.
+    """A partition of the parties as blocks of J's non-eavesdropper variables.
 
-    Variables outside the names ``cond`` are numbered from 1 in J's order,
-    as ``conditional_product`` expects.
+    Those variables are numbered from 1 in J's order, as
+    ``conditional_product`` expects.
     """
-    blocks = _party_var_blocks(J, p, cond)
-    cond = set(cond)
-    nonz = [n for n in J.var_names if n not in cond]
+    blocks = _party_var_blocks(J, p)
+    nonz = [n for n in J.var_names if n not in p.eve_vars]
     index_of = {n: i + 1 for i, n in enumerate(nonz)}
     return [
         frozenset(index_of[n] for i in b for n in blocks[i - 1])
@@ -396,12 +400,12 @@ def _var_blocks(
 def _q_pi(J: JointDist, p: Protocol, partition: Partition) -> JointDist:
     """Conditional product across party blocks given the eve variables."""
     return conditional_product(
-        J, _var_blocks(J, p, partition, p.eve_vars), list(p.eve_vars) or None
+        J, _var_blocks(J, p, partition), list(p.eve_vars) or None
     )
 
 
 @dataclass(frozen=True)
-class ConverseReport:
+class ConverseReport(_Report):
     eps: float
     key_len_bits: float
     bound: float
@@ -412,17 +416,6 @@ class ConverseReport:
     @property
     def ok(self) -> bool:
         return self.key_len_bits <= self.bound + 1e-9
-
-    def as_json(self) -> dict:
-        return {
-            "eps": self.eps,
-            "key_len_bits": self.key_len_bits,
-            "bound": self.bound,
-            "slack": self.slack,
-            "partition": str(self.partition) if self.partition else None,
-            "trivial": self.trivial,
-            "ok": self.ok,
-        }
 
 
 def sk_instance_dist(J: JointDist, p: Protocol) -> JointDist:
@@ -445,14 +438,13 @@ def check_converse(
     p: Protocol,
     eta: float,
     partition: Partition | None = None,
-    cap: int = STATE_CAP,
 ) -> ConverseReport:
     """Assert the achieved key length against the testing bound at achieved eps.
 
     When the achieved eps leaves no room for eta (eps + eta >= 1) the bound
     is vacuously +inf and the check passes trivially.
     """
-    return _converse(J, p, eval_sk_security(J, p, cap=cap), eta, partition)
+    return _converse(J, p, eval_sk_security(J, p), eta, partition)
 
 
 def _converse(
@@ -478,7 +470,7 @@ def _converse(
 
 
 @dataclass(frozen=True)
-class RegionTestReport:
+class RegionTestReport(_Report):
     lam: float
     type1: float
     type1_bound: float
@@ -491,16 +483,6 @@ class RegionTestReport:
             self.type1 <= self.type1_bound + _TOL
             and self.type2 <= self.type2_bound + _TOL
         )
-
-    def as_json(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "type1": self.type1,
-            "type1_bound": self.type1_bound,
-            "type2": self.type2,
-            "type2_bound": self.type2_bound,
-            "ok": self.ok,
-        }
 
 
 def _region_mass(law: Mapping, inside) -> float:
@@ -521,7 +503,6 @@ def acceptance_region_test(
     p: Protocol,
     partition: Partition,
     eta: float,
-    cap: int = STATE_CAP,
 ) -> RegionTestReport:
     """Run the explicit acceptance-region test behind the converse bound.
 
@@ -532,23 +513,27 @@ def acceptance_region_test(
     is at most |K|^(1-|pi|) eta^(-|pi|) and its P-complement is at most
     achieved-eps + eta.
     """
-    p_law = protocol_law(J, p, cap=cap)
-    return _region_test(J, p, partition, eta, p_law, _security(p_law, p), cap)
+    p_law = protocol_law(J, p)
+    return _region_test(J, p, partition, eta, p_law, _security(p_law, p))
+
+
+def _check_eta(eta: float) -> None:
+    if not 0 < eta < 1:
+        raise PreconditionError("eta must lie in (0, 1)")
 
 
 def _region_test(
     J: JointDist, p: Protocol, partition: Partition, eta: float, p_law: Mapping,
-    rep: SecurityReport, cap: int = STATE_CAP,
+    rep: SecurityReport,
 ) -> RegionTestReport:
     """``acceptance_region_test`` given the protocol's law on J and its report."""
-    if eta <= 0 or eta >= 1:
-        raise PreconditionError("eta must lie in (0, 1)")
+    _check_eta(eta)
     nk = len(p.key_symbols)
     l = partition.num_blocks
     lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
 
     q_dist = _q_pi(J, p, partition)
-    q_law = protocol_law(q_dist, p, cap=cap)
+    q_law = protocol_law(q_dist, p)
     q_fz: dict = defaultdict(float)
     for (keys, f, z), w in q_law.items():
         q_fz[(f, z)] += w
@@ -576,37 +561,35 @@ def interactive_independence_check(
     J: JointDist,
     p: Protocol,
     partition: Partition,
-    z=None,
     tol: float = 1e-9,
-    cap: int = STATE_CAP,
 ) -> bool:
     """Verify that conditional independence survives interactive communication.
 
-    Requires J to factorize across the partition given z; then checks that
-    P(x_M | f, z) factorizes across the partition for every transcript-z
-    pair of positive probability.
+    Requires J to factorize across the partition given the eavesdropper
+    variables z; then checks that P(x_M | f, z) factorizes across the
+    partition for every transcript-z pair of positive probability.  The key
+    maps play no part.
     """
-    z_names = list(p.eve_vars) if z is None else ([z] if isinstance(z, str) else list(z))
-    var_blocks = _var_blocks(J, p, partition, z_names)
-    if not factorizes(J, var_blocks, z_names if z_names else None, tol=tol):
+    eve_pos = _eve_pos(J, p)
+    var_blocks = _var_blocks(J, p, partition)
+    if not factorizes(J, var_blocks, list(p.eve_vars) or None, tol=tol):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"
         )
-    law = protocol_law(J, p, with_outcomes=True, cap=cap)
-    positions = {n: i for i, n in enumerate(J.var_names)}
-    nonz = [n for n in J.var_names if n not in set(z_names)]
-    nonz_pos = [positions[n] for n in nonz]
-    shape = tuple(len(J.alphabet(n)) for n in nonz)
+    nonz_pos = [k for k in range(len(J.vars)) if k not in eve_pos]
     sym_index = [
-        {s: k for k, s in enumerate(J.alphabet(n).symbols)} for n in nonz
+        {s: a for a, s in enumerate(J.vars[k][1].symbols)} for k in nonz_pos
     ]
+    shape = [len(index) for index in sym_index]
     slices: dict = defaultdict(lambda: np.zeros(shape))
-    for (keys, f, z_view, syms), w in law.items():
-        idx = tuple(sym_index[a][syms[pos]] for a, pos in enumerate(nonz_pos))
-        slices[(f, z_view)][idx] += w
+    for syms, _, _, f, w in _runs(
+        J, p.obs_vars, p.rounds, p.message_maps, p.randomness
+    ):
+        idx = tuple(index[syms[k]] for index, k in zip(sym_index, nonz_pos))
+        slices[(f, tuple(syms[k] for k in eve_pos))][idx] += w
 
     axis_blocks = [sorted(i - 1 for i in b) for b in var_blocks]
-    for (f, z_view), arr in slices.items():
+    for arr in slices.values():
         mass = arr.sum()
         if mass <= 0:
             continue
@@ -621,13 +604,10 @@ def interactive_independence_check(
 
 
 @dataclass(frozen=True)
-class LeftoverHashResult:
+class LeftoverHashResult(_Report):
     out_len: int
     seed: int
     distance: float
-
-    def as_json(self) -> dict:
-        return {"out_len": self.out_len, "seed": self.seed, "distance": self.distance}
 
 
 def _toeplitz(seed: int, out_len: int, in_len: int) -> np.ndarray:
@@ -684,21 +664,12 @@ def leftover_hash(
 
 
 @dataclass(frozen=True)
-class LeftoverHashSearch:
+class LeftoverHashSearch(_Report):
     out_len: int
     entropy_bits: float
     threshold: float
     best: LeftoverHashResult
     ok: bool
-
-    def as_json(self) -> dict:
-        return {
-            "out_len": self.out_len,
-            "entropy_bits": self.entropy_bits,
-            "threshold": self.threshold,
-            "best": self.best.as_json(),
-            "ok": self.ok,
-        }
 
 
 def leftover_hash_search(
@@ -777,13 +748,10 @@ class OTProtocol:
 
 
 @dataclass(frozen=True)
-class OTReport:
+class OTReport(_Report):
     eps: float
     delta1: float
     delta2: float
-
-    def as_json(self) -> dict:
-        return {"eps": self.eps, "delta1": self.delta1, "delta2": self.delta2}
 
 
 def _ot_randomness(otp: OTProtocol) -> tuple[LocalRand, LocalRand]:
@@ -832,12 +800,14 @@ def measure_ot(J: JointDist, otp: OTProtocol) -> OTReport:
     return OTReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
-def ideal_ot_correlation(l: int, cap: int = STATE_CAP) -> JointDist:
+def ideal_ot_correlation(l: int) -> JointDist:
     """Uniform OT correlation: X1 = (K0', K1'), X2 = (B', K'_{B'})."""
+    if l < 0:
+        raise PreconditionError("length must be nonnegative")
     strings = _bit_strings(l)
     n1 = len(strings) ** 2
     n2 = 2 * len(strings)
-    if n1 * n2 > cap:
+    if n1 * n2 > STATE_CAP:
         raise CapExceededError("OT correlation exceeds the state cap")
     sym1 = [s0 + s1 for s0 in strings for s1 in strings]
     sym2 = [b + k for b in ("0", "1") for k in strings]
@@ -853,13 +823,13 @@ def ideal_ot_correlation(l: int, cap: int = STATE_CAP) -> JointDist:
                      pmf.reshape(-1))
 
 
-def ideal_ot_protocol(l: int, cap: int = STATE_CAP) -> tuple[JointDist, OTProtocol]:
+def ideal_ot_protocol(l: int) -> tuple[JointDist, OTProtocol]:
     """The standard OT-from-OT-correlation construction; measures (0, 0, 0).
 
     Round 1: party 2 announces C = B xor B'.  Round 2: party 1 sends
     (K0 xor K'_C, K1 xor K'_{not C}); party 2 unmasks with K'_{B'}.
     """
-    J = ideal_ot_correlation(l, cap=cap)
+    J = ideal_ot_correlation(l)
 
     def msg_receiver(obs, rand, tr):
         bprime = obs[0][0]
@@ -1034,13 +1004,10 @@ class BCProtocol:
 
 
 @dataclass(frozen=True)
-class BCReport:
+class BCReport(_Report):
     eps: float
     delta1: float
     delta2: float
-
-    def as_json(self) -> dict:
-        return {"eps": self.eps, "delta1": self.delta1, "delta2": self.delta2}
 
 
 def _bc_randomness(bcp: BCProtocol) -> tuple[LocalRand, None]:
@@ -1095,7 +1062,7 @@ def _reveals(bcp: BCProtocol, keys, x1_syms, x2_law: Mapping, tr):
             )
 
 
-def ideal_bc_protocol(l: int, cap: int = STATE_CAP) -> tuple[JointDist, BCProtocol]:
+def ideal_bc_protocol(l: int) -> tuple[JointDist, BCProtocol]:
     """XOR commitment over the uniform OT correlation.
 
     Party 1 commits K by announcing K xor K0' xor K1'; the reveal is checked
@@ -1106,7 +1073,7 @@ def ideal_bc_protocol(l: int, cap: int = STATE_CAP) -> tuple[JointDist, BCProtoc
     positive length is impossible, so this is the canonical near-ideal
     instance.
     """
-    J = ideal_ot_correlation(l, cap=cap)
+    J = ideal_ot_correlation(l)
 
     def commit(obs, rand, tr):
         k0p, k1p = obs[0][:l], obs[0][l:]
@@ -1185,7 +1152,7 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
 
 
 @dataclass(frozen=True)
-class FuzzReport:
+class FuzzReport(_Report):
     count: int
     converse_violations: int
     region_test_violations: int
@@ -1201,21 +1168,9 @@ class FuzzReport:
             and self.criteria_relation_violations == 0
         )
 
-    def as_json(self) -> dict:
-        return {
-            "count": self.count,
-            "converse_violations": self.converse_violations,
-            "region_test_violations": self.region_test_violations,
-            "criteria_relation_violations": self.criteria_relation_violations,
-            "max_eps": self.max_eps,
-            "min_converse_slack": self.min_converse_slack,
-            "ok": self.ok,
-        }
-
 
 def random_sk_instance(
     seed, m: int = 2, rounds: int = 2, with_eve: bool | None = None,
-    key_size: int | None = None,
 ) -> tuple[JointDist, Protocol]:
     """Seeded random protocol on a random joint source, binary observations.
 
@@ -1225,8 +1180,7 @@ def random_sk_instance(
     rng = np.random.default_rng(seed)
     if with_eve is None:
         with_eve = bool(rng.integers(0, 2))
-    if key_size is None:
-        key_size = int(rng.choice([2, 3, 4]))
+    key_size = int(rng.choice([2, 3, 4]))
     names = [f"X{i+1}" for i in range(m)] + (["Z"] if with_eve else [])
     shape = [2] * len(names)
     pmf = rng.random(int(np.prod(shape))) + 0.05
@@ -1251,7 +1205,7 @@ def random_sk_instance(
         )
         return {key: str(rng.integers(0, size)) for key in keys}
 
-    sched = [(j, i) for j in range(1, rounds + 1) for i in range(1, m + 1)]
+    sched = _schedule(rounds, m)
     maps = {(j, i): table(i, pos, 2) for pos, (j, i) in enumerate(sched)}
     key_symbols = tuple(str(v) for v in range(key_size))
     key_maps = [table(i, len(sched), key_size) for i in range(1, m + 1)]
@@ -1273,21 +1227,25 @@ def fuzz_converse(
     count: int = 500,
     seed: int = 20240913,
     eta: float = 0.05,
-    ms: Sequence[int] = (2, 3),
 ) -> FuzzReport:
     """Exercise the converse, the acceptance-region test, and the two
     security-criterion relations on seeded random protocols.
 
+    Instance ``idx`` has 2 + idx % 2 parties and 1 + idx % 2 rounds.
     Returns counts of violations; a correct implementation reports zero of
     each, for every seed.
     """
+    if count < 1:
+        raise PreconditionError("count must be at least 1")
+    if seed < 0:
+        raise PreconditionError("seed must be nonnegative")
+    _check_eta(eta)
     conv_bad = region_bad = relation_bad = 0
     max_eps = 0.0
     min_slack = math.inf
     for idx in range(count):
-        m = int(ms[idx % len(ms)])
-        rounds = 1 + (idx % 2)
-        J, proto = random_sk_instance([seed, idx], m=m, rounds=rounds)
+        m = 2 + idx % 2
+        J, proto = random_sk_instance([seed, idx], m=m, rounds=1 + idx % 2)
         law = protocol_law(J, proto)
         rep = _security(law, proto)
         max_eps = max(max_eps, rep.eps)

@@ -256,6 +256,22 @@ def test_non_finite_input_exits_one(tmp_path, capsys):
     ])
     assert code == 1
 
+    # float flags and --params values must be finite; a length nonnegative
+    transmit = ["bound", "transmit", "--dist", d, "--eps", "0.1", "--delta", "0.1"]
+    bad.write_text(json.dumps({"kappa": "inf"}))
+    for argv in (
+        transmit + ["--kappa", "nan"],
+        transmit + ["--kappa", "-inf"],
+        transmit + ["--params", str(bad)],
+        ["structure", "mss", "--dist", d, "--given", "X1", "--target", "X2",
+         "--tol", "nan"],
+        ["protocol", "fuzz", "--count", "4", "--eta", "nan"],
+        ["protocol", "reduce", "--kind", "ot1", "--length", "-1"],
+        ["protocol", "reduce", "--kind", "bc", "--length", "-1"],
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "" and err.startswith("error: "), argv
+
 
 def test_malformed_json_inputs_exit_one(tmp_path, capsys):
     # each of these once escaped main() as a traceback
@@ -309,6 +325,12 @@ def test_fuzz_rejects_eta_outside_unit_interval(capsys):
     for eta in ("1.5", "0", "1"):
         code, out, err = run(capsys, ["protocol", "fuzz", "--count", "4", "--eta", eta])
         assert code == 1 and out == "" and "eta" in err, eta
+    # arguments are checked before any instance is built
+    for argv in (["--count", "0", "--eta", "1.5"], ["--count", "-3"], ["--count", "0"]):
+        code, out, err = run(capsys, ["protocol", "fuzz"] + argv)
+        assert code == 1 and out == "" and "count" in err, argv
+    code, out, err = run(capsys, ["protocol", "fuzz", "--count", "1", "--seed", "-1"])
+    assert code == 1 and out == "" and "seed" in err
 
 
 def test_fuzz_report_distance_at_most_one(capsys):

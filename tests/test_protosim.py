@@ -163,12 +163,58 @@ def test_independence_check_no_comm_and_one_round():
         interactive_independence_check(shared_bit(), one_round, pi)
 
 
+def test_independence_check_evaluates_no_key_map():
+    # the key maps leave the key alphabet, which protocol_law rejects; the
+    # check reads only the transcript and the eavesdropper view
+    p = Protocol(
+        num_parties=2,
+        obs_vars=(("X1",), ("X2",)),
+        rounds=1,
+        message_maps={(1, 1): lambda o, r, t: o[0]},
+        key_maps=(lambda o, r, t: "?", lambda o, r, t: "?"),
+        key_symbols=("0", "1"),
+    )
+    with pytest.raises(PreconditionError):
+        protocol_law(indep_bits(), p)
+    pi = Partition((frozenset([1]), frozenset([2])), 2)
+    assert interactive_independence_check(indep_bits(), p, pi)
+
+
 def test_independence_check_random_protocols():
     pi = Partition((frozenset([1]), frozenset([2])), 2)
     for i in range(100):
         Jr, proto = random_sk_instance([7, i], m=2, rounds=1, with_eve=True)
         Jq = conditional_product(Jr, [{1}, {2}], "Z")
         assert interactive_independence_check(Jq, proto, pi)
+
+
+def test_report_json_forms():
+    # every report's JSON lists its fields in order, then a derived "ok"
+    pi = Partition((frozenset([1]), frozenset([2])), 2)
+    J, p = shared_bit(), observation_keys()
+    assert list(eval_sk_security(J, p).as_json()) == [
+        "eps", "eps_rec", "delta_sec", "key_len_bits", "num_key_values",
+    ]
+    region = acceptance_region_test(J, p, pi, eta=0.1)
+    assert region.as_json() == {
+        "lambda": region.lam, "type1": region.type1,
+        "type1_bound": region.type1_bound, "type2": region.type2,
+        "type2_bound": region.type2_bound, "ok": True,
+    }
+    conv = check_converse(J, p, eta=0.05, partition=pi).as_json()
+    assert conv["partition"] == str(pi) and list(conv)[-2:] == ["trivial", "ok"]
+    # eps = 1/2 on independent bits: eps + eta >= 1 leaves no partition
+    assert check_converse(indep_bits(), p, eta=0.6).as_json()["partition"] is None
+    u16 = JointDist(
+        (("X", Alphabet(tuple(f"x{i}" for i in range(16)))),), [1 / 16] * 16
+    )
+    search = leftover_hash_search(u16, ["X"], [], eps=0.0, eta=0.25, num_seeds=2)
+    assert search.as_json() == {
+        "out_len": search.out_len, "entropy_bits": search.entropy_bits,
+        "threshold": search.threshold, "best": search.best.as_json(),
+        "ok": search.ok,
+    }
+    assert list(search.best.as_json()) == ["out_len", "seed", "distance"]
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +354,15 @@ def test_fuzz_quick():
     assert rep.converse_violations == 0
     assert rep.region_test_violations == 0
     assert rep.criteria_relation_violations == 0
+
+
+def test_fuzz_checks_arguments_before_any_instance(monkeypatch):
+    built = []
+    monkeypatch.setattr(protosim, "random_sk_instance", lambda *a, **k: built.append(a))
+    for bad in ({"count": 0}, {"count": -3}, {"eta": 1.5}, {"eta": math.nan}, {"seed": -1}):
+        with pytest.raises(PreconditionError):
+            fuzz_converse(**({"count": 2} | bad))
+    assert built == []
 
 
 def test_each_protocol_law_evaluated_once(monkeypatch):
