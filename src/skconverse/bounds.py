@@ -10,7 +10,7 @@ available budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -47,8 +47,31 @@ from .structure import (
 _TOL = 1e-12
 
 
+class _Report:
+    """JSON form of a report dataclass: its fields in order, then ``ok``.
+
+    A partition is written as its string, a dict as a copy, a nested report
+    by its own ``as_json``, and the field ``lam`` under the name "lambda".
+    """
+
+    def as_json(self) -> dict:
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Partition):
+                v = str(v)
+            elif isinstance(v, dict):
+                v = dict(v)
+            elif isinstance(v, _Report):
+                v = v.as_json()
+            out["lambda" if f.name == "lam" else f.name] = v
+        if hasattr(self, "ok"):
+            out.setdefault("ok", self.ok)
+        return out
+
+
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Report):
     """A bound value plus everything needed to recompute it."""
 
     kind: str
@@ -57,21 +80,9 @@ class BoundReport:
     partition: Partition | None = None
     intermediates: dict = field(default_factory=dict)
 
-    def as_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "params": dict(self.params),
-            "partition": str(self.partition) if self.partition else None,
-            "intermediates": {
-                k: (str(v) if isinstance(v, Partition) else v)
-                for k, v in self.intermediates.items()
-            },
-        }
-
 
 @dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Report):
     """Verdict of a necessary-condition check; failure is data, not error."""
 
     passed: bool
@@ -83,21 +94,14 @@ class CheckReport:
     params: dict = field(default_factory=dict)
 
     def as_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "partition": str(self.partition) if self.partition else None,
-            "per_partition": [
-                {"partition": str(p), "rhs": r, "slack": s}
-                for p, r, s in self.per_partition
-            ],
-            "params": dict(self.params),
-        }
+        out = super().as_json()
+        out["per_partition"] = [
+            {"partition": str(p), "rhs": r, "slack": s} for p, r, s in self.per_partition
+        ]
+        return out
 
 
-def _z_names(J: JointDist, z) -> list[str]:
+def _z_names(J: JointDist, z=None) -> list[str]:
     if z is None:
         return [J.eve] if J.eve is not None else []
     if isinstance(z, str):
@@ -195,16 +199,14 @@ def cit_bound(
     )
 
 
-def cit_bound_best(J: JointDist, eps: float, eta: float, z=None) -> BoundReport:
+def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
     """Minimum of the testing bound over all partitions (default Q each).
 
-    The first partition with the least value wins; its report is built by
-    ``cit_bound``.
+    Conditions on ``J.eve`` if set.  The first partition with the least
+    value wins; its report is built by ``cit_bound``.
     """
-    zs = _z_names(J, z)
+    zs = _z_names(J)
     m = len(_party_vars(J, zs))
-    if m > 12:
-        raise PreconditionError("party count must be at most 12")
     scan = _partition_scan(J, zs)
     _check_cit_slacks(eps, eta)
     best, best_value = None, math.inf
@@ -236,28 +238,23 @@ def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
 
 
 def aux_singleshot_bound(
-    J: JointDist,
-    u_channel: Channel,
-    eps: float,
-    delta: float,
-    eta: float,
-    eta1: float,
-    eta2: float,
-    z=None,
+    J: JointDist, u_channel: Channel, eps: float, delta: float, eta: float,
+    eta1: float, eta2: float,
 ) -> BoundReport:
     """Single-shot key-length bound with a user-supplied auxiliary channel.
 
     -log2 beta_{eps+2delta+eta}(P_{X1 X2 Z U}, P_{X1|ZU} P_{X2 Z U})
       + D_max^{eta1}(P_{X1 X2 Z U} || P_{X1 X2 Z} P_{U|Z})
       + 4 log2(1/(eta - eta1 - eta2)) + 1,
-    with U generated by composing the channel onto J.  The output is an
-    upper bound for the given auxiliary channel; no optimization over U.
+    with U generated by composing the channel onto J and Z = ``J.eve`` if
+    set.  The output is an upper bound for the given auxiliary channel; no
+    optimization over U.
     """
     if eps < 0 or delta < 0 or eps + 2 * delta >= 1:
         raise PreconditionError("need eps, delta >= 0 with eps + 2*delta < 1")
     if not (0 <= eta1 and 0 <= eta2 and eta1 + eta2 < eta < 1 - eps - 2 * delta):
         raise PreconditionError("need 0 <= eta1 + eta2 < eta < 1 - eps - 2*delta")
-    zs = _z_names(J, z)
+    zs = _z_names(J)
     parties = _party_vars(J, zs)
     if len(parties) != 2:
         raise PreconditionError("this bound is for two parties")
@@ -296,9 +293,9 @@ def aux_singleshot_bound(
     )
 
 
-def aux_capacity_bound(J: JointDist, u_channel: Channel, z=None) -> float:
-    """I(X1; X2 | U) + I(X1, X2; U | Z) in bits for the given channel."""
-    zs = _z_names(J, z)
+def aux_capacity_bound(J: JointDist, u_channel: Channel) -> float:
+    """I(X1; X2 | U) + I(X1, X2; U | Z) in bits, Z = ``J.eve`` if set."""
+    zs = _z_names(J)
     parties = _party_vars(J, zs)
     if len(parties) != 2:
         raise PreconditionError("this bound is for two parties")
@@ -352,6 +349,21 @@ def duplicated_statistic_joint(J: JointDist, lab: Labeling) -> tuple[JointDist, 
     )
 
 
+def _check_ot_bc_params(eps: float, delta1: float, delta2: float, xi: float) -> None:
+    if xi <= 0:
+        raise PreconditionError("xi must be positive")
+    if min(eps, delta1, delta2) < 0:
+        raise PreconditionError("error parameters must be nonnegative")
+
+
+def _duplicated_statistic_test(J: JointDist, eta: float):
+    """(mss of X1 for X2, beta_eta certificate of its duplicated-statistic joint)."""
+    x1, x2 = _two_party_names(J)
+    lab1 = mss(J, given=x1, target=x2)
+    p_dup, q_dup = duplicated_statistic_joint(J, lab1)
+    return lab1, beta_epsilon(p_dup, q_dup, eta)
+
+
 def ot_bounds(
     J: JointDist, eps: float, delta1: float, delta2: float, xi: float
 ) -> BoundReport:
@@ -361,10 +373,7 @@ def ot_bounds(
     maximum common function; bound2 tests the duplicated minimum sufficient
     statistic joint.  Both use type-I budget eta = eps + delta1 + 2*delta2 + xi.
     """
-    if xi <= 0:
-        raise PreconditionError("xi must be positive")
-    if min(eps, delta1, delta2) < 0:
-        raise PreconditionError("error parameters must be nonnegative")
+    _check_ot_bc_params(eps, delta1, delta2, xi)
     eta = eps + delta1 + 2 * delta2 + xi
     if eta >= 1:
         raise PreconditionError("need eps + delta1 + 2*delta2 + xi < 1")
@@ -378,9 +387,7 @@ def ot_bounds(
     cert1 = beta_epsilon(JV0, q1, eta)
     bound1 = cert1.neg_log2_beta + two_log_xi
 
-    lab1 = mss(J, given=x1, target=x2)
-    p_dup, q_dup = duplicated_statistic_joint(J, lab1)
-    cert2 = beta_epsilon(p_dup, q_dup, eta)
+    lab1, cert2 = _duplicated_statistic_test(J, eta)
     bound2 = cert2.neg_log2_beta + two_log_xi
 
     return BoundReport(
@@ -415,19 +422,13 @@ def bc_bound(
     Tests the duplicated minimum-sufficient-statistic joint at type-I budget
     eta = eps + delta1 + delta2 + xi.
     """
-    if xi <= 0:
-        raise PreconditionError("xi must be positive")
-    if min(eps, delta1, delta2) < 0:
-        raise PreconditionError("error parameters must be nonnegative")
+    _check_ot_bc_params(eps, delta1, delta2, xi)
     if eps + delta1 + delta2 >= 1:
         raise PreconditionError("need eps + delta1 + delta2 < 1")
     eta = eps + delta1 + delta2 + xi
     if eta >= 1:
         raise PreconditionError("need eps + delta1 + delta2 + xi < 1")
-    x1, x2 = _two_party_names(J)
-    lab1 = mss(J, given=x1, target=x2)
-    p_dup, q_dup = duplicated_statistic_joint(J, lab1)
-    cert = beta_epsilon(p_dup, q_dup, eta)
+    lab1, cert = _duplicated_statistic_test(J, eta)
     value = cert.neg_log2_beta + 2 * math.log2(1.0 / xi)
     return BoundReport(
         kind="bc",
@@ -452,6 +453,22 @@ def bc_capacity_bound(J: JointDist) -> float:
 # secure computing by trusted parties
 
 
+def _secure_mu(
+    eps: float, delta: float, xi: float, zeta: float, eta: float, kappa: float = 0.0
+) -> float:
+    """mu = eps + delta + 2 xi + zeta + eta, once every parameter is checked."""
+    if min(xi, zeta, eta) <= 0:
+        raise PreconditionError("xi, zeta, eta must be positive")
+    if min(eps, delta) < 0:
+        raise PreconditionError("eps and delta must be nonnegative")
+    if kappa < 0:
+        raise PreconditionError("kappa must be nonnegative")
+    mu = eps + delta + 2 * xi + zeta + eta
+    if mu >= 1:
+        raise PreconditionError("need eps + delta + 2*xi + zeta + eta < 1")
+    return mu
+
+
 def sc_necessary_check(
     J: JointDist,
     g,
@@ -470,13 +487,7 @@ def sc_necessary_check(
     A violation for any partition certifies that g is not securely
     computable; check failure is a verdict, not an error.
     """
-    if min(xi, zeta, eta) <= 0:
-        raise PreconditionError("xi, zeta, eta must be positive")
-    if min(eps, delta) < 0:
-        raise PreconditionError("eps and delta must be nonnegative")
-    mu = eps + delta + 2 * xi + zeta + eta
-    if mu >= 1:
-        raise PreconditionError("need eps + delta + 2*xi + zeta + eta < 1")
+    mu = _secure_mu(eps, delta, xi, zeta, eta)
     if J.eve is not None:
         raise PreconditionError("secure computing check expects no eve variable")
     p_g = pushforward_function(J, g)
@@ -519,15 +530,7 @@ def secure_transmission_check(
     A failed check certifies that no (eps, delta)-secure transmission of M
     with a kappa-bit key exists; a passing check certifies nothing.
     """
-    if min(xi, zeta, eta) <= 0:
-        raise PreconditionError("xi, zeta, eta must be positive")
-    if min(eps, delta) < 0:
-        raise PreconditionError("eps and delta must be nonnegative")
-    if kappa < 0:
-        raise PreconditionError("kappa must be nonnegative")
-    mu = eps + delta + 2 * xi + zeta + eta
-    if mu >= 1:
-        raise PreconditionError("need eps + delta + 2*xi + zeta + eta < 1")
+    mu = _secure_mu(eps, delta, xi, zeta, eta, kappa)
     lhs = h_min_smooth(P_M, xi).value
     rhs = (
         kappa
@@ -550,11 +553,11 @@ def secure_transmission_check(
     )
 
 
-def even_slack_split(eps: float, delta: float, fraction: float = 0.9) -> dict:
-    """Default slack assignment: split a fraction of 1 - eps - delta evenly
+def even_slack_split(eps: float, delta: float) -> dict:
+    """Default slack assignment: split 0.9 of 1 - eps - delta evenly
     across the three remaining budget consumers (2*xi, zeta, eta)."""
     budget = 1.0 - eps - delta
     if budget <= 0:
         raise PreconditionError("eps + delta must be below 1")
-    share = fraction * budget / 3.0
+    share = 0.9 * budget / 3.0
     return {"xi": share / 2.0, "zeta": share, "eta": share}

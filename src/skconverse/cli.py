@@ -537,13 +537,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (PreconditionError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from ._typeclasses import DEFAULT_CLASS_CAP, typeclass_table
+from ._typeclasses import typeclass_table
 from .errors import PreconditionError
 from .probcore import LOG2_ZERO, JointDist, _check_same_shape, divergence, log2_pmf
 
@@ -149,13 +149,7 @@ def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
     )
 
 
-def beta_epsilon_iid(
-    P: JointDist,
-    Q: JointDist,
-    n: int,
-    eps: float,
-    cap: int = DEFAULT_CLASS_CAP,
-) -> BetaCertificate:
+def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCertificate:
     """beta_eps(P^n, Q^n) via type classes; equals the dense value exactly.
 
     The likelihood ratio depends on an outcome only through its empirical
@@ -169,7 +163,7 @@ def beta_epsilon_iid(
         raise PreconditionError("n must be >= 1")
     if not 0.0 <= eps < 1.0:
         raise PreconditionError("eps must lie in [0, 1)")
-    counts, logp, logq = typeclass_table(P.pmf, Q.pmf, n, cap=cap)
+    counts, logp, logq = typeclass_table(P.pmf, Q.pmf, n)
     order = _ratio_order(logp, logq)
     ps = np.exp2(logp[order])
     logq_sorted = logq[order]
@@ -256,18 +250,12 @@ def renyi_beta_bound(
     )
 
 
-def stein_scan(
-    P: JointDist,
-    Q: JointDist,
-    eps: float,
-    ns,
-    cap: int = DEFAULT_CLASS_CAP,
-) -> list[tuple[int, float]]:
+def stein_scan(P: JointDist, Q: JointDist, eps: float, ns) -> list[tuple[int, float]]:
     """Table of (n, -(1/n) log2 beta_eps(P^n, Q^n)); converges to D(P||Q)."""
     ns = [int(n) for n in ns]
 
     def one(n: int) -> tuple[int, float]:
-        cert = beta_epsilon_iid(P, Q, n, eps, cap=cap)
+        cert = beta_epsilon_iid(P, Q, n, eps)
         return n, cert.neg_log2_beta / n
 
     return parallel_map(one, ns)

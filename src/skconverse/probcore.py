@@ -113,8 +113,11 @@ class _MassMixin:
 
 
 def _prepare_pmf(vars: tuple[Var, ...], pmf) -> np.ndarray:
-    arr = np.asarray(pmf, dtype=np.float64).reshape(-1).copy()
+    """A read-only float64 copy of ``pmf``, checked against the ``vars`` it spans."""
     want = math.prod(len(a) for _, a in vars)
+    if want > DEFAULT_CELL_CAP:
+        raise CapExceededError(f"{want} cells exceed the cap {DEFAULT_CELL_CAP}")
+    arr = np.asarray(pmf, dtype=np.float64).reshape(-1).copy()
     if arr.size != want:
         raise PreconditionError(
             f"pmf length {arr.size} does not equal product alphabet size {want}"
@@ -183,20 +186,11 @@ class Channel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_vars", _normalize_vars(self.in_vars))
         object.__setattr__(self, "out_vars", _normalize_vars(self.out_vars))
-        out_size = math.prod(len(a) for _, a in self.out_vars)
         rows = {}
         for key, row in self.rows.items():
-            arr = np.asarray(row, dtype=np.float64).reshape(-1).copy()
-            if arr.size != out_size:
-                raise PreconditionError("channel row has wrong length")
-            if not np.isfinite(arr).all():
-                raise PreconditionError("channel row entries must be finite")
-            if arr.min(initial=0.0) < -1e-12:
-                raise PreconditionError("channel row entries must be nonnegative")
-            np.clip(arr, 0.0, None, out=arr)
+            arr = _prepare_pmf(self.out_vars, row)
             if abs(arr.sum() - 1.0) > SUM_TOL:
                 raise PreconditionError("channel row must sum to 1")
-            arr.setflags(write=False)
             rows[tuple(int(i) for i in key)] = arr
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "omitted", frozenset(self.omitted))
@@ -490,11 +484,9 @@ def extend_with_channel(J: JointDist, ch: Channel) -> JointDist:
 
 
 def pushforward_function(
-    J: JointDist,
-    fn: Callable[[tuple[str, ...]], str] | Sequence[str] | Mapping,
-    name: str = "G",
+    J: JointDist, fn: Callable[[tuple[str, ...]], str] | Sequence[str] | Mapping
 ) -> JointDist:
-    """Law of a deterministic function of the full outcome tuple.
+    """Law G of a deterministic function of the full outcome tuple.
 
     ``fn`` may be a callable on symbol tuples, a mapping keyed by symbol
     tuples, or a row-major sequence of output labels.  The output alphabet
@@ -506,7 +498,7 @@ def pushforward_function(
     out = np.zeros(len(uniq))
     for lab, p in zip(labels, J.pmf):
         out[idx[lab]] += p
-    return JointDist(((name, Alphabet(tuple(uniq))),), out)
+    return JointDist((("G", Alphabet(tuple(uniq))),), out)
 
 
 def _function_table(J: JointDist, fn) -> list[str]:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import cit_bound, cit_bound_best
+from .bounds import _Report, cit_bound, cit_bound_best
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
     SUM_TOL,
@@ -34,11 +34,13 @@ from .probcore import (
     fuse_vars,
     marginal,
 )
-from .smoothinfo import h_min_cond, h_min_smooth
+from .smoothinfo import _xy_matrix, h_min_cond, h_min_smooth
 from .structure import Partition, attach_label, enum_partitions, mcf, mss
 
 STATE_CAP = 10_000_000
 _TOL = 1e-12
+#: largest entry gap at which a law still counts as a product across blocks
+_FACTOR_TOL = 1e-9
 
 MapLike = Callable | Mapping
 
@@ -247,27 +249,6 @@ def protocol_law(
         for keys, kw in key_stack:
             law[(keys, transcript, z)] += kw
     return dict(law)
-
-
-class _Report:
-    """JSON form of a report dataclass: its fields in order, then ``ok``.
-
-    A partition is written as its string, a nested report by its own
-    ``as_json``, and the field ``lam`` under the name "lambda".
-    """
-
-    def as_json(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, Partition):
-                v = str(v)
-            elif isinstance(v, _Report):
-                v = v.as_json()
-            out["lambda" if f.name == "lam" else f.name] = v
-        if hasattr(self, "ok"):
-            out.setdefault("ok", self.ok)
-        return out
 
 
 @dataclass(frozen=True)
@@ -558,10 +539,7 @@ def _region_test(
 
 
 def interactive_independence_check(
-    J: JointDist,
-    p: Protocol,
-    partition: Partition,
-    tol: float = 1e-9,
+    J: JointDist, p: Protocol, partition: Partition
 ) -> bool:
     """Verify that conditional independence survives interactive communication.
 
@@ -572,7 +550,7 @@ def interactive_independence_check(
     """
     eve_pos = _eve_pos(J, p)
     var_blocks = _var_blocks(J, p, partition)
-    if not factorizes(J, var_blocks, list(p.eve_vars) or None, tol=tol):
+    if not factorizes(J, var_blocks, list(p.eve_vars) or None, tol=_FACTOR_TOL):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"
         )
@@ -594,7 +572,7 @@ def interactive_independence_check(
         if mass <= 0:
             continue
         cond = arr / mass
-        if np.max(np.abs(cond - block_product(cond, axis_blocks))) > tol:
+        if np.max(np.abs(cond - block_product(cond, axis_blocks))) > _FACTOR_TOL:
             return False
     return True
 
@@ -633,15 +611,8 @@ def leftover_hash(
     index; the key is the matrix-vector product over GF(2).  Returns the
     exact variational distance of (K(X), Y) from uniform x P_Y.
     """
-    x_vars = [x_vars] if isinstance(x_vars, str) else list(x_vars)
-    y_vars = [y_vars] if isinstance(y_vars, str) else list(y_vars)
-    if sorted(x_vars + y_vars) != sorted(J.var_names):
-        raise PreconditionError("x_vars and y_vars must partition the variables")
-    arr = np.transpose(
-        J.array(), [J.axis(n) for n in x_vars] + [J.axis(n) for n in y_vars]
-    )
-    x_size = int(np.prod(arr.shape[: len(x_vars)], dtype=np.int64))
-    flat = arr.reshape(x_size, -1)
+    flat = _xy_matrix(J, x_vars, y_vars)
+    x_size = flat.shape[0]
     nbits = max(1, math.ceil(math.log2(x_size)))
     if out_len < 0 or out_len > nbits:
         raise PreconditionError(
@@ -673,15 +644,9 @@ class LeftoverHashSearch(_Report):
 
 
 def leftover_hash_search(
-    J: JointDist,
-    x_vars,
-    y_vars,
-    eps: float,
-    eta: float,
-    num_seeds: int = 64,
-    base_seed: int = 0,
+    J: JointDist, x_vars, y_vars, eps: float, eta: float
 ) -> LeftoverHashSearch:
-    """Witness the leftover-hash existence claim over a bounded seed set.
+    """Witness the leftover-hash existence claim over the seeds 0..63.
 
     Output length floor(H_min^eps(X|Y) - 2 log2(1/(2 eta))); the claim is
     that some 2-universal hash of that length lands within 2*eps + eta of
@@ -702,8 +667,8 @@ def leftover_hash_search(
         )
     out_len = max(0, math.floor(hval - 2 * math.log2(1.0 / (2 * eta))))
     best = None
-    for k in range(num_seeds):
-        res = leftover_hash(J, x_vars, y_vars, out_len, base_seed + k)
+    for seed in range(64):
+        res = leftover_hash(J, x_vars, y_vars, out_len, seed)
         if best is None or res.distance < best.distance - _TOL:
             best = res
     threshold = 2 * eps + eta

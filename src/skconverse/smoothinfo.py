@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from ._typeclasses import DEFAULT_CLASS_CAP, typeclass_table
+from ._typeclasses import typeclass_table
 from .errors import PreconditionError
 from .probcore import (
     LOG2_ZERO,
@@ -52,6 +52,21 @@ def h_min(P) -> float:
     return -math.log2(peak)
 
 
+def _xy_matrix(P, x_vars, y_vars) -> np.ndarray:
+    """P as a matrix: a row per assignment of ``x_vars``, a column per one of ``y_vars``.
+
+    Rows and columns are in row-major order of the listed variables, which
+    must partition P's variables.
+    """
+    x_vars = _resolve_names(P, x_vars)
+    y_vars = _resolve_names(P, y_vars)
+    if sorted(x_vars + y_vars) != sorted(P.var_names):
+        raise PreconditionError("x_vars and y_vars must partition the variables")
+    arr = np.transpose(P.array(), [P.axis(n) for n in x_vars + y_vars])
+    x_size = int(np.prod(arr.shape[: len(x_vars)], dtype=np.int64))
+    return arr.reshape(x_size, -1)
+
+
 def h_min_cond(P: JointDist, x_vars, y_vars) -> float:
     """Conditional min-entropy -log2 sum_y max_x P(x, y).
 
@@ -59,17 +74,7 @@ def h_min_cond(P: JointDist, x_vars, y_vars) -> float:
     min_{x, y in supp Q} log2 Q(y)/P(x,y); the optimal Q_Y(y) is
     proportional to max_x P(x, y).
     """
-    x_vars = _resolve_names(P, x_vars)
-    y_vars = _resolve_names(P, y_vars)
-    if sorted(x_vars + y_vars) != sorted(P.var_names):
-        raise PreconditionError("x_vars and y_vars must partition the variables")
-    arr = np.transpose(
-        P.array(),
-        [P.axis(n) for n in x_vars] + [P.axis(n) for n in y_vars],
-    )
-    x_size = int(np.prod(arr.shape[: len(x_vars)], dtype=np.int64))
-    flat = arr.reshape(x_size, -1)
-    total = float(flat.max(axis=0).sum())
+    total = float(_xy_matrix(P, x_vars, y_vars).max(axis=0).sum())
     if total <= 0.0:
         raise PreconditionError("conditional min-entropy of a zero function")
     return -math.log2(total)
@@ -90,11 +95,15 @@ def h_min_smooth(P, eps: float) -> SmoothingResult:
     if budget >= P.total_mass() - _MASS_SLACK and eps > 0:
         raise PreconditionError("smoothing budget would remove all mass")
     cap = _waterfill_cap(p, budget)
-    witness = np.minimum(p, cap)
+    return _smoothed(-math.log2(cap), P, np.minimum(p, cap))
+
+
+def _smoothed(value: float, P, witness: np.ndarray) -> SmoothingResult:
+    """The result of smoothing P to ``witness`` (pointwise at most P)."""
     return SmoothingResult(
-        value=-math.log2(cap),
+        value=value,
         witness=SubDist(P.vars, witness),
-        removed_mass=float(p.sum() - witness.sum()),
+        removed_mass=float(P.pmf.sum() - witness.sum()),
     )
 
 
@@ -144,18 +153,8 @@ def d_max_smooth(P, Q, eps: float) -> SmoothingResult:
     target = P.total_mass() - eps
     log2_t = _dmax_cap_log(log2_pmf(p), log2_pmf(q), target)
     if log2_t == math.inf:
-        witness = np.where(q > 0, p, 0.0)
-        return SmoothingResult(
-            value=math.inf,
-            witness=SubDist(P.vars, witness),
-            removed_mass=float(p.sum() - witness.sum()),
-        )
-    witness = np.minimum(p, q * math.pow(2.0, log2_t))
-    return SmoothingResult(
-        value=log2_t,
-        witness=SubDist(P.vars, witness),
-        removed_mass=float(p.sum() - witness.sum()),
-    )
+        return _smoothed(math.inf, P, np.where(q > 0, p, 0.0))
+    return _smoothed(log2_t, P, np.minimum(p, q * math.pow(2.0, log2_t)))
 
 
 def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
@@ -209,11 +208,7 @@ def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
 
 
 def dmax_convergence_scan(
-    P: JointDist,
-    Q: JointDist,
-    eps: float,
-    ns,
-    cap: int = DEFAULT_CLASS_CAP,
+    P: JointDist, Q: JointDist, eps: float, ns
 ) -> list[tuple[int, float]]:
     """Table of (n, D_max^eps(P^n || Q^n) / n); the values trend to D(P||Q).
 
@@ -228,7 +223,7 @@ def dmax_convergence_scan(
     ns = [int(n) for n in ns]
 
     def one(n: int) -> tuple[int, float]:
-        _, logp, logq = typeclass_table(P.pmf, Q.pmf, n, cap=cap)
+        _, logp, logq = typeclass_table(P.pmf, Q.pmf, n)
         val = _dmax_cap_log(logp, logq, 1.0 - eps)
         return n, val / n
 

@@ -61,18 +61,30 @@ class Partition:
 
 
 def _rgs(m: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length m, lexicographic order."""
-    a = [0] * m
+    """Restricted growth strings of length m, lexicographic order.
 
-    def rec(i: int, top: int):
-        if i == m:
-            yield tuple(a)
+    Entry i exceeds ``top[i]``, the maximum of the entries before it, by at
+    most one.  The last entry runs through its values in the inner loop;
+    then the last earlier entry that may still grow is raised, and the
+    entries after it are zeroed.
+    """
+    if m == 1:
+        yield (0,)
+        return
+    a = [0] * (m - 1)
+    top = [0] * m
+    while True:
+        head = tuple(a)
+        for v in range(top[-1] + 2):
+            yield head + (v,)
+        i = m - 2
+        while i > 0 and a[i] > top[i]:
+            i -= 1
+        if i == 0:
             return
-        for v in range(top + 2):
-            a[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    yield from rec(1, 0) if m > 1 else iter([(0,)])
+        a[i] += 1
+        a[i + 1:] = [0] * (m - 2 - i)
+        top[i + 1:] = [max(top[i], a[i])] * (m - 1 - i)
 
 
 def _check_party_count(m: int) -> None:
@@ -80,31 +92,26 @@ def _check_party_count(m: int) -> None:
         raise PreconditionError("party count must lie in [2, 12]")
 
 
-def enum_partitions(m: int, min_blocks: int = 2) -> list[Partition]:
-    """All set partitions of {1..m} with at least ``min_blocks`` blocks.
+def enum_partitions(m: int) -> list[Partition]:
+    """All set partitions of {1..m} into at least two blocks.
 
-    Canonical order (restricted-growth-string lexicographic); for
-    min_blocks=2 the count is Bell(m) - 1.
+    Canonical order (restricted-growth-string lexicographic); the count is
+    Bell(m) - 1.
     """
-    _check_party_count(m)
-    out = []
-    for labels in _rgs(m):
-        k = max(labels) + 1
-        if k < min_blocks:
-            continue
-        blocks = [set() for _ in range(k)]
-        for party, lab in enumerate(labels, start=1):
-            blocks[lab].add(party)
-        out.append(Partition(tuple(frozenset(b) for b in blocks), m))
-    return out
+    return [
+        _partition_of(row, m)
+        for masks in _partition_masks(m, 1 << 12)
+        for row in masks.tolist()
+    ]
 
 
 def _partition_masks(m: int, rows: int) -> Iterator[np.ndarray]:
-    """The partitions of ``enum_partitions(m)`` as block bitmasks, ``rows`` at a time.
+    """The partitions of {1..m} into at least two blocks, ``rows`` at a time.
 
-    Each chunk is an (r, m) int64 array, r <= rows.  Row entries are the
-    bitmasks of the blocks (bit i-1 for party i) ordered by least member,
-    as in ``Partition.blocks``, then zeros.
+    Partitions come in restricted-growth-string order.  Each chunk is an
+    (r, m) int64 array, r <= rows.  Row entries are the bitmasks of the
+    blocks (bit i-1 for party i) ordered by least member, as in
+    ``Partition.blocks``, then zeros.
     """
     _check_party_count(m)
     labels = itertools.islice(_rgs(m), 1, None)  # skip the one-block partition
@@ -150,24 +157,31 @@ class Labeling:
         return {s: int(l) for s, l in zip(self.alphabet.symbols, self.labels)}
 
 
-def _finalize_labels(var, alphabet, raw: list[int | None]) -> Labeling:
-    """Renumber in order of first appearance; unsupported symbols last."""
+def _renumber(sides) -> list[Labeling]:
+    """One labeling per (var, alphabet, raw) side, labels shared across sides.
+
+    ``raw`` holds a component key per symbol, or None for a symbol outside
+    the support.  Keys are renumbered in order of first appearance, scanning
+    the sides in order; unsupported symbols all take the next label, which a
+    side records as ``unsupported_label`` only when it has such symbols.
+    """
     remap: dict[int, int] = {}
-    out = []
-    for lab in raw:
-        if lab is None:
-            out.append(None)
-            continue
-        if lab not in remap:
-            remap[lab] = len(remap)
-        out.append(remap[lab])
+    for _, _, raw in sides:
+        for key in raw:
+            if key is not None:
+                remap.setdefault(key, len(remap))
     k = len(remap)
-    unsupported = None
-    if any(l is None for l in out):
-        unsupported = k
-        out = [unsupported if l is None else l for l in out]
-        k += 1
-    return Labeling(var, alphabet, tuple(out), k, unsupported)
+    total = k + 1 if any(None in raw for _, _, raw in sides) else k
+    return [
+        Labeling(
+            var,
+            alphabet,
+            tuple(k if key is None else remap[key] for key in raw),
+            total,
+            k if None in raw else None,
+        )
+        for var, alphabet, raw in sides
+    ]
 
 
 def _components(n: int, edges) -> list[int]:
@@ -207,42 +221,9 @@ def mcf(J: JointDist, v1: str, v2: str) -> tuple[Labeling, Labeling]:
         n1 + n2, ((int(i), int(n1 + j)) for i, j in zip(*np.nonzero(arr > 0)))
     )
 
-    sup1 = arr.sum(axis=1) > 0
-    sup2 = arr.sum(axis=0) > 0
-    # shared renumbering by first appearance scanning v1 then v2 symbols
-    remap: dict[int, int] = {}
-    raw1: list[int | None] = []
-    for i in range(n1):
-        if not sup1[i]:
-            raw1.append(None)
-            continue
-        remap.setdefault(root[i], len(remap))
-        raw1.append(remap[root[i]])
-    raw2: list[int | None] = []
-    for j in range(n2):
-        if not sup2[j]:
-            raw2.append(None)
-            continue
-        remap.setdefault(root[n1 + j], len(remap))
-        raw2.append(remap[root[n1 + j]])
-    k = len(remap)
-    unsup = k if (any(l is None for l in raw1) or any(l is None for l in raw2)) else None
-    total = k + (1 if unsup is not None else 0)
-    lab1 = Labeling(
-        v1,
-        J.alphabet(v1),
-        tuple(unsup if l is None else l for l in raw1),
-        total,
-        unsup if any(l is None for l in raw1) else None,
-    )
-    lab2 = Labeling(
-        v2,
-        J.alphabet(v2),
-        tuple(unsup if l is None else l for l in raw2),
-        total,
-        unsup if any(l is None for l in raw2) else None,
-    )
-    return lab1, lab2
+    raw1 = [root[i] if s else None for i, s in enumerate(arr.sum(axis=1) > 0)]
+    raw2 = [root[n1 + j] if s else None for j, s in enumerate(arr.sum(axis=0) > 0)]
+    return tuple(_renumber([(v1, J.alphabet(v1), raw1), (v2, J.alphabet(v2), raw2)]))
 
 
 def mss(J: JointDist, given: str, target: str, tol: float = 1e-9) -> Labeling:
@@ -271,8 +252,8 @@ def mss(J: JointDist, given: str, target: str, tol: float = 1e-9) -> Labeling:
         for bi in range(ai + 1, len(sup))
         if np.max(np.abs(rows[sup[ai]] - rows[sup[bi]])) <= tol
     ))
-    raw: list[int | None] = [root[i] if pos[i] else None for i in range(n)]
-    return _finalize_labels(given, J.alphabet(given), raw)
+    raw = [root[i] if pos[i] else None for i in range(n)]
+    return _renumber([(given, J.alphabet(given), raw)])[0]
 
 
 def attach_label(J: JointDist, labeling: Labeling, name: str) -> JointDist:

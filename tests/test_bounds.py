@@ -603,6 +603,82 @@ def test_ot_bc_reports_recomputable():
     assert abs(bc.value - (bc.intermediates["neg_log2_beta"] + two_log)) <= 1e-9
 
 
+def test_bound_report_json_forms():
+    # every report's JSON lists its fields in order; a partition is written
+    # as its string and the dicts are copies
+    J = three_identical_bits()
+    pi = Partition((frozenset([1, 2]), frozenset([3])), 3)
+    rep = cit_bound(J, pi, 0.1, 0.05)
+    js = rep.as_json()
+    assert list(js) == ["kind", "value", "params", "partition", "intermediates"]
+    assert js == {
+        "kind": "cit",
+        "value": rep.value,
+        "params": {"eps": 0.1, "eta": 0.05, "z": []},
+        "partition": "1,2|3",
+        "intermediates": {
+            "neg_log2_beta": rep.intermediates["neg_log2_beta"],
+            "beta": rep.intermediates["beta"],
+            "eps_plus_eta": 0.1 + 0.05,
+            "num_blocks": 2,
+        },
+    }
+    assert list(js["intermediates"]) == [
+        "neg_log2_beta", "beta", "eps_plus_eta", "num_blocks",
+    ]
+    # P puts 1/2 on 000 and 111, Q^pi 1/4 on each of 000, 001, 110, 111
+    assert abs(js["intermediates"]["beta"] - 0.85 / 2) <= 1e-12
+    assert js["params"] is not rep.params
+    assert js["intermediates"] is not rep.intermediates
+
+    ot = ot_bounds(indep_bits(), 0.02, 0.03, 0.01, 0.05)
+    js = ot.as_json()
+    assert list(js) == ["kind", "value", "params", "partition", "intermediates"]
+    assert js["kind"] == "ot" and js["partition"] is None
+    assert js["params"] == {
+        "eps": 0.02, "delta1": 0.03, "delta2": 0.01, "xi": 0.05,
+        "eta": 0.02 + 0.03 + 2 * 0.01 + 0.05,
+    }
+    assert js["intermediates"] == ot.intermediates
+
+    check = sc_necessary_check(
+        J, ["0", "1", "1", "0", "1", "0", "0", "1"], 0.02, 0.02,
+        xi=0.01, zeta=0.1, eta=0.1,
+    )
+    js = check.as_json()
+    assert list(js) == [
+        "passed", "lhs", "rhs", "slack", "partition", "per_partition", "params",
+    ]
+    assert js["partition"] == str(check.partition)
+    assert (js["passed"], js["lhs"], js["rhs"], js["slack"]) == (
+        check.passed, check.lhs, check.rhs, check.slack,
+    )
+    assert js["per_partition"] == [
+        {"partition": s, "rhs": r, "slack": r - check.lhs}
+        for s, (_, r, _) in zip(["1,2|3", "1,3|2", "1|2,3", "1|2|3"], check.per_partition)
+    ]
+    assert all(list(row) == ["partition", "rhs", "slack"] for row in js["per_partition"])
+    assert js["params"] == {
+        "eps": 0.02, "delta": 0.02, "xi": 0.01, "zeta": 0.1, "eta": 0.1,
+        "mu": 0.02 + 0.02 + 2 * 0.01 + 0.1 + 0.1,
+    }
+
+    tr = secure_transmission_check(mixed_length_message(2), 1.0, 0.02, 0.02, 0.01, 0.1, 0.1)
+    js = tr.as_json()
+    assert js == {
+        "passed": tr.passed, "lhs": tr.lhs, "rhs": tr.rhs, "slack": tr.rhs - tr.lhs,
+        "partition": None, "per_partition": [],
+        "params": {
+            "kappa": 1.0, "eps": 0.02, "delta": 0.02, "xi": 0.01, "zeta": 0.1,
+            "eta": 0.1, "mu": 0.02 + 0.02 + 2 * 0.01 + 0.1 + 0.1,
+        },
+    }
+    assert list(js) == [
+        "passed", "lhs", "rhs", "slack", "partition", "per_partition", "params",
+    ]
+    assert list(js["params"]) == ["kappa", "eps", "delta", "xi", "zeta", "eta", "mu"]
+
+
 def test_cit_formula_monotonicity_shape():
     # for a fixed beta value the bound falls as eta grows, and for a fixed
     # eta it falls as beta grows

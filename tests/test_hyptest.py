@@ -231,8 +231,10 @@ def test_stein_limit_at_1e4():
 
 
 def test_iid_cap():
+    # n + 1 = 5,000,001 binary type classes: one over the cap, raised
+    # before any table is built
     with pytest.raises(CapExceededError):
-        beta_epsilon_iid(ber(0.3), ber(0.5), 100, 0.1, cap=50)
+        beta_epsilon_iid(ber(0.3), ber(0.5), 5_000_000, 0.1)
 
 
 def test_tail_bound_soundness_and_no_dispersion():

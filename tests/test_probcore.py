@@ -50,6 +50,13 @@ def test_construction_validation():
     SubDist((("X", BIT),), [0.2, 0.2])
 
 
+def test_cell_cap_checked_before_the_pmf():
+    # 4,000^2 = 1.6e7 cells exceed the 10^7 cap whatever the pmf holds
+    big = Alphabet(tuple(str(i) for i in range(4000)))
+    with pytest.raises(CapExceededError):
+        JointDist((("X", big), ("Y", big)), [1.0])
+
+
 def test_marginal_identity_and_uniform():
     J = dsbs(0.2)
     same = marginal(J, ["X1", "X2"])

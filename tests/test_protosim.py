@@ -208,7 +208,7 @@ def test_report_json_forms():
     u16 = JointDist(
         (("X", Alphabet(tuple(f"x{i}" for i in range(16)))),), [1 / 16] * 16
     )
-    search = leftover_hash_search(u16, ["X"], [], eps=0.0, eta=0.25, num_seeds=2)
+    search = leftover_hash_search(u16, ["X"], [], eps=0.0, eta=0.25)
     assert search.as_json() == {
         "out_len": search.out_len, "entropy_bits": search.entropy_bits,
         "threshold": search.threshold, "best": search.best.as_json(),

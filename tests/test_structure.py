@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from skconverse import (
     mcf,
     mss,
 )
-from skconverse.structure import attach_label
+from skconverse.structure import _rgs, attach_label
 from support import BIT, random_dist
 
 
@@ -33,7 +35,6 @@ def test_enum_partitions_counts():
     # Bell(m) - 1 for m up to 6: Bell = 2, 5, 15, 52, 203
     for m, b in [(2, 2), (3, 5), (4, 15), (5, 52), (6, 203)]:
         assert len(enum_partitions(m)) == b - 1
-    assert len(enum_partitions(3, min_blocks=3)) == 1
     with pytest.raises(PreconditionError):
         enum_partitions(1)
     with pytest.raises(PreconditionError):
@@ -43,6 +44,17 @@ def test_enum_partitions_counts():
 def test_enum_partitions_canonical_order():
     got = [str(p) for p in enum_partitions(3)]
     assert got == ["1,2|3", "1,3|2", "1|2,3", "1|2|3"]
+
+
+def test_rgs_matches_filtered_product():
+    # a restricted growth string starts at 0 and exceeds the maximum of its
+    # prefix by at most one; lexicographic order is that of product()
+    for m in range(1, 8):
+        want = [
+            a for a in itertools.product(range(m), repeat=m)
+            if a[0] == 0 and all(a[i] <= max(a[:i]) + 1 for i in range(1, m))
+        ]
+        assert list(_rgs(m)) == want
 
 
 def test_mcf_identity_independent_shared_bit():
