@@ -1,10 +1,10 @@
 """Command-line front door: parse inputs, dispatch, emit JSON/CSV reports.
 
-Every run executes exactly one operation.  Reports embed the resolved
-parameter set and the artifact version; identical configuration and seed
-give byte-identical output.  Exit status: 0 on success (a failing
-necessary-condition verdict is still a successful run), 1 on precondition
-or input problems, 2 on internal assertion failures.
+Every run executes exactly one operation, the handler of a leaf command.
+Reports embed the resolved parameter set and the artifact version; identical
+configuration and seed give byte-identical output.  Exit status: 0 on success
+(a failing necessary-condition verdict is still a successful run), 1 on
+precondition or input problems, 2 on internal assertion failures.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .bounds import (
 from .errors import CapExceededError, PreconditionError
 from .hyptest import beta_epsilon, beta_epsilon_iid, stein_scan
 from .probcore import (
+    Alphabet,
     Channel,
-    JointDist,
     conditional_product,
     divergence,
     fuse_vars,
@@ -70,18 +70,8 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _report(command: str, params: dict, result, out_path: str | None) -> None:
-    doc = {
-        "command": command,
-        "version": __version__,
-        "params": params,
-        "result": result,
-    }
-    _emit(json.dumps(doc, sort_keys=True, indent=2), out_path)
-
-
 def _load_params(args) -> dict:
-    if not getattr(args, "params", None):
+    if not args.params:
         return {}
     merged = read_json(args.params, "parameters JSON")
     if not isinstance(merged, dict):
@@ -119,133 +109,82 @@ def _ns(text: str) -> list[int]:
         raise PreconditionError(f"cannot parse n-list {text!r}") from None
 
 
+_FLAG_HELP = {"g": "JSON function table (row-major list)", "n": "comma-separated n values"}
+
+
 def build_parser() -> _Parser:
     top = _Parser(prog="skconverse", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def add_out(p):
+    def command(parent, name, run, files=(), floats=(), help=None, **defaults):
+        """A leaf command: required string flags (``files``), finite float
+        flags, ``--out`` and ``--params``; its handler ``run`` and its name."""
+        p = parent.add_parser(name, help=help)
+        for flag in files:
+            p.add_argument(f"--{flag}", required=True, help=_FLAG_HELP.get(flag))
+        for flag in floats:
+            p.add_argument(f"--{flag}", type=_finite)
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--params", help="JSON file of parameter values")
+        p.set_defaults(run=run, command=p.prog.split(" ", 1)[1], **defaults)
+        return p
 
-    p = sub.add_parser("beta", help="optimal type-II error with certificate")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--eps", type=_finite)
-    add_out(p)
+    command(sub, "beta", _beta, ("p", "q"), ("eps",),
+            help="optimal type-II error with certificate")
 
     smooth = sub.add_parser("smooth", help="smoothed entropy quantities")
     ssub = smooth.add_subparsers(dest="quantity", required=True)
-    p = ssub.add_parser("hmin")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_finite)
-    add_out(p)
-    p = ssub.add_parser("dmax")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--eps", type=_finite)
-    add_out(p)
+    command(ssub, "hmin", _hmin, ("dist",), ("eps",))
+    command(ssub, "dmax", _dmax, ("p", "q"), ("eps",))
 
     structure = sub.add_parser("structure", help="mcf / mss label tables")
     stsub = structure.add_subparsers(dest="stat", required=True)
-    p = stsub.add_parser("mcf")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--v1", required=True)
-    p.add_argument("--v2", required=True)
-    add_out(p)
-    p = stsub.add_parser("mss")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--given", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--tol", type=_finite, default=1e-9)
-    add_out(p)
+    command(stsub, "mcf", _mcf, ("dist", "v1", "v2"))
+    command(stsub, "mss", _mss, ("dist", "given", "target"), ("tol",), tol=1e-9)
 
     bound = sub.add_parser("bound", help="converse bounds and checks")
     bsub = bound.add_subparsers(dest="task", required=True)
-    p = bsub.add_parser("sk")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_finite)
-    p.add_argument("--eta", type=_finite)
-    p.add_argument("--partition")
-    p.add_argument("--all-partitions", action="store_true")
-    p.add_argument("--q", help="alternative conditionally factorizing Q")
-    p.add_argument("--capacity", action="store_true", help="capacity formula only")
-    p.add_argument("--aux-channel", help="auxiliary channel JSON for the two-party bound")
-    p.add_argument("--delta", type=_finite)
-    p.add_argument("--eta1", type=_finite)
-    p.add_argument("--eta2", type=_finite)
-    add_out(p)
-    for task in ("ot", "bc"):
-        p = bsub.add_parser(task)
-        p.add_argument("--dist", required=True)
-        p.add_argument("--eps", type=_finite)
-        p.add_argument("--delta1", type=_finite)
-        p.add_argument("--delta2", type=_finite)
-        p.add_argument("--xi", type=_finite)
+    p = command(bsub, "sk", _bound_sk, ("dist",), ("eps", "eta", "delta", "eta1", "eta2"))
+    p.add_argument("--q", help="alternative conditionally factorizing Q (needs --partition)")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--partition")
+    mode.add_argument("--all-partitions", action="store_true")
+    mode.add_argument("--capacity", action="store_true", help="capacity formula only")
+    mode.add_argument("--aux-channel", help="auxiliary channel JSON for the two-party bound")
+    for task, bound_fn, capacity_fn in (("ot", ot_bounds, ot_capacity_bound),
+                                        ("bc", bc_bound, bc_capacity_bound)):
+        p = command(bsub, task, _two_party(bound_fn, capacity_fn), ("dist",),
+                    ("eps", "delta1", "delta2", "xi"))
         p.add_argument("--capacity", action="store_true")
-        add_out(p)
-    p = bsub.add_parser("compute")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--g", required=True, help="JSON function table (row-major list)")
-    p.add_argument("--eps", type=_finite)
-    p.add_argument("--delta", type=_finite)
-    p.add_argument("--xi", type=_finite)
-    p.add_argument("--zeta", type=_finite)
-    p.add_argument("--eta", type=_finite)
+    p = command(bsub, "compute", _bound_compute, ("dist", "g"),
+                ("eps", "delta", "xi", "zeta", "eta"))
     p.add_argument("--partition")
-    add_out(p)
-    p = bsub.add_parser("transmit")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--kappa", type=_finite)
-    p.add_argument("--eps", type=_finite)
-    p.add_argument("--delta", type=_finite)
-    p.add_argument("--xi", type=_finite)
-    p.add_argument("--zeta", type=_finite)
-    p.add_argument("--eta", type=_finite)
-    add_out(p)
+    command(bsub, "transmit", _bound_transmit, ("dist",),
+            ("kappa", "eps", "delta", "xi", "zeta", "eta"))
 
     scan = sub.add_parser("scan", help="CSV convergence scans")
     csub = scan.add_subparsers(dest="what", required=True)
-    for what in ("stein", "dmax"):
-        p = csub.add_parser(what)
-        p.add_argument("--p", required=True)
-        p.add_argument("--q", required=True)
-        p.add_argument("--eps", type=_finite)
-        p.add_argument("--n", required=True, help="comma-separated n values")
-        add_out(p)
-    p = csub.add_parser("capacity")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--eps", type=_finite)
-    p.add_argument("--eta", type=_finite)
-    p.add_argument("--n", required=True)
-    add_out(p)
+    command(csub, "stein", _kl_scan("n,neg_log_beta_over_n,kl_limit", stein_scan),
+            ("p", "q", "n"), ("eps",))
+    command(csub, "dmax", _kl_scan("n,dmax_eps_over_n,kl_limit", dmax_convergence_scan),
+            ("p", "q", "n"), ("eps",))
+    command(csub, "capacity", _capacity_scan, ("dist", "n"), ("eps", "eta"))
 
     proto = sub.add_parser("protocol", help="exact protocol evaluation")
     psub = proto.add_subparsers(dest="action", required=True)
-    p = psub.add_parser("eval")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--protocol", required=True)
-    add_out(p)
-    p = psub.add_parser("reduce")
+    command(psub, "eval", _protocol_eval, ("dist", "protocol"))
+    p = command(psub, "reduce", _protocol_reduce)
     p.add_argument("--kind", choices=["ot1", "ot2", "bc"], required=True)
     p.add_argument("--length", type=int, default=1)
-    add_out(p)
-    p = psub.add_parser("fuzz")
+    p = command(psub, "fuzz", _protocol_fuzz, floats=("eta",), eta=0.05)
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--seed", type=int, default=20240913)
-    p.add_argument("--eta", type=_finite, default=0.05)
-    add_out(p)
 
     return top
 
 
-def _parse_partition(text: str | None, m: int) -> Partition | None:
-    return None if text is None else Partition.parse(text, m)
-
-
 def _channel_from_json(path: str) -> Channel:
-    from .probcore import Alphabet
-
     obj = read_json(path, "channel JSON")
     try:
         in_vars = tuple((v["name"], Alphabet(tuple(v["symbols"]))) for v in obj["inputs"])
@@ -259,203 +198,112 @@ def _channel_from_json(path: str) -> Channel:
     return Channel(in_vars, out_vars, rows)
 
 
-def _dispatch(args) -> int:
-    merged = _load_params(args)
-    verb = args.verb
-
-    if verb == "beta":
-        P, Q = load_dist(args.p), load_dist(args.q)
-        eps = _num(args, merged, "eps")
-        cert = beta_epsilon(P, Q, eps)
-        _report(
-            "beta",
-            {"eps": eps, "p": args.p, "q": args.q},
-            {
-                "beta": cert.beta,
-                "log2_beta": cert.log2_beta,
-                "neg_log2_beta": cert.neg_log2_beta,
-                "n_full": cert.n_full,
-                "gamma": cert.gamma,
-                "type1_error": cert.type1_error,
-            },
-            args.out,
-        )
-        return 0
-
-    if verb == "smooth":
-        eps = _num(args, merged, "eps")
-        if args.quantity == "hmin":
-            res = h_min_smooth(load_dist(args.dist), eps)
-            _report(
-                "smooth hmin",
-                {"eps": eps, "dist": args.dist},
-                {"value": res.value, "removed_mass": res.removed_mass},
-                args.out,
-            )
-        else:
-            res = d_max_smooth(load_dist(args.p), load_dist(args.q), eps)
-            _report(
-                "smooth dmax",
-                {"eps": eps, "p": args.p, "q": args.q},
-                {"value": res.value, "removed_mass": res.removed_mass},
-                args.out,
-            )
-        return 0
-
-    if verb == "structure":
-        J = load_dist(args.dist)
-        if args.stat == "mcf":
-            lab1, lab2 = mcf(J, args.v1, args.v2)
-            _report(
-                "structure mcf",
-                {"dist": args.dist, "v1": args.v1, "v2": args.v2},
-                {
-                    "labels_v1": lab1.as_table(),
-                    "labels_v2": lab2.as_table(),
-                    "num_labels": lab1.num_labels,
-                },
-                args.out,
-            )
-        else:
-            lab = mss(J, given=args.given, target=args.target, tol=args.tol)
-            _report(
-                "structure mss",
-                {"dist": args.dist, "given": args.given, "target": args.target,
-                 "tol": args.tol},
-                {"labels": lab.as_table(), "num_labels": lab.num_labels},
-                args.out,
-            )
-        return 0
-
-    if verb == "bound":
-        return _dispatch_bound(args, merged)
-
-    if verb == "scan":
-        eps = _num(args, merged, "eps")
-        ns = _ns(args.n)
-        if args.what == "capacity":
-            eta = _num(args, merged, "eta")
-            header = "n,cit_bound_over_n,capacity_limit"
-            rows, limit = _capacity_scan(load_dist(args.dist), eps, eta, ns)
-        else:
-            P, Q = load_dist(args.p), load_dist(args.q)
-            limit = divergence(P, Q, kind="kl")
-            if args.what == "stein":
-                header = "n,neg_log_beta_over_n,kl_limit"
-                rows = stein_scan(P, Q, eps, ns)
-            else:
-                header = "n,dmax_eps_over_n,kl_limit"
-                rows = dmax_convergence_scan(P, Q, eps, ns)
-        _emit(_scan_csv(header, rows, limit), args.out)
-        return 0
-
-    if verb == "protocol":
-        if args.action == "eval":
-            J = load_dist(args.dist)
-            proto = protocol_from_json(read_json(args.protocol, "protocol JSON"))
-            rep = eval_sk_security(J, proto)
-            _report(
-                "protocol eval",
-                {"dist": args.dist, "protocol": args.protocol},
-                rep.as_json(),
-                args.out,
-            )
-            return 0
-        if args.action == "reduce":
-            return _dispatch_reduce(args)
-        rep = fuzz_converse(count=args.count, seed=args.seed, eta=args.eta)
-        _report(
-            "protocol fuzz",
-            {"count": args.count, "seed": args.seed, "eta": args.eta},
-            rep.as_json(),
-            args.out,
-        )
-        return 0
-
-    raise PreconditionError(f"unknown verb {verb!r}")
+# ---------------------------------------------------------------------------
+# handlers: (args, merged --params) -> (params, result) of a JSON report, or
+# the text of a CSV scan.  Each loads its files and reads its values in a
+# fixed order, so an input with two faults always reports the same one.
 
 
-def _dispatch_bound(args, merged: dict) -> int:
+def _with_dist(rep, args):
+    return rep.params | {"dist": args.dist}, rep.as_json()
+
+
+def _beta(args, merged):
+    P, Q = load_dist(args.p), load_dist(args.q)
+    eps = _num(args, merged, "eps")
+    cert = beta_epsilon(P, Q, eps)
+    fields = ("beta", "log2_beta", "neg_log2_beta", "n_full", "gamma", "type1_error")
+    return {"eps": eps, "p": args.p, "q": args.q}, {f: getattr(cert, f) for f in fields}
+
+
+def _hmin(args, merged):
+    eps = _num(args, merged, "eps")
+    res = h_min_smooth(load_dist(args.dist), eps)
+    return {"eps": eps, "dist": args.dist}, {"value": res.value, "removed_mass": res.removed_mass}
+
+
+def _dmax(args, merged):
+    eps = _num(args, merged, "eps")
+    res = d_max_smooth(load_dist(args.p), load_dist(args.q), eps)
+    return ({"eps": eps, "p": args.p, "q": args.q},
+            {"value": res.value, "removed_mass": res.removed_mass})
+
+
+def _mcf(args, merged):
+    lab1, lab2 = mcf(load_dist(args.dist), args.v1, args.v2)
+    return {"dist": args.dist, "v1": args.v1, "v2": args.v2}, {
+        "labels_v1": lab1.as_table(),
+        "labels_v2": lab2.as_table(),
+        "num_labels": lab1.num_labels,
+    }
+
+
+def _mss(args, merged):
+    lab = mss(load_dist(args.dist), given=args.given, target=args.target, tol=args.tol)
+    return ({"dist": args.dist, "given": args.given, "target": args.target, "tol": args.tol},
+            {"labels": lab.as_table(), "num_labels": lab.num_labels})
+
+
+def _bound_sk(args, merged):
+    if args.q and args.partition is None:
+        raise PreconditionError("--q needs --partition")
     J = load_dist(args.dist)
-    task = args.task
-    if task == "sk":
-        if args.capacity:
-            value, pi = sk_capacity_formula(J)
-            _report(
-                "bound sk",
-                {"dist": args.dist, "capacity": True},
-                {"value": value, "partition": str(pi)},
-                args.out,
-            )
-            return 0
-        eps = _num(args, merged, "eps")
-        eta = _num(args, merged, "eta")
-        if args.aux_channel:
-            delta = _num(args, merged, "delta")
-            eta1 = _num(args, merged, "eta1")
-            eta2 = _num(args, merged, "eta2")
-            ch = _channel_from_json(args.aux_channel)
-            rep = aux_singleshot_bound(J, ch, eps, delta, eta, eta1, eta2)
-            result = rep.as_json()
-            result["capacity_style"] = aux_capacity_bound(J, ch)
-            _report("bound sk", rep.params | {"dist": args.dist}, result, args.out)
-            return 0
-        zs = [J.eve] if J.eve else []
-        m = len(J.vars) - len(zs)
-        if args.all_partitions or args.partition is None:
-            rep = cit_bound_best(J, eps, eta)
-        else:
-            pi = _parse_partition(args.partition, m)
-            q = load_dist(args.q) if args.q else None
-            rep = cit_bound(J, pi, eps, eta, q=q)
-        _report("bound sk", rep.params | {"dist": args.dist}, rep.as_json(), args.out)
-        return 0
+    if args.capacity:
+        value, pi = sk_capacity_formula(J)
+        return {"dist": args.dist, "capacity": True}, {"value": value, "partition": str(pi)}
+    eps = _num(args, merged, "eps")
+    eta = _num(args, merged, "eta")
+    if args.aux_channel:
+        delta = _num(args, merged, "delta")
+        eta1 = _num(args, merged, "eta1")
+        eta2 = _num(args, merged, "eta2")
+        ch = _channel_from_json(args.aux_channel)
+        params, result = _with_dist(aux_singleshot_bound(J, ch, eps, delta, eta, eta1, eta2), args)
+        return params, result | {"capacity_style": aux_capacity_bound(J, ch)}
+    if args.partition is None:
+        return _with_dist(cit_bound_best(J, eps, eta), args)
+    pi = Partition.parse(args.partition, len(J.vars) - bool(J.eve))
+    q = load_dist(args.q) if args.q else None
+    return _with_dist(cit_bound(J, pi, eps, eta, q=q), args)
 
-    if task in ("ot", "bc"):
+
+def _two_party(bound_fn, capacity_fn):
+    """The handler of ``bound ot`` or ``bound bc``."""
+
+    def run(args, merged):
+        J = load_dist(args.dist)
         if args.capacity:
-            value = ot_capacity_bound(J) if task == "ot" else bc_capacity_bound(J)
-            _report(
-                f"bound {task}",
-                {"dist": args.dist, "capacity": True},
-                {"value": value},
-                args.out,
-            )
-            return 0
+            return {"dist": args.dist, "capacity": True}, {"value": capacity_fn(J)}
         eps = _num(args, merged, "eps")
         d1 = _num(args, merged, "delta1")
         d2 = _num(args, merged, "delta2")
         xi = _num(args, merged, "xi")
-        fn = ot_bounds if task == "ot" else bc_bound
-        rep = fn(J, eps, d1, d2, xi)
-        _report(f"bound {task}", rep.params | {"dist": args.dist}, rep.as_json(), args.out)
-        return 0
+        return _with_dist(bound_fn(J, eps, d1, d2, xi), args)
 
-    if task == "compute":
-        table = read_json(args.g, "function JSON")
-        if isinstance(table, dict):
-            table = table.get("outputs")
-        if not isinstance(table, list):
-            raise PreconditionError(
-                'malformed function JSON: expected a list or {"outputs": [...]}'
-            )
-        eps = _num(args, merged, "eps")
-        delta = _num(args, merged, "delta")
-        slacks = _slacks(args, merged, eps, delta)
-        pi = _parse_partition(args.partition, len(J.vars))
-        rep = sc_necessary_check(J, table, eps, delta, partition=pi, **slacks)
-        _report("bound compute", rep.params | {"dist": args.dist}, rep.as_json(), args.out)
-        return 0
+    return run
 
-    if task == "transmit":
-        kappa = _num(args, merged, "kappa")
-        eps = _num(args, merged, "eps")
-        delta = _num(args, merged, "delta")
-        slacks = _slacks(args, merged, eps, delta)
-        rep = secure_transmission_check(J, kappa, eps, delta, **slacks)
-        _report("bound transmit", rep.params | {"dist": args.dist}, rep.as_json(), args.out)
-        return 0
 
-    raise PreconditionError(f"unknown bound task {task!r}")
+def _bound_compute(args, merged):
+    J = load_dist(args.dist)
+    table = read_json(args.g, "function JSON")
+    if isinstance(table, dict):
+        table = table.get("outputs")
+    if not isinstance(table, list):
+        raise PreconditionError('malformed function JSON: expected a list or {"outputs": [...]}')
+    eps = _num(args, merged, "eps")
+    delta = _num(args, merged, "delta")
+    slacks = _slacks(args, merged, eps, delta)
+    pi = None if args.partition is None else Partition.parse(args.partition, len(J.vars))
+    return _with_dist(sc_necessary_check(J, table, eps, delta, partition=pi, **slacks), args)
+
+
+def _bound_transmit(args, merged):
+    J = load_dist(args.dist)
+    kappa = _num(args, merged, "kappa")
+    eps = _num(args, merged, "eps")
+    delta = _num(args, merged, "delta")
+    slacks = _slacks(args, merged, eps, delta)
+    return _with_dist(secure_transmission_check(J, kappa, eps, delta, **slacks), args)
 
 
 def _slacks(args, merged: dict, eps: float, delta: float) -> dict:
@@ -469,7 +317,54 @@ def _slacks(args, merged: dict, eps: float, delta: float) -> dict:
     return {"xi": xi, "zeta": zeta, "eta": eta}
 
 
-def _dispatch_reduce(args) -> int:
+def _kl_scan(header: str, scan_fn):
+    """The handler of a scan whose values trend to D(P||Q)."""
+
+    def run(args, merged):
+        eps = _num(args, merged, "eps")
+        ns = _ns(args.n)
+        P, Q = load_dist(args.p), load_dist(args.q)
+        limit = divergence(P, Q, kind="kl")
+        return _scan_csv(header, scan_fn(P, Q, eps, ns), limit)
+
+    return run
+
+
+def _capacity_scan(args, merged):
+    """Rows (n, (1/n) cit bound on the n-fold source) and the capacity limit."""
+    eps = _num(args, merged, "eps")
+    ns = _ns(args.n)
+    eta = _num(args, merged, "eta")
+    J = load_dist(args.dist)
+    if J.eve is not None:
+        raise PreconditionError("capacity scan expects no eve variable")
+    if len(J.vars) != 2:
+        raise PreconditionError("capacity scan is implemented for two parties")
+    cap, _ = sk_capacity_formula(J)
+    pi = Partition((frozenset([1]), frozenset([2])), 2)
+    fuse = lambda d: fuse_vars(d, [list(d.var_names)], ["AB"])
+    pair = fuse(J)
+    prod = fuse(conditional_product(J, pi, None))
+    rows = []
+    for n in ns:
+        cert = beta_epsilon_iid(pair, prod, n, eps + eta)
+        rows.append((n, (cert.neg_log2_beta + 2 * math.log2(1.0 / eta)) / n))
+    return _scan_csv("n,cit_bound_over_n,capacity_limit", rows, cap)
+
+
+def _scan_csv(header: str, rows, limit: float) -> str:
+    """CSV of a convergence scan: one (n, value) row each, plus the limit."""
+    lines = [header] + [f"{n},{v:.12g},{limit:.12g}" for n, v in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _protocol_eval(args, merged):
+    J = load_dist(args.dist)
+    proto = protocol_from_json(read_json(args.protocol, "protocol JSON"))
+    return {"dist": args.dist, "protocol": args.protocol}, eval_sk_security(J, proto).as_json()
+
+
+def _protocol_reduce(args, merged):
     l = args.length
     if args.kind in ("ot1", "ot2"):
         J, otp = ideal_ot_protocol(l)
@@ -493,50 +388,32 @@ def _dispatch_reduce(args) -> int:
             "base": base.as_json(),
             "reduced": rep.as_json(),
             "reduction_budget": {"key_error": base.eps + base.delta2,
-                             "secrecy": base.delta1},
+                                 "secrecy": base.delta1},
             "within_reduction_bound": bool(
                 rep.eps_rec <= base.eps + base.delta2 + 1e-12
                 and rep.delta_sec <= base.delta1 + 1e-12
             ),
         }
-    _report(
-        "protocol reduce",
-        {"kind": args.kind, "length": l},
-        result,
-        args.out,
-    )
-    return 0
+    return {"kind": args.kind, "length": l}, result
 
 
-def _capacity_scan(J: JointDist, eps: float, eta: float, ns: list[int]):
-    """Rows (n, (1/n) cit bound on the n-fold source) and the capacity limit."""
-    if J.eve is not None:
-        raise PreconditionError("capacity scan expects no eve variable")
-    if len(J.vars) != 2:
-        raise PreconditionError("capacity scan is implemented for two parties")
-    cap, _ = sk_capacity_formula(J)
-    pi = Partition((frozenset([1]), frozenset([2])), 2)
-    fuse = lambda d: fuse_vars(d, [list(d.var_names)], ["AB"])
-    pair = fuse(J)
-    prod = fuse(conditional_product(J, pi, None))
-    rows = []
-    for n in ns:
-        cert = beta_epsilon_iid(pair, prod, n, eps + eta)
-        rows.append((n, (cert.neg_log2_beta + 2 * math.log2(1.0 / eta)) / n))
-    return rows, cap
-
-
-def _scan_csv(header: str, rows, limit: float) -> str:
-    """CSV of a convergence scan: one (n, value) row each, plus the limit."""
-    lines = [header] + [f"{n},{v:.12g},{limit:.12g}" for n, v in rows]
-    return "\n".join(lines) + "\n"
+def _protocol_fuzz(args, merged):
+    rep = fuzz_converse(count=args.count, seed=args.seed, eta=args.eta)
+    return {"count": args.count, "seed": args.seed, "eta": args.eta}, rep.as_json()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args)
+        report = args.run(args, _load_params(args))
+        if isinstance(report, tuple):
+            params, result = report
+            doc = {"command": args.command, "version": __version__,
+                   "params": params, "result": result}
+            report = json.dumps(doc, sort_keys=True, indent=2)
+        _emit(report, args.out)
+        return 0
     except (PreconditionError, CapExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -117,7 +117,10 @@ def _prepare_pmf(vars: tuple[Var, ...], pmf) -> np.ndarray:
     want = math.prod(len(a) for _, a in vars)
     if want > DEFAULT_CELL_CAP:
         raise CapExceededError(f"{want} cells exceed the cap {DEFAULT_CELL_CAP}")
-    arr = np.asarray(pmf, dtype=np.float64).reshape(-1).copy()
+    try:
+        arr = np.asarray(pmf, dtype=np.float64).reshape(-1).copy()
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError("pmf entries must be numbers") from exc
     if arr.size != want:
         raise PreconditionError(
             f"pmf length {arr.size} does not equal product alphabet size {want}"
@@ -379,13 +382,13 @@ def factorizes(J: JointDist, partition, z=None, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(Q.pmf - J.pmf)) <= tol)
 
 
-def iid_extend(J: JointDist, n: int, cap: int = DEFAULT_CELL_CAP) -> JointDist:
+def iid_extend(J: JointDist, n: int) -> JointDist:
     """n-fold product distribution with time-indexed variable names."""
     if n < 1:
         raise PreconditionError("n must be >= 1")
-    if J.n_cells ** n > cap:
+    if J.n_cells ** n > DEFAULT_CELL_CAP:  # checked before np.kron builds it
         raise CapExceededError(
-            f"{J.n_cells}^{n} cells exceed the cap {cap}; "
+            f"{J.n_cells}^{n} cells exceed the cap {DEFAULT_CELL_CAP}; "
             "use the type-class operations instead"
         )
     if n == 1:

@@ -2,10 +2,19 @@ import json
 
 import numpy as np
 
-from skconverse import divergence, save_dist, stein_scan
+from skconverse import Channel, Partition, divergence, save_dist, stein_scan
+from skconverse.bounds import aux_capacity_bound, aux_singleshot_bound, cit_bound
 from skconverse.cli import main
+from skconverse.probcore import conditional_product, load_dist
 from skconverse.protosim import protocol_to_json, random_sk_instance
-from support import ber, disagreeing_keys, dsbs, random_dist
+from support import (
+    BIT,
+    ber,
+    disagreeing_keys,
+    dsbs,
+    random_channel_rows,
+    random_dist,
+)
 
 
 def write_dist(tmp_path, J, name):
@@ -389,3 +398,107 @@ def test_eval_on_mass_within_input_tolerance(tmp_path, capsys):
     ])
     assert code == 0
     assert json.loads(out)["result"]["eps"] == 1.0
+
+
+def _report_of(out):
+    doc = json.loads(out)
+    return [doc["params"], doc["result"]]
+
+
+def _as_doc(value):
+    # the report's JSON round trip: tuples become lists, floats stay exact
+    return json.loads(json.dumps(value))
+
+
+def test_bound_sk_aux_channel_report(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    J = random_dist(rng, [2, 2, 2], names=["X1", "X2", "Z"], eve="Z")
+    d = write_dist(tmp_path, J, "j.json")
+    rows = random_channel_rows(rng, 2, 2)
+    chfile = tmp_path / "u.json"
+    chfile.write_text(json.dumps({
+        "inputs": [{"name": "Z", "symbols": ["0", "1"]}],
+        "outputs": [{"name": "U", "symbols": ["0", "1"]}],
+        "rows": {str(k[0]): [float(x) for x in r] for k, r in rows.items()},
+    }))
+    ch = Channel((("Z", BIT),), (("U", BIT),), rows)
+    eps, delta, eta, eta2 = 0.05, 0.05, 0.3, 0.05
+    # eta1 > 0 smooths the divergence term; eta1 = 0 takes the plain d_max
+    for eta1 in (0.05, 0.0):
+        code, out, _ = run(capsys, [
+            "bound", "sk", "--dist", d, "--aux-channel", str(chfile),
+            "--eps", str(eps), "--eta", str(eta), "--delta", str(delta),
+            "--eta1", str(eta1), "--eta2", str(eta2),
+        ])
+        assert code == 0
+        rep = aux_singleshot_bound(J, ch, eps, delta, eta, eta1, eta2)
+        want = rep.as_json() | {"capacity_style": aux_capacity_bound(J, ch)}
+        assert _report_of(out) == _as_doc([rep.params | {"dist": d}, want]), eta1
+
+
+def test_bound_sk_supplied_q(tmp_path, capsys):
+    rng = np.random.default_rng(8)
+    J = random_dist(rng, [2, 2, 2], names=["X1", "X2", "X3"])
+    pi = Partition.parse("1|2,3", 3)
+    Q = conditional_product(J, pi, None)
+    d = write_dist(tmp_path, J, "j.json")
+    q = write_dist(tmp_path, Q, "q.json")
+    code, out, _ = run(capsys, [
+        "bound", "sk", "--dist", d, "--partition", "1|2,3", "--q", q,
+        "--eps", "0.1", "--eta", "0.05",
+    ])
+    assert code == 0
+    rep = cit_bound(J, pi, 0.1, 0.05, q=load_dist(q))
+    assert _report_of(out) == _as_doc([rep.params | {"dist": d}, rep.as_json()])
+
+
+def test_bound_compute_partial_slacks(tmp_path, capsys):
+    d = write_dist(tmp_path, dsbs(0.11), "d.json")
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(["0", "1", "1", "0"]))
+    code, out, err = run(capsys, [
+        "bound", "compute", "--dist", d, "--g", str(g), "--eps", "0.02",
+        "--delta", "0.02", "--xi", "0.01",
+    ])
+    assert (code, out) == (1, "")
+    assert err == "error: supply all of --xi --zeta --eta, or none\n"
+
+
+def test_bound_sk_modes_are_exclusive(tmp_path, capsys):
+    # each of these once exited 0 with the best-partition report, the
+    # conflicting input silently ignored
+    d = write_dist(tmp_path, dsbs(0.11), "d.json")
+    q = write_dist(tmp_path, dsbs(0.2), "q.json")
+    sk = ["bound", "sk", "--dist", d, "--eps", "0.1", "--eta", "0.05"]
+    code, out, err = run(capsys, sk + ["--q", q])
+    assert (code, out, err) == (1, "", "error: --q needs --partition\n")
+    for extra in (["--partition", "1|2", "--all-partitions"],
+                  ["--capacity", "--all-partitions"],
+                  ["--capacity", "--aux-channel", q],
+                  ["--partition", "1|2", "--capacity"]):
+        code, out, err = run(capsys, sk + extra)
+        assert code == 1 and out == "" and "not allowed with argument" in err, extra
+
+
+def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
+    # these once escaped main() as ValueError / TypeError tracebacks
+    bad = tmp_path / "bad.json"
+    for pmf in (["x", 0.5], [[0.5], 0.5], {"a": 1}):
+        bad.write_text(json.dumps(
+            {"variables": [{"name": "X", "symbols": ["0", "1"]}], "pmf": pmf}))
+        code, out, err = run(capsys, ["smooth", "hmin", "--dist", str(bad), "--eps", "0.1"])
+        assert (code, out, err) == (1, "", "error: pmf entries must be numbers\n"), pmf
+
+    rng = np.random.default_rng(5)
+    d = write_dist(tmp_path, random_dist(rng, [2, 2, 2], names=["X1", "X2", "Z"], eve="Z"),
+                   "j.json")
+    bad.write_text(json.dumps({
+        "inputs": [{"name": "Z", "symbols": ["0", "1"]}],
+        "outputs": [{"name": "U", "symbols": ["0", "1"]}],
+        "rows": {"0": ["x", 0.5], "1": [0.5, 0.5]},
+    }))
+    code, out, err = run(capsys, [
+        "bound", "sk", "--dist", d, "--aux-channel", str(bad), "--eps", "0.05",
+        "--eta", "0.3", "--delta", "0.05", "--eta1", "0.05", "--eta2", "0.05",
+    ])
+    assert (code, out, err) == (1, "", "error: pmf entries must be numbers\n")

@@ -170,8 +170,8 @@ def test_iid_extend():
     assert two.var_names == ("X#1", "X#2")
     three = iid_extend(b, 3)
     assert abs(entropy(three) - 3 * entropy(b)) <= 1e-12
-    with pytest.raises(CapExceededError):
-        iid_extend(ber(0.5), 3, cap=7)
+    with pytest.raises(CapExceededError):  # 2^24 cells: refused before any array is built
+        iid_extend(ber(0.5), 24)
     with pytest.raises(PreconditionError):
         iid_extend(b, 0)
 
