@@ -90,10 +90,17 @@ def _finite(val) -> float:
     return num
 
 
-def _num(args, merged: dict, name: str, required: bool = True):
-    val = getattr(args, name, None)
+def _num(args, merged: dict, name: str, required: bool = True, default=None):
+    """The float ``--name``, else its ``--params`` value, else ``default``.
+
+    Takes ``name`` out of ``merged``, so that ``main`` can reject the keys
+    that no read took.
+    """
+    val = merged.pop(name, None)
+    if getattr(args, name, None) is not None:
+        val = getattr(args, name)
     if val is None:
-        val = merged.get(name)
+        val = default
     if val is None and required:
         raise PreconditionError(f"missing required parameter --{name}")
     try:
@@ -117,7 +124,7 @@ def build_parser() -> _Parser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="verb", required=True)
 
-    def command(parent, name, run, files=(), floats=(), help=None, **defaults):
+    def command(parent, name, run, files=(), floats=(), help=None):
         """A leaf command: required string flags (``files``), finite float
         flags, ``--out`` and ``--params``; its handler ``run`` and its name."""
         p = parent.add_parser(name, help=help)
@@ -127,7 +134,7 @@ def build_parser() -> _Parser:
             p.add_argument(f"--{flag}", type=_finite)
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--params", help="JSON file of parameter values")
-        p.set_defaults(run=run, command=p.prog.split(" ", 1)[1], **defaults)
+        p.set_defaults(run=run, command=p.prog.split(" ", 1)[1])
         return p
 
     command(sub, "beta", _beta, ("p", "q"), ("eps",),
@@ -141,7 +148,7 @@ def build_parser() -> _Parser:
     structure = sub.add_parser("structure", help="mcf / mss label tables")
     stsub = structure.add_subparsers(dest="stat", required=True)
     command(stsub, "mcf", _mcf, ("dist", "v1", "v2"))
-    command(stsub, "mss", _mss, ("dist", "given", "target"), ("tol",), tol=1e-9)
+    command(stsub, "mss", _mss, ("dist", "given", "target"), ("tol",))
 
     bound = sub.add_parser("bound", help="converse bounds and checks")
     bsub = bound.add_subparsers(dest="task", required=True)
@@ -177,7 +184,7 @@ def build_parser() -> _Parser:
     p = command(psub, "reduce", _protocol_reduce)
     p.add_argument("--kind", choices=["ot1", "ot2", "bc"], required=True)
     p.add_argument("--length", type=int, default=1)
-    p = command(psub, "fuzz", _protocol_fuzz, floats=("eta",), eta=0.05)
+    p = command(psub, "fuzz", _protocol_fuzz, floats=("eta",))
     p.add_argument("--count", type=int, default=500)
     p.add_argument("--seed", type=int, default=20240913)
 
@@ -239,8 +246,9 @@ def _mcf(args, merged):
 
 
 def _mss(args, merged):
-    lab = mss(load_dist(args.dist), given=args.given, target=args.target, tol=args.tol)
-    return ({"dist": args.dist, "given": args.given, "target": args.target, "tol": args.tol},
+    tol = _num(args, merged, "tol", default=1e-9)
+    lab = mss(load_dist(args.dist), given=args.given, target=args.target, tol=tol)
+    return ({"dist": args.dist, "given": args.given, "target": args.target, "tol": tol},
             {"labels": lab.as_table(), "num_labels": lab.num_labels})
 
 
@@ -398,15 +406,21 @@ def _protocol_reduce(args, merged):
 
 
 def _protocol_fuzz(args, merged):
-    rep = fuzz_converse(count=args.count, seed=args.seed, eta=args.eta)
-    return {"count": args.count, "seed": args.seed, "eta": args.eta}, rep.as_json()
+    eta = _num(args, merged, "eta", default=0.05)
+    rep = fuzz_converse(count=args.count, seed=args.seed, eta=eta)
+    return {"count": args.count, "seed": args.seed, "eta": eta}, rep.as_json()
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        report = args.run(args, _load_params(args))
+        merged = _load_params(args)
+        report = args.run(args, merged)
+        if merged:
+            raise PreconditionError(
+                f"--params keys not read by this {args.command} run: {', '.join(sorted(merged))}"
+            )
         if isinstance(report, tuple):
             params, result = report
             doc = {"command": args.command, "version": __version__,

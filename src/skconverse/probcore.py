@@ -118,9 +118,12 @@ def _prepare_pmf(vars: tuple[Var, ...], pmf) -> np.ndarray:
     if want > DEFAULT_CELL_CAP:
         raise CapExceededError(f"{want} cells exceed the cap {DEFAULT_CELL_CAP}")
     try:
-        arr = np.asarray(pmf, dtype=np.float64).reshape(-1).copy()
-    except (TypeError, ValueError) as exc:
+        arr = np.array(pmf)  # a copy, its dtype inferred in the same pass
+    except ValueError as exc:  # a ragged nesting
         raise PreconditionError("pmf entries must be numbers") from exc
+    if arr.dtype.kind not in "iuf":  # strings, booleans, objects
+        raise PreconditionError("pmf entries must be numbers")
+    arr = arr.astype(np.float64, copy=False).reshape(-1)
     if arr.size != want:
         raise PreconditionError(
             f"pmf length {arr.size} does not equal product alphabet size {want}"
@@ -274,25 +277,6 @@ def _partition_blocks(partition) -> list[list[int]]:
     return [sorted(int(i) for i in b) for b in blocks]
 
 
-def _block_marginal(cond: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Marginal of ``cond`` on ``axes``, shaped to broadcast back in place."""
-    other = tuple(a for a in range(cond.ndim) if a not in axes)
-    shape = [n if a in axes else 1 for a, n in enumerate(cond.shape)]
-    return (cond.sum(axis=other) if other else cond).reshape(shape)
-
-
-def block_product(cond: np.ndarray, block_axes: Sequence[Sequence[int]]) -> np.ndarray:
-    """Product of the block marginals of one normalized array.
-
-    ``block_axes`` partitions the axes of ``cond``; each block's axes must
-    be sorted, so that its marginal broadcasts back in place.
-    """
-    prod = np.ones_like(cond)
-    for axes in block_axes:
-        prod = prod * _block_marginal(cond, axes)
-    return prod
-
-
 def conditional_product(J: JointDist, partition, z=None) -> JointDist:
     """Product distribution across partition blocks, conditioned on ``z``.
 
@@ -358,8 +342,10 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], n
     cache: dict[int, np.ndarray] = {}
 
     def block(mask: int) -> np.ndarray:
-        axes = [a for a in range(len(x_shape)) if mask >> a & 1]
-        cache[mask] = np.array([_block_marginal(c, axes) for c in conds])
+        """Each slice's marginal on the block's axes, shaped to broadcast back."""
+        other = tuple(a for a in range(len(x_shape)) if not mask >> a & 1)
+        shape = [1 if a in other else n for a, n in enumerate(x_shape)]
+        cache[mask] = np.array([(c.sum(axis=other) if other else c).reshape(shape) for c in conds])
         return cache[mask]
 
     def build(masks: np.ndarray) -> np.ndarray:
@@ -376,10 +362,11 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], n
     return build
 
 
-def factorizes(J: JointDist, partition, z=None, tol: float = 1e-9) -> bool:
-    """True if J's conditional law given z is a product across the partition."""
+def factorizes(J: JointDist, partition, z=None) -> bool:
+    """True if J's conditional law given z is a product across the partition:
+    no cell of J is more than 1e-9 from the conditional product's."""
     Q = conditional_product(J, partition, z)
-    return bool(np.max(np.abs(Q.pmf - J.pmf)) <= tol)
+    return bool(np.max(np.abs(Q.pmf - J.pmf)) <= 1e-9)
 
 
 def iid_extend(J: JointDist, n: int) -> JointDist:

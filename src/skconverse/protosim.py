@@ -22,13 +22,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _Report, cit_bound, cit_bound_best
+from .bounds import _Report, _two_party_names, cit_bound, cit_bound_best
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
     SUM_TOL,
     Alphabet,
     JointDist,
-    block_product,
     conditional_product,
     factorizes,
     fuse_vars,
@@ -39,8 +38,6 @@ from .structure import Partition, attach_label, enum_partitions, mcf, mss
 
 STATE_CAP = 10_000_000
 _TOL = 1e-12
-#: largest entry gap at which a law still counts as a product across blocks
-_FACTOR_TOL = 1e-9
 
 MapLike = Callable | Mapping
 
@@ -550,14 +547,13 @@ def interactive_independence_check(
     """
     eve_pos = _eve_pos(J, p)
     var_blocks = _var_blocks(J, p, partition)
-    if not factorizes(J, var_blocks, list(p.eve_vars) or None, tol=_FACTOR_TOL):
+    if not factorizes(J, var_blocks, list(p.eve_vars) or None):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"
         )
     nonz_pos = [k for k in range(len(J.vars)) if k not in eve_pos]
-    sym_index = [
-        {s: a for a, s in enumerate(J.vars[k][1].symbols)} for k in nonz_pos
-    ]
+    nonz_vars = tuple(J.vars[k] for k in nonz_pos)
+    sym_index = [{s: a for a, s in enumerate(alpha.symbols)} for _, alpha in nonz_vars]
     shape = [len(index) for index in sym_index]
     slices: dict = defaultdict(lambda: np.zeros(shape))
     for syms, _, _, f, w in _runs(
@@ -566,13 +562,9 @@ def interactive_independence_check(
         idx = tuple(index[syms[k]] for index, k in zip(sym_index, nonz_pos))
         slices[(f, tuple(syms[k] for k in eve_pos))][idx] += w
 
-    axis_blocks = [sorted(i - 1 for i in b) for b in var_blocks]
     for arr in slices.values():
         mass = arr.sum()
-        if mass <= 0:
-            continue
-        cond = arr / mass
-        if np.max(np.abs(cond - block_product(cond, axis_blocks))) > _FACTOR_TOL:
+        if mass > 0 and not factorizes(JointDist(nonz_vars, arr / mass), var_blocks):
             return False
     return True
 
@@ -713,7 +705,11 @@ class OTProtocol:
 
 
 @dataclass(frozen=True)
-class OTReport(_Report):
+class PrimitiveReport(_Report):
+    """Exact figures of an OT or BC protocol: its error eps and its two
+    one-sided security figures delta1 (against party 2) and delta2 (against
+    party 1)."""
+
     eps: float
     delta1: float
     delta2: float
@@ -728,41 +724,39 @@ def _ot_randomness(otp: OTProtocol) -> tuple[LocalRand, LocalRand]:
     )
 
 
-def _ot_transcripts(J: JointDist, otp: OTProtocol):
-    """Yield (x1, x2, k0, k1, b, transcript, weight) over the whole space."""
-    if len(J.vars) != 2:
-        raise PreconditionError("OT resource must be a bivariate distribution")
-    rand = _ot_randomness(otp)
-    l = otp.length
-    pairs = {s: (s[:l], s[l:]) for s in rand[0].symbols}
-    for (x1, x2), _, (k, b), tr, w in _runs(
-        J, [[n] for n in J.var_names], otp.rounds, otp.message_maps, rand
+def _two_party_runs(J: JointDist, rounds: int, message_maps: Mapping[tuple[int, int], MapLike],
+                    randomness: Sequence[LocalRand | None]):
+    """Yield (x1, x2, rand, transcript, weight) for every run of a two-party
+    primitive on the bivariate resource J, party i observing the i-th variable."""
+    for (x1, x2), _, rand, tr, w in _runs(
+        J, [[n] for n in _two_party_names(J)], rounds, message_maps, randomness
     ):
-        k0, k1 = pairs[k]
-        yield x1, x2, k0, k1, b, tr, w
+        yield x1, x2, rand, tr, w
 
 
-def measure_ot(J: JointDist, otp: OTProtocol) -> OTReport:
+def measure_ot(J: JointDist, otp: OTProtocol) -> PrimitiveReport:
     """Exact (eps, delta1, delta2) of an OT protocol on resource J.
 
     eps is the probability the estimate misses K_B; delta1 the distance of
     K_{not-B} from independent of party 2's view; delta2 the distance of B
     from independent of party 1's view.
     """
+    l = otp.length
     err = 0.0
     law1: dict = defaultdict(float)  # (K_{not B}; X2, B, F)
     law2: dict = defaultdict(float)  # (B; K0, K1, X1, F)
-    for x1, x2, k0, k1, b, tr, w in _ot_transcripts(J, otp):
-        kb = k0 if b == "0" else k1
-        kbar = k1 if b == "0" else k0
-        guess = otp.khat(x2, b, tr)
-        if guess != kb:
+    for x1, x2, (k, b), tr, w in _two_party_runs(
+        J, otp.rounds, otp.message_maps, _ot_randomness(otp)
+    ):
+        k0, k1 = k[:l], k[l:]
+        kb, kbar = (k0, k1) if b == "0" else (k1, k0)
+        if otp.khat(x2, b, tr) != kb:
             err += w
         law1[(kbar, (x2, b, tr))] += w
         law2[(b, (k0, k1, x1, tr))] += w
     d1 = _tv(law1, _ProductLaw(law1))
     d2 = _tv(law2, _ProductLaw(law2))
-    return OTReport(eps=float(err), delta1=float(d1), delta2=float(d2))
+    return PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
 def ideal_ot_correlation(l: int) -> JointDist:
@@ -823,21 +817,6 @@ def ideal_ot_protocol(l: int) -> tuple[JointDist, OTProtocol]:
     return J, otp
 
 
-def _x2_view(message_maps: Mapping[tuple[int, int], MapLike]) -> dict:
-    """A primitive's message maps, for a party 2 that observes (V, X2).
-
-    The reductions give party 2 a label V next to X2; its maps read (X2,)
-    alone.  Party 1's maps are kept as they are.
-    """
-
-    def view(m):
-        return lambda obs, rand, tr: _map_value(m, (obs[1],), rand, tr)
-
-    return {
-        (j, i): view(m) if i == 2 else m for (j, i), m in message_maps.items()
-    }
-
-
 @dataclass(frozen=True)
 class ReducedSK:
     """A secret-key instance produced by a reduction, ready for evaluation."""
@@ -845,6 +824,47 @@ class ReducedSK:
     dist: JointDist
     protocol: Protocol
     used_fallback: bool = False
+
+
+def _reduced(
+    J: JointDist, label, to_eve: bool, rounds: int,
+    message_maps: Mapping[tuple[int, int], MapLike], key_maps: tuple[MapLike, MapLike],
+    key_symbols: Sequence[str], randomness: Sequence[LocalRand | None],
+    used_fallback: bool = False,
+) -> ReducedSK:
+    """The secret-key protocol of a reduction, on J with ``label`` attached.
+
+    With ``to_eve`` the label is attached as V0 and the eavesdropper observes
+    it.  Otherwise it is attached as V1 and party 2 holds it next to X2, the
+    eavesdropper observes X2, and party 2's message maps read (X2,) alone.
+    """
+    x1, x2 = J.var_names
+    name = "V0" if to_eve else "V1"
+    obs2, eve = ((x2,), (name,)) if to_eve else ((name, x2), (x2,))
+
+    def view(m):
+        return lambda obs, rand, tr: _map_value(m, (obs[1],), rand, tr)
+
+    maps = {
+        (j, i): view(m) if i == 2 and not to_eve else m
+        for (j, i), m in message_maps.items()
+    }
+    proto = Protocol(num_parties=2, obs_vars=((x1,), obs2), rounds=rounds,
+                     message_maps=maps, key_maps=key_maps, key_symbols=tuple(key_symbols),
+                     eve_vars=eve, randomness=randomness)
+    return ReducedSK(attach_label(J, label, name), proto, used_fallback)
+
+
+def _posteriors(rows) -> dict:
+    """P(x2 | key) from (key, x2, weight) rows, keys and x2 values in first-seen order."""
+    mass: dict = defaultdict(lambda: defaultdict(float))
+    for key, x2, w in rows:
+        mass[key][x2] += w
+    out = {}
+    for key, law in mass.items():
+        tot = sum(law.values())
+        out[key] = {x2: w / tot for x2, w in law.items()}
+    return out
 
 
 def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
@@ -861,89 +881,51 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     """
     if variant not in (1, 2):
         raise PreconditionError("variant must be 1 or 2")
-    x1, x2 = J.var_names
+    x1, x2 = _two_party_names(J)
     l = otp.length
-    strings = otp.strings()
     randomness = _ot_randomness(otp)
     n_ot_msgs = 2 * otp.rounds
+    maps = dict(otp.message_maps)
+    maps[(otp.rounds + 1, 2)] = lambda obs, rand, tr: rand  # broadcast B
 
     if variant == 1:
-        lab0, _ = mcf(J, x1, x2)
-        JV = attach_label(J, lab0, "V0")
-
-        maps = dict(otp.message_maps)
-        maps[(otp.rounds + 1, 2)] = lambda obs, rand, tr: rand  # broadcast B
-
         def key1(obs, rand, tr):
-            b = tr[-1]
-            return rand[:l] if b == "0" else rand[l:]
+            return rand[:l] if tr[-1] == "0" else rand[l:]  # K_B
 
         def key2(obs, rand, tr):
             return otp.khat(obs[0], rand, tr[:n_ot_msgs])
 
-        proto = Protocol(
-            num_parties=2,
-            obs_vars=((x1,), (x2,)),
-            rounds=otp.rounds + 1,
-            message_maps=maps,
-            key_maps=(key1, key2),
-            key_symbols=tuple(strings),
-            eve_vars=("V0",),
-            randomness=randomness,
-        )
-        return ReducedSK(dist=JV, protocol=proto)
+        return _reduced(J, mcf(J, x1, x2)[0], True, otp.rounds + 1, maps,
+                        (key1, key2), otp.strings(), randomness)
 
-    # variant 2: resample X2 under the flipped choice bit
+    # variant 2: resample X2 under the flipped choice bit, from the laws of X2
+    # given (V1, B, OT transcript) and given V1 alone of an exact run
     lab1 = mss(J, given=x1, target=x2)
-    JV = attach_label(J, lab1, "V1")
-
-    # conditional law of X2 given (V1, B, OT transcript), from an exact run
-    cond: dict = defaultdict(lambda: defaultdict(float))
-    cond_v: dict = defaultdict(lambda: defaultdict(float))
     label_of = {s: str(lab1.label_of(s)) for s in J.alphabet(x1).symbols}
-    for x1s, x2s, k0, k1, b, tr, w in _ot_transcripts(J, otp):
-        v = label_of[x1s]
-        cond[(v, b, tr)][x2s] += w
-        cond_v[v][x2s] += w
-
-    def _normalized(d: Mapping) -> dict:
-        tot = sum(d.values())
-        return {k: v / tot for k, v in d.items() if v > 0}
-
-    cond = {k: _normalized(v) for k, v in cond.items()}
-    cond_v = {k: _normalized(v) for k, v in cond_v.items()}
+    runs = [
+        (label_of[x1s], b, tr, x2s, w)
+        for x1s, x2s, (_, b), tr, w in _two_party_runs(
+            J, otp.rounds, otp.message_maps, randomness
+        )
+    ]
+    cond = _posteriors(((v, b, tr), x2s, w) for v, b, tr, x2s, w in runs)
+    cond_v = _posteriors((v, x2s, w) for v, _, _, x2s, w in runs)
     # every reachable key-map input (v, b, f) reads cond at (v, not b, f)
     flip = {"0": "1", "1": "0"}
     used_fallback = any((v, flip[b], f) not in cond for v, b, f in cond)
 
-    maps = _x2_view(otp.message_maps)
-    maps[(otp.rounds + 1, 2)] = lambda obs, rand, tr: rand  # broadcast B
-
     def key1(obs, rand, tr):
-        b = tr[-1]
-        return rand[l:] if b == "0" else rand[:l]  # K_{not B}
+        return rand[l:] if tr[-1] == "0" else rand[:l]  # K_{not B}
 
     def key2(obs, rand, tr):
-        v = obs[0]
-        bbar = flip[rand]
-        f_ot = tr[:n_ot_msgs]
-        table = cond.get((v, bbar, f_ot), cond_v[v])
+        v, bbar, f_ot = obs[0], flip[rand], tr[:n_ot_msgs]
         out: dict = defaultdict(float)
-        for x2s, pw in table.items():
+        for x2s, pw in cond.get((v, bbar, f_ot), cond_v[v]).items():
             out[otp.khat(x2s, bbar, f_ot)] += pw
         return dict(out)
 
-    proto = Protocol(
-        num_parties=2,
-        obs_vars=((x1,), ("V1", x2)),
-        rounds=otp.rounds + 1,
-        message_maps=maps,
-        key_maps=(key1, key2),
-        key_symbols=tuple(strings),
-        eve_vars=(x2,),
-        randomness=randomness,
-    )
-    return ReducedSK(dist=JV, protocol=proto, used_fallback=used_fallback)
+    return _reduced(J, lab1, False, otp.rounds + 1, maps, (key1, key2),
+                    otp.strings(), randomness, used_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -968,30 +950,34 @@ class BCProtocol:
         return _bit_strings(self.key_bits)
 
 
-@dataclass(frozen=True)
-class BCReport(_Report):
-    eps: float
-    delta1: float
-    delta2: float
+def _reveal_columns(bcp: BCProtocol, x1_syms: Sequence[str], runs) -> dict:
+    """The reveal test of ``bcp`` as one |K| x |X1| column, keys outer, per
+    (x2, transcript) pair of ``runs``, in first-seen order.
+
+    ``test`` runs once per (k', x1', x2, transcript).  The cells are checked
+    against STATE_CAP before any column is built.
+    """
+    keys = bcp.keys()
+    pairs = dict.fromkeys((x2, tr) for _, x2, _, tr, _ in runs)
+    cells = len(keys) * len(x1_syms) * len(pairs)
+    if cells > STATE_CAP:
+        raise CapExceededError(f"{cells} reveal-test cells exceed the cap {STATE_CAP}")
+    return {
+        (x2, tr): np.array([[float(bcp.test(k, x1, x2, tr)) for x1 in x1_syms] for k in keys])
+        for x2, tr in pairs
+    }
 
 
-def _bc_randomness(bcp: BCProtocol) -> tuple[LocalRand, None]:
-    """Party 1's uniform committed string; party 2 has no randomness."""
-    return (LocalRand.uniform(bcp.keys()), None)
+def _scores(columns: Mapping, x2_law: Mapping, tr) -> np.ndarray:
+    """Each claim's acceptance mass: w * column summed over ``x2_law`` in
+    order, the same floats as adding the terms one by one."""
+    acc = 0.0
+    for x2, w in x2_law.items():
+        acc = acc + w * columns[(x2, tr)]
+    return acc
 
 
-def _bc_commit_law(J: JointDist, bcp: BCProtocol):
-    """Yield (k, x1, x2, transcript, weight) over the commit phase."""
-    if len(J.vars) != 2:
-        raise PreconditionError("BC resource must be a bivariate distribution")
-    rand = _bc_randomness(bcp)
-    for (x1, x2), _, (k, _), tr, w in _runs(
-        J, [[n] for n in J.var_names], bcp.rounds, bcp.message_maps, rand
-    ):
-        yield k, x1, x2, tr, w
-
-
-def measure_bc(J: JointDist, bcp: BCProtocol) -> BCReport:
+def measure_bc(J: JointDist, bcp: BCProtocol) -> PrimitiveReport:
     """Exact (eps, delta1, delta2) of a bit commitment protocol on J.
 
     eps: probability the honest reveal is rejected.  delta1 (hiding):
@@ -999,32 +985,27 @@ def measure_bc(J: JointDist, bcp: BCProtocol) -> BCReport:
     (binding): total probability of the best cheating reveal, optimized
     pointwise over party 1's view.
     """
-    x1_syms = J.vars[0][1].symbols
     keys = bcp.keys()
+    randomness = (LocalRand.uniform(keys), None)
+    runs = list(_two_party_runs(J, bcp.rounds, bcp.message_maps, randomness))
+    x1_syms = J.vars[0][1].symbols
+    columns = _reveal_columns(bcp, x1_syms, runs)
+    row = {k: i for i, k in enumerate(keys)}
+    col = {x1: i for i, x1 in enumerate(x1_syms)}
     err = 0.0
     law_hide: dict = defaultdict(float)
     view: dict = defaultdict(lambda: defaultdict(float))
-    for k, x1, x2, tr, w in _bc_commit_law(J, bcp):
-        err += w * (1.0 - float(bcp.test(k, x1, x2, tr)))
+    for x1, x2, (k, _), tr, w in runs:
+        err += w * (1.0 - float(columns[(x2, tr)][row[k], col[x1]]))
         law_hide[(k, (x2, tr))] += w
         view[(k, x1, tr)][x2] += w
     d1 = _tv(law_hide, _ProductLaw(law_hide))
     d2 = 0.0
     for (k, x1, tr), x2_law in view.items():
-        others = [kp for kp in keys if kp != k]
-        d2 += max(
-            [0.0] + [acc for _, _, acc in _reveals(bcp, others, x1_syms, x2_law, tr)]
-        )
-    return BCReport(eps=float(err), delta1=float(d1), delta2=float(d2))
-
-
-def _reveals(bcp: BCProtocol, keys, x1_syms, x2_law: Mapping, tr):
-    """Yield (k', x1', sum of w * test(k', x1', x2, tr) over ``x2_law``), keys outer."""
-    for kprime in keys:
-        for x1prime in x1_syms:
-            yield kprime, x1prime, sum(
-                w * float(bcp.test(kprime, x1prime, x2, tr)) for x2, w in x2_law.items()
-            )
+        scores = _scores(columns, x2_law, tr)
+        scores[row[k]] = 0.0  # revealing the committed key is no cheat; floor 0
+        d2 += float(scores.max())
+    return PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
 def ideal_bc_protocol(l: int) -> tuple[JointDist, BCProtocol]:
@@ -1069,29 +1050,24 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
     of the reveal test over claimed (key, X1) pairs, ties broken in
     canonical order.  The eavesdropper observes X2.
     """
-    x1, x2 = J.var_names
+    x1, x2 = _two_party_names(J)
     lab1 = mss(J, given=x1, target=x2)
-    JV = attach_label(J, lab1, "V1")
     keys = bcp.keys()
     x1_syms = J.alphabet(x1).symbols
     label_of = {s: str(lab1.label_of(s)) for s in x1_syms}
+    randomness = (LocalRand.uniform(keys), None)
+    runs = list(_two_party_runs(J, bcp.rounds, bcp.message_maps, randomness))
+    columns = _reveal_columns(bcp, x1_syms, runs)
 
-    # P(x2 | v1, transcript) from the exact commit law
-    by_vf: dict = defaultdict(lambda: defaultdict(float))
-    for k, x1s, x2s, tr, w in _bc_commit_law(J, bcp):
-        by_vf[(label_of[x1s], tr)][x2s] += w
-
+    # first best claim, keys outer, under P(x2 | v1, transcript)
     decoder: dict = {}
-    for (v, tr), x2_law in by_vf.items():
-        tot = sum(x2_law.values())
-        x2_cond = {x2s: w / tot for x2s, w in x2_law.items()}
-        best, best_key = -1.0, None
-        for khat, _, acc in _reveals(bcp, keys, x1_syms, x2_cond, tr):
+    posteriors = _posteriors(((label_of[x1s], tr), x2s, w) for x1s, x2s, _, tr, w in runs)
+    for (v, tr), x2_law in posteriors.items():
+        best, best_at = -1.0, None
+        for at, acc in enumerate(_scores(columns, x2_law, tr).ravel().tolist()):
             if acc > best + _TOL:
-                best, best_key = acc, khat
-        decoder[(v, tr)] = best_key
-
-    maps = _x2_view(bcp.message_maps)
+                best, best_at = acc, at
+        decoder[(v, tr)] = keys[best_at // len(x1_syms)]
 
     def key1(obs, rand, tr):
         return rand
@@ -1099,17 +1075,8 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
     def key2(obs, rand, tr):
         return decoder[(obs[0], tr)]
 
-    proto = Protocol(
-        num_parties=2,
-        obs_vars=((x1,), ("V1", x2)),
-        rounds=bcp.rounds,
-        message_maps=maps,
-        key_maps=(key1, key2),
-        key_symbols=tuple(keys),
-        eve_vars=(x2,),
-        randomness=_bc_randomness(bcp),
-    )
-    return ReducedSK(dist=JV, protocol=proto)
+    return _reduced(J, lab1, False, bcp.rounds, bcp.message_maps, (key1, key2),
+                    keys, randomness)
 
 
 # ---------------------------------------------------------------------------

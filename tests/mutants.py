@@ -1,0 +1,95 @@
+"""Mutation check: every mutant below must make the tier-1 suite fail.
+
+Run it on demand from the repository root (pytest does not collect it):
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutant replaces one or more texts in one source file, every occurrence
+of each.  It is applied to a fresh copy of the repository in a temporary
+directory, and the tier-1 suite runs there, stopping at its first failure.
+The script prints one line per mutant and exits 1 if any mutant survives or
+no longer applies.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: name -> (file, [(text, replacement), ...]); each text must occur
+MUTANTS = {
+    "cit-slack-sign": ("src/skconverse/bounds.py", [(
+        "return (neg_log2_beta + num_blocks * math.log2(1.0 / eta))",
+        "return (neg_log2_beta - num_blocks * math.log2(1.0 / eta))",
+    )]),
+    "no-tie-tolerance": ("src/skconverse/bounds.py", [(
+        "if val < best_val - _TOL:",
+        "if val < best_val:",
+    )]),
+    "no-distance-clip": ("src/skconverse/protosim.py", [(
+        "    return min(dist, 1.0)\n",
+        "    return dist\n",
+    )]),
+    "skipped-partition": ("src/skconverse/structure.py", [(
+        "labels = itertools.islice(_rgs(m), 1, None)",
+        "labels = itertools.islice(_rgs(m), 2, None)",
+    )]),
+    "binding-max-includes-committed-key": ("src/skconverse/protosim.py", [(
+        "        scores[row[k]] = 0.0",
+        "        pass",
+    )]),
+    "column-cached-without-transcript": ("src/skconverse/protosim.py", [
+        ("(x2, tr): np.array(", "x2: np.array("),
+        ("columns[(x2, tr)]", "columns[x2]"),
+    ]),
+}
+
+_SKIP = shutil.ignore_patterns(
+    ".git", ".bench_work", ".hypothesis", ".pytest_cache", "__pycache__", "*.egg-info"
+)
+
+
+def run_mutant(name: str) -> str:
+    """'killed', 'survived' or 'does not apply'."""
+    rel, edits = MUTANTS[name]
+    with tempfile.TemporaryDirectory(prefix="skconverse-mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=_SKIP)
+        path = copy / rel
+        source = path.read_text()
+        for text, replacement in edits:
+            if text not in source:
+                return "does not apply"
+            source = source.replace(text, replacement)
+        path.write_text(source)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--continue-on-collection-errors"],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        return "survived" if proc.returncode == 0 else "killed"
+
+
+def main(names: list[str]) -> int:
+    unknown = [n for n in names if n not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name in names or MUTANTS:
+        verdict = run_mutant(name)
+        print(f"{name}: {verdict}", flush=True)
+        bad += verdict != "killed"
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -4,8 +4,9 @@ Oracles here deliberately avoid the implementation's algorithms: the beta
 oracles enumerate candidate tests as subset-plus-one-fractional-point
 vertices of the linear program or hand the program to scipy's LP solver,
 the composition oracle filters all k-tuples by their sum, the smoothing
-oracles bisect the monotone feasibility functions, and the conditional
-product oracle accumulates marginals one cell at a time.  Expected values
+oracles bisect the monotone feasibility functions, the conditional
+product oracle accumulates marginals one cell at a time, and the bit
+commitment oracle sums the definitions over every (key, X1, X2, message).  Expected values
 asserted in the tests are computed by these oracles, not copied from the
 code under test.
 """
@@ -19,7 +20,7 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
-from skconverse import Alphabet, JointDist, Protocol
+from skconverse import Alphabet, BCProtocol, JointDist, Protocol, ideal_bc_protocol
 
 BIT = Alphabet(("0", "1"))
 
@@ -263,3 +264,76 @@ def conditional_product_oracle(arr: np.ndarray, blocks, z_axes=()) -> np.ndarray
                 q *= pbz[i, z, tuple(cell[a] for a in b)] / pz[z]
             out[cell] = q
     return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# bit commitment: a noisy family and the figures from their definitions
+
+
+def noisy_bc(l: int, seed: int, a: float = 0.9, b: float = 0.15):
+    """``ideal_bc_protocol(l)`` with 20% seeded Dirichlet noise on the resource
+    and a reveal test that accepts with probability ``a`` where the ideal test
+    accepts and ``b`` where it rejects."""
+    J, bcp = ideal_bc_protocol(l)
+    noise = np.random.default_rng(seed).dirichlet(np.ones(J.pmf.size))
+    pmf = 0.8 * J.pmf + 0.2 * noise
+    ideal = bcp.test
+    return (
+        JointDist(J.vars, pmf / pmf.sum()),
+        BCProtocol(bcp.key_bits, bcp.rounds, bcp.message_maps,
+                   lambda *claim: a if ideal(*claim) else b),
+    )
+
+
+def bc_oracle(J: JointDist, bcp: BCProtocol, label_of):
+    """(eps, delta1, delta2, decode) of a one-round commitment in which only
+    party 1 speaks, from the definitions over P(k, x1, x2, f); the transcript
+    f is party 1's message and party 2's silence "-".
+
+    eps = P[test(K, X1, X2, F) rejects]; delta1 = TV(P_{K X2 F}, P_K x P_{X2 F});
+    delta2 = sum over (k, x1, f) of max(0, max over k' != k and x1' of
+    sum_x2 P(k, x1, x2, f) test(k', x1', x2, f)).  ``decode[(v, f)]`` is the key
+    of the first claim (keys outer, X1 inner) whose acceptance probability
+    under P(x2 | label_of(x1) = v, f) is within 1e-9 of the best.
+    """
+    (n1, a1), (n2, a2) = J.vars
+    keys = bcp.keys()
+    (commit,) = bcp.message_maps.values()
+    joint: dict = defaultdict(float)
+    for (x1, x2), p in zip(itertools.product(a1.symbols, a2.symbols), J.pmf):
+        for k in keys:
+            msg = commit((x1,), k, ())
+            for f, pf in ({msg: 1.0} if isinstance(msg, str) else msg).items():
+                joint[k, x1, x2, (f, "-")] += p * pf / len(keys)
+
+    eps = sum(p * (1.0 - bcp.test(k, x1, x2, f)) for (k, x1, x2, f), p in joint.items())
+
+    pk: dict = defaultdict(float)
+    pkv: dict = defaultdict(float)
+    pv: dict = defaultdict(float)
+    for (k, x1, x2, f), p in joint.items():
+        pk[k] += p
+        pkv[k, x2, f] += p
+        pv[x2, f] += p
+    delta1 = 0.5 * sum(abs(pkv.get((k, *v), 0.0) - pk[k] * pv[v]) for k in pk for v in pv)
+
+    claims = list(itertools.product(keys, a1.symbols))
+    delta2 = 0.0
+    for k, x1, f in {(k, x1, f) for k, x1, _, f in joint}:
+        cheat = [
+            sum(joint.get((k, x1, x2, f), 0.0) * bcp.test(kc, x1c, x2, f) for x2 in a2.symbols)
+            for kc, x1c in claims if kc != k
+        ]
+        delta2 += max([0.0] + cheat)
+
+    post: dict = defaultdict(lambda: defaultdict(float))
+    for (k, x1, x2, f), p in joint.items():
+        post[label_of[x1], f][x2] += p
+    decode = {}
+    for (v, f), law in post.items():
+        tot = sum(law.values())
+        scores = [sum(w / tot * bcp.test(kc, x1c, x2, f) for x2, w in law.items())
+                  for kc, x1c in claims]
+        best = max(scores)
+        decode[v, f] = next(c for c, s in zip(claims, scores) if s >= best - 1e-9)[0]
+    return eps, delta1, delta2, decode

@@ -359,6 +359,57 @@ def test_params_file_merging(tmp_path, capsys):
     assert abs(json.loads(out)["result"]["beta"] - 5 / 6) <= 1e-12
 
 
+def test_params_read_like_flags(tmp_path, capsys):
+    # structure mss --tol and protocol fuzz --eta read --params like every
+    # other float flag; the flag still wins
+    d = write_dist(tmp_path, dsbs(0.1), "d.json")
+    params = tmp_path / "params.json"
+    mss = ["structure", "mss", "--dist", d, "--given", "X1", "--target", "X2"]
+    params.write_text(json.dumps({"tol": 0.25}))
+    for extra, tol in (([], 0.25), (["--tol", "1e-6"], 1e-6)):
+        code, out, _ = run(capsys, mss + extra + ["--params", str(params)])
+        assert code == 0 and json.loads(out)["params"]["tol"] == tol, extra
+
+    fuzz = ["protocol", "fuzz", "--count", "3"]
+    params.write_text(json.dumps({"eta": 0.2}))
+    for extra, eta in (([], 0.2), (["--eta", "0.1"], 0.1)):
+        code, out, _ = run(capsys, fuzz + extra + ["--params", str(params)])
+        assert code == 0 and json.loads(out)["params"]["eta"] == eta, extra
+    params.write_text(json.dumps({"eta": 1.5}))
+    code, out, err = run(capsys, fuzz + ["--params", str(params)])
+    assert (code, out) == (1, "") and "eta must lie in (0, 1)" in err
+
+
+def test_params_not_read_exit_one(tmp_path, capsys):
+    # a --params key that names no float flag of the command, or one that
+    # the chosen mode does not read, exits 1 and writes no report
+    d = write_dist(tmp_path, dsbs(0.1), "d.json")
+    params = tmp_path / "params.json"
+    unread = "error: --params keys not read by this "
+    fuzz = ["protocol", "fuzz", "--count", "3"]
+    cases = [
+        ({"eta": 1.5, "count": 0}, fuzz, "error: eta must lie in (0, 1)\n"),
+        ({"count": 0, "seed": 4}, fuzz, unread + "protocol fuzz run: count, seed\n"),
+        ({"length": 2, "kind": "bc"}, ["protocol", "reduce", "--kind", "ot1"],
+         unread + "protocol reduce run: kind, length\n"),
+        ({"eta": 0.1}, ["protocol", "reduce", "--kind", "ot1"],
+         unread + "protocol reduce run: eta\n"),
+        ({"eta": 0.1, "delta": 0.2},
+         ["bound", "sk", "--dist", d, "--partition", "1|2", "--eps", "0.1"],
+         unread + "bound sk run: delta\n"),
+    ]
+    for task in ("ot", "bc", "sk"):
+        cases.append(({"eps": 0.1}, ["bound", task, "--dist", d, "--capacity"],
+                      unread + f"bound {task} run: eps\n"))
+    out_path = tmp_path / "out.json"
+    for values, argv, want in cases:
+        params.write_text(json.dumps(values))
+        code, out, err = run(capsys, argv + ["--params", str(params)])
+        assert (code, out, err) == (1, "", want), argv
+        code, _, _ = run(capsys, argv + ["--params", str(params), "--out", str(out_path)])
+        assert code == 1 and not out_path.exists(), argv
+
+
 def test_failing_check_is_still_exit_zero(tmp_path, capsys):
     # a violated necessary condition is a verdict, not a process error
     n = 8
@@ -483,7 +534,7 @@ def test_bound_sk_modes_are_exclusive(tmp_path, capsys):
 def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
     # these once escaped main() as ValueError / TypeError tracebacks
     bad = tmp_path / "bad.json"
-    for pmf in (["x", 0.5], [[0.5], 0.5], {"a": 1}):
+    for pmf in (["x", 0.5], ["0.5", "0.5"], [True, False], [[0.5], 0.5], {"a": 1}):
         bad.write_text(json.dumps(
             {"variables": [{"name": "X", "symbols": ["0", "1"]}], "pmf": pmf}))
         code, out, err = run(capsys, ["smooth", "hmin", "--dist", str(bad), "--eps", "0.1"])
@@ -492,13 +543,14 @@ def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
     rng = np.random.default_rng(5)
     d = write_dist(tmp_path, random_dist(rng, [2, 2, 2], names=["X1", "X2", "Z"], eve="Z"),
                    "j.json")
-    bad.write_text(json.dumps({
-        "inputs": [{"name": "Z", "symbols": ["0", "1"]}],
-        "outputs": [{"name": "U", "symbols": ["0", "1"]}],
-        "rows": {"0": ["x", 0.5], "1": [0.5, 0.5]},
-    }))
-    code, out, err = run(capsys, [
-        "bound", "sk", "--dist", d, "--aux-channel", str(bad), "--eps", "0.05",
-        "--eta", "0.3", "--delta", "0.05", "--eta1", "0.05", "--eta2", "0.05",
-    ])
-    assert (code, out, err) == (1, "", "error: pmf entries must be numbers\n")
+    for row in (["x", 0.5], ["0.5", "0.5"]):
+        bad.write_text(json.dumps({
+            "inputs": [{"name": "Z", "symbols": ["0", "1"]}],
+            "outputs": [{"name": "U", "symbols": ["0", "1"]}],
+            "rows": {"0": row, "1": [0.5, 0.5]},
+        }))
+        code, out, err = run(capsys, [
+            "bound", "sk", "--dist", d, "--aux-channel", str(bad), "--eps", "0.05",
+            "--eta", "0.3", "--delta", "0.05", "--eta1", "0.05", "--eta2", "0.05",
+        ])
+        assert (code, out, err) == (1, "", "error: pmf entries must be numbers\n"), row

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import defaultdict
 
@@ -27,7 +28,7 @@ from skconverse import (
     reduce_bc_to_sk,
     reduce_ot_to_sk,
 )
-from skconverse import protosim
+from skconverse import cli, protosim
 from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product
 from skconverse.protosim import (
@@ -39,7 +40,8 @@ from skconverse.protosim import (
     protocol_to_json,
     random_sk_instance,
 )
-from support import BIT, disagreeing_keys, random_dist
+from skconverse.structure import mss
+from support import BIT, bc_oracle, disagreeing_keys, noisy_bc, random_dist
 
 
 def shared_bit() -> JointDist:
@@ -342,6 +344,65 @@ def test_bc_reduction_deterministic():
     a = eval_sk_security(reduce_bc_to_sk(J, bcp).dist, reduce_bc_to_sk(J, bcp).protocol)
     b = eval_sk_security(reduce_bc_to_sk(J, bcp).dist, reduce_bc_to_sk(J, bcp).protocol)
     assert a == b
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_noisy_bc_matches_oracle(l):
+    for seed in range(3):
+        J, bcp = noisy_bc(l, seed)
+        label_of = {x1: str(v) for x1, v in mss(J, given="X1", target="X2").as_table().items()}
+        eps, delta1, delta2, decode = bc_oracle(J, bcp, label_of)
+        rep = measure_bc(J, bcp)
+        assert 0.05 < rep.delta2 < 1 and 0 < rep.delta1 and 0 < rep.eps
+        for got, want in zip((rep.eps, rep.delta1, rep.delta2), (eps, delta1, delta2)):
+            assert abs(got - want) <= 1e-12, (seed, rep)
+        key2 = reduce_bc_to_sk(J, bcp).protocol.key_maps[1]
+        assert len(set(decode.values())) > 1
+        for (v, f), key in decode.items():
+            assert key2((v, None), None, f) == key, (seed, v, f)
+
+
+def test_primitives_need_a_bivariate_resource():
+    J3 = random_dist(np.random.default_rng(0), [2, 2, 2])
+    _, otp = ideal_ot_protocol(1)
+    _, bcp = ideal_bc_protocol(1)
+    for call in (lambda: measure_ot(J3, otp), lambda: measure_bc(J3, bcp),
+                 lambda: reduce_ot_to_sk(J3, otp, 1), lambda: reduce_ot_to_sk(J3, otp, 2),
+                 lambda: reduce_bc_to_sk(J3, bcp)):
+        with pytest.raises(PreconditionError, match="bivariate"):
+            call()
+
+
+def counting_test(bcp, calls):
+    def test(*claim):
+        calls.append(claim)
+        return bcp.test(*claim)
+
+    return dataclasses.replace(bcp, test=test)
+
+
+def test_bc_reveal_test_runs_once_per_claim():
+    J, bcp = ideal_bc_protocol(2)
+    total = 0
+    for fn in (measure_bc, reduce_bc_to_sk):
+        calls = []
+        fn(J, counting_test(bcp, calls))
+        assert len(calls) == len(set(calls)), fn
+        total += len(calls)
+    assert total <= 4224
+
+
+def test_bc_reveal_table_capped_before_any_column(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(
+        cli, "ideal_bc_protocol",
+        lambda l: (lambda J, bcp: (J, counting_test(bcp, calls)))(*ideal_bc_protocol(l)),
+    )
+    code = cli.main(["protocol", "reduce", "--kind", "bc", "--length", "5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: 67108864 reveal-test cells exceed the cap 10000000\n"
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
