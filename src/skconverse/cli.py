@@ -45,8 +45,6 @@ from .protosim import (
     fuzz_converse,
     ideal_bc_protocol,
     ideal_ot_protocol,
-    measure_bc,
-    measure_ot,
     protocol_from_json,
     reduce_bc_to_sk,
     reduce_ot_to_sk,
@@ -374,34 +372,24 @@ def _protocol_eval(args, merged):
 
 def _protocol_reduce(args, merged):
     l = args.length
-    if args.kind in ("ot1", "ot2"):
-        J, otp = ideal_ot_protocol(l)
-        base = measure_ot(J, otp)
-        red = reduce_ot_to_sk(J, otp, variant=1 if args.kind == "ot1" else 2)
-        rep = eval_sk_security(red.dist, red.protocol)
-        budget = base.eps + base.delta1 + 2 * base.delta2
-        result = {
-            "base": base.as_json(),
-            "reduced": rep.as_json(),
-            "reduction_budget": budget,
-            "within_reduction_bound": bool(rep.eps <= budget + 1e-12),
-            "used_fallback": red.used_fallback,
-        }
+    if args.kind == "bc":
+        red = reduce_bc_to_sk(*ideal_bc_protocol(l))
     else:
-        J, bcp = ideal_bc_protocol(l)
-        base = measure_bc(J, bcp)
-        red = reduce_bc_to_sk(J, bcp)
-        rep = eval_sk_security(red.dist, red.protocol)
-        result = {
-            "base": base.as_json(),
-            "reduced": rep.as_json(),
-            "reduction_budget": {"key_error": base.eps + base.delta2,
-                                 "secrecy": base.delta1},
-            "within_reduction_bound": bool(
-                rep.eps_rec <= base.eps + base.delta2 + 1e-12
-                and rep.delta_sec <= base.delta1 + 1e-12
-            ),
-        }
+        red = reduce_ot_to_sk(*ideal_ot_protocol(l), variant=1 if args.kind == "ot1" else 2)
+    base, rep = red.base, eval_sk_security(red.dist, red.protocol)
+    result = {"base": base.as_json(), "reduced": rep.as_json()}
+    if args.kind == "bc":
+        result["reduction_budget"] = {"key_error": base.eps + base.delta2,
+                                      "secrecy": base.delta1}
+        result["within_reduction_bound"] = bool(
+            rep.eps_rec <= base.eps + base.delta2 + 1e-12
+            and rep.delta_sec <= base.delta1 + 1e-12
+        )
+    else:
+        budget = base.eps + base.delta1 + 2 * base.delta2
+        result["reduction_budget"] = budget
+        result["within_reduction_bound"] = bool(rep.eps <= budget + 1e-12)
+        result["used_fallback"] = red.used_fallback
     return {"kind": args.kind, "length": l}, result
 
 

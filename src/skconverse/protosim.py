@@ -375,13 +375,6 @@ def _var_blocks(
     ]
 
 
-def _q_pi(J: JointDist, p: Protocol, partition: Partition) -> JointDist:
-    """Conditional product across party blocks given the eve variables."""
-    return conditional_product(
-        J, _var_blocks(J, p, partition), list(p.eve_vars) or None
-    )
-
-
 @dataclass(frozen=True)
 class ConverseReport(_Report):
     eps: float
@@ -510,7 +503,7 @@ def _region_test(
     l = partition.num_blocks
     lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
 
-    q_dist = _q_pi(J, p, partition)
+    q_dist = conditional_product(J, _var_blocks(J, p, partition), list(p.eve_vars) or None)
     q_law = protocol_law(q_dist, p)
     q_fz: dict = defaultdict(float)
     for (keys, f, z), w in q_law.items():
@@ -583,8 +576,6 @@ class LeftoverHashResult(_Report):
 def _toeplitz(seed: int, out_len: int, in_len: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     s = rng.integers(0, 2, size=max(out_len + in_len - 1, 0), dtype=np.int64)
-    if out_len == 0:
-        return np.zeros((0, in_len), dtype=np.int64)
     idx = np.subtract.outer(np.arange(out_len), np.arange(in_len)) + in_len - 1
     return s[idx]
 
@@ -610,16 +601,12 @@ def leftover_hash(
         raise PreconditionError(
             f"output length must lie in [0, {nbits}] for {x_size} X values"
         )
-    T = _toeplitz(seed, out_len, nbits) if matrix is None else np.asarray(matrix)
+    T = _toeplitz(seed, out_len, nbits) if matrix is None else np.asarray(matrix, dtype=np.int64)
     bits = ((np.arange(x_size)[:, None] >> np.arange(nbits - 1, -1, -1)[None, :]) & 1)
-    keys = (bits @ T.T) % 2 if out_len else np.zeros((x_size, 0), dtype=np.int64)
-    key_idx = keys @ (1 << np.arange(out_len - 1, -1, -1)) if out_len else np.zeros(
-        x_size, dtype=np.int64
-    )
+    key_idx = ((bits @ T.T) % 2) @ (1 << np.arange(out_len - 1, -1, -1))
     nk = 1 << out_len
     pky = np.zeros((nk, flat.shape[1]))
-    for x in range(x_size):
-        pky[int(key_idx[x])] += flat[x]
+    np.add.at(pky, key_idx, flat)  # rows added in X order, as a loop would
     py = flat.sum(axis=0)
     ideal = np.tile(py / nk, (nk, 1))
     distance = 0.5 * float(np.abs(pky - ideal).sum())
@@ -734,20 +721,18 @@ def _two_party_runs(J: JointDist, rounds: int, message_maps: Mapping[tuple[int, 
         yield x1, x2, rand, tr, w
 
 
-def measure_ot(J: JointDist, otp: OTProtocol) -> PrimitiveReport:
-    """Exact (eps, delta1, delta2) of an OT protocol on resource J.
-
-    eps is the probability the estimate misses K_B; delta1 the distance of
-    K_{not-B} from independent of party 2's view; delta2 the distance of B
-    from independent of party 1's view.
-    """
+def _ot_pass(
+    J: JointDist, otp: OTProtocol, keep_runs: bool,
+) -> tuple[list | None, PrimitiveReport]:
+    """One walk of the OT runs on J: the list of its (x1, x2, (k, b),
+    transcript, weight) runs if ``keep_runs`` and the ``measure_ot`` report."""
     l = otp.length
+    runs = _two_party_runs(J, otp.rounds, otp.message_maps, _ot_randomness(otp))
+    runs = list(runs) if keep_runs else runs
     err = 0.0
     law1: dict = defaultdict(float)  # (K_{not B}; X2, B, F)
     law2: dict = defaultdict(float)  # (B; K0, K1, X1, F)
-    for x1, x2, (k, b), tr, w in _two_party_runs(
-        J, otp.rounds, otp.message_maps, _ot_randomness(otp)
-    ):
+    for x1, x2, (k, b), tr, w in runs:
         k0, k1 = k[:l], k[l:]
         kb, kbar = (k0, k1) if b == "0" else (k1, k0)
         if otp.khat(x2, b, tr) != kb:
@@ -756,7 +741,18 @@ def measure_ot(J: JointDist, otp: OTProtocol) -> PrimitiveReport:
         law2[(b, (k0, k1, x1, tr))] += w
     d1 = _tv(law1, _ProductLaw(law1))
     d2 = _tv(law2, _ProductLaw(law2))
-    return PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
+    return runs if keep_runs else None, PrimitiveReport(
+        eps=float(err), delta1=float(d1), delta2=float(d2))
+
+
+def measure_ot(J: JointDist, otp: OTProtocol) -> PrimitiveReport:
+    """Exact (eps, delta1, delta2) of an OT protocol on resource J.
+
+    eps is the probability the estimate misses K_B; delta1 the distance of
+    K_{not-B} from independent of party 2's view; delta2 the distance of B
+    from independent of party 1's view.
+    """
+    return _ot_pass(J, otp, keep_runs=False)[1]
 
 
 def ideal_ot_correlation(l: int) -> JointDist:
@@ -819,10 +815,12 @@ def ideal_ot_protocol(l: int) -> tuple[JointDist, OTProtocol]:
 
 @dataclass(frozen=True)
 class ReducedSK:
-    """A secret-key instance produced by a reduction, ready for evaluation."""
+    """A secret-key instance produced by a reduction, ready for evaluation,
+    and ``base``, the figures of the protocol it was reduced from."""
 
     dist: JointDist
     protocol: Protocol
+    base: PrimitiveReport
     used_fallback: bool = False
 
 
@@ -830,9 +828,10 @@ def _reduced(
     J: JointDist, label, to_eve: bool, rounds: int,
     message_maps: Mapping[tuple[int, int], MapLike], key_maps: tuple[MapLike, MapLike],
     key_symbols: Sequence[str], randomness: Sequence[LocalRand | None],
-    used_fallback: bool = False,
+    base: PrimitiveReport, used_fallback: bool = False,
 ) -> ReducedSK:
-    """The secret-key protocol of a reduction, on J with ``label`` attached.
+    """The secret-key protocol of a reduction from a protocol measured ``base``,
+    on J with ``label`` attached.
 
     With ``to_eve`` the label is attached as V0 and the eavesdropper observes
     it.  Otherwise it is attached as V1 and party 2 holds it next to X2, the
@@ -852,7 +851,7 @@ def _reduced(
     proto = Protocol(num_parties=2, obs_vars=((x1,), obs2), rounds=rounds,
                      message_maps=maps, key_maps=key_maps, key_symbols=tuple(key_symbols),
                      eve_vars=eve, randomness=randomness)
-    return ReducedSK(attach_label(J, label, name), proto, used_fallback)
+    return ReducedSK(attach_label(J, label, name), proto, base, used_fallback)
 
 
 def _posteriors(rows) -> dict:
@@ -882,6 +881,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     if variant not in (1, 2):
         raise PreconditionError("variant must be 1 or 2")
     x1, x2 = _two_party_names(J)
+    runs, base = _ot_pass(J, otp, keep_runs=variant == 2)
     l = otp.length
     randomness = _ot_randomness(otp)
     n_ot_msgs = 2 * otp.rounds
@@ -896,20 +896,14 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
             return otp.khat(obs[0], rand, tr[:n_ot_msgs])
 
         return _reduced(J, mcf(J, x1, x2)[0], True, otp.rounds + 1, maps,
-                        (key1, key2), otp.strings(), randomness)
+                        (key1, key2), otp.strings(), randomness, base)
 
     # variant 2: resample X2 under the flipped choice bit, from the laws of X2
     # given (V1, B, OT transcript) and given V1 alone of an exact run
     lab1 = mss(J, given=x1, target=x2)
     label_of = {s: str(lab1.label_of(s)) for s in J.alphabet(x1).symbols}
-    runs = [
-        (label_of[x1s], b, tr, x2s, w)
-        for x1s, x2s, (_, b), tr, w in _two_party_runs(
-            J, otp.rounds, otp.message_maps, randomness
-        )
-    ]
-    cond = _posteriors(((v, b, tr), x2s, w) for v, b, tr, x2s, w in runs)
-    cond_v = _posteriors((v, x2s, w) for v, _, _, x2s, w in runs)
+    cond = _posteriors(((label_of[x1s], b, tr), x2s, w) for x1s, x2s, (_, b), tr, w in runs)
+    cond_v = _posteriors((label_of[x1s], x2s, w) for x1s, x2s, _, _, w in runs)
     # every reachable key-map input (v, b, f) reads cond at (v, not b, f)
     flip = {"0": "1", "1": "0"}
     used_fallback = any((v, flip[b], f) not in cond for v, b, f in cond)
@@ -925,7 +919,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
         return dict(out)
 
     return _reduced(J, lab1, False, otp.rounds + 1, maps, (key1, key2),
-                    otp.strings(), randomness, used_fallback)
+                    otp.strings(), randomness, base, used_fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -977,18 +971,18 @@ def _scores(columns: Mapping, x2_law: Mapping, tr) -> np.ndarray:
     return acc
 
 
-def measure_bc(J: JointDist, bcp: BCProtocol) -> PrimitiveReport:
-    """Exact (eps, delta1, delta2) of a bit commitment protocol on J.
-
-    eps: probability the honest reveal is rejected.  delta1 (hiding):
-    distance of K from independent of party 2's commit view.  delta2
-    (binding): total probability of the best cheating reveal, optimized
-    pointwise over party 1's view.
-    """
+def _bc_pass(J: JointDist, bcp: BCProtocol) -> tuple[list, dict, PrimitiveReport]:
+    """One walk of the commitment runs on J: the list of its (x1, x2, (k, None),
+    transcript, weight) runs, their ``_reveal_columns`` and the ``measure_bc``
+    report.  The table's cells are bounded below before the walk: every x2 of
+    positive mass has a run, so there are at least |K| x |X1| x |supp X2|."""
     keys = bcp.keys()
+    x1_syms = J.alphabet(_two_party_names(J)[0]).symbols
+    least = len(keys) * len(x1_syms) * int(J.array().any(axis=0).sum())
+    if least > STATE_CAP:
+        raise CapExceededError(f"at least {least} reveal-test cells exceed the cap {STATE_CAP}")
     randomness = (LocalRand.uniform(keys), None)
     runs = list(_two_party_runs(J, bcp.rounds, bcp.message_maps, randomness))
-    x1_syms = J.vars[0][1].symbols
     columns = _reveal_columns(bcp, x1_syms, runs)
     row = {k: i for i, k in enumerate(keys)}
     col = {x1: i for i, x1 in enumerate(x1_syms)}
@@ -1005,7 +999,18 @@ def measure_bc(J: JointDist, bcp: BCProtocol) -> PrimitiveReport:
         scores = _scores(columns, x2_law, tr)
         scores[row[k]] = 0.0  # revealing the committed key is no cheat; floor 0
         d2 += float(scores.max())
-    return PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
+    return runs, columns, PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
+
+
+def measure_bc(J: JointDist, bcp: BCProtocol) -> PrimitiveReport:
+    """Exact (eps, delta1, delta2) of a bit commitment protocol on J.
+
+    eps: probability the honest reveal is rejected.  delta1 (hiding):
+    distance of K from independent of party 2's commit view.  delta2
+    (binding): total probability of the best cheating reveal, optimized
+    pointwise over party 1's view.
+    """
+    return _bc_pass(J, bcp)[2]
 
 
 def ideal_bc_protocol(l: int) -> tuple[JointDist, BCProtocol]:
@@ -1051,13 +1056,11 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
     canonical order.  The eavesdropper observes X2.
     """
     x1, x2 = _two_party_names(J)
+    runs, columns, base = _bc_pass(J, bcp)
     lab1 = mss(J, given=x1, target=x2)
     keys = bcp.keys()
     x1_syms = J.alphabet(x1).symbols
     label_of = {s: str(lab1.label_of(s)) for s in x1_syms}
-    randomness = (LocalRand.uniform(keys), None)
-    runs = list(_two_party_runs(J, bcp.rounds, bcp.message_maps, randomness))
-    columns = _reveal_columns(bcp, x1_syms, runs)
 
     # first best claim, keys outer, under P(x2 | v1, transcript)
     decoder: dict = {}
@@ -1068,15 +1071,9 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
             if acc > best + _TOL:
                 best, best_at = acc, at
         decoder[(v, tr)] = keys[best_at // len(x1_syms)]
-
-    def key1(obs, rand, tr):
-        return rand
-
-    def key2(obs, rand, tr):
-        return decoder[(obs[0], tr)]
-
-    return _reduced(J, lab1, False, bcp.rounds, bcp.message_maps, (key1, key2),
-                    keys, randomness)
+    key_maps = (lambda obs, rand, tr: rand, lambda obs, rand, tr: decoder[(obs[0], tr)])
+    return _reduced(J, lab1, False, bcp.rounds, bcp.message_maps, key_maps,
+                    keys, (LocalRand.uniform(keys), None), base)
 
 
 # ---------------------------------------------------------------------------

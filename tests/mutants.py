@@ -49,6 +49,10 @@ MUTANTS = {
         ("(x2, tr): np.array(", "x2: np.array("),
         ("columns[(x2, tr)]", "columns[x2]"),
     ]),
+    "no-pre-walk-bound": ("src/skconverse/protosim.py", [(
+        "    if least > STATE_CAP:\n",
+        "    if False:\n",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

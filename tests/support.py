@@ -6,7 +6,8 @@ vertices of the linear program or hand the program to scipy's LP solver,
 the composition oracle filters all k-tuples by their sum, the smoothing
 oracles bisect the monotone feasibility functions, the conditional
 product oracle accumulates marginals one cell at a time, and the bit
-commitment oracle sums the definitions over every (key, X1, X2, message).  Expected values
+commitment oracle sums the definitions over every (key, X1, X2, message), and
+the leftover-hash oracle hashes one X value at a time.  Expected values
 asserted in the tests are computed by these oracles, not copied from the
 code under test.
 """
@@ -337,3 +338,32 @@ def bc_oracle(J: JointDist, bcp: BCProtocol, label_of):
         best = max(scores)
         decode[v, f] = next(c for c, s in zip(claims, scores) if s >= best - 1e-9)[0]
     return eps, delta1, delta2, decode
+
+
+# ---------------------------------------------------------------------------
+# leftover hashing from the definition
+
+
+def leftover_hash_oracle(pxy: np.ndarray, out_len: int, seed: int) -> float:
+    """TV distance of (K(X), Y) from uniform x P_Y for the seeded Toeplitz hash.
+
+    ``pxy[x, y]`` is the joint pmf.  X's index x is written as nbits =
+    max(1, ceil(log2 |X|)) bits, most significant first; K(x) = T b(x) over
+    GF(2), with T[i][j] = s[i - j + nbits - 1] and s the first
+    out_len + nbits - 1 bits drawn by ``numpy.random.default_rng(seed)``.
+    K(x)'s bits, most significant first, index the key.
+    """
+    x_size, y_size = pxy.shape
+    nbits = max(1, math.ceil(math.log2(x_size)))
+    s = np.random.default_rng(seed).integers(0, 2, size=max(out_len + nbits - 1, 0))
+    joint: dict = defaultdict(float)
+    for x in range(x_size):
+        b = [(x >> (nbits - 1 - j)) & 1 for j in range(nbits)]
+        k = 0
+        for i in range(out_len):
+            k = 2 * k + sum(int(s[i - j + nbits - 1]) * b[j] for j in range(nbits)) % 2
+        for y in range(y_size):
+            joint[k, y] += float(pxy[x, y])
+    nk = 2 ** out_len
+    py = [sum(float(pxy[x, y]) for x in range(x_size)) for y in range(y_size)]
+    return 0.5 * sum(abs(joint[k, y] - py[y] / nk) for k in range(nk) for y in range(y_size))

@@ -41,7 +41,9 @@ from skconverse.protosim import (
     random_sk_instance,
 )
 from skconverse.structure import mss
-from support import BIT, bc_oracle, disagreeing_keys, noisy_bc, random_dist
+from support import (
+    BIT, bc_oracle, disagreeing_keys, leftover_hash_oracle, noisy_bc, random_dist,
+)
 
 
 def shared_bit() -> JointDist:
@@ -235,6 +237,21 @@ def test_leftover_hash_bijective_and_zero_length():
         leftover_hash(u16, ["X"], [], 7, seed=0)
 
 
+def test_leftover_hash_matches_oracle():
+    rng = np.random.default_rng(5)
+    for trial in range(40):
+        kx, ky = int(rng.integers(1, 21)), int(rng.integers(1, 4))
+        pmf = rng.random(kx * ky) * (rng.random(kx * ky) >= 0.3)
+        pmf[0] += 0.01
+        J = JointDist((("X", Alphabet(tuple(f"x{i}" for i in range(kx)))),
+                       ("Y", Alphabet(tuple(f"y{i}" for i in range(ky))))), pmf / pmf.sum())
+        nbits = max(1, math.ceil(math.log2(kx)))
+        for out_len in range(nbits + 1):
+            got = leftover_hash(J, ["X"], ["Y"], out_len, seed=trial).distance
+            want = leftover_hash_oracle(J.array(), out_len, trial)
+            assert abs(got - want) <= 1e-12, (trial, out_len)
+
+
 def test_leftover_hash_search_meets_lemma_threshold():
     rng = np.random.default_rng(31)
     for trial in range(6):
@@ -392,17 +409,60 @@ def test_bc_reveal_test_runs_once_per_claim():
     assert total <= 4224
 
 
-def test_bc_reveal_table_capped_before_any_column(monkeypatch, capsys):
+def cli_reduce_bc(monkeypatch, capsys, length):
+    """Exit code, stderr and reveal-test calls of ``protocol reduce --kind bc``."""
     calls = []
     monkeypatch.setattr(
         cli, "ideal_bc_protocol",
         lambda l: (lambda J, bcp: (J, counting_test(bcp, calls)))(*ideal_bc_protocol(l)),
     )
-    code = cli.main(["protocol", "reduce", "--kind", "bc", "--length", "5"])
-    err = capsys.readouterr().err
+    code = cli.main(["protocol", "reduce", "--kind", "bc", "--length", str(length)])
+    return code, capsys.readouterr().err, calls
+
+
+def test_cli_bc_tabulates_the_reveal_test_once(monkeypatch, capsys):
+    code, _, calls = cli_reduce_bc(monkeypatch, capsys, 2)
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 4 * 16 * 32  # |K| |X1| (x2, transcript)
+
+
+def test_bc_reveal_table_capped_before_any_column(monkeypatch, capsys):
+    code, err, calls = cli_reduce_bc(monkeypatch, capsys, 5)
     assert code == 1
     assert err == "error: 67108864 reveal-test cells exceed the cap 10000000\n"
     assert calls == []
+
+
+def test_bc_reveal_table_bounded_before_the_walk(monkeypatch, capsys):
+    # |K| |X1| |supp X2| = 2^7 2^14 2^8 cells, known before the 2^22 runs are walked
+    monkeypatch.setattr(protosim, "_runs", lambda *a, **k: pytest.fail("runs walked"))
+    code, err, calls = cli_reduce_bc(monkeypatch, capsys, 7)
+    assert code == 1
+    assert err == "error: at least 536870912 reveal-test cells exceed the cap 10000000\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["bc", "ot2"])
+def test_reduce_walks_the_base_runs_once(kind, monkeypatch, capsys):
+    walks = []
+    runs = protosim._runs
+
+    def counting(*args, **kwargs):
+        walks.append(args[0])
+        return runs(*args, **kwargs)
+
+    monkeypatch.setattr(protosim, "_runs", counting)
+    assert cli.main(["protocol", "reduce", "--kind", kind, "--length", "2"]) == 0
+    assert len(walks) == 2  # the base pass, then the reduced protocol's law
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_reduction_base_is_the_measured_report(l):
+    J, otp = ideal_ot_protocol(l)
+    for variant in (1, 2):
+        assert reduce_ot_to_sk(J, otp, variant).base == measure_ot(J, otp)
+    for J, bcp in [ideal_bc_protocol(l)] + [noisy_bc(l, seed) for seed in range(3)]:
+        assert reduce_bc_to_sk(J, bcp).base == measure_bc(J, bcp)
 
 
 # ---------------------------------------------------------------------------
