@@ -50,17 +50,17 @@ def log2_factorials(n: int) -> np.ndarray:
     return table
 
 
-def typeclass_table(p: np.ndarray, q: np.ndarray, n: int, cap: int = DEFAULT_CLASS_CAP):
+def typeclass_table(p: np.ndarray, q: np.ndarray, n: int):
     """Counts plus log2 class masses of P^n and Q^n for every type class.
 
     Returns (counts, log2_pmass, log2_qmass); rows are classes.  Raises
-    CapExceededError when the class count would exceed ``cap``.
+    CapExceededError when the class count would exceed DEFAULT_CLASS_CAP.
     """
     k = p.size
     n_classes = count_compositions(n, k)
-    if n_classes > cap:
+    if n_classes > DEFAULT_CLASS_CAP:
         raise CapExceededError(
-            f"{n_classes} type classes exceed the cap {cap} (n={n}, k={k})"
+            f"{n_classes} type classes exceed the cap {DEFAULT_CLASS_CAP} (n={n}, k={k})"
         )
     counts = compositions(n, k)
     lf = log2_factorials(n)

@@ -16,6 +16,7 @@ import sys
 
 from . import __version__
 from .bounds import (
+    _TOL,
     bc_bound,
     bc_capacity_bound,
     cit_bound,
@@ -382,13 +383,13 @@ def _protocol_reduce(args, merged):
         result["reduction_budget"] = {"key_error": base.eps + base.delta2,
                                       "secrecy": base.delta1}
         result["within_reduction_bound"] = bool(
-            rep.eps_rec <= base.eps + base.delta2 + 1e-12
-            and rep.delta_sec <= base.delta1 + 1e-12
+            rep.eps_rec <= base.eps + base.delta2 + _TOL
+            and rep.delta_sec <= base.delta1 + _TOL
         )
     else:
         budget = base.eps + base.delta1 + 2 * base.delta2
         result["reduction_budget"] = budget
-        result["within_reduction_bound"] = bool(rep.eps <= budget + 1e-12)
+        result["within_reduction_bound"] = bool(rep.eps <= budget + _TOL)
         result["used_fallback"] = red.used_fallback
     return {"kind": args.kind, "length": l}, result
 

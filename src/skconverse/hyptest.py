@@ -23,9 +23,7 @@ import numpy as np
 from ._parallel import parallel_map
 from ._typeclasses import typeclass_table
 from .errors import PreconditionError
-from .probcore import LOG2_ZERO, JointDist, _check_same_shape, divergence, log2_pmf
-
-_MASS_SLACK = 1e-15
+from .probcore import LOG2_ZERO, MASS_SLACK, JointDist, _check_same_shape, divergence, log2_pmf
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +95,9 @@ def _greedy_threshold(p_sorted: np.ndarray, target: float):
     cum = np.cumsum(p_sorted)
     total = float(cum[-1]) if cum.size else 0.0
     target = min(target, total)
-    b = int(np.searchsorted(cum, target - _MASS_SLACK, side="left"))
+    b = int(np.searchsorted(cum, target - MASS_SLACK, side="left"))
     before = float(cum[b - 1]) if b > 0 else 0.0
-    if b >= p_sorted.size or target - before <= _MASS_SLACK:
+    if b >= p_sorted.size or target - before <= MASS_SLACK:
         return b, 0.0, before
     gamma = min(1.0, (target - before) / float(p_sorted[b]))
     return b, gamma, before + gamma * float(p_sorted[b])

@@ -28,6 +28,8 @@ DEFAULT_CELL_CAP = 10_000_000
 SUM_TOL = 1e-9
 #: slack allowed above 1 for the total mass of a subnormalized function
 SUBNORM_TOL = 1e-12
+#: slack on masses compared inside the smoothing and testing solvers
+MASS_SLACK = 1e-15
 
 #: stand-in for log2(0); finite so that 0 * log 0 style products stay exact,
 #: while exp2() of it underflows to exactly 0.0
@@ -180,14 +182,12 @@ class Channel:
     """Conditional pmf: one distribution over the outputs per input row.
 
     Rows are keyed by input index tuples.  Rows for zero-probability
-    conditioning inputs may be absent; ``omitted`` records them so that
-    downstream code can treat them as "never occurs".
+    conditioning inputs may be absent: such an input never occurs.
     """
 
     in_vars: tuple[Var, ...]
     out_vars: tuple[Var, ...]
     rows: Mapping[tuple[int, ...], np.ndarray]
-    omitted: frozenset = frozenset()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "in_vars", _normalize_vars(self.in_vars))
@@ -199,11 +199,6 @@ class Channel:
                 raise PreconditionError("channel row must sum to 1")
             rows[tuple(int(i) for i in key)] = arr
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "omitted", frozenset(self.omitted))
-
-    @property
-    def in_shape(self) -> tuple[int, ...]:
-        return tuple(len(a) for _, a in self.in_vars)
 
     @property
     def out_shape(self) -> tuple[int, ...]:
@@ -242,8 +237,7 @@ def marginal(J, keep) -> "JointDist | SubDist":
 def conditional_family(J, targets, given) -> Channel:
     """Channel of conditional rows P(targets | given).
 
-    Rows exist only for conditioning assignments of positive probability;
-    zero-probability rows are omitted and recorded on the channel.
+    Rows exist only for conditioning assignments of positive probability.
     """
     targets = _resolve_names(J, targets)
     given = _resolve_names(J, given)
@@ -260,16 +254,13 @@ def conditional_family(J, targets, given) -> Channel:
     if masses.sum() <= 0:
         raise PreconditionError("conditioning marginal is identically zero")
     rows = {}
-    omitted = set()
     for i, m in enumerate(masses):
-        key = tuple(int(k) for k in np.unravel_index(i, g_shape)) if g_shape else ()
         if m > 0:
+            key = tuple(int(k) for k in np.unravel_index(i, g_shape)) if g_shape else ()
             rows[key] = flat[i] / m
-        else:
-            omitted.add(key)
     in_vars = tuple((n, J.alphabet(n)) for n in given)
     out_vars = tuple((n, J.alphabet(n)) for n in targets)
-    return Channel(in_vars, out_vars, rows, frozenset(omitted))
+    return Channel(in_vars, out_vars, rows)
 
 
 def _partition_blocks(partition) -> list[list[int]]:
@@ -474,13 +465,13 @@ def extend_with_channel(J: JointDist, ch: Channel) -> JointDist:
 
 
 def pushforward_function(
-    J: JointDist, fn: Callable[[tuple[str, ...]], str] | Sequence[str] | Mapping
+    J: JointDist, fn: Callable[[tuple[str, ...]], str] | Sequence[str]
 ) -> JointDist:
     """Law G of a deterministic function of the full outcome tuple.
 
-    ``fn`` may be a callable on symbol tuples, a mapping keyed by symbol
-    tuples, or a row-major sequence of output labels.  The output alphabet
-    is the sorted set of labels that appear.
+    ``fn`` may be a callable on symbol tuples or a row-major sequence of
+    output labels.  The output alphabet is the sorted set of labels that
+    appear.
     """
     labels = _function_table(J, fn)
     uniq = sorted(set(labels))
@@ -494,11 +485,6 @@ def pushforward_function(
 def _function_table(J: JointDist, fn) -> list[str]:
     if callable(fn):
         return [str(fn(sym)) for sym in J.outcomes()]
-    if isinstance(fn, Mapping):
-        try:
-            return [str(fn[sym]) for sym in J.outcomes()]
-        except KeyError as exc:
-            raise PreconditionError(f"function table missing outcome {exc}") from None
     table = [str(v) for v in fn]
     if len(table) != J.n_cells:
         raise PreconditionError("function table length must match the outcome count")
@@ -528,17 +514,6 @@ def log2_pmf(pmf: np.ndarray) -> np.ndarray:
     return out
 
 
-def logsumexp2(values: np.ndarray) -> float:
-    """log2 of the sum of 2**values, stable for large negative inputs."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        return LOG2_ZERO
-    m = values.max()
-    if m <= LOG2_ZERO:
-        return LOG2_ZERO
-    return float(m + np.log2(np.exp2(values - m).sum()))
-
-
 def divergence(P: JointDist, Q: JointDist, kind: str = "kl", alpha: float | None = None) -> float:
     """KL or Renyi divergence in bits, with the 0*log(0/0)=0 convention.
 
@@ -558,7 +533,8 @@ def divergence(P: JointDist, Q: JointDist, kind: str = "kl", alpha: float | None
         if not np.any(mask):
             return math.inf
         terms = alpha * np.log2(p[mask]) + (1.0 - alpha) * np.log2(q[mask])
-        return logsumexp2(terms) / (alpha - 1.0)
+        top = terms.max()  # log2 of the sum of 2**terms, scaled by the largest
+        return float(top + np.log2(np.exp2(terms - top).sum())) / (alpha - 1.0)
     raise PreconditionError(f"unknown divergence kind {kind!r}")
 
 

@@ -3,9 +3,9 @@
 Protocols are finite objects: per-round, per-party message maps plus key
 maps, over named observation variables, optional local randomness, and
 optional eavesdropper variables.  The joint law of (keys, transcript,
-eavesdropper view) is computed by exact enumeration of the product state
-space (capped at 10^7 points), so every security parameter reported here is
-exact, not sampled.  Maps may be dict tables keyed by
+eavesdropper view) is computed by exact enumeration of the protocol's runs
+(capped at 2^19 runs), so every security parameter reported here is exact,
+not sampled.  Maps may be dict tables keyed by
 (observation, randomness, transcript) or plain callables; values may be a
 symbol or a {symbol: probability} dict for stochastic behaviour.
 
@@ -22,9 +22,10 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _Report, _two_party_names, cit_bound, cit_bound_best
+from .bounds import _TOL, _Report, _two_party_names, cit_bound, cit_bound_best
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
+    DEFAULT_CELL_CAP,
     SUM_TOL,
     Alphabet,
     JointDist,
@@ -36,10 +37,18 @@ from .probcore import (
 from .smoothinfo import _xy_matrix, h_min_cond, h_min_smooth
 from .structure import Partition, attach_label, enum_partitions, mcf, mss
 
-STATE_CAP = 10_000_000
-_TOL = 1e-12
+#: runs one enumeration may walk; an OT reduction takes 0.9-1.7 KB per run,
+#: so about 0.9 GB at the cap
+STATE_CAP = 1 << 19
 
 MapLike = Callable | Mapping
+
+
+def _check_pmf(probs: Sequence[float], message: str) -> None:
+    """Raise ``message`` unless ``probs`` are finite, nonnegative and sum to 1
+    within SUM_TOL."""
+    if not all(math.isfinite(p) and p >= 0 for p in probs) or abs(sum(probs) - 1.0) > SUM_TOL:
+        raise PreconditionError(message)
 
 
 @dataclass(frozen=True)
@@ -55,11 +64,7 @@ class LocalRand:
         object.__setattr__(self, "probs", probs)
         if len(probs) != len(self.symbols):
             raise PreconditionError("randomness symbols and probs differ in length")
-        if (
-            not all(math.isfinite(p) and p >= 0 for p in probs)
-            or abs(sum(probs) - 1.0) > 1e-9
-        ):
-            raise PreconditionError("randomness probabilities must form a pmf")
+        _check_pmf(probs, "randomness probabilities must form a pmf")
 
     @classmethod
     def uniform(cls, symbols: Sequence[str]) -> "LocalRand":
@@ -138,11 +143,7 @@ def _branches(value) -> list[tuple[str, float]]:
     if isinstance(value, str):
         return [(value, 1.0)]
     items = sorted((str(k), float(p)) for k, p in value.items())
-    total = sum(p for _, p in items)
-    if abs(total - 1.0) > 1e-9 or not all(
-        math.isfinite(p) and p >= 0 for _, p in items
-    ):
-        raise PreconditionError("stochastic map values must form a pmf")
+    _check_pmf([p for _, p in items], "stochastic map values must form a pmf")
     return [(s, p) for s, p in items if p > 0]
 
 
@@ -152,7 +153,6 @@ def _runs(
     rounds: int,
     message_maps: Mapping[tuple[int, int], MapLike],
     randomness: Sequence[LocalRand | None],
-    cap: int = STATE_CAP,
 ):
     """Yield (outcome, obs, rand, transcript, weight) for every complete run.
 
@@ -161,7 +161,7 @@ def _runs(
     ``message_maps`` in the order of ``_schedule``.  Outcomes come
     in row-major order, then randomness points, then depth-first over the
     messages; ``outcome`` and ``obs`` are the same objects for every run of
-    one outcome.  Raises when support x randomness points exceeds ``cap``.
+    one outcome.  Raises when support x randomness points exceeds STATE_CAP.
     """
     positions = {n: i for i, n in enumerate(J.var_names)}
     for group in obs_vars:
@@ -175,10 +175,10 @@ def _runs(
             (combo + (s,), w * pw) for combo, w in space for s, pw in syms if pw > 0
         ]
     support = int(np.count_nonzero(J.pmf))
-    if support * len(space) > cap:
+    if support * len(space) > STATE_CAP:
         raise CapExceededError(
             f"{support} outcomes x {len(space)} randomness points "
-            f"exceed the cap {cap}"
+            f"exceed the cap {STATE_CAP}"
         )
     obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
     sched = _schedule(rounds, len(obs_vars))
@@ -212,21 +212,17 @@ def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
     return tuple(positions[n] for n in p.eve_vars)
 
 
-def protocol_law(
-    J: JointDist,
-    p: Protocol,
-    cap: int = STATE_CAP,
-) -> dict:
+def protocol_law(J: JointDist, p: Protocol) -> dict:
     """Exact joint law keyed (keys, transcript, eve_view).
 
-    Raises when the enumeration would exceed ``cap`` runs.
+    Raises when the enumeration would exceed the run cap of ``_runs``.
     """
     eve_pos = _eve_pos(J, p)
     law: dict = defaultdict(float)
     key_set = set(p.key_symbols)
     syms_of_z = None
     for syms, obs, rand, transcript, w in _runs(
-        J, p.obs_vars, p.rounds, p.message_maps, p.randomness, cap
+        J, p.obs_vars, p.rounds, p.message_maps, p.randomness
     ):
         if syms is not syms_of_z:
             syms_of_z, z = syms, tuple(syms[k] for k in eve_pos)
@@ -517,7 +513,7 @@ def _region_test(
         if not all(k == keys[0] for k in keys):
             return False  # ideal mass 0, conditional positive
         qc = qw / mfz
-        return -math.log2(nk) - math.log2(qc) >= lam - 1e-12
+        return -math.log2(nk) - math.log2(qc) >= lam - _TOL
 
     return RegionTestReport(
         lam=lam,
@@ -586,7 +582,6 @@ def leftover_hash(
     y_vars,
     out_len: int,
     seed: int,
-    matrix: np.ndarray | None = None,
 ) -> LeftoverHashResult:
     """Hash the X part with a seeded Toeplitz matrix; exact output distance.
 
@@ -601,7 +596,7 @@ def leftover_hash(
         raise PreconditionError(
             f"output length must lie in [0, {nbits}] for {x_size} X values"
         )
-    T = _toeplitz(seed, out_len, nbits) if matrix is None else np.asarray(matrix, dtype=np.int64)
+    T = _toeplitz(seed, out_len, nbits)
     bits = ((np.arange(x_size)[:, None] >> np.arange(nbits - 1, -1, -1)[None, :]) & 1)
     key_idx = ((bits @ T.T) % 2) @ (1 << np.arange(out_len - 1, -1, -1))
     nk = 1 << out_len
@@ -762,8 +757,8 @@ def ideal_ot_correlation(l: int) -> JointDist:
     strings = _bit_strings(l)
     n1 = len(strings) ** 2
     n2 = 2 * len(strings)
-    if n1 * n2 > STATE_CAP:
-        raise CapExceededError("OT correlation exceeds the state cap")
+    if n1 * n2 > DEFAULT_CELL_CAP:  # checked before the cells are filled
+        raise CapExceededError(f"{n1 * n2} cells exceed the cap {DEFAULT_CELL_CAP}")
     sym1 = [s0 + s1 for s0 in strings for s1 in strings]
     sym2 = [b + k for b in ("0", "1") for k in strings]
     pmf = np.zeros((n1, n2))
@@ -949,13 +944,13 @@ def _reveal_columns(bcp: BCProtocol, x1_syms: Sequence[str], runs) -> dict:
     (x2, transcript) pair of ``runs``, in first-seen order.
 
     ``test`` runs once per (k', x1', x2, transcript).  The cells are checked
-    against STATE_CAP before any column is built.
+    against DEFAULT_CELL_CAP before any column is built.
     """
     keys = bcp.keys()
     pairs = dict.fromkeys((x2, tr) for _, x2, _, tr, _ in runs)
     cells = len(keys) * len(x1_syms) * len(pairs)
-    if cells > STATE_CAP:
-        raise CapExceededError(f"{cells} reveal-test cells exceed the cap {STATE_CAP}")
+    if cells > DEFAULT_CELL_CAP:
+        raise CapExceededError(f"{cells} reveal-test cells exceed the cap {DEFAULT_CELL_CAP}")
     return {
         (x2, tr): np.array([[float(bcp.test(k, x1, x2, tr)) for x1 in x1_syms] for k in keys])
         for x2, tr in pairs
@@ -979,8 +974,9 @@ def _bc_pass(J: JointDist, bcp: BCProtocol) -> tuple[list, dict, PrimitiveReport
     keys = bcp.keys()
     x1_syms = J.alphabet(_two_party_names(J)[0]).symbols
     least = len(keys) * len(x1_syms) * int(J.array().any(axis=0).sum())
-    if least > STATE_CAP:
-        raise CapExceededError(f"at least {least} reveal-test cells exceed the cap {STATE_CAP}")
+    if least > DEFAULT_CELL_CAP:
+        raise CapExceededError(
+            f"at least {least} reveal-test cells exceed the cap {DEFAULT_CELL_CAP}")
     randomness = (LocalRand.uniform(keys), None)
     runs = list(_two_party_runs(J, bcp.rounds, bcp.message_maps, randomness))
     columns = _reveal_columns(bcp, x1_syms, runs)
@@ -1098,17 +1094,14 @@ class FuzzReport(_Report):
         )
 
 
-def random_sk_instance(
-    seed, m: int = 2, rounds: int = 2, with_eve: bool | None = None,
-) -> tuple[JointDist, Protocol]:
+def random_sk_instance(seed, m: int = 2, rounds: int = 2) -> tuple[JointDist, Protocol]:
     """Seeded random protocol on a random joint source, binary observations.
 
     Message alphabets are binary; maps are extensional full-domain tables;
     every identical seed reproduces the identical instance.
     """
     rng = np.random.default_rng(seed)
-    if with_eve is None:
-        with_eve = bool(rng.integers(0, 2))
+    with_eve = bool(rng.integers(0, 2))
     key_size = int(rng.choice([2, 3, 4]))
     names = [f"X{i+1}" for i in range(m)] + (["Z"] if with_eve else [])
     shape = [2] * len(names)

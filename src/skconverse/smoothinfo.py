@@ -23,6 +23,7 @@ from ._typeclasses import typeclass_table
 from .errors import PreconditionError
 from .probcore import (
     LOG2_ZERO,
+    MASS_SLACK,
     JointDist,
     SubDist,
     _check_same_shape,
@@ -30,7 +31,6 @@ from .probcore import (
     log2_pmf,
 )
 
-_MASS_SLACK = 1e-15
 _SEGMENT_BLOCK = 1 << 14  # segments tested per numpy pass in _dmax_cap_log
 _CANDIDATE_TOL = 1e-10  # relative widening of the candidate test
 
@@ -92,7 +92,7 @@ def h_min_smooth(P, eps: float) -> SmoothingResult:
         raise PreconditionError("smoothing parameter must lie in [0, 1/2)")
     p = P.pmf
     budget = 2.0 * eps
-    if budget >= P.total_mass() - _MASS_SLACK and eps > 0:
+    if budget >= P.total_mass() - MASS_SLACK and eps > 0:
         raise PreconditionError("smoothing budget would remove all mass")
     cap = _waterfill_cap(p, budget)
     return _smoothed(-math.log2(cap), P, np.minimum(p, cap))
@@ -116,7 +116,7 @@ def _waterfill_cap(p: np.ndarray, budget: float) -> float:
     ks = np.arange(1, ps.size + 1, dtype=np.float64)
     caps = (cum - budget) / ks  # cap if exactly the top k entries exceed it
     lower = np.append(ps[1:], 0.0)
-    valid = (caps <= ps + _MASS_SLACK) & (caps >= lower - _MASS_SLACK)
+    valid = (caps <= ps + MASS_SLACK) & (caps >= lower - MASS_SLACK)
     idx = int(np.argmax(valid))
     if not valid[idx]:
         raise PreconditionError("water-filling budget exceeds removable mass")
@@ -194,11 +194,11 @@ def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             log_ts = np.log2(target - p_cum[a:b]) - q_tail[a:b]
             near = _CANDIDATE_TOL * (1.0 + np.abs(log_ts))
-            hit = (p_cum[a:b] >= target - _MASS_SLACK) | (
+            hit = (p_cum[a:b] >= target - MASS_SLACK) | (
                 (los - near <= log_ts) & (log_ts <= his + near)
             )
         for j in (a + np.flatnonzero(hit)).tolist():
-            if j > 0 and p_cum[j] >= target - _MASS_SLACK:
+            if j > 0 and p_cum[j] >= target - MASS_SLACK:
                 return float(ratio[j - 1])  # coverage reached exactly at breakpoint
             log_t = math.log2(target - p_cum[j]) - q_tail[j]
             lo = ratio[j - 1] if j > 0 else -math.inf

@@ -28,17 +28,17 @@ class Partition:
     m: int
 
     def __post_init__(self) -> None:
-        blocks = tuple(
-            sorted((frozenset(int(i) for i in b) for b in self.blocks), key=min)
-        )
+        blocks = [frozenset(int(i) for i in b) for b in self.blocks]
+        if any(not b for b in blocks):  # before the sort reads each block's min
+            raise PreconditionError("partition blocks must be nonempty")
+        blocks.sort(key=min)
+        blocks = tuple(blocks)
         object.__setattr__(self, "blocks", blocks)
         members = sorted(i for b in blocks for i in b)
         if members != list(range(1, self.m + 1)):
             raise PreconditionError(
                 f"blocks must partition {{1..{self.m}}}, got {members}"
             )
-        if any(not b for b in blocks):
-            raise PreconditionError("partition blocks must be nonempty")
 
     @property
     def num_blocks(self) -> int:
@@ -137,15 +137,13 @@ class Labeling:
     """Total label assignment for one variable's symbols.
 
     Labels are contiguous integers from 0.  Symbols outside the support
-    all share one distinguished extra label (recorded separately) so the
-    assignment stays total.
+    all share one extra label, the last, so the assignment stays total.
     """
 
     var: str
     alphabet: Alphabet
     labels: tuple[int, ...]
     num_labels: int
-    unsupported_label: int | None = None
 
     def label_of(self, symbol: str) -> int:
         return self.labels[self.alphabet.index(symbol)]
@@ -162,8 +160,7 @@ def _renumber(sides) -> list[Labeling]:
 
     ``raw`` holds a component key per symbol, or None for a symbol outside
     the support.  Keys are renumbered in order of first appearance, scanning
-    the sides in order; unsupported symbols all take the next label, which a
-    side records as ``unsupported_label`` only when it has such symbols.
+    the sides in order; unsupported symbols all take the next label.
     """
     remap: dict[int, int] = {}
     for _, _, raw in sides:
@@ -173,13 +170,7 @@ def _renumber(sides) -> list[Labeling]:
     k = len(remap)
     total = k + 1 if any(None in raw for _, _, raw in sides) else k
     return [
-        Labeling(
-            var,
-            alphabet,
-            tuple(k if key is None else remap[key] for key in raw),
-            total,
-            k if None in raw else None,
-        )
+        Labeling(var, alphabet, tuple(k if key is None else remap[key] for key in raw), total)
         for var, alphabet, raw in sides
     ]
 

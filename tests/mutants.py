@@ -50,7 +50,19 @@ MUTANTS = {
         ("columns[(x2, tr)]", "columns[x2]"),
     ]),
     "no-pre-walk-bound": ("src/skconverse/protosim.py", [(
-        "    if least > STATE_CAP:\n",
+        "    if least > DEFAULT_CELL_CAP:\n",
+        "    if False:\n",
+    )]),
+    "no-run-cap": ("src/skconverse/protosim.py", [(
+        "    if support * len(space) > STATE_CAP:\n",
+        "    if False:\n",
+    )]),
+    "no-pmf-sum-test": ("src/skconverse/protosim.py", [(
+        " or abs(sum(probs) - 1.0) > SUM_TOL:",
+        ":",
+    )]),
+    "no-xi-check": ("src/skconverse/bounds.py", [(
+        "    if xi <= 0:\n",
         "    if False:\n",
     )]),
 }

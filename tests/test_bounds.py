@@ -27,6 +27,7 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
+from skconverse.bounds import even_slack_split
 from skconverse.probcore import (
     _chunk_rows,
     conditional_product,
@@ -697,3 +698,58 @@ def test_divergence_positive_when_different():
         P, Q = random_dist(rng, [4]), random_dist(rng, [4])
         if tv_distance(P, Q) > 1e-2:
             assert divergence(P, Q) > 0
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, the exception it raises and its message
+
+_J2, _J3 = dsbs(0.1), random_dist(np.random.default_rng(0), [2, 2, 2])
+_J3E = random_dist(np.random.default_rng(1), [2, 2, 2], eve="X3")
+_PI2 = Partition((frozenset([1]), frozenset([2])), 2)
+_U = Channel((("X1", BIT),), (("U", BIT),), {(0,): [1.0, 0.0], (1,): [0.0, 1.0]})
+_M = JointDist((("M", BIT),), [0.5, 0.5])
+
+INPUT_CHECKS = [
+    (lambda: cit_bound(_J2, _PI2, 1.0, 0.05),
+     PreconditionError, "eps must lie in [0, 1)"),
+    (lambda: cit_bound(_J2, Partition((frozenset([1]), frozenset([2, 3])), 3), 0.1, 0.05),
+     PreconditionError, "partition is over 3 parties but J has 2"),
+    (lambda: cit_bound(_J2, _PI2, 0.1, 0.05, q=dsbs(0.1, names=("A", "B"))),
+     PreconditionError, "supplied Q has a different variable structure"),
+    (lambda: aux_singleshot_bound(_J2, _U, 0.5, 0.3, 0.1, 0.01, 0.01),
+     PreconditionError, "need eps, delta >= 0 with eps + 2*delta < 1"),
+    (lambda: aux_singleshot_bound(_J3, _U, 0.1, 0.05, 0.3, 0.05, 0.05),
+     PreconditionError, "this bound is for two parties"),
+    (lambda: aux_capacity_bound(_J3, _U),
+     PreconditionError, "this bound is for two parties"),
+    (lambda: ot_bounds(_J2, 0.1, 0.1, 0.1, 0.0),
+     PreconditionError, "xi must be positive"),
+    (lambda: bc_bound(_J2, 0.1, 0.1, 0.1, -0.1),
+     PreconditionError, "xi must be positive"),
+    (lambda: ot_bounds(_J2, -0.1, 0.0, 0.0, 0.1),
+     PreconditionError, "error parameters must be nonnegative"),
+    (lambda: ot_bounds(_J2, 0.3, 0.3, 0.2, 0.1),
+     PreconditionError, "need eps + delta1 + 2*delta2 + xi < 1"),
+    (lambda: bc_bound(_J2, 0.5, 0.3, 0.2, 0.1),
+     PreconditionError, "need eps + delta1 + delta2 < 1"),
+    (lambda: bc_bound(_J2, 0.4, 0.3, 0.2, 0.2),
+     PreconditionError, "need eps + delta1 + delta2 + xi < 1"),
+    (lambda: secure_transmission_check(_M, 1.0, 0.02, 0.02, 0.0, 0.1, 0.1),
+     PreconditionError, "xi, zeta, eta must be positive"),
+    (lambda: secure_transmission_check(_M, 1.0, -0.02, 0.02, 0.05, 0.1, 0.1),
+     PreconditionError, "eps and delta must be nonnegative"),
+    (lambda: secure_transmission_check(_M, -1.0, 0.02, 0.02, 0.05, 0.1, 0.1),
+     PreconditionError, "kappa must be nonnegative"),
+    (lambda: sc_necessary_check(_J3E, [0] * 8, 0.02, 0.02, 0.05, 0.1, 0.1),
+     PreconditionError, "secure computing check expects no eve variable"),
+    (lambda: even_slack_split(0.6, 0.4),
+     PreconditionError, "eps + delta must be below 1"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
+                         ids=[m for _, _, m in INPUT_CHECKS])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

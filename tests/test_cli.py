@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from skconverse import Channel, Partition, divergence, save_dist, stein_scan
+from skconverse import Channel, Partition, cli, divergence, save_dist, stein_scan
 from skconverse.bounds import aux_capacity_bound, aux_singleshot_bound, cit_bound
 from skconverse.cli import main
 from skconverse.probcore import conditional_product, load_dist
@@ -554,3 +555,46 @@ def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
             "--eta", "0.3", "--delta", "0.05", "--eta1", "0.05", "--eta2", "0.05",
         ])
         assert (code, out, err) == (1, "", "error: pmf entries must be numbers\n"), row
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, its exit status and its stderr
+
+INPUT_CHECKS = [
+    (["scan", "stein", "--p", "{p}", "--q", "{p}", "--eps", "0.1", "--n", "1,x"],
+     1, "error: cannot parse n-list '1,x'"),
+    (["scan", "capacity", "--dist", "{j2e}", "--eps", "0.1", "--eta", "0.05", "--n", "10"],
+     1, "error: capacity scan expects no eve variable"),
+    (["scan", "capacity", "--dist", "{j3}", "--eps", "0.1", "--eta", "0.05", "--n", "10"],
+     1, "error: capacity scan is implemented for two parties"),
+    (["bound", "sk", "--dist", "{j2}", "--aux-channel", "{ch}", "--eps", "0.1",
+      "--delta", "0.05", "--eta", "0.3", "--eta1", "0.05", "--eta2", "0.05"],
+     1, "error: alphabet symbols must be unique"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", INPUT_CHECKS, ids=[e for _, _, e in INPUT_CHECKS])
+def test_input_checks(argv, code, err, tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    ch = tmp_path / "ch.json"  # an output alphabet with a repeated symbol
+    ch.write_text(json.dumps({"inputs": [{"name": "X1", "symbols": ["0", "1"]}],
+                              "outputs": [{"name": "U", "symbols": ["0", "0"]}],
+                              "rows": {"0": [1.0, 0.0], "1": [0.0, 1.0]}}))
+    files = {
+        "p": write_dist(tmp_path, ber(0.3), "p.json"),
+        "j2": write_dist(tmp_path, dsbs(0.1), "j2.json"),
+        "j2e": write_dist(tmp_path, random_dist(rng, [2, 2, 2], eve="X3"), "j2e.json"),
+        "j3": write_dist(tmp_path, random_dist(rng, [2, 2, 2]), "j3.json"),
+        "ch": str(ch),
+    }
+    assert run(capsys, [a.format(**files) for a in argv]) == (code, "", err + "\n")
+
+
+def test_internal_assertion_exits_two(monkeypatch, capsys):
+    def fault(**kwargs):
+        raise AssertionError("distance 1.5 exceeds the mean of its masses")
+
+    monkeypatch.setattr(cli, "fuzz_converse", fault)
+    assert run(capsys, ["protocol", "fuzz", "--count", "1"]) == (
+        2, "", "internal assertion failed: distance 1.5 exceeds the mean of its masses\n"
+    )

@@ -307,3 +307,29 @@ def test_stein_scan():
     diffs = [abs(v - kl) for _, v in rows]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] <= 0.01
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, the exception it raises and its message
+
+_P, _Q = ber(0.3), ber(0.6)
+_PAIR = random_dist(np.random.default_rng(0), [2, 2])
+
+INPUT_CHECKS = [
+    (lambda: beta_epsilon_iid(_PAIR, _PAIR, 2, 0.1),
+     PreconditionError, "IID variant expects one shared variable"),
+    (lambda: beta_epsilon_iid(_P, _Q, 0, 0.1),
+     PreconditionError, "n must be >= 1"),
+    (lambda: beta_epsilon_iid(_P, _Q, 2, 1.0),
+     PreconditionError, "eps must lie in [0, 1)"),
+    (lambda: np_tail_bound(_P, _Q, 0.1, gammas=[]),
+     PreconditionError, "gamma grid must be nonempty"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
+                         ids=[m for _, _, m in INPUT_CHECKS])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -17,6 +17,8 @@ from skconverse import (
 )
 from skconverse.errors import CapExceededError
 from skconverse.probcore import (
+    Channel,
+    apply_channel,
     conditional_family,
     conditional_product,
     dist_from_json,
@@ -101,11 +103,14 @@ def test_conditional_family_division_oracle_and_omitted_rows():
     for i in range(3):
         assert np.allclose(ch.rows[(i,)], arr[i] / arr[i].sum(), atol=1e-14)
 
-    # zero-probability conditioning rows are omitted and flagged
+    # zero-probability conditioning rows are omitted, and an input that
+    # never occurs needs no row
     J0 = JointDist((("X1", Alphabet(("a", "b", "c"))), ("X2", BIT)),
                    [0.5, 0.1, 0, 0, 0.2, 0.2])
     ch0 = conditional_family(J0, ["X2"], ["X1"])
-    assert (1,) in ch0.omitted and (1,) not in ch0.rows
+    assert sorted(ch0.rows) == [(0,), (2,)]
+    rebuilt = extend_with_channel(marginal(J0, ["X1"]), ch0)
+    assert rebuilt.var_names == J0.var_names and np.allclose(rebuilt.pmf, J0.pmf)
 
     with pytest.raises(PreconditionError):
         conditional_family(J0, ["X1"], ["X1"])
@@ -296,3 +301,55 @@ def test_json_roundtrip(tmp_path):
                         "pmf": [0.5, 0.25]})
     with pytest.raises(PreconditionError):
         dist_from_json({"pmf": [1.0]})
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, the exception it raises and its message
+
+_J = dsbs(0.1)
+_ZERO = SubDist((("X1", BIT), ("X2", BIT)), [0.0] * 4)
+_TO_U = {(0,): [1.0, 0.0]}  # a row for X1 = 0 only
+
+INPUT_CHECKS = [
+    (lambda: Alphabet(()),
+     PreconditionError, "alphabet must be nonempty"),
+    (lambda: BIT.index("2"),
+     PreconditionError, "unknown symbol '2'"),
+    (lambda: JointDist((("X", BIT),), [0.5, 0.25, 0.25]),
+     PreconditionError, "pmf length 3 does not equal product alphabet size 2"),
+    (lambda: JointDist((("X", BIT),), [0.5, 0.5], eve="Z"),
+     PreconditionError, "eve variable 'Z' not among variables"),
+    (lambda: Channel((("X", BIT),), (("U", BIT),), {(0,): [0.5, 0.6]}),
+     PreconditionError, "channel row must sum to 1"),
+    (lambda: marginal(_J, []),
+     PreconditionError, "must keep at least one variable"),
+    (lambda: conditional_family(_ZERO, ["X2"], ["X1"]),
+     PreconditionError, "conditioning marginal is identically zero"),
+    (lambda: conditional_product(_J, [[1, 2], []]),
+     PreconditionError, "partition blocks must be nonempty"),
+    (lambda: fuse_vars(_J, [["X1"]], ["A"]),
+     PreconditionError, "groups must cover all variables exactly once"),
+    (lambda: apply_channel(_J, Channel((("X1", BIT),), (("U", BIT),), _TO_U)),
+     PreconditionError, "channel input variables must match J exactly"),
+    (lambda: apply_channel(ber(0.5, "X1"), Channel((("X1", BIT),), (("U", BIT),), _TO_U)),
+     PreconditionError, "channel has no row for positive-probability input (1,)"),
+    (lambda: extend_with_channel(_J, Channel((("X1", Alphabet(("a", "b"))),), (("U", BIT),),
+                                             _TO_U)),
+     PreconditionError, "channel input 'X1' has mismatched alphabet"),
+    (lambda: extend_with_channel(_J, Channel((("X1", BIT),), (("X2", BIT),), _TO_U)),
+     PreconditionError, "channel output name 'X2' already present"),
+    (lambda: extend_with_channel(_J, Channel((("X1", BIT),), (("U", BIT),), _TO_U)),
+     PreconditionError, "channel has no row for positive-probability input (1,)"),
+    (lambda: pushforward_function(_J, ["0"]),
+     PreconditionError, "function table length must match the outcome count"),
+    (lambda: mutual_information(_J, "X1", "X2", given="X1"),
+     PreconditionError, "conditioning variables must be disjoint from A and B"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
+                         ids=[m for _, _, m in INPUT_CHECKS])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -35,10 +35,12 @@ from skconverse.protosim import (
     _ProductLaw,
     _region_mass,
     _tv,
+    ideal_ot_correlation,
     protocol_from_json,
     protocol_law,
     protocol_to_json,
     random_sk_instance,
+    sk_instance_dist,
 )
 from skconverse.structure import mss
 from support import (
@@ -186,10 +188,13 @@ def test_independence_check_evaluates_no_key_map():
 
 def test_independence_check_random_protocols():
     pi = Partition((frozenset([1]), frozenset([2])), 2)
-    for i in range(100):
-        Jr, proto = random_sk_instance([7, i], m=2, rounds=1, with_eve=True)
-        Jq = conditional_product(Jr, [{1}, {2}], "Z")
+    with_eve = 0
+    for i in range(200):
+        Jr, proto = random_sk_instance([7, i], m=2, rounds=1)
+        with_eve += Jr.eve is not None
+        Jq = conditional_product(Jr, [{1}, {2}], Jr.eve)
         assert interactive_independence_check(Jq, proto, pi)
+    assert 80 <= with_eve <= 120
 
 
 def test_report_json_forms():
@@ -229,8 +234,16 @@ def test_leftover_hash_bijective_and_zero_length():
     u16 = JointDist(
         (("X", Alphabet(tuple(f"x{i}" for i in range(16)))),), [1 / 16] * 16
     )
-    res = leftover_hash(u16, ["X"], [], 4, seed=0, matrix=np.eye(4, dtype=int))
-    assert res.distance <= 1e-12
+    # a full-length hash keeps a uniform X uniform exactly when its Toeplitz
+    # matrix maps the 16 bit strings to 16 distinct keys
+    bits = (np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1
+    bijective = set()
+    for seed in range(16):
+        keys = {tuple(row) for row in bits @ protosim._toeplitz(seed, 4, 4).T % 2}
+        res = leftover_hash(u16, ["X"], [], 4, seed=seed)
+        assert (res.distance <= 1e-12) == (len(keys) == 16), seed
+        bijective.add(len(keys) == 16)
+    assert bijective == {True, False}
     res0 = leftover_hash(u16, ["X"], [], 0, seed=5)
     assert res0.distance <= 1e-12
     with pytest.raises(PreconditionError):
@@ -442,6 +455,16 @@ def test_bc_reveal_table_bounded_before_the_walk(monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["ot1", "ot2"])
+def test_ot_runs_capped_before_the_walk(kind, monkeypatch, capsys):
+    # 2^11 outcomes x 2^11 randomness points = 2^22 runs, 8 times the run cap
+    monkeypatch.setattr(protosim, "_map_value", lambda *a: pytest.fail("a run was walked"))
+    assert cli.main(["protocol", "reduce", "--kind", kind, "--length", "5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: 2048 outcomes x 2048 randomness points exceed the cap 524288\n"
+    )
+
+
 @pytest.mark.parametrize("kind", ["bc", "ot2"])
 def test_reduce_walks_the_base_runs_once(kind, monkeypatch, capsys):
     walks = []
@@ -535,8 +558,8 @@ def test_protocol_law_total_domain_error():
         protocol_law(indep_bits(), p)
 
 
-def test_protocol_cap():
-    big = LocalRand.uniform([str(i) for i in range(1000)])
+def test_protocol_cap(monkeypatch):
+    ten = LocalRand.uniform([str(i) for i in range(10)])
     p = Protocol(
         num_parties=2,
         obs_vars=(("X1",), ("X2",)),
@@ -544,10 +567,15 @@ def test_protocol_cap():
         message_maps={},
         key_maps=(lambda o, r, t: "0", lambda o, r, t: "0"),
         key_symbols=("0", "1"),
-        randomness=(big, big),
+        randomness=(ten, ten),
     )
-    with pytest.raises(CapExceededError):
-        protocol_law(indep_bits(), p, cap=100_000)
+    # 4 outcomes x 100 randomness points: at the cap, then one run over it
+    monkeypatch.setattr(protosim, "STATE_CAP", 400)
+    assert abs(sum(protocol_law(indep_bits(), p).values()) - 1.0) <= 1e-12
+    monkeypatch.setattr(protosim, "STATE_CAP", 399)
+    with pytest.raises(CapExceededError) as info:
+        protocol_law(indep_bits(), p)
+    assert str(info.value) == "4 outcomes x 100 randomness points exceed the cap 399"
 
 
 def test_stochastic_message_maps_branch_exactly():
@@ -638,3 +666,63 @@ def test_measure_ot_respects_state_cap():
     # 2^13 resource outcomes x 2^13 randomness points = 6.7e7 runs
     with pytest.raises(CapExceededError):
         measure_ot(*ideal_ot_protocol(6))
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, the exception it raises and its message
+
+
+def _keys_with(**fields) -> Protocol:
+    return dataclasses.replace(observation_keys(), **fields)
+
+
+_COIN = {(1, 1): lambda o, r, t: {"0": 0.5, "1": 0.6}}
+_BAD_KEY = {"parties": 2, "obs_vars": [["X1"], ["X2"]], "rounds": 1, "key_symbols": ["0"],
+            "messages": {"1:1": {"bad": "0"}}, "keys": [{}, {}]}
+_U16 = JointDist((("X", Alphabet(tuple(f"x{i}" for i in range(16)))),), [1 / 16] * 16)
+
+INPUT_CHECKS = [
+    (lambda: LocalRand(("0", "1"), (1.0,)),
+     PreconditionError, "randomness symbols and probs differ in length"),
+    (lambda: LocalRand(("0", "1"), (0.5, 0.6)),
+     PreconditionError, "randomness probabilities must form a pmf"),
+    (lambda: protocol_law(indep_bits(), _keys_with(rounds=1, message_maps=_COIN)),
+     PreconditionError, "stochastic map values must form a pmf"),
+    (lambda: _keys_with(num_parties=0),
+     PreconditionError, "need at least one party"),
+    (lambda: _keys_with(obs_vars=(("X1",),)),
+     PreconditionError, "one observation tuple per party required"),
+    (lambda: _keys_with(key_maps=(lambda o, r, t: "0",)),
+     PreconditionError, "one key map per party required"),
+    (lambda: _keys_with(rounds=-1),
+     PreconditionError, "rounds must be nonnegative"),
+    (lambda: _keys_with(key_symbols=()),
+     PreconditionError, "key alphabet must be nonempty"),
+    (lambda: _keys_with(randomness=(None,)),
+     PreconditionError, "one randomness entry per party required"),
+    (lambda: _keys_with(message_maps={(1, 1): {}}),
+     PreconditionError, "message map (1,1) outside the round schedule"),
+    (lambda: protocol_law(indep_bits(), _keys_with(obs_vars=(("X1",), ("Y",)))),
+     PreconditionError, "protocol observes unknown variable 'Y'"),
+    (lambda: protocol_law(indep_bits(), _keys_with(eve_vars=("Z",))),
+     PreconditionError, "unknown eavesdropper variable 'Z'"),
+    (lambda: sk_instance_dist(random_dist(np.random.default_rng(0), [2, 2, 2]),
+                              observation_keys()),
+     PreconditionError, "party observations must partition the non-conditioning variables"),
+    (lambda: leftover_hash_search(_U16, ["X"], [], eps=0.0, eta=0.0),
+     PreconditionError, "eta must be positive"),
+    (lambda: ideal_ot_correlation(8),
+     CapExceededError, "33554432 cells exceed the cap 10000000"),
+    (lambda: protocol_from_json(_BAD_KEY),
+     PreconditionError, "malformed protocol JSON: malformed map key 'bad'"),
+    (lambda: protocol_to_json(observation_keys()),
+     PreconditionError, "only table-based protocols serialize to JSON"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
+                         ids=[m for _, _, m in INPUT_CHECKS])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

@@ -19,7 +19,7 @@ from skconverse import (
     h_min_smooth,
 )
 from skconverse.probcore import LOG2_ZERO, Channel, apply_channel, log2_pmf
-from skconverse.smoothinfo import _SEGMENT_BLOCK, _dmax_cap_log
+from skconverse.smoothinfo import _SEGMENT_BLOCK, _dmax_cap_log, _waterfill_cap
 from support import (
     BIT,
     ber,
@@ -284,3 +284,35 @@ def test_smoothing_witnesses_sit_at_distance_eps_property(pair, eps_h, eps_d):
         assert abs(float(P.pmf.sum() - d.witness.pmf.sum()) - eps_d) <= 1e-9
     else:
         assert d.removed_mass > eps_d
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, the exception it raises and its message
+
+_PAIR = random_dist(np.random.default_rng(0), [2, 2])
+_P, _Q = ber(0.3), ber(0.6)
+
+INPUT_CHECKS = [
+    (lambda: h_min_cond(_PAIR, ["X1"], ["X1"]),
+     PreconditionError, "x_vars and y_vars must partition the variables"),
+    (lambda: h_min_cond(SubDist(_PAIR.vars, [0.0] * 4), ["X1"], ["X2"]),
+     PreconditionError, "conditional min-entropy of a zero function"),
+    (lambda: h_min_smooth(SubDist(_P.vars, [0.05, 0.05]), 0.2),
+     PreconditionError, "smoothing budget would remove all mass"),
+    (lambda: _waterfill_cap(np.array([0.5, 0.5]), 2.0),
+     PreconditionError, "water-filling budget exceeds removable mass"),
+    (lambda: d_max_smooth(_P, _Q, 0.0),
+     PreconditionError, "smoothing parameter must lie in (0, 1)"),
+    (lambda: dmax_convergence_scan(_PAIR, _PAIR, 0.1, [1]),
+     PreconditionError, "scan expects one shared variable"),
+    (lambda: dmax_convergence_scan(_P, _Q, 1.0, [1]),
+     PreconditionError, "smoothing parameter must lie in (0, 1)"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
+                         ids=[m for _, _, m in INPUT_CHECKS])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message

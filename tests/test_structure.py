@@ -157,9 +157,11 @@ def test_mss_unsupported_symbols_get_extra_label():
         (("X1", Alphabet(("a", "b", "c"))), ("X2", BIT)), pmf.reshape(-1)
     )
     lab = mss(J, given="X1", target="X2")
-    assert lab.unsupported_label == 2
     assert lab.labels == (0, 1, 2)
     assert lab.num_labels == 3
+    # the extra label comes after every supported one, wherever the symbol is
+    J = JointDist((("X1", Alphabet(("a", "b", "c"))), ("X2", BIT)), pmf[::-1].reshape(-1))
+    assert mss(J, given="X1", target="X2").labels == (2, 0, 1)
 
 
 def test_attach_label_pushforward():
@@ -173,3 +175,30 @@ def test_attach_label_pushforward():
     assert abs(arr.sum() - 1.0) <= 1e-12
     with pytest.raises(PreconditionError):
         attach_label(copy, lab, "X1")
+
+
+# ---------------------------------------------------------------------------
+# input checks: each row is a call, the exception it raises and its message
+
+_J = random_dist(np.random.default_rng(0), [2, 3])
+
+INPUT_CHECKS = [
+    (lambda: Partition((frozenset([1, 2]), frozenset()), 2),
+     PreconditionError, "partition blocks must be nonempty"),
+    (lambda: Partition.parse("1,a|2", 2),
+     PreconditionError, "cannot parse partition '1,a|2'"),
+    (lambda: mcf(_J, "X1", "X1"),
+     PreconditionError, "mcf needs two distinct variables"),
+    (lambda: mss(_J, given="X1", target="X1"),
+     PreconditionError, "mss needs two distinct variables"),
+    (lambda: mss(_J, given="X1", target="X2", tol=-1e-9),
+     PreconditionError, "tolerance must be nonnegative"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
+                         ids=[m for _, _, m in INPUT_CHECKS])
+def test_input_checks(call, exc, message):
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
