@@ -37,6 +37,7 @@ from .smoothinfo import d_max, d_max_smooth, h_min_smooth
 from .structure import (
     Labeling,
     Partition,
+    _partition_labels,
     _partition_masks,
     _partition_of,
     attach_label,
@@ -83,7 +84,11 @@ class BoundReport(_Report):
 
 @dataclass(frozen=True)
 class CheckReport(_Report):
-    """Verdict of a necessary-condition check; failure is data, not error."""
+    """Verdict of a necessary-condition check; failure is data, not error.
+
+    ``per_partition`` holds one (label, rhs, slack) row per partition
+    checked, the label written as ``str`` of the partition.
+    """
 
     passed: bool
     lhs: float
@@ -96,7 +101,7 @@ class CheckReport(_Report):
     def as_json(self) -> dict:
         out = super().as_json()
         out["per_partition"] = [
-            {"partition": str(p), "rhs": r, "slack": s} for p, r, s in self.per_partition
+            {"partition": p, "rhs": r, "slack": s} for p, r, s in self.per_partition
         ]
         return out
 
@@ -131,8 +136,8 @@ def _partition_scan(J: JointDist, zs: Sequence[str], partition: Partition | None
     return ((masks, build(masks)) for masks in chunks)
 
 
-def _num_blocks(masks: np.ndarray) -> list[int]:
-    return np.count_nonzero(masks, axis=1).tolist()
+def _num_blocks(masks: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(masks, axis=1)
 
 
 def _check_cit_slacks(eps: float, eta: float) -> None:
@@ -142,8 +147,12 @@ def _check_cit_slacks(eps: float, eta: float) -> None:
         raise PreconditionError("need 0 < eta < 1 - eps")
 
 
-def _cit_value(neg_log2_beta: float, num_blocks: int, eta: float) -> float:
-    """(1/(|pi|-1)) * [ -log2 beta + |pi| log2(1/eta) ]."""
+def _cit_value(neg_log2_beta, num_blocks, eta: float):
+    """(1/(|pi|-1)) * [ -log2 beta + |pi| log2(1/eta) ].
+
+    Takes floats or arrays; an array entry gets the same float operations
+    as a float would.
+    """
     return (neg_log2_beta + num_blocks * math.log2(1.0 / eta)) / (num_blocks - 1)
 
 
@@ -209,13 +218,12 @@ def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
     m = len(_party_vars(J, zs))
     scan = _partition_scan(J, zs)
     _check_cit_slacks(eps, eta)
-    best, best_value = None, math.inf
+    values, masks_seen = [], []
     for masks, q in scan:
-        nlbs = _neg_log2_betas(J.pmf, q, eps + eta)
-        for row, l, nlb in zip(masks.tolist(), _num_blocks(masks), nlbs):
-            value = _cit_value(nlb, l, eta)
-            if best is None or value < best_value:
-                best, best_value = row, value
+        nlbs = np.array(_neg_log2_betas(J.pmf, q, eps + eta))
+        values.append(_cit_value(nlbs, _num_blocks(masks), eta))
+        masks_seen.append(masks)
+    best = np.concatenate(masks_seen)[np.argmin(np.concatenate(values))].tolist()
     return cit_bound(J, _partition_of(best, m), eps, eta, z=zs)
 
 
@@ -230,7 +238,7 @@ def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
         )
     best_val, best = math.inf, None
     for masks, q in _partition_scan(J, []):
-        for row, l, kl in zip(masks.tolist(), _num_blocks(masks), _kl_rows(J.pmf, q)):
+        for row, l, kl in zip(masks.tolist(), _num_blocks(masks).tolist(), _kl_rows(J.pmf, q)):
             val = kl / (l - 1)
             if val < best_val - _TOL:
                 best_val, best = val, row
@@ -493,21 +501,24 @@ def sc_necessary_check(
     p_g = pushforward_function(J, g)
     lhs = h_min_smooth(p_g, xi).value
     extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
-    rows = []
+    m = len(J.vars)
+    labels, rhss, masks_seen = [], [], []
     for masks, q in _partition_scan(J, [], partition):
-        for row, nlb in zip(masks.tolist(), _neg_log2_betas(J.pmf, q, mu)):
-            pi = _partition_of(row, len(J.vars))
-            rhs = _cit_value(nlb, pi.num_blocks, eta) + extra
-            rows.append((pi, rhs, rhs - lhs))
-    worst = min(range(len(rows)), key=lambda i: rows[i][2])
-    pi_w, rhs_w, slack_w = rows[worst]
+        nlbs = np.array(_neg_log2_betas(J.pmf, q, mu))
+        rhss.append(_cit_value(nlbs, _num_blocks(masks), eta) + extra)
+        labels += _partition_labels(masks, m)
+        masks_seen.append(masks)
+    rhs = np.concatenate(rhss)
+    slack = rhs - lhs
+    worst = int(np.argmin(slack))
+    rows = tuple(zip(labels, rhs.tolist(), slack.tolist()))
     return CheckReport(
-        passed=slack_w >= -_TOL,
+        passed=rows[worst][2] >= -_TOL,
         lhs=lhs,
-        rhs=rhs_w,
-        slack=slack_w,
-        partition=pi_w,
-        per_partition=tuple(rows),
+        rhs=rows[worst][1],
+        slack=rows[worst][2],
+        partition=_partition_of(np.concatenate(masks_seen)[worst].tolist(), m),
+        per_partition=rows,
         params={
             "eps": eps, "delta": delta, "xi": xi, "zeta": zeta, "eta": eta, "mu": mu,
         },

@@ -23,7 +23,15 @@ import numpy as np
 from ._parallel import parallel_map
 from ._typeclasses import typeclass_table
 from .errors import PreconditionError
-from .probcore import LOG2_ZERO, MASS_SLACK, JointDist, _check_same_shape, divergence, log2_pmf
+from .probcore import (
+    LOG2_ZERO,
+    MASS_SLACK,
+    JointDist,
+    _check_same_shape,
+    divergence,
+    log2_pmf,
+    stable_order,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,44 +95,57 @@ def _ratio_order(logp: np.ndarray, logq: np.ndarray) -> np.ndarray:
     ratio = logp - logq
     # p == 0 outcomes can never help; force them last regardless of q
     ratio[..., logp <= LOG2_ZERO] = -np.inf
-    return np.argsort(-ratio, axis=-1, kind="stable")
+    return stable_order(np.negative(ratio, out=ratio))
 
 
 def _greedy_threshold(p_sorted: np.ndarray, target: float):
-    """Accept prefix mass exactly `target`; returns (n_full, gamma, covered)."""
-    cum = np.cumsum(p_sorted)
-    total = float(cum[-1]) if cum.size else 0.0
-    target = min(target, total)
-    b = int(np.searchsorted(cum, target - MASS_SLACK, side="left"))
-    before = float(cum[b - 1]) if b > 0 else 0.0
-    if b >= p_sorted.size or target - before <= MASS_SLACK:
-        return b, 0.0, before
-    gamma = min(1.0, (target - before) / float(p_sorted[b]))
-    return b, gamma, before + gamma * float(p_sorted[b])
+    """Accept prefix mass exactly `target` in each row of ``p_sorted``.
+
+    Returns arrays (n_full, gamma, covered), one entry per row.  The cumsum
+    is nondecreasing, so counting its entries below the target is a
+    left-side ``searchsorted``.
+    """
+    rows, n = np.arange(len(p_sorted)), p_sorted.shape[1]
+    cum = np.zeros((len(p_sorted), n + 1))  # cum[:, b] is the mass before cell b
+    p_sorted.cumsum(axis=-1, out=cum[:, 1:])
+    target = np.minimum(target, cum[:, -1])
+    b = (cum[:, 1:] < (target - MASS_SLACK)[:, None]).sum(axis=-1)
+    before = cum[rows, b]
+    rest = target - before
+    at = p_sorted[rows, np.minimum(b, n - 1)]
+    # a fraction of cell b only where it exists and the rest is above slack
+    gamma = np.divide(rest, at, out=np.zeros(len(b)), where=(b < n) & (rest > MASS_SLACK))
+    np.minimum(gamma, 1.0, out=gamma)
+    return b, gamma, before + gamma * at
 
 
-def _np_test(ps: np.ndarray, qs: np.ndarray, eps: float):
-    """Neyman-Pearson test on ratio-sorted masses: (n_full, gamma, covered, beta)."""
+def _np_tests(ps: np.ndarray, qs: np.ndarray, eps: float):
+    """Neyman-Pearson tests on ratio-sorted rows: (n_full, gamma, covered, betas).
+
+    Each beta sums its row's accepted prefix alone: numpy's pairwise sum
+    depends on the length summed, so a masked full-row sum could differ in
+    the last bit.
+    """
     b, gamma, covered = _greedy_threshold(ps, 1.0 - eps)
-    beta = float(qs[:b].sum())
-    if gamma > 0:
-        beta += gamma * float(qs[b])
-    return b, gamma, covered, beta
+    betas = []
+    for qrow, n_full, g in zip(qs, b.tolist(), gamma.tolist()):
+        beta = float(qrow[:n_full].sum())
+        if g > 0:
+            beta += g * float(qrow[n_full])
+        betas.append(beta)
+    return b, gamma, covered, betas
 
 
 def _neg_log2_betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
     """-log2 beta_eps(p, q) for each row q of ``q_rows``.
 
     Equal, bit for bit, to ``beta_epsilon(P, Q, eps).neg_log2_beta`` of
-    each row: one batched sort, then the same finish row by row.
+    each row: one batched sort and one batched threshold.
     """
     order = _ratio_order(log2_pmf(p), log2_pmf(q_rows))
     ps, qs = p[order], q_rows[np.arange(len(q_rows))[:, None], order]
-    out = []
-    for prow, qrow in zip(ps, qs):
-        beta = _np_test(prow, qrow, eps)[3]
-        out.append(-math.log2(beta) if beta > 0 else math.inf)
-    return out
+    betas = _np_tests(ps, qs, eps)[3]
+    return [-math.log2(beta) if beta > 0 else math.inf for beta in betas]
 
 
 def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
@@ -134,7 +155,8 @@ def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
         raise PreconditionError("eps must lie in [0, 1)")
     p, q = P.pmf, Q.pmf
     order = _ratio_order(log2_pmf(p), log2_pmf(q))
-    b, gamma, covered, beta = _np_test(p[order], q[order], eps)
+    b, gamma, covered, (beta,) = _np_tests(p[order][None], q[order][None], eps)
+    b, gamma, covered = int(b[0]), float(gamma[0]), float(covered[0])
     log2_beta = math.log2(beta) if beta > 0 else -math.inf
     return BetaCertificate(
         beta=beta,
@@ -165,7 +187,8 @@ def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCert
     order = _ratio_order(logp, logq)
     ps = np.exp2(logp[order])
     logq_sorted = logq[order]
-    b, gamma, covered = _greedy_threshold(ps, 1.0 - eps)
+    b, gamma, covered = _greedy_threshold(ps[None], 1.0 - eps)
+    b, gamma, covered = int(b[0]), float(gamma[0]), float(covered[0])
     with np.errstate(invalid="ignore"):
         q_prefix = np.logaddexp2.accumulate(logq_sorted) if logq_sorted.size else None
     log2_beta = float(q_prefix[b - 1]) if b > 0 else LOG2_ZERO

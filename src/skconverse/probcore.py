@@ -340,13 +340,21 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], n
         return cache[mask]
 
     def build(masks: np.ndarray) -> np.ndarray:
-        out = np.empty((len(masks), len(slices)) + x_shape)
-        for row, masks_row in zip(out, masks.tolist()):
-            factors = [cache[k] if k in cache else block(k) for k in masks_row if k]
-            prod = factors[0]
-            for bm in factors[1:]:
-                prod = prod * bm
-            np.multiply(prod, mass_col, out=row)
+        # each distinct mask's factor at full size, in mask order; mask 0
+        # contributes 1.0.  A lookup over the 2^m masks numbers them: cheaper
+        # than np.unique's sort, which would dominate a chunk of one row.
+        index = np.zeros(1 << len(x_shape), dtype=np.intp)
+        index[masks] = 1
+        keys = index.nonzero()[0]
+        index[keys] = np.arange(len(keys))
+        table = np.empty((len(keys), len(slices)) + x_shape)
+        for t, k in zip(table, keys.tolist()):
+            t[...] = (cache[k] if k in cache else block(k)) if k else 1.0
+        inv = index[masks]
+        out = table[inv[:, 0]]
+        for col in inv.T[1:]:
+            out *= table[col]
+        out *= mass_col
         out = out.reshape((len(masks),) + z_shape + x_shape)
         return np.transpose(out, back).reshape(len(masks), -1)
 
@@ -512,6 +520,36 @@ def log2_pmf(pmf: np.ndarray) -> np.ndarray:
     mask = pmf > 0
     out[mask] = np.log2(pmf[mask])
     return out
+
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, axis=-1, kind="stable")``, from numpy's default sort.
+
+    The default sort is the fast one, but it may leave equal keys out of
+    index order.  If two neighbouring sorted keys are equal, each run of
+    equal keys is put back in index order: positions get the run's number
+    (a prefix count of key changes), and sorting run * n + index and
+    taking it modulo n gives the stable order, whatever order the default
+    sort left inside each run.  Keys must not be NaN.  Each temporary is
+    dropped or reused as soon as it is spent, so the peak memory stays near
+    the stable sort's.
+    """
+    order = np.argsort(key, axis=-1)
+    n = key.shape[-1]
+    sorted_key = np.take_along_axis(key, order, axis=-1)
+    changed = sorted_key[..., 1:] != sorted_key[..., :-1]
+    del sorted_key
+    if changed.all():
+        return order
+    runs = np.zeros(key.shape, dtype=np.int64)
+    runs[..., 1:] = changed  # a cumsum straight from bool would cast a copy
+    del changed
+    np.cumsum(runs, axis=-1, out=runs)
+    runs *= n
+    runs += order
+    del order
+    runs.sort(axis=-1)
+    return np.remainder(runs, n, out=runs)
 
 
 def divergence(P: JointDist, Q: JointDist, kind: str = "kl", alpha: float | None = None) -> float:

@@ -761,14 +761,12 @@ def ideal_ot_correlation(l: int) -> JointDist:
         raise CapExceededError(f"{n1 * n2} cells exceed the cap {DEFAULT_CELL_CAP}")
     sym1 = [s0 + s1 for s0 in strings for s1 in strings]
     sym2 = [b + k for b in ("0", "1") for k in strings]
+    # X1 = (K0', K1') is row i0 * 2^l + i1; X2 = (B', K'_{B'}) is column i0
+    # for B' = 0 and 2^l + i1 for B' = 1
+    rows = np.arange(n1)
+    k0p, k1p = np.divmod(rows, len(strings))
     pmf = np.zeros((n1, n2))
-    for i, s in enumerate(sym1):
-        k0p, k1p = s[:l], s[l:]
-        for j, t in enumerate(sym2):
-            bp, kp = t[0], t[1:]
-            held = k0p if bp == "0" else k1p
-            if kp == held:
-                pmf[i, j] = (1.0 / n1) * 0.5
+    pmf[rows, k0p] = pmf[rows, len(strings) + k1p] = (1.0 / n1) * 0.5
     return JointDist((("X1", Alphabet(tuple(sym1))), ("X2", Alphabet(tuple(sym2)))),
                      pmf.reshape(-1))
 

@@ -29,6 +29,7 @@ from .probcore import (
     _check_same_shape,
     _resolve_names,
     log2_pmf,
+    stable_order,
 )
 
 _SEGMENT_BLOCK = 1 << 14  # segments tested per numpy pass in _dmax_cap_log
@@ -175,7 +176,7 @@ def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
         return math.inf  # no mass can be covered, and the target is positive
     lp, lq = logp[keep], logq[keep]
     ratio = lp - lq
-    order = np.argsort(ratio, kind="stable")
+    order = stable_order(ratio)
     lp, lq, ratio = lp[order], lq[order], ratio[order]
     p_lin = np.exp2(lp)
     p_cum = np.concatenate([[0.0], np.cumsum(p_lin)])  # p mass of capped prefix

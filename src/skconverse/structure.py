@@ -125,6 +125,16 @@ def _partition_masks(m: int, rows: int) -> Iterator[np.ndarray]:
     return chunks()
 
 
+def _partition_labels(masks: np.ndarray, m: int) -> list[str]:
+    """``str`` of the partition of each row of block bitmasks, as ``_partition_of``
+    would print it, from one "1,3,5" string per distinct mask."""
+    blocks = {
+        k: ",".join(str(i + 1) for i in range(m) if k >> i & 1)
+        for k in np.unique(masks).tolist()
+    }
+    return ["|".join([blocks[k] for k in row if k]) for row in masks.tolist()]
+
+
 def _partition_of(masks: Sequence[int], m: int) -> Partition:
     """The partition of {1..m} whose nonzero block bitmasks are ``masks``."""
     return Partition(

@@ -65,6 +65,10 @@ MUTANTS = {
         "    if xi <= 0:\n",
         "    if False:\n",
     )]),
+    "no-tie-repair": ("src/skconverse/probcore.py", [(
+        "    if changed.all():\n",
+        "    if True:\n",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -74,6 +75,14 @@ def write_inputs(base: Path) -> dict:
                      {f"obs={x}|rand={r}|tr={t},-": t if r == "0" else x
                       for x in "01" for r in "01" for t in "01"}],
         },
+        # eight symmetric parties, whose Q^pi ratio rows have many exact ties:
+        # independent uniform bits, and copies of one uniform bit, each
+        # flipped with probability 0.1
+        "iu8": {"variables": _bits(*(f"X{i}" for i in range(1, 9))), "pmf": [2.0 ** -8] * 256},
+        "nc8": {"variables": _bits(*(f"X{i}" for i in range(1, 9))),
+                "pmf": [0.5 * math.prod(0.9 if (x >> 7 - i & 1) == x >> 7 else 0.1
+                                        for i in range(1, 8)) for x in range(256)]},
+        "g8": [bin(x).count("1") % 2 for x in range(256)],
         "params": {"eps": 0.1, "eta": 0.05},
         "params_unread": {"eps": 0.1, "eta": 0.05, "count": 3},
     }
@@ -126,6 +135,10 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--count", "300", "--seed", "0"],
         ["protocol", "fuzz", "--count", "300", "--seed", "1", "--eta", "0.1"],
     ]
+    symmetric = [call for d in ("iu8", "nc8") for call in (
+        ["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--all-partitions"],
+        ["bound", "compute", "--dist", f[d], "--g", f["g8"], "--eps", ".02", "--delta", ".02"],
+    )]
     # OT at length 5 is left out: a run cap of 10^7, as in earlier revisions,
     # admits its 4.2·10^6 runs, which then take several GB
     lengths = {"ot1": [-1, 0, 1, 2, 3, 4, 6, 7, 8], "ot2": [-1, 0, 1, 2, 3, 4, 6, 7],
@@ -150,7 +163,7 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--eta", "1"],
         ["structure", "mss", "--dist", f["j2"], "--given", "X1", "--target", "X1"],
     ]
-    return ok + reduce + errors
+    return ok + symmetric + reduce + errors
 
 
 def bench_corpus(base: Path) -> list[list[str]]:

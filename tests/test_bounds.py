@@ -276,7 +276,7 @@ def _sc_rows(J, parts, qs, lhs, mu, zeta, eta):
         l = pi.num_blocks
         rhs = (beta_epsilon(J, q, mu).neg_log2_beta + l * math.log2(1 / eta)) / (l - 1)
         rhs += 2 * math.log2(1 / (2 * zeta)) + 1
-        rows.append((pi, rhs, rhs - lhs))
+        rows.append((str(pi), rhs, rhs - lhs))
     return tuple(rows)
 
 
@@ -290,7 +290,8 @@ def test_sc_check_equals_loop_over_partitions():
         rows = _sc_rows(J, parts, qs, rep.lhs, rep.params["mu"], zeta, eta)
         assert rep.per_partition == rows
         worst = min(range(len(rows)), key=lambda i: rows[i][2])
-        assert (rep.partition, rep.rhs, rep.slack) == rows[worst]
+        assert rep.partition == parts[worst]
+        assert (str(rep.partition), rep.rhs, rep.slack) == rows[worst]
         one = sc_necessary_check(J, g, 0.02, 0.02, xi, zeta, eta, partition=parts[-1])
         assert one.per_partition == (rows[-1],)
 
@@ -524,7 +525,7 @@ def test_sc_check_shared_key_instance_passes():
     rep = sc_necessary_check(J, parity, 0.05, 0.05, 0.05, 0.1, 0.1)
     assert rep.passed
     # the testing instance has constant ratio 2^kappa: beta is exact there
-    pi = rep.per_partition[0][0]
+    pi = Partition.parse(rep.per_partition[0][0], 2)
     q = conditional_product(J, pi, None)
     mu = rep.params["mu"]
     cert = beta_epsilon(J, q, mu)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skconverse import (
     Alphabet,
@@ -18,6 +20,8 @@ from skconverse import (
 from skconverse.errors import CapExceededError
 from skconverse.probcore import (
     Channel,
+    _chunk_rows,
+    _q_pi_rows,
     apply_channel,
     conditional_family,
     conditional_product,
@@ -27,7 +31,9 @@ from skconverse.probcore import (
     factorizes,
     fuse_vars,
     pushforward_function,
+    stable_order,
 )
+from skconverse.structure import _partition_masks
 from support import BIT, ber, binary_entropy, dsbs, marginal_oracle, random_dist
 
 
@@ -165,6 +171,80 @@ def test_conditional_product_matches_slice_oracle():
 
     with pytest.raises(PreconditionError):
         conditional_product(J, [{1}, {2}], "Z")  # does not cover {1,2,3}
+
+
+def _q_pi_row_loop(J, z_names, masks):
+    """Q^pi of each row of block bitmasks, one row and one z-slice at a time.
+
+    Per slice: the product of the block marginals of the slice's
+    conditional law, in block order, times the slice's mass.
+    """
+    perm = [J.axis(n) for n in z_names]
+    perm += [a for a in range(len(J.vars)) if a not in perm]
+    arr = np.transpose(J.array(), perm)
+    z_shape, x_shape = arr.shape[:len(z_names)], arr.shape[len(z_names):]
+    rows = []
+    for masks_row in masks.tolist():
+        out = np.empty(arr.shape)
+        for zi in np.ndindex(*z_shape):
+            mass = arr[zi].sum()
+            cond = arr[zi] / mass if mass > 0.0 else np.zeros(x_shape)
+            prod = None
+            for k in masks_row:
+                if k:
+                    other = tuple(a for a in range(len(x_shape)) if not k >> a & 1)
+                    f = cond.sum(axis=other, keepdims=True) if other else cond
+                    prod = f if prod is None else prod * f
+            out[zi] = prod * mass
+        rows.append(np.transpose(out, np.argsort(perm)).reshape(-1))
+    return np.array(rows)
+
+
+def test_q_pi_rows_equal_a_row_loop_bit_for_bit():
+    """Every chunk of the partition scan, at m = 8 (17 chunks) and with an
+    eavesdropper one of whose values has zero mass (6 chunks)."""
+    rng = np.random.default_rng(1414)
+    arr8 = rng.random([2] * 8)
+    arr8[rng.random(arr8.shape) < 0.25] = 0.0
+    arr_z = rng.random([2] * 7 + [3])
+    arr_z[..., 1] = 0.0
+    sources = [
+        (JointDist(tuple((f"X{i}", BIT) for i in range(1, 9)), (arr8 / arr8.sum()).reshape(-1)),
+         []),
+        (JointDist(tuple((f"X{i}", BIT) for i in range(1, 8)) + (("Z", ("0", "1", "2")),),
+                   (arr_z / arr_z.sum()).reshape(-1), eve="Z"), ["Z"]),
+    ]
+    for J, zs in sources:
+        build = _q_pi_rows(J, zs)
+        chunks = list(_partition_masks(len(J.vars) - len(zs), _chunk_rows(J.n_cells)))
+        assert len(chunks) == (17 if not zs else 6)
+        for masks in chunks:
+            assert np.array_equal(build(masks), _q_pi_row_loop(J, zs, masks))
+
+
+_TIE_KINDS = st.sampled_from(["rounded", "equal rows", "signed zeros", "infinities"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 700), st.integers(0, 2**32 - 1), _TIE_KINDS)
+@example(rows=8, n=256, seed=0, kind="rounded")
+def test_stable_order_is_the_stable_argsort(rows, n, seed, kind):
+    """Tie-heavy 1-D (rows = 0) and 2-D keys, as the likelihood orders see
+    them: rounded ratios, rows of one value, -0.0 next to 0.0, and -inf or
+    +inf for cells where P = 0."""
+    rng = np.random.default_rng(seed)
+    shape = (n,) if rows == 0 else (rows, n)
+    key = np.round(rng.normal(size=shape), 1)
+    if kind == "equal rows":
+        key[..., :] = key[..., :1]
+    elif kind == "signed zeros":
+        key = rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)
+    elif kind == "infinities":
+        key[rng.random(shape) < 0.3] = -np.inf
+        key[rng.random(shape) < 0.1] = np.inf
+    got = stable_order(key)
+    assert got.dtype == np.intp
+    assert np.array_equal(got, np.argsort(key, axis=-1, kind="stable"))
 
 
 def test_iid_extend():

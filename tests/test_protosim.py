@@ -292,6 +292,21 @@ def test_leftover_hash_search_meets_lemma_threshold():
 # ideal protocols and reductions
 
 
+@pytest.mark.parametrize("l", range(5))
+def test_ideal_ot_correlation_equals_symbol_loop(l):
+    """The pmf, filled cell by cell from the symbols: (K0', K1') and
+    (B', K') have mass 1/2 over the 4^l key pairs exactly when K' = K'_{B'}."""
+    J = ideal_ot_correlation(l)
+    sym1, sym2 = J.alphabet("X1").symbols, J.alphabet("X2").symbols
+    assert len(sym1) == 4 ** l and len(sym2) == 2 * 2 ** l
+    expect = np.zeros((len(sym1), len(sym2)))
+    for i, s in enumerate(sym1):
+        for j, t in enumerate(sym2):
+            if t[1:] == (s[:l] if t[0] == "0" else s[l:]):
+                expect[i, j] = (1.0 / len(sym1)) * 0.5
+    assert np.array_equal(J.pmf, expect.reshape(-1))
+
+
 def test_ideal_ot_is_perfect():
     for l in (1, 2):
         J, otp = ideal_ot_protocol(l)
