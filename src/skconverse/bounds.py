@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .hyptest import _neg_log2_betas, beta_epsilon
+from .hyptest import _betas, beta_epsilon
 from .probcore import (
     Channel,
     JointDist,
@@ -127,12 +127,12 @@ def _partition_scan(J: JointDist, zs: Sequence[str], partition: Partition | None
     equal bit for bit to ``conditional_product``.  A chunk holds at most
     2^16 cells of Q^pi, or one row.
     """
+    build = _q_pi_rows(J, zs)
     m = len(J.vars) - len(zs)
     if partition is not None:
         chunks = [np.array([_block_masks(partition, m)])]
     else:
         chunks = _partition_masks(m, _chunk_rows(J.n_cells))
-    build = _q_pi_rows(J, zs)
     return ((masks, build(masks)) for masks in chunks)
 
 
@@ -154,6 +154,10 @@ def _cit_value(neg_log2_beta, num_blocks, eta: float):
     as a float would.
     """
     return (neg_log2_beta + num_blocks * math.log2(1.0 / eta)) / (num_blocks - 1)
+
+
+def _neg_log2(beta: float) -> float:
+    return -math.log2(beta) if beta > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -183,48 +187,56 @@ def cit_bound(
             f"partition is over {partition.m} parties but J has {len(parties)}"
         )
     if q is None:
-        q = conditional_product(J, partition, zs if zs else None)
-    else:
-        if q.vars != J.vars:
-            raise PreconditionError("supplied Q has a different variable structure")
-        if not factorizes(q, partition, zs if zs else None):
-            raise PreconditionError(
-                "supplied Q fails the conditional factorization test"
-            )
-    cert = beta_epsilon(J, q, eps + eta)
-    l = partition.num_blocks
-    value = _cit_value(cert.neg_log2_beta, l, eta)
-    return BoundReport(
-        kind="cit",
-        value=value,
-        params={"eps": eps, "eta": eta, "z": zs},
-        partition=partition,
-        intermediates={
-            "neg_log2_beta": cert.neg_log2_beta,
-            "beta": cert.beta,
-            "eps_plus_eta": eps + eta,
-            "num_blocks": l,
-        },
-    )
+        return _least_cit(J, zs, eps, eta, _partition_scan(J, zs, partition))
+    if q.vars != J.vars:
+        raise PreconditionError("supplied Q has a different variable structure")
+    if not factorizes(q, partition, zs if zs else None):
+        raise PreconditionError(
+            "supplied Q fails the conditional factorization test"
+        )
+    masks = np.array([_block_masks(partition, len(parties))])
+    return _least_cit(J, zs, eps, eta, [(masks, q.pmf[None])])
 
 
 def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
     """Minimum of the testing bound over all partitions (default Q each).
 
     Conditions on ``J.eve`` if set.  The first partition with the least
-    value wins; its report is built by ``cit_bound``.
+    value wins.
     """
     zs = _z_names(J)
-    m = len(_party_vars(J, zs))
     scan = _partition_scan(J, zs)
     _check_cit_slacks(eps, eta)
-    values, masks_seen = [], []
+    return _least_cit(J, zs, eps, eta, scan)
+
+
+def _least_cit(J: JointDist, zs: list[str], eps: float, eta: float, scan) -> BoundReport:
+    """The ``cit_bound`` report of the first least row of the (masks, q)
+    chunks of ``scan``, written from the beta its test found."""
+    values, masks_seen, betas = [], [], []
     for masks, q in scan:
-        nlbs = np.array(_neg_log2_betas(J.pmf, q, eps + eta))
+        chunk = _betas(J.pmf, q, eps + eta)
+        nlbs = np.array([_neg_log2(beta) for beta in chunk])
         values.append(_cit_value(nlbs, _num_blocks(masks), eta))
         masks_seen.append(masks)
-    best = np.concatenate(masks_seen)[np.argmin(np.concatenate(values))].tolist()
-    return cit_bound(J, _partition_of(best, m), eps, eta, z=zs)
+        betas.append(np.array(chunk))
+    best = int(np.argmin(np.concatenate(values)))
+    partition = _partition_of(np.concatenate(masks_seen)[best].tolist(), len(_party_vars(J, zs)))
+    beta = float(np.concatenate(betas)[best])
+    nlb = _neg_log2(beta)
+    l = partition.num_blocks
+    return BoundReport(
+        kind="cit",
+        value=_cit_value(nlb, l, eta),
+        params={"eps": eps, "eta": eta, "z": zs},
+        partition=partition,
+        intermediates={
+            "neg_log2_beta": nlb,
+            "beta": beta,
+            "eps_plus_eta": eps + eta,
+            "num_blocks": l,
+        },
+    )
 
 
 def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
@@ -504,7 +516,7 @@ def sc_necessary_check(
     m = len(J.vars)
     labels, rhss, masks_seen = [], [], []
     for masks, q in _partition_scan(J, [], partition):
-        nlbs = np.array(_neg_log2_betas(J.pmf, q, mu))
+        nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, q, mu)])
         rhss.append(_cit_value(nlbs, _num_blocks(masks), eta) + extra)
         labels += _partition_labels(masks, m)
         masks_seen.append(masks)

@@ -136,16 +136,15 @@ def _np_tests(ps: np.ndarray, qs: np.ndarray, eps: float):
     return b, gamma, covered, betas
 
 
-def _neg_log2_betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
-    """-log2 beta_eps(p, q) for each row q of ``q_rows``.
+def _betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
+    """beta_eps(p, q) for each row q of ``q_rows``.
 
-    Equal, bit for bit, to ``beta_epsilon(P, Q, eps).neg_log2_beta`` of
-    each row: one batched sort and one batched threshold.
+    Equal, bit for bit, to ``beta_epsilon(P, Q, eps).beta`` of each row:
+    one batched sort and one batched threshold.
     """
     order = _ratio_order(log2_pmf(p), log2_pmf(q_rows))
     ps, qs = p[order], q_rows[np.arange(len(q_rows))[:, None], order]
-    betas = _np_tests(ps, qs, eps)[3]
-    return [-math.log2(beta) if beta > 0 else math.inf for beta in betas]
+    return _np_tests(ps, qs, eps)[3]
 
 
 def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:

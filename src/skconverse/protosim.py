@@ -29,7 +29,8 @@ from .probcore import (
     SUM_TOL,
     Alphabet,
     JointDist,
-    conditional_product,
+    _block_masks,
+    _q_pi_rows,
     factorizes,
     fuse_vars,
     marginal,
@@ -149,19 +150,23 @@ def _branches(value) -> list[tuple[str, float]]:
 
 def _runs(
     J: JointDist,
+    pmfs: np.ndarray,
     obs_vars: Sequence[Sequence[str]],
     rounds: int,
     message_maps: Mapping[tuple[int, int], MapLike],
     randomness: Sequence[LocalRand | None],
 ):
-    """Yield (outcome, obs, rand, transcript, weight) for every complete run.
+    """Yield (outcome, obs, rand, transcript, rows, weights) for every run.
 
+    ``rows`` are the rows of ``pmfs`` (pmfs over J's cells) with positive
+    mass at ``outcome``, ``weights`` the run's probability under each, taken
+    as a walk of that row alone would; a factor of 1.0 reuses the weights.
     Party i observes the J variables ``obs_vars[i-1]`` and the local
-    randomness ``randomness[i-1]`` (None: no randomness) and speaks by
-    ``message_maps`` in the order of ``_schedule``.  Outcomes come
-    in row-major order, then randomness points, then depth-first over the
-    messages; ``outcome`` and ``obs`` are the same objects for every run of
-    one outcome.  Raises when support x randomness points exceeds STATE_CAP.
+    randomness ``randomness[i-1]`` (None: none) and speaks by ``message_maps``
+    in the order of ``_schedule``.  Outcomes come in row-major order, then
+    randomness points, then depth-first over the messages; ``outcome``,
+    ``obs`` and ``rows`` are the same objects for every run of one outcome.
+    Raises when the rows' joint support x randomness points exceeds STATE_CAP.
     """
     positions = {n: i for i, n in enumerate(J.var_names)}
     for group in obs_vars:
@@ -174,7 +179,7 @@ def _runs(
         space = [
             (combo + (s,), w * pw) for combo, w in space for s, pw in syms if pw > 0
         ]
-    support = int(np.count_nonzero(J.pmf))
+    support = int(np.count_nonzero(pmfs.any(axis=0)))
     if support * len(space) > STATE_CAP:
         raise CapExceededError(
             f"{support} outcomes x {len(space)} randomness points "
@@ -182,25 +187,29 @@ def _runs(
         )
     obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
     sched = _schedule(rounds, len(obs_vars))
-    for syms, prob in zip(J.outcomes(), map(float, J.pmf)):
-        if prob == 0.0:
+    for syms, col in zip(J.outcomes(), zip(*pmfs)):
+        if not any(col):
             continue
+        rows = tuple(r for r, q in enumerate(col) if q > 0)
+        masses = [float(col[r]) for r in rows]
         obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
         for rand, rw in space:
-            stack = [((), prob * rw, 0)]
+            ws = masses if rw == 1.0 else [q * rw for q in masses]
+            stack = [((), ws, 0)]
             while stack:
-                transcript, w, pos = stack.pop()
+                transcript, ws, pos = stack.pop()
                 if pos == len(sched):
-                    yield syms, obs, rand, transcript, w
+                    yield syms, obs, rand, transcript, rows, ws
                     continue
                 j, i = sched[pos]
                 m = message_maps.get((j, i))
                 if m is None:
-                    stack.append((transcript + ("-",), w, pos + 1))
+                    stack.append((transcript + ("-",), ws, pos + 1))
                     continue
                 val = _map_value(m, obs[i - 1], rand[i - 1], transcript)
                 for sym, pw in _branches(val):
-                    stack.append((transcript + (sym,), w * pw, pos + 1))
+                    scaled = ws if pw == 1.0 else [w * pw for w in ws]
+                    stack.append((transcript + (sym,), scaled, pos + 1))
 
 
 def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
@@ -212,36 +221,39 @@ def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
     return tuple(positions[n] for n in p.eve_vars)
 
 
-def protocol_law(J: JointDist, p: Protocol) -> dict:
-    """Exact joint law keyed (keys, transcript, eve_view).
-
-    Raises when the enumeration would exceed the run cap of ``_runs``.
-    """
+def _laws(J: JointDist, p: Protocol, pmfs: np.ndarray) -> list[dict]:
+    """``protocol_law`` of ``p`` on each pmf row of ``pmfs`` over J's cells,
+    from one walk of the runs: each row's law has the keys, order and floats
+    of a walk of that row alone."""
     eve_pos = _eve_pos(J, p)
-    law: dict = defaultdict(float)
+    laws: list = [defaultdict(float) for _ in pmfs]
     key_set = set(p.key_symbols)
     syms_of_z = None
-    for syms, obs, rand, transcript, w in _runs(
-        J, p.obs_vars, p.rounds, p.message_maps, p.randomness
+    for syms, obs, rand, transcript, rows, ws in _runs(
+        J, pmfs, p.obs_vars, p.rounds, p.message_maps, p.randomness
     ):
         if syms is not syms_of_z:
             syms_of_z, z = syms, tuple(syms[k] for k in eve_pos)
         # evaluate keys, branching if stochastic
-        key_stack = [((), w)]
+        key_stack = [((), ws)]
         for i in range(p.num_parties):
-            val = _map_value(p.key_maps[i], obs[i], rand[i], transcript)
-            nxt = []
-            for keys, kw in key_stack:
-                for sym, pw in _branches(val):
-                    if sym not in key_set:
-                        raise PreconditionError(
-                            f"key map returned {sym!r} outside the key alphabet"
-                        )
-                    nxt.append((keys + (sym,), kw * pw))
-            key_stack = nxt
-        for keys, kw in key_stack:
-            law[(keys, transcript, z)] += kw
-    return dict(law)
+            branches = _branches(_map_value(p.key_maps[i], obs[i], rand[i], transcript))
+            for sym, _ in branches:
+                if sym not in key_set:
+                    raise PreconditionError(
+                        f"key map returned {sym!r} outside the key alphabet"
+                    )
+            key_stack = [(keys + (sym,), kws if pw == 1.0 else [w * pw for w in kws])
+                         for keys, kws in key_stack for sym, pw in branches]
+        for keys, kws in key_stack:
+            for r, w in zip(rows, kws):
+                laws[r][(keys, transcript, z)] += w
+    return [dict(law) for law in laws]
+
+
+def protocol_law(J: JointDist, p: Protocol) -> dict:
+    """Exact joint law keyed (keys, transcript, eve_view), within the run cap of ``_runs``."""
+    return _laws(J, p, J.pmf[None])[0]
 
 
 @dataclass(frozen=True)
@@ -359,8 +371,8 @@ def _var_blocks(
 ) -> list[frozenset[int]]:
     """A partition of the parties as blocks of J's non-eavesdropper variables.
 
-    Those variables are numbered from 1 in J's order, as
-    ``conditional_product`` expects.
+    Those variables are numbered from 1 in J's order, as ``factorizes`` and
+    ``_block_masks`` expect.
     """
     blocks = _party_var_blocks(J, p)
     nonz = [n for n in J.var_names if n not in p.eve_vars]
@@ -480,8 +492,7 @@ def acceptance_region_test(
     is at most |K|^(1-|pi|) eta^(-|pi|) and its P-complement is at most
     achieved-eps + eta.
     """
-    p_law = protocol_law(J, p)
-    return _region_test(J, p, partition, eta, p_law, _security(p_law, p))
+    return _region_tests(J, p, [partition], eta)[1][0]
 
 
 def _check_eta(eta: float) -> None:
@@ -489,18 +500,30 @@ def _check_eta(eta: float) -> None:
         raise PreconditionError("eta must lie in (0, 1)")
 
 
-def _region_test(
-    J: JointDist, p: Protocol, partition: Partition, eta: float, p_law: Mapping,
-    rep: SecurityReport,
-) -> RegionTestReport:
-    """``acceptance_region_test`` given the protocol's law on J and its report."""
+def _region_tests(
+    J: JointDist, p: Protocol, partitions: Sequence[Partition], eta: float,
+) -> tuple[SecurityReport, list[RegionTestReport]]:
+    """The protocol's report on J and ``acceptance_region_test`` of each
+    partition: every Q^pi from one ``_q_pi_rows`` call, and P's law and
+    every Q^pi law from one walk of the runs."""
     _check_eta(eta)
-    nk = len(p.key_symbols)
-    l = partition.num_blocks
-    lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
+    zs = [J.var_names[k] for k in _eve_pos(J, p)]
+    m = len(J.vars) - len(zs)
+    masks = [_block_masks(_var_blocks(J, p, pi), m) for pi in partitions]
+    q_rows = _q_pi_rows(J, zs)(np.array([row + [0] * (m - len(row)) for row in masks]))
+    p_law, *q_laws = _laws(J, p, np.vstack([J.pmf, q_rows]))
+    rep = _security(p_law, p)
+    return rep, [_region_test(p, pi.num_blocks, eta, p_law, q_law, rep)
+                 for pi, q_law in zip(partitions, q_laws)]
 
-    q_dist = conditional_product(J, _var_blocks(J, p, partition), list(p.eve_vars) or None)
-    q_law = protocol_law(q_dist, p)
+
+def _region_test(
+    p: Protocol, l: int, eta: float, p_law: Mapping, q_law: Mapping, rep: SecurityReport,
+) -> RegionTestReport:
+    """The region test of a partition into ``l`` blocks, given the protocol's
+    law on J, its report and its law on the partition's Q^pi."""
+    nk = len(p.key_symbols)
+    lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
     q_fz: dict = defaultdict(float)
     for (keys, f, z), w in q_law.items():
         q_fz[(f, z)] += w
@@ -545,8 +568,8 @@ def interactive_independence_check(
     sym_index = [{s: a for a, s in enumerate(alpha.symbols)} for _, alpha in nonz_vars]
     shape = [len(index) for index in sym_index]
     slices: dict = defaultdict(lambda: np.zeros(shape))
-    for syms, _, _, f, w in _runs(
-        J, p.obs_vars, p.rounds, p.message_maps, p.randomness
+    for syms, _, _, f, _, (w,) in _runs(
+        J, J.pmf[None], p.obs_vars, p.rounds, p.message_maps, p.randomness
     ):
         idx = tuple(index[syms[k]] for index, k in zip(sym_index, nonz_pos))
         slices[(f, tuple(syms[k] for k in eve_pos))][idx] += w
@@ -706,23 +729,15 @@ def _ot_randomness(otp: OTProtocol) -> tuple[LocalRand, LocalRand]:
     )
 
 
-def _two_party_runs(J: JointDist, rounds: int, message_maps: Mapping[tuple[int, int], MapLike],
-                    randomness: Sequence[LocalRand | None]):
-    """Yield (x1, x2, rand, transcript, weight) for every run of a two-party
-    primitive on the bivariate resource J, party i observing the i-th variable."""
-    for (x1, x2), _, rand, tr, w in _runs(
-        J, [[n] for n in _two_party_names(J)], rounds, message_maps, randomness
-    ):
-        yield x1, x2, rand, tr, w
-
-
 def _ot_pass(
     J: JointDist, otp: OTProtocol, keep_runs: bool,
 ) -> tuple[list | None, PrimitiveReport]:
     """One walk of the OT runs on J: the list of its (x1, x2, (k, b),
     transcript, weight) runs if ``keep_runs`` and the ``measure_ot`` report."""
     l = otp.length
-    runs = _two_party_runs(J, otp.rounds, otp.message_maps, _ot_randomness(otp))
+    runs = ((x1, x2, rand, tr, w) for (x1, x2), _, rand, tr, _, (w,) in _runs(
+        J, J.pmf[None], [[n] for n in _two_party_names(J)], otp.rounds, otp.message_maps,
+        _ot_randomness(otp)))
     runs = list(runs) if keep_runs else runs
     err = 0.0
     law1: dict = defaultdict(float)  # (K_{not B}; X2, B, F)
@@ -976,7 +991,9 @@ def _bc_pass(J: JointDist, bcp: BCProtocol) -> tuple[list, dict, PrimitiveReport
         raise CapExceededError(
             f"at least {least} reveal-test cells exceed the cap {DEFAULT_CELL_CAP}")
     randomness = (LocalRand.uniform(keys), None)
-    runs = list(_two_party_runs(J, bcp.rounds, bcp.message_maps, randomness))
+    runs = [(x1, x2, rand, tr, w) for (x1, x2), _, rand, tr, _, (w,) in _runs(
+        J, J.pmf[None], [[n] for n in _two_party_names(J)], bcp.rounds, bcp.message_maps,
+        randomness)]
     columns = _reveal_columns(bcp, x1_syms, runs)
     row = {k: i for i, k in enumerate(keys)}
     col = {x1: i for i, x1 in enumerate(x1_syms)}
@@ -1166,8 +1183,7 @@ def fuzz_converse(
     for idx in range(count):
         m = 2 + idx % 2
         J, proto = random_sk_instance([seed, idx], m=m, rounds=1 + idx % 2)
-        law = protocol_law(J, proto)
-        rep = _security(law, proto)
+        rep, region_tests = _region_tests(J, proto, enum_partitions(m), eta)
         max_eps = max(max_eps, rep.eps)
 
         # relations between the combined and split security criteria
@@ -1182,10 +1198,7 @@ def fuzz_converse(
         if not conv.trivial:
             min_slack = min(min_slack, conv.slack)
 
-        for pi in enum_partitions(m):
-            lem = _region_test(J, proto, pi, eta, law, rep)
-            if not lem.ok:
-                region_bad += 1
+        region_bad += sum(not t.ok for t in region_tests)
     return FuzzReport(
         count=count,
         converse_violations=conv_bad,

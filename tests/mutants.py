@@ -57,6 +57,14 @@ MUTANTS = {
         "    if support * len(space) > STATE_CAP:\n",
         "    if False:\n",
     )]),
+    "region-q-law-is-p-law": ("src/skconverse/protosim.py", [(
+        "_region_test(p, pi.num_blocks, eta, p_law, q_law, rep)",
+        "_region_test(p, pi.num_blocks, eta, p_law, p_law, rep)",
+    )]),
+    "zero-mass-row-takes-runs": ("src/skconverse/protosim.py", [(
+        "rows = tuple(r for r, q in enumerate(col) if q > 0)",
+        "rows = tuple(r for r, q in enumerate(col))",
+    )]),
     "no-pmf-sum-test": ("src/skconverse/protosim.py", [(
         " or abs(sum(probs) - 1.0) > SUM_TOL:",
         ":",

@@ -75,6 +75,31 @@ def write_inputs(base: Path) -> dict:
                      {f"obs={x}|rand={r}|tr={t},-": t if r == "0" else x
                       for x in "01" for r in "01" for t in "01"}],
         },
+        # three parties, the third observing two variables, and an
+        # eavesdropper; party 1 draws a coin of bias 1/3 and party 2 keys on a
+        # 0.3/0.7 coin, factors whose products round in the order they are taken
+        "j5e": {"variables": _bits("X1", "X2", "X3", "Y3", "Z"),
+                "pmf": [(i % 7 + 1) / 122 for i in range(32)], "eve": "Z"},
+        "proto3": {
+            "parties": 3, "obs_vars": [["X1"], ["X2"], ["X3", "Y3"]], "eve_vars": ["Z"],
+            "rounds": 1,
+            "randomness": [{"symbols": ["0", "1"], "probs": [1 / 3, 2 / 3]}, None, None],
+            "key_symbols": ["0", "1"],
+            "messages": {
+                "1:1": {f"obs={x}|rand={r}|tr=": str(int(x) ^ int(r))
+                        for x in "01" for r in "01"},
+                "1:3": {f"obs={x},{y}|rand=|tr={t},-": str(int(x) ^ int(y) ^ int(t))
+                        for x in "01" for y in "01" for t in "01"},
+            },
+            "keys": [
+                {f"obs={x}|rand={r}|tr={t},-,{u}": x
+                 for x in "01" for r in "01" for t in "01" for u in "01"},
+                {f"obs={x}|rand=|tr={t},-,{u}": {"0": 0.3, "1": 0.7} if x == t else x
+                 for x in "01" for t in "01" for u in "01"},
+                {f"obs={x},{y}|rand=|tr={t},-,{u}": str(int(x) ^ int(u))
+                 for x in "01" for y in "01" for t in "01" for u in "01"},
+            ],
+        },
         # eight symmetric parties, whose Q^pi ratio rows have many exact ties:
         # independent uniform bits, and copies of one uniform bit, each
         # flipped with probability 0.1
@@ -132,6 +157,7 @@ def corpus(f: dict) -> list[list[str]]:
         ["scan", "capacity", "--dist", f["j2"], "--eps", "0.1", "--eta", "0.05",
          "--n", "1,10,50"],
         ["protocol", "eval", "--dist", f["j2"], "--protocol", f["proto"]],
+        ["protocol", "eval", "--dist", f["j5e"], "--protocol", f["proto3"]],
         ["protocol", "fuzz", "--count", "300", "--seed", "0"],
         ["protocol", "fuzz", "--count", "300", "--seed", "1", "--eta", "0.1"],
     ]

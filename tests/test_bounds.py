@@ -27,7 +27,8 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse.bounds import even_slack_split
+from skconverse import bounds
+from skconverse.bounds import BoundReport, even_slack_split
 from skconverse.probcore import (
     _chunk_rows,
     conditional_product,
@@ -240,6 +241,42 @@ def test_cit_bound_best_equals_loop_over_partitions(eve):
         reports = [cit_bound(J, pi, eps, eta) for pi in parts]
         best = min(range(len(parts)), key=lambda i: (reports[i].value, i))
         assert cit_bound_best(J, eps, eta) == reports[best]
+
+
+def _cit_reference(J, pi, eps, eta):
+    """The testing-bound report of ``pi`` from ``conditional_product`` and
+    ``beta_epsilon``, field by field."""
+    zs = [J.eve] if J.eve else []
+    cert = beta_epsilon(J, conditional_product(J, pi, zs or None), eps + eta)
+    l = pi.num_blocks
+    return BoundReport(
+        kind="cit",
+        value=(cert.neg_log2_beta + l * math.log2(1.0 / eta)) / (l - 1),
+        params={"eps": eps, "eta": eta, "z": zs},
+        partition=pi,
+        intermediates={"neg_log2_beta": cert.neg_log2_beta, "beta": cert.beta,
+                       "eps_plus_eta": eps + eta, "num_blocks": l},
+    )
+
+
+@pytest.mark.parametrize("eve", [False, True])
+def test_cit_reports_build_no_q_and_no_certificate(eve, monkeypatch):
+    # the reports come from the partition scan's rows and betas alone
+    eps, eta = 0.1, 0.05
+    sources = _scan_sources(eve)[:6]
+    refs = [[_cit_reference(J, pi, eps, eta) for pi in enum_partitions(arr.ndim - eve)]
+            for J, arr in sources]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the testing bound built a Q^pi or a beta certificate")
+
+    monkeypatch.setattr(bounds, "conditional_product", refuse)
+    monkeypatch.setattr(bounds, "beta_epsilon", refuse)
+    for (J, arr), reps in zip(sources, refs):
+        for rep in reps:
+            assert cit_bound(J, rep.partition, eps, eta) == rep
+        best = min(range(len(reps)), key=lambda i: (reps[i].value, i))
+        assert cit_bound_best(J, eps, eta) == reps[best]
 
 
 def _capacity_loop(J, parts, qs):

@@ -28,7 +28,7 @@ from skconverse import (
     reduce_bc_to_sk,
     reduce_ot_to_sk,
 )
-from skconverse import cli, protosim
+from skconverse import bounds, cli, protosim
 from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product
 from skconverse.protosim import (
@@ -524,26 +524,113 @@ def test_fuzz_checks_arguments_before_any_instance(monkeypatch):
     assert built == []
 
 
-def test_each_protocol_law_evaluated_once(monkeypatch):
-    # the fuzzer builds one P-law per instance and one Q-law per partition;
-    # the reductions evaluate no law of their own
-    calls = []
+def test_fuzz_walks_the_runs_once_per_instance(monkeypatch):
+    # one walk per instance weighs P and every partition's Q^pi; no Q^pi is
+    # built alone and no testing bound is evaluated twice
+    walks = []
+    runs = protosim._runs
 
-    def counting(J, p, *args, **kwargs):
-        calls.append(p)
-        return protocol_law(J, p, *args, **kwargs)
+    def counting(J, pmfs, *args):
+        walks.append(len(pmfs))
+        return runs(J, pmfs, *args)
 
-    monkeypatch.setattr(protosim, "protocol_law", counting)
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fuzzer built a Q^pi alone or re-evaluated a bound")
+
+    monkeypatch.setattr(protosim, "_runs", counting)
+    monkeypatch.setattr(bounds, "conditional_product", refuse)
+    monkeypatch.setattr(bounds, "cit_bound", refuse)
     fuzz_converse(count=7, seed=3)
     ms = [(2, 3)[idx % 2] for idx in range(7)]
-    assert len(calls) == sum(1 + len(enum_partitions(m)) for m in ms)
+    assert walks == [1 + len(enum_partitions(m)) for m in ms]
 
-    calls.clear()
+
+def test_reductions_evaluate_no_law_of_their_own(monkeypatch):
+    calls = []
+
+    def counting(J, p):
+        calls.append(p)
+        return protocol_law(J, p)
+
+    monkeypatch.setattr(protosim, "protocol_law", counting)
     J, otp = ideal_ot_protocol(1)
     for variant in (1, 2):
         reduce_ot_to_sk(J, otp, variant=variant)
     reduce_bc_to_sk(*ideal_bc_protocol(1))
     assert calls == []
+
+
+def stochastic_three_party(seed: int) -> tuple[JointDist, Protocol]:
+    """Three parties, party 2 observing (X2, Y2), two eavesdropper variables
+    and a quarter of the cells at zero mass; party 1 draws a coin of bias
+    1/3, and a message and a key map draw 0.3/0.7 coins."""
+    names = ["X1", "X2", "Y2", "X3", "Z1", "Z2"]
+    J = random_dist(np.random.default_rng(seed), [2] * 6, names, full_support=False)
+    coin = {"0": 0.3, "1": 0.7}
+    p = Protocol(
+        num_parties=3,
+        obs_vars=(("X1",), ("X2", "Y2"), ("X3",)),
+        rounds=2,
+        message_maps={
+            (1, 1): lambda o, r, t: str(int(o[0]) ^ int(r)),
+            (1, 2): lambda o, r, t: coin if o[0] == o[1] else o[1],
+            (2, 3): lambda o, r, t: {"0": 0.7, "1": 0.3} if t[0] == o[0] else "1",
+        },
+        key_maps=(
+            lambda o, r, t: o[0] if r == "0" else t[1],
+            lambda o, r, t: coin if t[0] == o[0] else o[1],
+            lambda o, r, t: str(int(o[0]) ^ int(t[5])),
+        ),
+        key_symbols=("0", "1"),
+        eve_vars=("Z1", "Z2"),
+        randomness=(LocalRand(("0", "1"), (1 / 3, 2 / 3)), None, None),
+    )
+    return J, p
+
+
+def _walk_instances() -> list[tuple[JointDist, Protocol]]:
+    return (
+        [(shared_bit(), observation_keys()), (indep_bits(), observation_keys())]
+        + [stochastic_three_party(seed) for seed in range(3)]
+        + [random_sk_instance([31, i], m=2 + i % 2, rounds=1 + i % 2) for i in range(8)]
+    )
+
+
+def _q_pi(J: JointDist, p: Protocol, pi: Partition) -> JointDist:
+    return conditional_product(J, protosim._var_blocks(J, p, pi), list(p.eve_vars) or None)
+
+
+def _assert_same_law(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    assert [w.hex() for w in got.values()] == [w.hex() for w in want.values()]
+
+
+def test_laws_of_many_rows_equal_one_walk_per_row():
+    q_only_support = 0
+    for J, p in _walk_instances():
+        dists = [J] + [_q_pi(J, p, pi) for pi in enum_partitions(p.num_parties)]
+        laws = protosim._laws(J, p, np.array([d.pmf for d in dists]))
+        assert len(laws) == len(dists)
+        for d, law in zip(dists, laws):
+            _assert_same_law(law, protocol_law(d, p))
+        q_only_support += bool(np.any((J.pmf == 0) & (dists[-1].pmf > 0)))
+    assert q_only_support >= 4  # shared_bit and the three-party instances
+
+
+def test_region_tests_equal_one_law_per_partition():
+    # the reference builds each Q^pi and walks its runs alone
+    eta = 0.1
+    for J, p in _walk_instances():
+        law = protocol_law(J, p)
+        rep = eval_sk_security(J, p)
+        parts = enum_partitions(p.num_parties)
+        q_laws = [protocol_law(_q_pi(J, p, pi), p) for pi in parts]
+        refs = [
+            protosim._region_test(p, pi.num_blocks, eta, law, q_law, rep)
+            for pi, q_law in zip(parts, q_laws)
+        ]
+        assert [acceptance_region_test(J, p, pi, eta) for pi in parts] == refs
+        assert protosim._region_tests(J, p, parts, eta) == (rep, refs)
 
 
 def test_random_instances_are_reproducible():
