@@ -187,7 +187,7 @@ def cit_bound(
             f"partition is over {partition.m} parties but J has {len(parties)}"
         )
     if q is None:
-        return _least_cit(J, zs, eps, eta, _partition_scan(J, zs, partition))
+        return _least_cit(J, len(parties), zs, eps, eta, _partition_scan(J, zs, partition))
     if q.vars != J.vars:
         raise PreconditionError("supplied Q has a different variable structure")
     if not factorizes(q, partition, zs if zs else None):
@@ -195,7 +195,7 @@ def cit_bound(
             "supplied Q fails the conditional factorization test"
         )
     masks = np.array([_block_masks(partition, len(parties))])
-    return _least_cit(J, zs, eps, eta, [(masks, q.pmf[None])])
+    return _least_cit(J, len(parties), zs, eps, eta, [(masks, q.pmf[None])])
 
 
 def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
@@ -207,12 +207,13 @@ def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
     zs = _z_names(J)
     scan = _partition_scan(J, zs)
     _check_cit_slacks(eps, eta)
-    return _least_cit(J, zs, eps, eta, scan)
+    return _least_cit(J, len(J.vars) - len(zs), zs, eps, eta, scan)
 
 
-def _least_cit(J: JointDist, zs: list[str], eps: float, eta: float, scan) -> BoundReport:
+def _least_cit(J: JointDist, m: int, zs: list[str], eps: float, eta: float, scan) -> BoundReport:
     """The ``cit_bound`` report of the first least row of the (masks, q)
-    chunks of ``scan``, written from the beta its test found."""
+    chunks of ``scan`` (partitions of {1..m}, pmfs over J's cells), written
+    from the beta its test found."""
     values, masks_seen, betas = [], [], []
     for masks, q in scan:
         chunk = _betas(J.pmf, q, eps + eta)
@@ -221,7 +222,7 @@ def _least_cit(J: JointDist, zs: list[str], eps: float, eta: float, scan) -> Bou
         masks_seen.append(masks)
         betas.append(np.array(chunk))
     best = int(np.argmin(np.concatenate(values)))
-    partition = _partition_of(np.concatenate(masks_seen)[best].tolist(), len(_party_vars(J, zs)))
+    partition = _partition_of(np.concatenate(masks_seen)[best].tolist(), m)
     beta = float(np.concatenate(betas)[best])
     nlb = _neg_log2(beta)
     l = partition.num_blocks

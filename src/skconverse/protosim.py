@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _TOL, _Report, _two_party_names, cit_bound, cit_bound_best
+from .bounds import _TOL, _Report, _least_cit, _two_party_names
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
     DEFAULT_CELL_CAP,
@@ -30,10 +30,9 @@ from .probcore import (
     Alphabet,
     JointDist,
     _block_masks,
+    _chunk_rows,
     _q_pi_rows,
     factorizes,
-    fuse_vars,
-    marginal,
 )
 from .smoothinfo import _xy_matrix, h_min_cond, h_min_smooth
 from .structure import Partition, attach_label, enum_partitions, mcf, mss
@@ -351,36 +350,42 @@ def eval_sk_security(J: JointDist, p: Protocol) -> SecurityReport:
     return _security(protocol_law(J, p), p)
 
 
-def _party_var_blocks(J: JointDist, p: Protocol) -> list[list[str]]:
-    """Per party, the observed variables outside the eavesdropper variables.
-
-    These blocks must partition J's other variables: every secret variable
-    belongs to exactly one party.
-    """
-    blocks = [[n for n in group if n not in p.eve_vars] for group in p.obs_vars]
-    nonz = [n for n in J.var_names if n not in p.eve_vars]
-    if sorted(n for b in blocks for n in b) != sorted(nonz):
-        raise PreconditionError(
-            "party observations must partition the non-conditioning variables"
-        )
-    return blocks
-
-
-def _var_blocks(
-    J: JointDist, p: Protocol, partition: Partition,
-) -> list[frozenset[int]]:
+def _var_blocks(J: JointDist, p: Protocol, partition: Partition) -> list[frozenset[int]]:
     """A partition of the parties as blocks of J's non-eavesdropper variables.
 
     Those variables are numbered from 1 in J's order, as ``factorizes`` and
-    ``_block_masks`` expect.
+    ``_block_masks`` expect.  The parties' observations outside the
+    eavesdropper variables must partition them.
     """
-    blocks = _party_var_blocks(J, p)
+    if partition.m != p.num_parties:
+        raise PreconditionError(
+            f"partition is over {partition.m} parties but the protocol has {p.num_parties}"
+        )
+    blocks = [[n for n in group if n not in p.eve_vars] for group in p.obs_vars]
     nonz = [n for n in J.var_names if n not in p.eve_vars]
+    if sorted(n for b in blocks for n in b) != sorted(nonz):
+        raise PreconditionError("party observations must partition the non-conditioning variables")
     index_of = {n: i + 1 for i, n in enumerate(nonz)}
-    return [
-        frozenset(index_of[n] for i in b for n in blocks[i - 1])
-        for b in partition.blocks
-    ]
+    return [frozenset(index_of[n] for i in b for n in blocks[i - 1]) for b in partition.blocks]
+
+
+def _party_scan(J: JointDist, p: Protocol, partitions: Sequence[Partition]):
+    """(masks, q) chunks as ``bounds._partition_scan`` yields them, on J's own
+    cells: ``masks`` holds the partitions' block bitmasks over the parties,
+    and ``q`` their Q^pi given the eavesdropper variables, each party's
+    variables one block (none, for a party that sees only those: a factor
+    of 1).  The partitions are checked before this returns; one
+    ``_q_pi_rows`` builder serves every chunk."""
+    zs = [J.var_names[k] for k in _eve_pos(J, p)]
+
+    def padded(rows: list[list[int]]) -> np.ndarray:
+        return np.array([row + [0] * (p.num_parties - len(row)) for row in rows])
+
+    var_masks = padded([[sum(1 << (i - 1) for i in b) for b in _var_blocks(J, p, pi)]
+                        for pi in partitions])
+    masks = padded([_block_masks(pi, pi.m) for pi in partitions])
+    build, step = _q_pi_rows(J, zs), _chunk_rows(J.n_cells)
+    return ((masks[i:i + step], build(var_masks[i:i + step])) for i in range(0, len(masks), step))
 
 
 @dataclass(frozen=True)
@@ -397,21 +402,6 @@ class ConverseReport(_Report):
         return self.key_len_bits <= self.bound + 1e-9
 
 
-def sk_instance_dist(J: JointDist, p: Protocol) -> JointDist:
-    """J reduced to one fused variable per party plus a fused eve variable."""
-    blocks = _party_var_blocks(J, p)
-    keep = [n for b in blocks for n in b] + list(p.eve_vars)
-    sub = marginal(J, keep)
-    names = [f"P{i+1}" for i in range(len(blocks))]
-    if p.eve_vars:
-        blocks = blocks + [list(p.eve_vars)]
-        names = names + ["Z"]
-    fused = fuse_vars(sub, blocks, names)
-    if p.eve_vars:
-        fused = JointDist(fused.vars, fused.pmf, eve="Z")
-    return fused
-
-
 def check_converse(
     J: JointDist,
     p: Protocol,
@@ -420,24 +410,23 @@ def check_converse(
 ) -> ConverseReport:
     """Assert the achieved key length against the testing bound at achieved eps.
 
-    When the achieved eps leaves no room for eta (eps + eta >= 1) the bound
-    is vacuously +inf and the check passes trivially.
+    The bound is taken on J's own cells, each party's variables one block;
+    without ``partition``, the first least over all partitions wins.  When
+    the achieved eps leaves no room for eta (eps + eta >= 1) the bound is
+    vacuously +inf and the check passes trivially.
     """
-    return _converse(J, p, eval_sk_security(J, p), eta, partition)
+    _check_eta(eta)
+    parts = [partition] if partition is not None else enum_partitions(p.num_parties)
+    scan = _party_scan(J, p, parts)
+    return _converse(J, p, eval_sk_security(J, p), eta, scan)
 
 
-def _converse(
-    J: JointDist, p: Protocol, rep: SecurityReport, eta: float,
-    partition: Partition | None = None,
-) -> ConverseReport:
-    """``check_converse`` given the protocol's security report ``rep``."""
-    inst = sk_instance_dist(J, p)
+def _converse(J: JointDist, p: Protocol, rep: SecurityReport, eta: float, scan) -> ConverseReport:
+    """``check_converse`` given the protocol's security report ``rep`` and the
+    ``_party_scan`` chunks of the partitions it ranges over."""
     if rep.eps + eta >= 1.0:
         return ConverseReport(rep.eps, rep.key_len_bits, math.inf, math.inf, None, True)
-    if partition is None:
-        br = cit_bound_best(inst, rep.eps, eta)
-    else:
-        br = cit_bound(inst, partition, rep.eps, eta)
+    br = _least_cit(J, p.num_parties, list(p.eve_vars), rep.eps, eta, scan)
     return ConverseReport(
         eps=rep.eps,
         key_len_bits=rep.key_len_bits,
@@ -492,7 +481,8 @@ def acceptance_region_test(
     is at most |K|^(1-|pi|) eta^(-|pi|) and its P-complement is at most
     achieved-eps + eta.
     """
-    return _region_tests(J, p, [partition], eta)[1][0]
+    _check_eta(eta)
+    return _region_tests(J, p, [partition], _party_scan(J, p, [partition]), eta)[1][0]
 
 
 def _check_eta(eta: float) -> None:
@@ -501,17 +491,12 @@ def _check_eta(eta: float) -> None:
 
 
 def _region_tests(
-    J: JointDist, p: Protocol, partitions: Sequence[Partition], eta: float,
+    J: JointDist, p: Protocol, partitions: Sequence[Partition], scan, eta: float,
 ) -> tuple[SecurityReport, list[RegionTestReport]]:
     """The protocol's report on J and ``acceptance_region_test`` of each
-    partition: every Q^pi from one ``_q_pi_rows`` call, and P's law and
-    every Q^pi law from one walk of the runs."""
-    _check_eta(eta)
-    zs = [J.var_names[k] for k in _eve_pos(J, p)]
-    m = len(J.vars) - len(zs)
-    masks = [_block_masks(_var_blocks(J, p, pi), m) for pi in partitions]
-    q_rows = _q_pi_rows(J, zs)(np.array([row + [0] * (m - len(row)) for row in masks]))
-    p_law, *q_laws = _laws(J, p, np.vstack([J.pmf, q_rows]))
+    partition, given their ``_party_scan`` chunks: P's law and every Q^pi
+    law from one walk of the runs."""
+    p_law, *q_laws = _laws(J, p, np.vstack([J.pmf, *(q for _, q in scan)]))
     rep = _security(p_law, p)
     return rep, [_region_test(p, pi.num_blocks, eta, p_law, q_law, rep)
                  for pi, q_law in zip(partitions, q_laws)]
@@ -1183,7 +1168,9 @@ def fuzz_converse(
     for idx in range(count):
         m = 2 + idx % 2
         J, proto = random_sk_instance([seed, idx], m=m, rounds=1 + idx % 2)
-        rep, region_tests = _region_tests(J, proto, enum_partitions(m), eta)
+        parts = enum_partitions(m)
+        scan = list(_party_scan(J, proto, parts))
+        rep, region_tests = _region_tests(J, proto, parts, scan, eta)
         max_eps = max(max_eps, rep.eps)
 
         # relations between the combined and split security criteria
@@ -1192,7 +1179,7 @@ def fuzz_converse(
         if rep.eps_rec > rep.eps + _TOL or rep.delta_sec > rep.eps + _TOL:
             relation_bad += 1
 
-        conv = _converse(J, proto, rep, eta)
+        conv = _converse(J, proto, rep, eta, scan)
         if not conv.ok:
             conv_bad += 1
         if not conv.trivial:

@@ -61,6 +61,10 @@ MUTANTS = {
         "_region_test(p, pi.num_blocks, eta, p_law, q_law, rep)",
         "_region_test(p, pi.num_blocks, eta, p_law, p_law, rep)",
     )]),
+    "converse-rows-misaligned": ("src/skconverse/protosim.py", [(
+        "rep.eps, eta, scan)",
+        "rep.eps, eta, ((k, q[::-1]) for k, q in scan))",
+    )]),
     "zero-mass-row-takes-runs": ("src/skconverse/protosim.py", [(
         "rows = tuple(r for r, q in enumerate(col) if q > 0)",
         "rows = tuple(r for r, q in enumerate(col))",

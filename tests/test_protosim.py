@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import defaultdict
 
@@ -23,6 +24,8 @@ from skconverse import (
     leftover_hash,
     leftover_hash_search,
     acceptance_region_test,
+    cit_bound,
+    cit_bound_best,
     measure_bc,
     measure_ot,
     reduce_bc_to_sk,
@@ -30,7 +33,7 @@ from skconverse import (
 )
 from skconverse import bounds, cli, protosim
 from skconverse.errors import CapExceededError
-from skconverse.probcore import conditional_product
+from skconverse.probcore import conditional_product, fuse_vars, marginal
 from skconverse.protosim import (
     _ProductLaw,
     _region_mass,
@@ -40,7 +43,6 @@ from skconverse.protosim import (
     protocol_law,
     protocol_to_json,
     random_sk_instance,
-    sk_instance_dist,
 )
 from skconverse.structure import mss
 from support import (
@@ -119,6 +121,43 @@ def test_check_converse_trivial_when_eps_large():
     )
     rep = check_converse(shared_bit(), p, eta=0.3)
     assert rep.trivial and rep.ok
+
+
+def perfect_key(m: int, bits: int) -> tuple[JointDist, Protocol]:
+    """m parties observe the same uniform ``bits``-bit key, one variable per
+    bit, and output it without a message."""
+    names = [f"X{i}b{b}" for i in range(1, m + 1) for b in range(bits)]
+    pmf = np.zeros(2 ** len(names))
+    for key in range(2 ** bits):
+        pmf[int(format(key, f"0{bits}b") * m, 2)] = 2.0 ** -bits
+    J = JointDist(tuple((n, BIT) for n in names), pmf)
+    p = Protocol(
+        num_parties=m,
+        obs_vars=tuple(tuple(names[i * bits:(i + 1) * bits]) for i in range(m)),
+        rounds=0,
+        message_maps={},
+        key_maps=tuple((lambda o, r, t: "".join(o)) for _ in range(m)),
+        key_symbols=tuple("".join(k) for k in itertools.product("01", repeat=bits)),
+    )
+    return J, p
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_perfect_key_converse_slack(m):
+    # the singletons give beta = (1 - eta) 2^-(m-1)bits, so the bound exceeds
+    # the key length by (log2 1/(1-eta) + m log2 1/eta) / (m-1), and no
+    # coarser partition comes closer
+    singletons = Partition(tuple(frozenset([i]) for i in range(1, m + 1)), m)
+    for bits in (1, 2):
+        J, p = perfect_key(m, bits)
+        for eta in (0.05, m / (m + 1)):
+            rep = check_converse(J, p, eta)
+            assert rep.eps == 0.0 and rep.key_len_bits == bits
+            assert rep.partition == singletons
+            slack = (math.log2(1 / (1 - eta)) + m * math.log2(1 / eta)) / (m - 1)
+            assert abs(rep.slack - slack) <= 1e-9
+    if m == 5:  # the 5-party key at eta = 5/6 sits 0.975 bits below its bound
+        assert 0.97 < check_converse(*perfect_key(5, 1), 5 / 6).slack < 1.0
 
 
 def test_region_test_perfect_key_and_unit_alphabet():
@@ -525,24 +564,32 @@ def test_fuzz_checks_arguments_before_any_instance(monkeypatch):
 
 
 def test_fuzz_walks_the_runs_once_per_instance(monkeypatch):
-    # one walk per instance weighs P and every partition's Q^pi; no Q^pi is
-    # built alone and no testing bound is evaluated twice
-    walks = []
-    runs = protosim._runs
+    # one walk per instance weighs P and every partition's Q^pi, and one
+    # builder makes every Q^pi that the region tests and the converse read
+    walks, builds = [], []
+    runs, q_pi_rows = protosim._runs, protosim._q_pi_rows
 
     def counting(J, pmfs, *args):
         walks.append(len(pmfs))
         return runs(J, pmfs, *args)
 
+    def building(J, zs):
+        builds.append(J)
+        return q_pi_rows(J, zs)
+
     def refuse(*args, **kwargs):
         raise AssertionError("the fuzzer built a Q^pi alone or re-evaluated a bound")
 
     monkeypatch.setattr(protosim, "_runs", counting)
+    monkeypatch.setattr(protosim, "_q_pi_rows", building)
     monkeypatch.setattr(bounds, "conditional_product", refuse)
     monkeypatch.setattr(bounds, "cit_bound", refuse)
+    monkeypatch.setattr(bounds, "cit_bound_best", refuse)
+    monkeypatch.setattr(bounds, "_q_pi_rows", refuse)
     fuzz_converse(count=7, seed=3)
     ms = [(2, 3)[idx % 2] for idx in range(7)]
     assert walks == [1 + len(enum_partitions(m)) for m in ms]
+    assert len(builds) == 7
 
 
 def test_reductions_evaluate_no_law_of_their_own(monkeypatch):
@@ -630,7 +677,86 @@ def test_region_tests_equal_one_law_per_partition():
             for pi, q_law in zip(parts, q_laws)
         ]
         assert [acceptance_region_test(J, p, pi, eta) for pi in parts] == refs
-        assert protosim._region_tests(J, p, parts, eta) == (rep, refs)
+        scan = protosim._party_scan(J, p, parts)
+        assert protosim._region_tests(J, p, parts, scan, eta) == (rep, refs)
+
+
+def _fused(J: JointDist, p: Protocol) -> JointDist:
+    """J as one fused variable per party, then one fused eavesdropper
+    variable, through ``marginal`` and ``fuse_vars``: a route to the testing
+    bound that shares no block mapping with ``check_converse``."""
+    blocks = [[n for n in group if n not in p.eve_vars] for group in p.obs_vars]
+    names = [f"P{i + 1}" for i in range(len(blocks))]
+    sub = marginal(J, [n for b in blocks for n in b] + list(p.eve_vars))
+    if not p.eve_vars:
+        return fuse_vars(sub, blocks, names)
+    fused = fuse_vars(sub, blocks + [list(p.eve_vars)], names + ["Z"])
+    return JointDist(fused.vars, fused.pmf, eve="Z")
+
+
+def blocky_instance(
+    seed, m: int, z_at: str, independent: bool, eve_party: bool = False,
+) -> tuple[JointDist, Protocol]:
+    """m parties observing one or two bits each, their variables shuffled in
+    J's order and the eavesdropper's bit put ``z_at`` "first", "middle" or
+    "last", then with ``eve_party`` one more party that sees only that bit;
+    one round of messages and random key tables.  An ``independent`` source
+    is uniform, so every partition's Q^pi equals P and the partitions tie."""
+    rng = np.random.default_rng(seed)
+    obs = [tuple(f"X{i}{c}" for c in "ab"[: 1 + int(rng.integers(0, 2))]) for i in range(1, m + 1)]
+    names = [n for group in obs for n in group]
+    rng.shuffle(names)
+    names.insert({"first": 0, "middle": len(names) // 2, "last": len(names)}[z_at], "Z")
+    obs += [("Z",)] * eve_party
+    pmf = np.ones(2 ** len(names)) if independent else rng.random(2 ** len(names)) + 0.05
+    J = JointDist(tuple((n, BIT) for n in names), pmf / pmf.sum(), eve="Z")
+    key_size = int(rng.choice([2, 3]))
+
+    def table(i: int, pos: int, size: int) -> dict:
+        keys = itertools.product(
+            itertools.product("01", repeat=len(obs[i - 1])), (None,),
+            itertools.product("01", repeat=pos),
+        )
+        return {key: str(rng.integers(0, size)) for key in keys}
+
+    parties = range(1, len(obs) + 1)
+    p = Protocol(
+        num_parties=len(obs),
+        obs_vars=tuple(obs),
+        rounds=1,
+        message_maps={(1, i): table(i, i - 1, 2) for i in parties},
+        key_maps=tuple(table(i, len(obs), key_size) for i in parties),
+        key_symbols=tuple(str(v) for v in range(key_size)),
+        eve_vars=("Z",),
+    )
+    return J, p
+
+
+def test_converse_equals_the_fused_instance():
+    # the bound on J's own cells, each party's variables one block, against
+    # cit_bound_best and cit_bound on J fused to one variable per party; a
+    # party that sees only the eavesdropper's bit is a constant variable there
+    eta, checked, tied, eve_party = 0.05, 0, 0, 0
+    for seed in range(40):
+        for z_at in ("first", "middle", "last"):
+            J, p = blocky_instance([7, seed], 2 + seed % 2, z_at, independent=seed % 5 == 0,
+                                   eve_party=seed % 4 == 1)
+            got = check_converse(J, p, eta)
+            if got.trivial:
+                continue
+            checked += 1
+            tied += seed % 5 == 0 and p.num_parties >= 3
+            eve_party += seed % 4 == 1
+            F = _fused(J, p)
+            best = cit_bound_best(F, got.eps, eta)
+            assert got.partition == best.partition
+            assert abs(got.bound - best.value) <= 1e-12
+            for pi in enum_partitions(p.num_parties):
+                one = check_converse(J, p, eta, partition=pi)
+                ref = cit_bound(F, pi, got.eps, eta)
+                assert one.partition == ref.partition == pi
+                assert abs(one.bound - ref.value) <= 1e-12
+    assert checked >= 80 and tied >= 2 and eve_party >= 10, (checked, tied, eve_party)
 
 
 def test_random_instances_are_reproducible():
@@ -782,6 +908,8 @@ _COIN = {(1, 1): lambda o, r, t: {"0": 0.5, "1": 0.6}}
 _BAD_KEY = {"parties": 2, "obs_vars": [["X1"], ["X2"]], "rounds": 1, "key_symbols": ["0"],
             "messages": {"1:1": {"bad": "0"}}, "keys": [{}, {}]}
 _U16 = JointDist((("X", Alphabet(tuple(f"x{i}" for i in range(16)))),), [1 / 16] * 16)
+#: achieves eps = 1, so eps + eta >= 1 for every eta
+_EPS_ONE = random_sk_instance([0, 0], m=2, rounds=1)
 
 INPUT_CHECKS = [
     (lambda: LocalRand(("0", "1"), (1.0,)),
@@ -808,9 +936,20 @@ INPUT_CHECKS = [
      PreconditionError, "protocol observes unknown variable 'Y'"),
     (lambda: protocol_law(indep_bits(), _keys_with(eve_vars=("Z",))),
      PreconditionError, "unknown eavesdropper variable 'Z'"),
-    (lambda: sk_instance_dist(random_dist(np.random.default_rng(0), [2, 2, 2]),
-                              observation_keys()),
+    (lambda: check_converse(random_dist(np.random.default_rng(0), [2, 2, 2]),
+                            observation_keys(), eta=0.05),
      PreconditionError, "party observations must partition the non-conditioning variables"),
+    (lambda: acceptance_region_test(*_EPS_ONE, Partition.parse("1|2|3", 3), eta=0.05),
+     PreconditionError, "partition is over 3 parties but the protocol has 2"),
+    (lambda: interactive_independence_check(*_EPS_ONE, Partition.parse("1|2|3", 3)),
+     PreconditionError, "partition is over 3 parties but the protocol has 2"),
+    (lambda: check_converse(*_EPS_ONE, eta=0.05, partition=Partition.parse("1|2|3", 3)),
+     PreconditionError, "partition is over 3 parties but the protocol has 2"),
+    (lambda: check_converse(*random_sk_instance([0, 13], m=3, rounds=2), eta=0.05,
+                            partition=Partition.parse("1|2", 2)),
+     PreconditionError, "partition is over 2 parties but the protocol has 3"),
+    *[(lambda eta=eta: check_converse(*_EPS_ONE, eta=eta),
+       PreconditionError, "eta must lie in (0, 1)") for eta in (0.0, 1.0, 1.5, -0.2)],
     (lambda: leftover_hash_search(_U16, ["X"], [], eps=0.0, eta=0.0),
      PreconditionError, "eta must be positive"),
     (lambda: ideal_ot_correlation(8),
