@@ -162,9 +162,11 @@ def _runs(
     as a walk of that row alone would; a factor of 1.0 reuses the weights.
     Party i observes the J variables ``obs_vars[i-1]`` and the local
     randomness ``randomness[i-1]`` (None: none) and speaks by ``message_maps``
-    in the order of ``_schedule``.  Outcomes come in row-major order, then
-    randomness points, then depth-first over the messages; ``outcome``,
-    ``obs`` and ``rows`` are the same objects for every run of one outcome.
+    in the order of ``_schedule``.  Only the support cells, where some row
+    has mass, are walked: outcomes in row-major order, then randomness
+    points, then depth-first over the messages; ``outcome``, ``obs`` and
+    ``rows`` are the same objects for every run of one outcome.  A message
+    value that is a plain ``str`` is taken as is, without ``_branches``.
     Raises when the rows' joint support x randomness points exceeds STATE_CAP.
     """
     positions = {n: i for i, n in enumerate(J.var_names)}
@@ -178,37 +180,46 @@ def _runs(
         space = [
             (combo + (s,), w * pw) for combo, w in space for s, pw in syms if pw > 0
         ]
-    support = int(np.count_nonzero(pmfs.any(axis=0)))
+    cells = np.flatnonzero(pmfs.any(axis=0))
+    support = len(cells)
     if support * len(space) > STATE_CAP:
         raise CapExceededError(
             f"{support} outcomes x {len(space)} randomness points "
             f"exceed the cap {STATE_CAP}"
         )
     obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
-    sched = _schedule(rounds, len(obs_vars))
-    for syms, col in zip(J.outcomes(), zip(*pmfs)):
-        if not any(col):
-            continue
+    steps = [(i - 1, message_maps.get((j, i))) for j, i in _schedule(rounds, len(obs_vars))]
+    end = len(steps)
+    index = np.unravel_index(cells, J.shape) if J.vars else ()
+    columns = [[a.symbols[k] for k in idx.tolist()] for (_, a), idx in zip(J.vars, index)]
+    outcomes = zip(*columns) if columns else [()] * support  # no variables: one cell
+    for syms, col in zip(outcomes, pmfs[:, cells].T.tolist()):
         rows = tuple(r for r, q in enumerate(col) if q > 0)
-        masses = [float(col[r]) for r in rows]
+        masses = [col[r] for r in rows]
         obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
         for rand, rw in space:
             ws = masses if rw == 1.0 else [q * rw for q in masses]
             stack = [((), ws, 0)]
             while stack:
                 transcript, ws, pos = stack.pop()
-                if pos == len(sched):
+                # one message after another until a stochastic one branches;
+                # its branches go on the stack, the last one on top
+                while pos < end:
+                    i, m = steps[pos]
+                    pos += 1
+                    if m is None:
+                        transcript += ("-",)
+                        continue
+                    val = _map_value(m, obs[i], rand[i], transcript)
+                    if isinstance(val, str):
+                        transcript += (val,)
+                        continue
+                    for sym, pw in _branches(val):
+                        scaled = ws if pw == 1.0 else [w * pw for w in ws]
+                        stack.append((transcript + (sym,), scaled, pos))
+                    break
+                else:
                     yield syms, obs, rand, transcript, rows, ws
-                    continue
-                j, i = sched[pos]
-                m = message_maps.get((j, i))
-                if m is None:
-                    stack.append((transcript + ("-",), ws, pos + 1))
-                    continue
-                val = _map_value(m, obs[i - 1], rand[i - 1], transcript)
-                for sym, pw in _branches(val):
-                    scaled = ws if pw == 1.0 else [w * pw for w in ws]
-                    stack.append((transcript + (sym,), scaled, pos + 1))
 
 
 def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
@@ -236,7 +247,15 @@ def _laws(J: JointDist, p: Protocol, pmfs: np.ndarray) -> list[dict]:
         # evaluate keys, branching if stochastic
         key_stack = [((), ws)]
         for i in range(p.num_parties):
-            branches = _branches(_map_value(p.key_maps[i], obs[i], rand[i], transcript))
+            val = _map_value(p.key_maps[i], obs[i], rand[i], transcript)
+            if isinstance(val, str):
+                if val not in key_set:
+                    raise PreconditionError(
+                        f"key map returned {val!r} outside the key alphabet"
+                    )
+                key_stack = [(keys + (val,), kws) for keys, kws in key_stack]
+                continue
+            branches = _branches(val)
             for sym, _ in branches:
                 if sym not in key_set:
                     raise PreconditionError(
@@ -314,6 +333,26 @@ class _ProductLaw:
                 yield (a, b), wa * wb
 
 
+class _UniformKeyLaw:
+    """A uniform key in ``keys`` times the law ``pfz`` keyed (f, z), keyed
+    (key, f, z), without its |K| x |(F, Z)| cells: each cell is m / ``nk``,
+    in the order of ``pfz``, then of ``keys`` (repeats kept once)."""
+
+    def __init__(self, pfz: Mapping, keys: Sequence, nk: int) -> None:
+        self.pfz, self.keys, self.nk = pfz, tuple(dict.fromkeys(keys)), nk
+        self.known = set(self.keys)
+
+    def get(self, key, default: float = 0.0) -> float:
+        k, f, z = key
+        m = self.pfz.get((f, z))
+        return m / self.nk if m is not None and k in self.known else default
+
+    def items(self):
+        for (f, z), m in self.pfz.items():
+            for k in self.keys:
+                yield (k, f, z), m / self.nk
+
+
 def _security(law: Mapping, p: Protocol) -> SecurityReport:
     """Secret-key figures of ``p`` from its exact law keyed (keys, f, z)."""
     nk = len(p.key_symbols)
@@ -322,19 +361,15 @@ def _security(law: Mapping, p: Protocol) -> SecurityReport:
     law1: dict = defaultdict(float)
     for (keys, f, z), w in law.items():
         pfz[(f, z)] += w
-        if all(k == keys[0] for k in keys):
+        if keys.count(keys[0]) == len(keys):
             agree += w
         law1[(keys[0], f, z)] += w
 
     # combined criterion: distance to uniform agreed keys x real (F, Z)
     n = p.num_parties
-    eps = _tv(law, {
-        ((k,) * n, f, z): m / nk for (f, z), m in pfz.items() for k in p.key_symbols
-    })
+    eps = _tv(law, _UniformKeyLaw(pfz, [(k,) * n for k in p.key_symbols], nk))
     # split criteria on the first party's key
-    delta_sec = _tv(law1, {
-        (k, f, z): m / nk for (f, z), m in pfz.items() for k in p.key_symbols
-    })
+    delta_sec = _tv(law1, _UniformKeyLaw(pfz, p.key_symbols, nk))
 
     return SecurityReport(
         eps=float(eps),
@@ -513,21 +548,22 @@ def _region_test(
     for (keys, f, z), w in q_law.items():
         q_fz[(f, z)] += w
 
-    def in_region(keys, f, z) -> bool:
-        qw = q_law.get((keys, f, z), 0.0)
-        mfz = q_fz.get((f, z), 0.0)
+    def in_region(keys, f, z, qw) -> bool:
+        mfz = q_fz[(f, z)]
         if qw == 0.0 or mfz == 0.0:
             return True
-        if not all(k == keys[0] for k in keys):
+        if keys.count(keys[0]) != len(keys):
             return False  # ideal mass 0, conditional positive
         qc = qw / mfz
         return -math.log2(nk) - math.log2(qc) >= lam - _TOL
 
+    # each Q key decided once; a key Q lacks has Q-mass 0, so lies inside
+    inside = {key: in_region(*key, qw) for key, qw in q_law.items()}
     return RegionTestReport(
         lam=lam,
-        type1=_region_mass(p_law, lambda key: not in_region(*key)),
+        type1=_region_mass(p_law, lambda key: not inside.get(key, True)),
         type1_bound=float(rep.eps + eta),
-        type2=_region_mass(q_law, lambda key: in_region(*key)),
+        type2=_region_mass(q_law, inside.__getitem__),
         type2_bound=float(nk ** (1 - l) * eta ** (-l)),
     )
 
@@ -540,10 +576,11 @@ def interactive_independence_check(
     Requires J to factorize across the partition given the eavesdropper
     variables z; then checks that P(x_M | f, z) factorizes across the
     partition for every transcript-z pair of positive probability.  The key
-    maps play no part.
+    maps play no part.  A block of parties that see only eavesdropper
+    variables is constant given z and factors trivially, so it is dropped.
     """
     eve_pos = _eve_pos(J, p)
-    var_blocks = _var_blocks(J, p, partition)
+    var_blocks = [b for b in _var_blocks(J, p, partition) if b]
     if not factorizes(J, var_blocks, list(p.eve_vars) or None):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"
@@ -666,12 +703,14 @@ def leftover_hash_search(
 # ---------------------------------------------------------------------------
 # oblivious transfer protocols and reductions
 
-def _xor_bits(a: str, b: str) -> str:
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
-
-
 def _bit_strings(l: int) -> list[str]:
     return [format(v, f"0{l}b") for v in range(1 << l)] if l else [""]
+
+
+def _xor_table(l: int) -> dict:
+    """The bitwise XOR of every pair of l-bit strings, keyed (a, b)."""
+    strings = _bit_strings(l)
+    return {(a, b): strings[i ^ j] for i, a in enumerate(strings) for j, b in enumerate(strings)}
 
 
 @dataclass(frozen=True)
@@ -778,6 +817,7 @@ def ideal_ot_protocol(l: int) -> tuple[JointDist, OTProtocol]:
     (K0 xor K'_C, K1 xor K'_{not C}); party 2 unmasks with K'_{B'}.
     """
     J = ideal_ot_correlation(l)
+    xor = _xor_table(l)  # after the cell cap, so at most 4^7 entries
 
     def msg_receiver(obs, rand, tr):
         bprime = obs[0][0]
@@ -789,13 +829,13 @@ def ideal_ot_protocol(l: int) -> tuple[JointDist, OTProtocol]:
         kc = k0p if c == "0" else k1p
         kcbar = k1p if c == "0" else k0p
         k0, k1 = rand[:l], rand[l:]
-        return _xor_bits(k0, kc) + _xor_bits(k1, kcbar)
+        return xor[k0, kc] + xor[k1, kcbar]
 
     def khat(x2, b, tr):
         m = tr[2]
         m0, m1 = m[:l], m[l:]
         kp = x2[1:]
-        return _xor_bits(m0 if b == "0" else m1, kp)
+        return xor[m0 if b == "0" else m1, kp]
 
     otp = OTProtocol(
         length=l,
@@ -909,7 +949,9 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
         out: dict = defaultdict(float)
         for x2s, pw in cond.get((v, bbar, f_ot), cond_v[v]).items():
             out[otp.khat(x2s, bbar, f_ot)] += pw
-        return dict(out)
+        # a key of probability 1.0 as a plain symbol, which the walk takes as is
+        (sym, pw), *rest = out.items()
+        return sym if not rest and pw == 1.0 else dict(out)
 
     return _reduced(J, lab1, False, otp.rounds + 1, maps, (key1, key2),
                     otp.strings(), randomness, base, used_fallback)
@@ -1021,14 +1063,15 @@ def ideal_bc_protocol(l: int) -> tuple[JointDist, BCProtocol]:
     instance.
     """
     J = ideal_ot_correlation(l)
+    xor = _xor_table(l)  # after the cell cap, so at most 4^7 entries
 
     def commit(obs, rand, tr):
         k0p, k1p = obs[0][:l], obs[0][l:]
-        return _xor_bits(rand, _xor_bits(k0p, k1p))
+        return xor[rand, xor[k0p, k1p]]
 
     def test(kprime, x1prime, x2, tr):
         k0p, k1p = x1prime[:l], x1prime[l:]
-        if _xor_bits(_xor_bits(k0p, k1p), kprime) != tr[0]:
+        if xor[xor[k0p, k1p], kprime] != tr[0]:
             return 0.0
         bp, kp = x2[0], x2[1:]
         held = k0p if bp == "0" else k1p
@@ -1104,8 +1147,7 @@ def random_sk_instance(seed, m: int = 2, rounds: int = 2) -> tuple[JointDist, Pr
     with_eve = bool(rng.integers(0, 2))
     key_size = int(rng.choice([2, 3, 4]))
     names = [f"X{i+1}" for i in range(m)] + (["Z"] if with_eve else [])
-    shape = [2] * len(names)
-    pmf = rng.random(int(np.prod(shape))) + 0.05
+    pmf = rng.random(2 ** len(names)) + 0.05
     pmf /= pmf.sum()
     J = JointDist(
         tuple((n, Alphabet(("0", "1"))) for n in names),
@@ -1120,17 +1162,20 @@ def random_sk_instance(seed, m: int = 2, rounds: int = 2) -> tuple[JointDist, Pr
     )
     rand_syms = [("0", "1") if r is not None else (None,) for r in randomness]
 
-    def table(i: int, pos: int, size: int) -> dict:
-        """Party i's map after ``pos`` messages, drawn in row-major key order."""
-        keys = itertools.product(
+    def tables(slots: Sequence[tuple[int, int]], size: int) -> list[dict]:
+        """The map of each (party i, after ``pos`` messages) in ``slots``, in
+        that order and each in row-major key order, from one draw."""
+        domains = [list(itertools.product(
             (("0",), ("1",)), rand_syms[i - 1], itertools.product(("0", "1"), repeat=pos)
-        )
-        return {key: str(rng.integers(0, size)) for key in keys}
+        )) for i, pos in slots]
+        draws = map(str, rng.integers(0, size, sum(map(len, domains))).tolist())
+        # zip reads each domain first, so it stops without taking a draw
+        return [dict(zip(keys, draws)) for keys in domains]
 
     sched = _schedule(rounds, m)
-    maps = {(j, i): table(i, pos, 2) for pos, (j, i) in enumerate(sched)}
+    maps = dict(zip(sched, tables([(i, pos) for pos, (_, i) in enumerate(sched)], 2)))
     key_symbols = tuple(str(v) for v in range(key_size))
-    key_maps = [table(i, len(sched), key_size) for i in range(1, m + 1)]
+    key_maps = tables([(i, len(sched)) for i in range(1, m + 1)], key_size)
 
     proto = Protocol(
         num_parties=m,

@@ -69,6 +69,10 @@ MUTANTS = {
         "rows = tuple(r for r, q in enumerate(col) if q > 0)",
         "rows = tuple(r for r, q in enumerate(col))",
     )]),
+    "no-key-check-on-plain-symbol": ("src/skconverse/protosim.py", [(
+        "                if val not in key_set:\n",
+        "                if False:\n",
+    )]),
     "no-pmf-sum-test": ("src/skconverse/protosim.py", [(
         " or abs(sum(probs) - 1.0) > SUM_TOL:",
         ":",

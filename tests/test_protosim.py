@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 import math
 from collections import defaultdict
 
@@ -223,6 +225,25 @@ def test_independence_check_evaluates_no_key_map():
         protocol_law(indep_bits(), p)
     pi = Partition((frozenset([1]), frozenset([2])), 2)
     assert interactive_independence_check(indep_bits(), p, pi)
+
+
+def test_independence_check_with_a_party_seeing_only_z():
+    # party 3 observes only the eavesdropper variable: a constant block
+    p = Protocol(
+        num_parties=3,
+        obs_vars=(("X1",), ("X2",), ("Z",)),
+        rounds=1,
+        message_maps={(1, 1): lambda o, r, t: o[0], (1, 3): lambda o, r, t: o[0]},
+        key_maps=(lambda o, r, t: "0",) * 3,
+        key_symbols=("0", "1"),
+        eve_vars=("Z",),
+    )
+    pi = Partition.parse("1|2|3", 3)
+    J = random_dist(np.random.default_rng(3), [2, 2, 2], names=["X1", "X2", "Z"], eve="Z")
+    assert interactive_independence_check(conditional_product(J, [{1}, {2}], "Z"), p, pi)
+    with pytest.raises(PreconditionError) as info:
+        interactive_independence_check(J, p, pi)
+    assert str(info.value) == "J does not conditionally factorize across the partition"
 
 
 def test_independence_check_random_protocols():
@@ -766,6 +787,34 @@ def test_random_instances_are_reproducible():
     assert eval_sk_security(J1, p1) == eval_sk_security(J2, p2)
 
 
+#: sha256 (first 16 hex digits) of each instance's protocol JSON, then its pmf
+#: bytes, as drawn one table entry at a time by ``rng.integers(0, size)``
+PINNED_INSTANCES = {
+    (0, 0): "a5cdc63556f8effa",
+    (0, 1): "aa39aec2901d484a",
+    (0, 2): "93488e63d21b750e",
+    (0, 3): "e49a618326ed382c",
+    (11, 0): "4408e183c3cf31e2",
+    (11, 1): "33e0941aeae36e2a",
+    (11, 2): "3e86c78b054c4b86",
+    (11, 3): "ac7b18ce2f9b6506",
+    (20240913, 0): "5497b44881cd871b",
+    (20240913, 1): "90323332b212bc3c",
+    (20240913, 2): "f51016a91ec83086",
+    (20240913, 3): "c92131b2ac416093",
+}
+
+
+@pytest.mark.parametrize("seed, idx", sorted(PINNED_INSTANCES))
+def test_random_instances_pinned(seed, idx):
+    # the tables are drawn with one rng.integers call per size; on every
+    # numpy version admitted, that must give the per-entry draws' instances
+    J, p = random_sk_instance([seed, idx], m=2 + idx % 2, rounds=1 + idx % 2)
+    text = json.dumps(protocol_to_json(p), sort_keys=True).encode()
+    digest = hashlib.sha256(text + J.pmf.tobytes()).hexdigest()[:16]
+    assert digest == PINNED_INSTANCES[seed, idx]
+
+
 def test_protocol_json_roundtrip():
     J, proto = random_sk_instance([77, 3], m=2, rounds=1)
     obj = protocol_to_json(proto)
@@ -804,6 +853,21 @@ def test_protocol_cap(monkeypatch):
     with pytest.raises(CapExceededError) as info:
         protocol_law(indep_bits(), p)
     assert str(info.value) == "4 outcomes x 100 randomness points exceed the cap 399"
+
+
+def test_law_of_a_source_without_variables():
+    # one cell and no symbols to read: only the public coin decides the keys
+    p = Protocol(
+        num_parties=2,
+        obs_vars=((), ()),
+        rounds=1,
+        message_maps={(1, 1): lambda o, r, t: {"0": 0.5, "1": 0.5}},
+        key_maps=(lambda o, r, t: t[0],) * 2,
+        key_symbols=("0", "1"),
+    )
+    assert protocol_law(JointDist((), [1.0]), p) == {
+        (("1", "1"), ("1", "-"), ()): 0.5, (("0", "0"), ("0", "-"), ()): 0.5,
+    }
 
 
 def test_stochastic_message_maps_branch_exactly():
@@ -936,6 +1000,18 @@ INPUT_CHECKS = [
      PreconditionError, "protocol observes unknown variable 'Y'"),
     (lambda: protocol_law(indep_bits(), _keys_with(eve_vars=("Z",))),
      PreconditionError, "unknown eavesdropper variable 'Z'"),
+    # the walk's errors: the first missing table entry in walk order, and
+    # a key outside the alphabet, deterministic or stochastic
+    (lambda: protocol_law(indep_bits(), _keys_with(
+        rounds=1, message_maps={(1, 2): {(("0",), None, ("-",)): "1"}})),
+     PreconditionError,
+     "map table is not total: missing entry for obs=('1',) rand=None transcript=('-',)"),
+    (lambda: protocol_law(indep_bits(), _keys_with(
+        key_maps=(lambda o, r, t: o[0], lambda o, r, t: "2"))),
+     PreconditionError, "key map returned '2' outside the key alphabet"),
+    (lambda: protocol_law(indep_bits(), _keys_with(
+        key_maps=(lambda o, r, t: {"0": 0.5, "x": 0.5}, lambda o, r, t: o[0]))),
+     PreconditionError, "key map returned 'x' outside the key alphabet"),
     (lambda: check_converse(random_dist(np.random.default_rng(0), [2, 2, 2]),
                             observation_keys(), eta=0.05),
      PreconditionError, "party observations must partition the non-conditioning variables"),
