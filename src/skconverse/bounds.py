@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import PreconditionError
-from .hyptest import _betas, beta_epsilon
+from .hyptest import _betas, _greedy_threshold, _ratio_order, beta_epsilon
 from .probcore import (
     Channel,
     JointDist,
@@ -29,6 +29,7 @@ from .probcore import (
     entropy,
     extend_with_channel,
     factorizes,
+    log2_pmf,
     marginal,
     mutual_information,
     pushforward_function,
@@ -210,20 +211,53 @@ def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
     return _least_cit(J, len(J.vars) - len(zs), zs, eps, eta, scan)
 
 
+def _slack_test(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
+    """Indicator of the Neyman-Pearson test of p against the row q at level
+    max(0, eps - 1e-9), its boundary cell accepted in full.  Its P-mass is
+    at least 1 - eps: the slack is far above the rounding of the prefix sums.
+    """
+    order = _ratio_order(log2_pmf(p), log2_pmf(q))
+    b = int(_greedy_threshold(p[order][None], 1.0 - max(0.0, eps - 1e-9))[0][0])
+    t = np.zeros(p.size)
+    t[order[:b + 1]] = 1.0
+    return t
+
+
+def _cit_floor(q: np.ndarray, t: np.ndarray, num_blocks, eta: float) -> np.ndarray:
+    """A lower bound on the ``_cit_value`` of each row of q, from a test t of
+    P-mass at least 1 - eps - eta: beta <= Q(T).  The factor 1 + 1e-12
+    covers the rounding of both sums (float beta was measured at most
+    1.3e-14 above the exact one); the caller's 1e-6 margin, any more."""
+    with np.errstate(divide="ignore"):
+        return _cit_value(-np.log2(q @ t * (1 + 1e-12)), num_blocks, eta)
+
+
 def _least_cit(J: JointDist, m: int, zs: list[str], eps: float, eta: float, scan) -> BoundReport:
     """The ``cit_bound`` report of the first least row of the (masks, q)
     chunks of ``scan`` (partitions of {1..m}, pmfs over J's cells), written
-    from the beta its test found."""
-    values, masks_seen, betas = [], [], []
+    from the beta its test found.
+
+    The first chunk is tested in full.  A later row reaches ``_betas`` only
+    if its ``_cit_floor`` under the running winner's ``_slack_test`` is at
+    most best + 1e-6 max(1, |best|): a row above that is above the best, so
+    it can be neither the least row nor tied with it.
+    """
+    best = t = None
     for masks, q in scan:
+        l = _num_blocks(masks)
+        if best is not None:
+            if t is None:
+                t = _slack_test(J.pmf, winner[1], eps + eta)
+            keep = _cit_floor(q, t, l, eta) <= best + 1e-6 * max(1.0, abs(best))
+            if not keep.any():
+                continue
+            masks, q, l = masks[keep], q[keep], l[keep]
         chunk = _betas(J.pmf, q, eps + eta)
-        nlbs = np.array([_neg_log2(beta) for beta in chunk])
-        values.append(_cit_value(nlbs, _num_blocks(masks), eta))
-        masks_seen.append(masks)
-        betas.append(np.array(chunk))
-    best = int(np.argmin(np.concatenate(values)))
-    partition = _partition_of(np.concatenate(masks_seen)[best].tolist(), m)
-    beta = float(np.concatenate(betas)[best])
+        values = _cit_value(np.array([_neg_log2(beta) for beta in chunk]), l, eta)
+        i = int(np.argmin(values))
+        if best is None or values[i] < best:
+            best, beta, winner, t = values[i], chunk[i], (masks[i], q[i]), None
+    partition = _partition_of(winner[0].tolist(), m)
     nlb = _neg_log2(beta)
     l = partition.num_blocks
     return BoundReport(

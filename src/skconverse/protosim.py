@@ -577,10 +577,13 @@ def interactive_independence_check(
     variables z; then checks that P(x_M | f, z) factorizes across the
     partition for every transcript-z pair of positive probability.  The key
     maps play no part.  A block of parties that see only eavesdropper
-    variables is constant given z and factors trivially, so it is dropped.
+    variables is constant given z and factors trivially, so it is dropped;
+    with fewer than two blocks left, the check is trivially True.
     """
     eve_pos = _eve_pos(J, p)
     var_blocks = [b for b in _var_blocks(J, p, partition) if b]
+    if len(var_blocks) < 2:
+        return True
     if not factorizes(J, var_blocks, list(p.eve_vars) or None):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"

@@ -77,6 +77,10 @@ MUTANTS = {
         " or abs(sum(probs) - 1.0) > SUM_TOL:",
         ":",
     )]),
+    "screen-skips-a-winner": ("src/skconverse/bounds.py", [(
+        "<= best + 1e-6 * max(1.0, abs(best))",
+        "<= best - 1e-6 * max(1.0, abs(best))",
+    )]),
     "no-xi-check": ("src/skconverse/bounds.py", [(
         "    if xi <= 0:\n",
         "    if False:\n",

@@ -44,6 +44,23 @@ def _bits(*names):
     return [{"name": n, "symbols": ["0", "1"]} for n in names]
 
 
+def _lattice_style_pmf() -> list:
+    """Eight parties, then Z: noisy copies of three correlated latent bits
+    (party i of bit i mod 3, Z of bit 0), mixed with 3% uniform noise."""
+    latent = [(u % 5 + 1) / 21 for u in range(8)]
+    flip = [0.05 + 0.03 * i for i in range(9)]
+    pmf = []
+    for x in range(512):
+        like = 0.0
+        for u, w in enumerate(latent):
+            for i in range(9):
+                same = (x >> (8 - i) & 1) == (u >> (2 - i % 3 if i < 8 else 2) & 1)
+                w *= 1 - flip[i] if same else flip[i]
+            like += w
+        pmf.append(0.97 * like + 0.03 / 512)
+    return pmf
+
+
 def write_inputs(base: Path) -> dict:
     """The hand-made input files, by short name -> path."""
     files = {
@@ -108,6 +125,13 @@ def write_inputs(base: Path) -> dict:
                 "pmf": [0.5 * math.prod(0.9 if (x >> 7 - i & 1) == x >> 7 else 0.1
                                         for i in range(1, 8)) for x in range(256)]},
         "g8": [bin(x).count("1") % 2 for x in range(256)],
+        # eight parties whose partition scans span many chunks, so that the
+        # testing bound screens rows: noisy copies of three latent bits with
+        # an eavesdropper, and two independent groups of four parties
+        "lat8e": {"variables": _bits(*(f"X{i}" for i in range(1, 9)), "Z"),
+                  "pmf": _lattice_style_pmf(), "eve": "Z"},
+        "grp8": {"variables": _bits(*(f"X{i}" for i in range(1, 9))),
+                 "pmf": [((x >> 4) % 5 + 1) * ((x & 15) % 3 + 1) / 1426 for x in range(256)]},
         "params": {"eps": 0.1, "eta": 0.05},
         "params_unread": {"eps": 0.1, "eta": 0.05, "count": 3},
     }
@@ -161,6 +185,8 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--count", "300", "--seed", "0"],
         ["protocol", "fuzz", "--count", "300", "--seed", "1", "--eta", "0.1"],
     ]
+    screened = [["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05",
+                 "--all-partitions"] for d in ("lat8e", "grp8")]
     symmetric = [call for d in ("iu8", "nc8") for call in (
         ["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--all-partitions"],
         ["bound", "compute", "--dist", f[d], "--g", f["g8"], "--eps", ".02", "--delta", ".02"],
@@ -189,7 +215,7 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--eta", "1"],
         ["structure", "mss", "--dist", f["j2"], "--given", "X1", "--target", "X1"],
     ]
-    return ok + symmetric + reduce + errors
+    return ok + symmetric + screened + reduce + errors
 
 
 def bench_corpus(base: Path) -> list[list[str]]:

@@ -27,7 +27,7 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse import bounds
+from skconverse import bounds, hyptest
 from skconverse.bounds import BoundReport, even_slack_split
 from skconverse.probcore import (
     _chunk_rows,
@@ -37,6 +37,7 @@ from skconverse.probcore import (
 )
 from skconverse.protosim import ideal_ot_correlation
 from skconverse.smoothinfo import h_min_smooth
+from skconverse.structure import _partition_of
 from support import (
     BIT,
     binary_entropy,
@@ -354,6 +355,107 @@ def test_partition_scan_across_chunks():
         np.testing.assert_allclose(
             qs[i].pmf, _oracle_q(arr, parts[i], False), rtol=1e-12, atol=1e-15
         )
+
+
+def _binary_source(pmf, m, eve=False):
+    names = [f"X{i + 1}" for i in range(m)] + (["Z"] if eve else [])
+    return JointDist(tuple((n, BIT) for n in names), pmf, eve="Z" if eve else None)
+
+
+def _bits_of(n):
+    return (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+
+
+def _lattice_style(rng, m, eve):
+    """Noisy copies of three correlated latent bits (Z copies the first),
+    mixed with 3% uniform noise: partition-lattice's kind of source."""
+    n = m + eve
+    bits = _bits_of(n)
+    latent = rng.random(8) + 0.1
+    group = np.append(rng.integers(0, 3, m), np.zeros(int(eve), int))
+    flip = 0.05 + 0.3 * rng.random(n)
+    pmf = np.zeros(1 << n)
+    for u, w in enumerate(latent / latent.sum()):
+        pmf += w * np.prod(np.where(bits == (u >> (2 - group)) & 1, 1 - flip, flip), axis=1)
+    return _binary_source(0.97 * pmf + 0.03 / pmf.size, m, eve)
+
+
+def _screen_sources():
+    rng = np.random.default_rng(1818)
+    bits = _bits_of(8)
+    noisy = 0.5 * np.prod(np.where(bits[:, 1:] == bits[:, :1], 0.9, 0.1), axis=1)
+    groups = np.kron(*(p / p.sum() for p in rng.random((2, 16)) + 0.2))
+    return {
+        "lattice": _lattice_style(rng, 8, False),
+        "lattice-eve": _lattice_style(rng, 8, True),
+        "noisy-copies": _binary_source(noisy, 8),
+        "independent-bits": _binary_source(np.full(256, 2.0 ** -8), 8),
+        "two-groups": _binary_source(groups, 8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_screen_sources()))
+def test_screened_scan_equals_full_scan(name, monkeypatch):
+    """The screened scan reports what an argmin over every row reports.
+
+    Every row after the first chunk gets a floor; a skipped row's exact
+    value is at least its floor and above the best.  On the lattice sources
+    at most 10% of the 4,139 rows reach ``_betas``.
+    """
+    J = _screen_sources()[name]
+    eps, eta = 0.1, 0.05
+    zs = [J.eve] if J.eve else []
+    chunks = list(bounds._partition_scan(J, zs))
+    assert len(chunks) > 1
+    values, betas = [], []
+    for masks, q in chunks:
+        chunk = hyptest._betas(J.pmf, q, eps + eta)
+        nlbs = np.array([-math.log2(b) if b > 0 else math.inf for b in chunk])
+        values.append(bounds._cit_value(nlbs, np.count_nonzero(masks, axis=1), eta))
+        betas += chunk
+    best = int(np.argmin(np.concatenate(values)))
+    floors, sent = [], []
+    floor_of = bounds._cit_floor
+
+    def floor(*args):
+        floors.append(floor_of(*args))
+        return floors[-1]
+
+    def counted(p, q, eps):
+        sent.append(len(q))
+        return hyptest._betas(p, q, eps)
+
+    monkeypatch.setattr(bounds, "_cit_floor", floor)
+    monkeypatch.setattr(bounds, "_betas", counted)
+    rep = cit_bound_best(J, eps, eta)
+    assert rep.partition == _partition_of(np.concatenate([c[0] for c in chunks])[best], 8)
+    assert float.hex(rep.intermediates["beta"]) == float.hex(betas[best])
+    assert rep.value == np.concatenate(values)[best]
+    assert len(floors) == len(chunks) - 1
+    skipped = 0
+    for k, (lb, value) in enumerate(zip(floors, values[1:]), 1):
+        assert (value >= lb).all()
+        before = np.concatenate(values[:k]).min()
+        skip = lb > before + 1e-6 * max(1.0, abs(before))
+        assert (value[skip] > before).all()
+        skipped += skip.sum()
+    assert sum(sent) == len(betas) - skipped
+    if name.startswith("lattice"):
+        assert sum(sent) <= 0.1 * len(betas)
+
+
+def test_screen_keeps_a_row_that_beats_the_best_by_less_than_the_margin():
+    """A later row whose floor is within the margin of the best, and whose
+    value is below it, still reaches ``_betas`` and wins."""
+    # the winner's test accepts cell 0 and, in full, the tiny boundary cell 1
+    J = JointDist((("X", Alphabet(("a", "b", "c"))),), [0.85, 1e-7, 0.15 - 1e-7])
+    q_first = np.array([[0.5, 1e-7, 0.5 - 1e-7]])
+    q_later = np.array([[0.5 * (1 + 1e-9), 1e-7, 0.5 - 1e-7 - 0.5e-9]])
+    scan = [(np.array([[1, 6]]), q_first), (np.array([[3, 4]]), q_later)]
+    rep = bounds._least_cit(J, 3, [], 0.1, 0.05, scan)
+    first = bounds._least_cit(J, 3, [], 0.1, 0.05, scan[:1])
+    assert (str(first.partition), str(rep.partition)) == ("1|2,3", "1,2|3")
+    assert rep.value < first.value < rep.value * (1 + 1e-6)
 
 
 # ---------------------------------------------------------------------------

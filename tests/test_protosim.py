@@ -246,6 +246,26 @@ def test_independence_check_with_a_party_seeing_only_z():
     assert str(info.value) == "J does not conditionally factorize across the partition"
 
 
+def test_independence_check_with_one_block_left():
+    # party 2 observes only Z: one block of variables, which factorizes
+    # trivially, while the converse and the region test evaluate the protocol
+    p = Protocol(
+        num_parties=2,
+        obs_vars=(("X1",), ("Z",)),
+        rounds=1,
+        message_maps={(1, 1): lambda o, r, t: o[0]},
+        key_maps=(lambda o, r, t: o[0], lambda o, r, t: t[0]),
+        key_symbols=("0", "1"),
+        eve_vars=("Z",),
+    )
+    pi = Partition.parse("1|2", 2)
+    J = random_dist(np.random.default_rng(4), [2, 2], names=["X1", "Z"], eve="Z")
+    assert interactive_independence_check(J, p, pi)
+    assert interactive_independence_check(J, p, Partition.parse("1,2", 2))
+    assert check_converse(J, p, eta=0.05, partition=pi).partition == pi
+    assert acceptance_region_test(J, p, pi, eta=0.05).ok
+
+
 def test_independence_check_random_protocols():
     pi = Partition((frozenset([1]), frozenset([2])), 2)
     with_eve = 0
