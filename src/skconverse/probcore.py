@@ -616,6 +616,108 @@ def mutual_information(J: JointDist, a, b, given=None) -> float:
 
 
 # ---------------------------------------------------------------------------
+# laws as arrays: integer codes, sums in a fixed order
+#
+# A law over a finite set of keys is an array of masses in the order its
+# keys first appear, each key an integer code.  Sums that a loop of ``+=``
+# would form are kept in that order (``np.bincount``, ``np.add.accumulate``),
+# so the floats are those of the loop.
+
+
+def _distinct(raw: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``raw``, integers in [0, ``size``), in ascending
+    order, and the index among them of each entry.  A range of at most 16
+    values per entry (plus 2^20) is read through a lookup table, a wider one
+    through a sort; both give the same arrays."""
+    if size > 16 * len(raw) + (1 << 20):
+        values, index = np.unique(raw, return_inverse=True)
+        return values, index.reshape(-1)
+    present = np.zeros(size, bool)
+    present[raw] = True
+    values = present.nonzero()[0]
+    lookup = np.empty(size, np.int32)  # half the pages of an int64 table
+    lookup[values] = np.arange(len(values))
+    return values, lookup[raw].astype(np.intp)
+
+
+def _first_seen(raw: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry of ``raw`` (as for ``_distinct``) as a code numbered in
+    order of first appearance, and the entry where each code first appears."""
+    n = len(raw)
+    if size > 2 * n + 4096:
+        values, raw = _distinct(raw, size)
+        size = len(values)
+    first = np.full(size, n)
+    np.minimum.at(first, raw, np.arange(n))
+    mark = np.zeros(n + 1, bool)
+    mark[first] = True
+    firsts = mark[:n].nonzero()[0]
+    rank = np.empty(size, np.intp)
+    rank[raw[firsts]] = np.arange(len(firsts))
+    return rank[raw], firsts
+
+
+def _sum(a: np.ndarray) -> float:
+    """The sum of ``a`` added one term after another from 0.0, as a loop of
+    ``+=`` would (``np.sum`` adds pairwise)."""
+    return float(np.add.accumulate(a)[-1]) + 0.0 if len(a) else 0.0
+
+
+def _tv(w: np.ndarray, row: np.ndarray, col: np.ndarray, ref: np.ndarray,
+        inside=slice(None)) -> float:
+    """TV distance between a law and a reference law, as arrays.
+
+    The reference's masses are the 2-D ``ref``, keyed row-major; law entry
+    e has mass ``w[e]`` on its key (``row[e]``, ``col[e]``) where
+    ``inside[e]`` (default: every entry), else on a key of the law's alone.
+    Sums |law - ref| over the law's keys in order, then the reference's
+    masses on keys the law lacks, one term after another.  A result above
+    the mean of the two masses by more than SUM_TOL is a fault
+    (AssertionError); one above 1, from rounding or from input masses of 1
+    within SUM_TOL, is returned as 1.0.
+    """
+    at = (row * ref.shape[1] + col)[inside]
+    missed = np.ones(ref.size, bool)
+    missed[at] = False
+    ref, ref_w = ref.ravel(), np.zeros(len(w))
+    ref_w[inside] = ref[at]
+    dist = 0.5 * _sum(np.concatenate([np.abs(w - ref_w), ref[missed]]))
+    if dist > 0.5 * (_sum(w) + _sum(ref)) + SUM_TOL:
+        raise AssertionError(f"distance {dist!r} exceeds the mean of its masses")
+    return min(dist, 1.0)
+
+
+def _product_tv(a: np.ndarray, size_a: int, b: np.ndarray, size_b: int, w: np.ndarray) -> float:
+    """``_tv`` of the law of (a, b) over runs with codes ``a`` (below
+    ``size_a``), ``b`` (below ``size_b``) and weights ``w``, from the product
+    of its marginals.  Law, marginals and product are keyed in order of
+    first appearance, a outer; each mass is a sum in run order."""
+    e, firsts = _first_seen(a * size_b + b, size_a * size_b)
+    w = np.bincount(e, w)
+    ra, _ = _first_seen(a[firsts], size_a)
+    rb, _ = _first_seen(b[firsts], size_b)
+    return _tv(w, ra, rb, np.multiply.outer(np.bincount(ra, w), np.bincount(rb, w)))
+
+
+def _region_mass(w: np.ndarray, inside: np.ndarray) -> float:
+    """Mass of a law (masses ``w`` in its order) on the keys marked
+    ``inside``, clipped to 1 as in ``_tv``; a sum above the law's whole mass
+    by more than SUM_TOL is a fault."""
+    part, total = _sum(w[inside]), _sum(w)
+    if part > total + SUM_TOL:
+        raise AssertionError(f"region mass {part!r} exceeds the law's mass {total!r}")
+    return min(part, 1.0)
+
+
+def _ravel(index: Sequence[np.ndarray], shape: Sequence[int], pos: Sequence[int], n: int):
+    """The joint code of the variables at ``pos`` in each of the ``n`` cells
+    unravelled to ``index`` over ``shape``, and the number of codes."""
+    dims = [shape[k] for k in pos]
+    code = np.ravel_multi_index([index[k] for k in pos], dims) if pos else np.zeros(n, np.intp)
+    return code, math.prod(dims)
+
+
+# ---------------------------------------------------------------------------
 # JSON interchange
 
 # {"variables": [{"name": "X1", "symbols": ["0","1"]}, ...],

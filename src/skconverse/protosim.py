@@ -14,31 +14,26 @@ All randomness is seeded; identical seeds give identical reports.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .bounds import _TOL, _Report, _least_cit, _two_party_names
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
-    DEFAULT_CELL_CAP,
-    SUM_TOL,
-    Alphabet,
-    JointDist,
-    _block_masks,
-    _chunk_rows,
-    _q_pi_rows,
-    factorizes,
+    DEFAULT_CELL_CAP, SUM_TOL, Alphabet, JointDist, _block_masks, _chunk_rows, _distinct,
+    _first_seen, _product_tv, _q_pi_rows, _ravel, _region_mass, _sum, _tv, factorizes,
 )
 from .smoothinfo import _xy_matrix, h_min_cond, h_min_smooth
 from .structure import Partition, attach_label, enum_partitions, mcf, mss
 
-#: runs one enumeration may walk; an OT reduction takes 0.9-1.7 KB per run,
-#: so about 0.9 GB at the cap
+#: runs one enumeration may walk; an OT reduction takes 0.2-0.35 KB per run,
+#: so about 0.25 GB at the cap
 STATE_CAP = 1 << 19
 
 MapLike = Callable | Mapping
@@ -79,7 +74,7 @@ class Protocol:
     The round schedule is F_11..F_m1, ..., F_1r..F_mr (party order inside
     every round).  A missing message map means the party stays silent that
     round (constant '-').  Key maps take (observation, randomness, full
-    transcript) and must return values in ``key_symbols``.
+    transcript) and must return values in ``key_symbols``, which are distinct.
     """
 
     num_parties: int
@@ -111,6 +106,8 @@ class Protocol:
         )
         object.__setattr__(self, "eve_vars", tuple(self.eve_vars))
         object.__setattr__(self, "key_symbols", tuple(self.key_symbols))
+        if len(set(self.key_symbols)) != len(self.key_symbols):
+            raise PreconditionError("key symbols must be unique")
         for (j, i) in self.message_maps:
             if not (1 <= j <= self.rounds and 1 <= i <= self.num_parties):
                 raise PreconditionError(
@@ -147,6 +144,21 @@ def _branches(value) -> list[tuple[str, float]]:
     return [(s, p) for s, p in items if p > 0]
 
 
+class _Runs(NamedTuple):
+    """The runs of a ``_runs`` walk in depth-first order: run j starts at J's
+    flat cell ``cell[j]``, party i's randomness symbol index ``rand[i, j]``,
+    ends with ``transcripts[node[j]]`` and key index ``keys[i, j]``, and
+    weighs ``weights[r, j]`` under pmf row r, which takes it if ``taken[r, j]``."""
+
+    cell: np.ndarray
+    rand: np.ndarray
+    node: np.ndarray
+    keys: np.ndarray
+    weights: np.ndarray
+    taken: np.ndarray
+    transcripts: list
+
+
 def _runs(
     J: JointDist,
     pmfs: np.ndarray,
@@ -154,20 +166,22 @@ def _runs(
     rounds: int,
     message_maps: Mapping[tuple[int, int], MapLike],
     randomness: Sequence[LocalRand | None],
-):
-    """Yield (outcome, obs, rand, transcript, rows, weights) for every run.
+    key_maps: Sequence[MapLike] = (),
+    key_symbols: Sequence[str] = (),
+) -> _Runs:
+    """Every run of a protocol on the rows of ``pmfs`` (pmfs over J's cells).
 
-    ``rows`` are the rows of ``pmfs`` (pmfs over J's cells) with positive
-    mass at ``outcome``, ``weights`` the run's probability under each, taken
-    as a walk of that row alone would; a factor of 1.0 reuses the weights.
-    Party i observes the J variables ``obs_vars[i-1]`` and the local
-    randomness ``randomness[i-1]`` (None: none) and speaks by ``message_maps``
-    in the order of ``_schedule``.  Only the support cells, where some row
-    has mass, are walked: outcomes in row-major order, then randomness
-    points, then depth-first over the messages; ``outcome``, ``obs`` and
-    ``rows`` are the same objects for every run of one outcome.  A message
-    value that is a plain ``str`` is taken as is, without ``_branches``.
-    Raises when the rows' joint support x randomness points exceeds STATE_CAP.
+    Party i sees the J variables ``obs_vars[i-1]`` and ``randomness[i-1]``
+    (None: none), speaks by ``message_maps`` in ``_schedule`` order, then
+    keys by ``key_maps[i-1]`` into ``key_symbols``.  The cells where some
+    row has mass are walked a level at a time, each map called once per
+    distinct (observation, randomness, transcript) of the live runs; a value
+    goes through ``_branches`` and may split its runs.  Runs come in
+    depth-first order (outcomes row-major, randomness points, message
+    branches last symbol first, key branches sorted), each weighing mass x
+    randomness weight x branch probabilities, in that order.  A map's error
+    is raised after the walk, the first in that order.  Raises when the
+    support x randomness points exceeds STATE_CAP.
     """
     positions = {n: i for i, n in enumerate(J.var_names)}
     for group in obs_vars:
@@ -176,50 +190,93 @@ def _runs(
                 raise PreconditionError(f"protocol observes unknown variable {n!r}")
     space = [((), 1.0)]
     for r in randomness:
-        syms = [(None, 1.0)] if r is None else list(zip(r.symbols, r.probs))
-        space = [
-            (combo + (s,), w * pw) for combo, w in space for s, pw in syms if pw > 0
-        ]
-    cells = np.flatnonzero(pmfs.any(axis=0))
-    support = len(cells)
-    if support * len(space) > STATE_CAP:
-        raise CapExceededError(
-            f"{support} outcomes x {len(space)} randomness points "
-            f"exceed the cap {STATE_CAP}"
-        )
-    obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
-    steps = [(i - 1, message_maps.get((j, i))) for j, i in _schedule(rounds, len(obs_vars))]
-    end = len(steps)
-    index = np.unravel_index(cells, J.shape) if J.vars else ()
-    columns = [[a.symbols[k] for k in idx.tolist()] for (_, a), idx in zip(J.vars, index)]
-    outcomes = zip(*columns) if columns else [()] * support  # no variables: one cell
-    for syms, col in zip(outcomes, pmfs[:, cells].T.tolist()):
-        rows = tuple(r for r, q in enumerate(col) if q > 0)
-        masses = [col[r] for r in rows]
-        obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
-        for rand, rw in space:
-            ws = masses if rw == 1.0 else [q * rw for q in masses]
-            stack = [((), ws, 0)]
-            while stack:
-                transcript, ws, pos = stack.pop()
-                # one message after another until a stochastic one branches;
-                # its branches go on the stack, the last one on top
-                while pos < end:
-                    i, m = steps[pos]
-                    pos += 1
-                    if m is None:
-                        transcript += ("-",)
-                        continue
-                    val = _map_value(m, obs[i], rand[i], transcript)
-                    if isinstance(val, str):
-                        transcript += (val,)
-                        continue
-                    for sym, pw in _branches(val):
-                        scaled = ws if pw == 1.0 else [w * pw for w in ws]
-                        stack.append((transcript + (sym,), scaled, pos))
-                    break
-                else:
-                    yield syms, obs, rand, transcript, rows, ws
+        probs = (1.0,) if r is None else r.probs
+        space = [(combo + (s,), w * pw)
+                 for combo, w in space for s, pw in enumerate(probs) if pw > 0]
+    cells = pmfs.any(axis=0).nonzero()[0]
+    support, n_pts = len(cells), len(space)
+    if support * n_pts > STATE_CAP:
+        raise CapExceededError(f"{support} outcomes x {n_pts} randomness points exceed the cap "
+                               f"{STATE_CAP}")
+    points = np.array([combo for combo, _ in space], np.intp).reshape(n_pts, len(randomness)).T
+    outcome, point = np.divmod(np.arange(support * n_pts), n_pts)
+    weights = pmfs[:, cells[outcome]]
+    taken = weights > 0
+    weights = weights * np.array([w for _, w in space])[point]
+
+    # a column per live run: its first run, node, each party's view, then keys
+    m, shape = len(obs_vars), J.shape
+    index = np.unravel_index(cells, shape) if J.vars else ()
+    state = np.zeros((2 + m + len(key_maps), len(outcome)), np.intp)
+    state[0], inputs = np.arange(len(outcome)), []
+    for i, group in enumerate(obs_vars):
+        pos = [positions[n] for n in group]
+        obs, n_obs = _ravel(index, shape, pos, support)
+        syms = (None,) if randomness[i] is None else randomness[i].symbols
+        values, state[2 + i] = _distinct(obs[outcome] * len(syms) + points[i][point],
+                                         n_obs * len(syms))
+        seen = np.unravel_index(values // len(syms), [shape[k] for k in pos]) if pos else ()
+        seen = [[J.vars[k][1].symbols[j] for j in c.tolist()] for k, c in zip(pos, seen)]
+        inputs.append(list(zip(zip(*seen) if pos else itertools.repeat(()),
+                               [syms[r] for r in (values % len(syms)).tolist()])))
+
+    steps = [(i - 1, message_maps.get((j, i)), 1) for j, i in _schedule(rounds, m)]
+    steps += [(i, km, 2 + m + i) for i, km in enumerate(key_maps)]
+    key_index = {s: c for c, s in enumerate(key_symbols)}
+    transcripts: list = [()]
+    failure = None
+    for i, fn, row in steps:
+        if fn is None or (failure is not None and not state.shape[1]):
+            transcripts = [t + ("-",) for t in transcripts]
+            continue
+        n_nodes = len(transcripts)
+        values, inv = _distinct(state[2 + i] * n_nodes + state[1], len(inputs[i]) * n_nodes)
+        call = fn if callable(fn) else functools.partial(_map_value, fn)
+        view_inputs, codes, split, children, errors = inputs[i], [], {}, {}, {}
+        for u, code in enumerate(values.tolist()):
+            v, nd = divmod(code, n_nodes)
+            try:
+                val = call(*view_inputs[v], transcripts[nd])
+                if isinstance(val, str) and (row == 1 or val in key_index):  # taken as is
+                    codes.append(children.setdefault((nd, val), len(children)) if row == 1
+                                 else key_index[val])
+                    continue
+                branches = _branches(val)
+                for sym, _ in branches if row > 1 else ():
+                    if sym not in key_index:
+                        raise PreconditionError(
+                            f"key map returned {sym!r} outside the key alphabet")
+                split[u] = ([(key_index[sym], pw) for sym, pw in branches] if row > 1 else
+                            [(children.setdefault((nd, sym), len(children)), pw)
+                             for sym, pw in reversed(branches)])  # messages: last symbol first
+                codes.append(-1)
+            except Exception as exc:  # kept for the run that meets it first
+                errors[u] = exc
+                codes.append(0)
+        if errors:  # the depth-first walk stops at the first run that meets one
+            first = int(np.argmax(np.isin(inv, list(errors))))
+            failure = errors[int(inv[first])]
+            state, weights = state[:, :first], weights[:, :first]
+            taken, inv = taken[:, :first], inv[:first]
+        if not split:
+            state[row] = np.array(codes, np.intp)[inv]
+        else:
+            outs = [split.get(u, [(c, 1.0)]) for u, c in enumerate(codes)]
+            counts = np.array([len(out) for out in outs])
+            flat = [b for out in outs for b in out]
+            cnt, ends = counts[inv], np.cumsum(counts)[inv]  # run j's branches end at ends[j]
+            rep = np.repeat(np.arange(len(inv)), cnt)
+            at = np.arange(len(rep)) + np.repeat(ends - np.cumsum(cnt), cnt)
+            state, taken = state[:, rep], taken[:, rep]
+            weights = weights[:, rep] * np.array([pw for _, pw in flat])[at]
+            state[row] = np.array([c for c, _ in flat], np.intp)[at]
+        if row == 1:
+            transcripts = [transcripts[nd] + (sym,) for nd, sym in children]
+    if failure is not None:
+        raise failure
+    outcome, point = np.divmod(state[0], n_pts)
+    return _Runs(cells[outcome], points[:, point], state[1], state[2 + m:], weights, taken,
+                 transcripts)
 
 
 def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
@@ -231,47 +288,66 @@ def _eve_pos(J: JointDist, p: Protocol) -> tuple[int, ...]:
     return tuple(positions[n] for n in p.eve_vars)
 
 
-def _laws(J: JointDist, p: Protocol, pmfs: np.ndarray) -> list[dict]:
-    """``protocol_law`` of ``p`` on each pmf row of ``pmfs`` over J's cells,
-    from one walk of the runs: each row's law has the keys, order and floats
-    of a walk of that row alone."""
+class _Law(NamedTuple):
+    """A law keyed (keys, transcript, eavesdropper view) as arrays, in dict
+    order (``_law_dict``): entry e has key indices ``keys[:, e]``, (transcript,
+    view) rank ``fz[e]`` in order of first appearance, weight ``w[e]``, run
+    ``first[e]`` and code ``code[e]``, alike in one walk and below its runs."""
+
+    code: np.ndarray
+    w: np.ndarray
+    keys: np.ndarray
+    fz: np.ndarray
+    first: np.ndarray
+    runs: _Runs
+
+
+def _laws(J: JointDist, p: Protocol, pmfs: np.ndarray) -> list[_Law]:
+    """The law of ``p`` on each pmf row of ``pmfs`` over J's cells, from one
+    walk of the runs: each row's law has the keys, order and floats of a
+    walk of that row alone, each weight a sum in run order."""
     eve_pos = _eve_pos(J, p)
-    laws: list = [defaultdict(float) for _ in pmfs]
-    key_set = set(p.key_symbols)
-    syms_of_z = None
-    for syms, obs, rand, transcript, rows, ws in _runs(
-        J, pmfs, p.obs_vars, p.rounds, p.message_maps, p.randomness
-    ):
-        if syms is not syms_of_z:
-            syms_of_z, z = syms, tuple(syms[k] for k in eve_pos)
-        # evaluate keys, branching if stochastic
-        key_stack = [((), ws)]
-        for i in range(p.num_parties):
-            val = _map_value(p.key_maps[i], obs[i], rand[i], transcript)
-            if isinstance(val, str):
-                if val not in key_set:
-                    raise PreconditionError(
-                        f"key map returned {val!r} outside the key alphabet"
-                    )
-                key_stack = [(keys + (val,), kws) for keys, kws in key_stack]
-                continue
-            branches = _branches(val)
-            for sym, _ in branches:
-                if sym not in key_set:
-                    raise PreconditionError(
-                        f"key map returned {sym!r} outside the key alphabet"
-                    )
-            key_stack = [(keys + (sym,), kws if pw == 1.0 else [w * pw for w in kws])
-                         for keys, kws in key_stack for sym, pw in branches]
-        for keys, kws in key_stack:
-            for r, w in zip(rows, kws):
-                laws[r][(keys, transcript, z)] += w
-    return [dict(law) for law in laws]
+    runs = _runs(J, pmfs, p.obs_vars, p.rounds, p.message_maps, p.randomness,
+                 p.key_maps, p.key_symbols)
+    index = np.unravel_index(runs.cell, J.shape) if J.vars else ()
+    z, n_z = _ravel(index, J.shape, eve_pos, len(runs.cell))
+    fz, fz_first = _first_seen(runs.node * n_z + z, len(runs.transcripts) * n_z)
+    raw, size, nk = fz, len(fz_first), len(p.key_symbols)
+    for k in runs.keys:
+        if size * nk >= 1 << 62:  # renumbered before a code could overflow
+            raw, size = _distinct(raw, size)[1], len(raw)
+        raw, size = raw * nk + k, size * nk
+    code, first = _first_seen(raw, size)
+    # a row taking every run has each key, and each (transcript, view), in code order
+    full = (np.arange(len(first)), runs.keys[:, first], fz[first], first)
+    laws = []
+    for w, taken, every in zip(runs.weights, runs.taken, runs.taken.all(axis=1)):
+        if every:
+            e, keys, f, at = full
+            w = np.bincount(code, w, minlength=len(first))
+        else:
+            rank, firsts = _first_seen(code[taken], len(first))
+            e = code[taken][firsts]
+            at = first[e]
+            keys, f = runs.keys[:, at], _first_seen(fz[at], len(fz_first))[0]
+            w = np.bincount(rank, w[taken])
+        laws.append(_Law(e, w, keys, f, at, runs))
+    return laws
+
+
+def _law_dict(J: JointDist, p: Protocol, law: _Law) -> dict:
+    """``law`` as a dict keyed (keys, transcript, eve_view), in its order."""
+    runs, index = law.runs, np.unravel_index(law.runs.cell[law.first], J.shape) if J.vars else ()
+    views = [[J.vars[k][1].symbols[s] for s in index[k].tolist()] for k in _eve_pos(J, p)]
+    names = zip(zip(*([p.key_symbols[c] for c in row] for row in law.keys.tolist())),
+                [runs.transcripts[n] for n in runs.node[law.first].tolist()],
+                zip(*views) if views else itertools.repeat(()))
+    return dict(zip(names, law.w.tolist()))
 
 
 def protocol_law(J: JointDist, p: Protocol) -> dict:
     """Exact joint law keyed (keys, transcript, eve_view), within the run cap of ``_runs``."""
-    return _laws(J, p, J.pmf[None])[0]
+    return _law_dict(J, p, _laws(J, p, J.pmf[None])[0])
 
 
 @dataclass(frozen=True)
@@ -290,90 +366,20 @@ class SecurityReport(_Report):
     num_key_values: int
 
 
-def _tv(law: Mapping, ref) -> float:
-    """TV distance between a dict law and a dict or ``_ProductLaw`` ``ref``.
-
-    Sums |law - ref| over the keys of ``law`` in its order, then the ``ref``
-    mass on keys ``law`` misses, in ``ref``'s order.  A result above the
-    mean of the two masses by more than SUM_TOL is a fault (AssertionError);
-    one above 1, from rounding or from input masses of 1 within SUM_TOL, is
-    returned as 1.0.
-    """
-    total = law_mass = ref_mass = 0.0
-    for key, w in law.items():
-        total += abs(w - ref.get(key, 0.0))
-        law_mass += w
-    for key, r in ref.items():
-        ref_mass += r
-        if key not in law:
-            total += r
-    dist = 0.5 * total
-    if dist > 0.5 * (law_mass + ref_mass) + SUM_TOL:
-        raise AssertionError(f"distance {dist!r} exceeds the mean of its masses")
-    return min(dist, 1.0)
-
-
-class _ProductLaw:
-    """Product of the marginals of a law keyed (a, b), without its |A| x |B| cells."""
-
-    def __init__(self, law: Mapping) -> None:
-        self.pa: dict = defaultdict(float)
-        self.pb: dict = defaultdict(float)
-        for (a, b), w in law.items():
-            self.pa[a] += w
-            self.pb[b] += w
-
-    def get(self, key, default: float = 0.0) -> float:
-        a, b = key
-        return self.pa[a] * self.pb[b] if a in self.pa and b in self.pb else default
-
-    def items(self):
-        for a, wa in self.pa.items():
-            for b, wb in self.pb.items():
-                yield (a, b), wa * wb
-
-
-class _UniformKeyLaw:
-    """A uniform key in ``keys`` times the law ``pfz`` keyed (f, z), keyed
-    (key, f, z), without its |K| x |(F, Z)| cells: each cell is m / ``nk``,
-    in the order of ``pfz``, then of ``keys`` (repeats kept once)."""
-
-    def __init__(self, pfz: Mapping, keys: Sequence, nk: int) -> None:
-        self.pfz, self.keys, self.nk = pfz, tuple(dict.fromkeys(keys)), nk
-        self.known = set(self.keys)
-
-    def get(self, key, default: float = 0.0) -> float:
-        k, f, z = key
-        m = self.pfz.get((f, z))
-        return m / self.nk if m is not None and k in self.known else default
-
-    def items(self):
-        for (f, z), m in self.pfz.items():
-            for k in self.keys:
-                yield (k, f, z), m / self.nk
-
-
-def _security(law: Mapping, p: Protocol) -> SecurityReport:
-    """Secret-key figures of ``p`` from its exact law keyed (keys, f, z)."""
-    nk = len(p.key_symbols)
-    pfz: dict = defaultdict(float)
-    agree = 0.0
-    law1: dict = defaultdict(float)
-    for (keys, f, z), w in law.items():
-        pfz[(f, z)] += w
-        if keys.count(keys[0]) == len(keys):
-            agree += w
-        law1[(keys[0], f, z)] += w
-
+def _security(law: _Law, p: Protocol) -> SecurityReport:
+    """Secret-key figures of ``p`` from its exact law."""
+    nk, k1 = len(p.key_symbols), law.keys[0]
+    agree = (law.keys == k1).all(axis=0)
+    # each key value at each (F, Z) with the (F, Z) mass over |K|, (F, Z) outer
+    ideal = np.repeat(np.bincount(law.fz, law.w)[:, None] / nk, nk, axis=1)
     # combined criterion: distance to uniform agreed keys x real (F, Z)
-    n = p.num_parties
-    eps = _tv(law, _UniformKeyLaw(pfz, [(k,) * n for k in p.key_symbols], nk))
+    eps = _tv(law.w, law.fz, k1, ideal, agree)
     # split criteria on the first party's key
-    delta_sec = _tv(law1, _UniformKeyLaw(pfz, p.key_symbols, nk))
-
+    e, firsts = _first_seen(law.fz * nk + k1, ideal.size)
+    delta_sec = _tv(np.bincount(e, law.w), law.fz[firsts], k1[firsts], ideal)
     return SecurityReport(
         eps=float(eps),
-        eps_rec=float(1.0 - agree),
+        eps_rec=float(1.0 - _sum(law.w[agree])),
         delta_sec=float(delta_sec),
         key_len_bits=p.key_len_bits,
         num_key_values=nk,
@@ -382,7 +388,7 @@ def _security(law: Mapping, p: Protocol) -> SecurityReport:
 
 def eval_sk_security(J: JointDist, p: Protocol) -> SecurityReport:
     """Measure a protocol's exact secret-key parameters on J."""
-    return _security(protocol_law(J, p), p)
+    return _security(_laws(J, p, J.pmf[None])[0], p)
 
 
 def _var_blocks(J: JointDist, p: Protocol, partition: Partition) -> list[frozenset[int]]:
@@ -488,19 +494,6 @@ class RegionTestReport(_Report):
         )
 
 
-def _region_mass(law: Mapping, inside) -> float:
-    """Mass of ``law`` on the keys where ``inside`` holds, clipped to 1 as in
-    ``_tv``; a sum above the law's whole mass by more than SUM_TOL is a fault."""
-    part = total = 0.0
-    for key, w in law.items():
-        total += w
-        if inside(key):
-            part += w
-    if part > total + SUM_TOL:
-        raise AssertionError(f"region mass {part!r} exceeds the law's mass {total!r}")
-    return min(part, 1.0)
-
-
 def acceptance_region_test(
     J: JointDist,
     p: Protocol,
@@ -538,32 +531,28 @@ def _region_tests(
 
 
 def _region_test(
-    p: Protocol, l: int, eta: float, p_law: Mapping, q_law: Mapping, rep: SecurityReport,
+    p: Protocol, l: int, eta: float, p_law: _Law, q_law: _Law, rep: SecurityReport,
 ) -> RegionTestReport:
     """The region test of a partition into ``l`` blocks, given the protocol's
-    law on J, its report and its law on the partition's Q^pi."""
+    law on J, its report and its law on the partition's Q^pi, from one walk."""
     nk = len(p.key_symbols)
     lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
-    q_fz: dict = defaultdict(float)
-    for (keys, f, z), w in q_law.items():
-        q_fz[(f, z)] += w
-
-    def in_region(keys, f, z, qw) -> bool:
-        mfz = q_fz[(f, z)]
-        if qw == 0.0 or mfz == 0.0:
-            return True
-        if keys.count(keys[0]) != len(keys):
-            return False  # ideal mass 0, conditional positive
-        qc = qw / mfz
-        return -math.log2(nk) - math.log2(qc) >= lam - _TOL
-
-    # each Q key decided once; a key Q lacks has Q-mass 0, so lies inside
-    inside = {key: in_region(*key, qw) for key, qw in q_law.items()}
+    f, qw = q_law.fz, q_law.w
+    mfz = np.bincount(f, qw)[f]
+    # each Q key decided once: a vanishing Q mass or conditional lies inside,
+    # disagreeing keys (ideal mass 0, conditional positive) outside
+    inside = (qw == 0.0) | (mfz == 0.0)
+    tested = ~inside & (q_law.keys == q_law.keys[0]).all(axis=0)
+    base, bar = -math.log2(nk), lam - _TOL
+    inside[tested] = [base - math.log2(qc) >= bar for qc in (qw[tested] / mfz[tested]).tolist()]
+    # a key Q lacks has Q-mass 0, so lies inside
+    in_q = np.ones(len(q_law.runs.cell), bool)
+    in_q[q_law.code] = inside
     return RegionTestReport(
         lam=lam,
-        type1=_region_mass(p_law, lambda key: not inside.get(key, True)),
+        type1=_region_mass(p_law.w, ~in_q[p_law.code]),
         type1_bound=float(rep.eps + eta),
-        type2=_region_mass(q_law, inside.__getitem__),
+        type2=_region_mass(qw, inside),
         type2_bound=float(nk ** (1 - l) * eta ** (-l)),
     )
 
@@ -590,16 +579,13 @@ def interactive_independence_check(
         )
     nonz_pos = [k for k in range(len(J.vars)) if k not in eve_pos]
     nonz_vars = tuple(J.vars[k] for k in nonz_pos)
-    sym_index = [{s: a for a, s in enumerate(alpha.symbols)} for _, alpha in nonz_vars]
-    shape = [len(index) for index in sym_index]
-    slices: dict = defaultdict(lambda: np.zeros(shape))
-    for syms, _, _, f, _, (w,) in _runs(
-        J, J.pmf[None], p.obs_vars, p.rounds, p.message_maps, p.randomness
-    ):
-        idx = tuple(index[syms[k]] for index, k in zip(sym_index, nonz_pos))
-        slices[(f, tuple(syms[k] for k in eve_pos))][idx] += w
-
-    for arr in slices.values():
+    runs = _runs(J, J.pmf[None], p.obs_vars, p.rounds, p.message_maps, p.randomness)
+    shape, index = J.shape, np.unravel_index(runs.cell, J.shape)
+    (z, n_z), (x, n_x) = (_ravel(index, shape, pos, len(runs.cell)) for pos in (eve_pos, nonz_pos))
+    # one slice of the non-z cells per (transcript, z), each cell a sum in run order
+    s, firsts = _first_seen(runs.node * n_z + z, len(runs.transcripts) * n_z)
+    slices = np.bincount(s * n_x + x, runs.weights[0], minlength=len(firsts) * n_x)
+    for arr in slices.reshape(len(firsts), *(shape[k] for k in nonz_pos)):
         mass = arr.sum()
         if mass > 0 and not factorizes(JointDist(nonz_vars, arr / mass), var_blocks):
             return False
@@ -756,30 +742,28 @@ def _ot_randomness(otp: OTProtocol) -> tuple[LocalRand, LocalRand]:
     )
 
 
-def _ot_pass(
-    J: JointDist, otp: OTProtocol, keep_runs: bool,
-) -> tuple[list | None, PrimitiveReport]:
-    """One walk of the OT runs on J: the list of its (x1, x2, (k, b),
-    transcript, weight) runs if ``keep_runs`` and the ``measure_ot`` report."""
-    l = otp.length
-    runs = ((x1, x2, rand, tr, w) for (x1, x2), _, rand, tr, _, (w,) in _runs(
-        J, J.pmf[None], [[n] for n in _two_party_names(J)], otp.rounds, otp.message_maps,
-        _ot_randomness(otp)))
-    runs = list(runs) if keep_runs else runs
-    err = 0.0
-    law1: dict = defaultdict(float)  # (K_{not B}; X2, B, F)
-    law2: dict = defaultdict(float)  # (B; K0, K1, X1, F)
-    for x1, x2, (k, b), tr, w in runs:
-        k0, k1 = k[:l], k[l:]
-        kb, kbar = (k0, k1) if b == "0" else (k1, k0)
-        if otp.khat(x2, b, tr) != kb:
-            err += w
-        law1[(kbar, (x2, b, tr))] += w
-        law2[(b, (k0, k1, x1, tr))] += w
-    d1 = _tv(law1, _ProductLaw(law1))
-    d2 = _tv(law2, _ProductLaw(law2))
-    return runs if keep_runs else None, PrimitiveReport(
-        eps=float(err), delta1=float(d1), delta2=float(d2))
+def _ot_pass(J: JointDist, otp: OTProtocol) -> tuple[_Runs, PrimitiveReport]:
+    """One walk of the OT runs on J, and the ``measure_ot`` report."""
+    randomness = _ot_randomness(otp)
+    runs = _runs(J, J.pmf[None], [[n] for n in _two_party_names(J)], otp.rounds,
+                 otp.message_maps, randomness)
+    (x1, x2), (k, b) = np.unravel_index(runs.cell, J.shape), runs.rand
+    k0, k1 = np.divmod(k, 1 << otp.length)
+    kb, kbar = np.where(b == 0, k0, k1), np.where(b == 0, k1, k0)
+    w, n_nodes = runs.weights[0], len(runs.transcripts)
+    string = {s: c for c, s in enumerate(otp.strings())}
+    # party 2's view (X2, B, F); the estimate of K_B once per view
+    values, view2 = _distinct((x2 * 2 + b) * n_nodes + runs.node, J.shape[1] * 2 * n_nodes)
+    x2_syms, b_syms = J.vars[1][1].symbols, randomness[1].symbols
+    khat = np.array([string.get(otp.khat(x2_syms[v // n_nodes // 2], b_syms[v // n_nodes % 2],
+                                         runs.transcripts[v % n_nodes]), -1)
+                     for v in values.tolist()])
+    err = _sum(w[khat[view2] != kb])
+    # (K_{not B}; X2, B, F) and (B; K0, K1, X1, F)
+    d1 = _product_tv(kbar, 1 << otp.length, view2, len(values), w)
+    d2 = _product_tv(b, 2, (k * J.shape[0] + x1) * n_nodes + runs.node,
+                     len(string) ** 2 * J.shape[0] * n_nodes, w)
+    return runs, PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
 def measure_ot(J: JointDist, otp: OTProtocol) -> PrimitiveReport:
@@ -789,7 +773,7 @@ def measure_ot(J: JointDist, otp: OTProtocol) -> PrimitiveReport:
     K_{not-B} from independent of party 2's view; delta2 the distance of B
     from independent of party 1's view.
     """
-    return _ot_pass(J, otp, keep_runs=False)[1]
+    return _ot_pass(J, otp)[1]
 
 
 def ideal_ot_correlation(l: int) -> JointDist:
@@ -890,16 +874,18 @@ def _reduced(
     return ReducedSK(attach_label(J, label, name), proto, base, used_fallback)
 
 
-def _posteriors(rows) -> dict:
-    """P(x2 | key) from (key, x2, weight) rows, keys and x2 values in first-seen order."""
-    mass: dict = defaultdict(lambda: defaultdict(float))
-    for key, x2, w in rows:
-        mass[key][x2] += w
-    out = {}
-    for key, law in mass.items():
-        tot = sum(law.values())
-        out[key] = {x2: w / tot for x2, w in law.items()}
-    return out
+def _x2_laws(J: JointDist, runs: _Runs, group: np.ndarray, size: int, normalize: bool):
+    """(first, start, run, mass): the law of x2 in each group k of runs on a
+    two-variable J, given group codes below ``size``: its first run and, in
+    ``start[k]:start[k + 1]``, a (run, mass) per x2, all in order of first
+    appearance; a mass sums in run order, normalized if ``normalize``."""
+    g, firsts = _first_seen(group, size)
+    e, at = _first_seen(g * J.shape[1] + runs.cell % J.shape[1], len(firsts) * J.shape[1])
+    eg, w = g[at], np.bincount(e, runs.weights[0])
+    if normalize:
+        w = w / np.bincount(eg, w)[eg]
+    order = np.argsort(eg, kind="stable")  # each group's entries together, in order
+    return firsts, np.searchsorted(eg[order], np.arange(len(firsts) + 1)), at[order], w[order]
 
 
 def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
@@ -917,7 +903,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     if variant not in (1, 2):
         raise PreconditionError("variant must be 1 or 2")
     x1, x2 = _two_party_names(J)
-    runs, base = _ot_pass(J, otp, keep_runs=variant == 2)
+    runs, base = _ot_pass(J, otp)
     l = otp.length
     randomness = _ot_randomness(otp)
     n_ot_msgs = 2 * otp.rounds
@@ -937,20 +923,32 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     # variant 2: resample X2 under the flipped choice bit, from the laws of X2
     # given (V1, B, OT transcript) and given V1 alone of an exact run
     lab1 = mss(J, given=x1, target=x2)
-    label_of = {s: str(lab1.label_of(s)) for s in J.alphabet(x1).symbols}
-    cond = _posteriors(((label_of[x1s], b, tr), x2s, w) for x1s, x2s, (_, b), tr, w in runs)
-    cond_v = _posteriors((label_of[x1s], x2s, w) for x1s, x2s, _, _, w in runs)
-    # every reachable key-map input (v, b, f) reads cond at (v, not b, f)
-    flip = {"0": "1", "1": "0"}
-    used_fallback = any((v, flip[b], f) not in cond for v, b, f in cond)
+    labels = [str(lab1.label_of(s)) for s in J.vars[0][1].symbols]
+    code = {v: c for c, v in enumerate(labels)}  # one code per label
+    n2, n_nodes = J.shape[1], len(runs.transcripts)
+    node_of = {t: n for n, t in enumerate(runs.transcripts)}
+    lab, size = np.array([code[v] for v in labels])[runs.cell // n2], len(labels) * 2 * n_nodes
+    # law c of (v, b, f), then of v from ``size`` on, is x2_of, probs[span[c]]
+    span, x2_of, probs = np.zeros((size + len(labels), 2), np.intp), [], []
+    for group, offset in (((lab * 2 + runs.rand[1]) * n_nodes + runs.node, 0), (lab, size)):
+        firsts, start, at, prob = _x2_laws(J, runs, group, size, True)
+        span[group[firsts] + offset] = np.c_[start[:-1], start[1:]] + len(probs)
+        x2_of += [J.vars[1][1].symbols[c] for c in (runs.cell[at] % n2).tolist()]
+        probs += prob.tolist()
+    # every reachable key-map input (v, b, f) reads the law at (v, not b, f)
+    reached = span[:size, 1].reshape(len(labels), 2, n_nodes) > 0
+    used_fallback = bool((reached[:, 0] != reached[:, 1]).any())
+    flip, bit = {"0": "1", "1": "0"}, {"0": 0, "1": 1}
 
     def key1(obs, rand, tr):
         return rand[l:] if tr[-1] == "0" else rand[:l]  # K_{not B}
 
     def key2(obs, rand, tr):
-        v, bbar, f_ot = obs[0], flip[rand], tr[:n_ot_msgs]
+        v, bbar, f_ot = code[obs[0]], flip[rand], tr[:n_ot_msgs]
+        lo, hi = span[(v * 2 + bit[bbar]) * n_nodes + node_of[f_ot]]
+        lo, hi = (lo, hi) if hi else span[size + v]  # unreachable under the flip
         out: dict = defaultdict(float)
-        for x2s, pw in cond.get((v, bbar, f_ot), cond_v[v]).items():
+        for x2s, pw in zip(x2_of[lo:hi], probs[lo:hi]):
             out[otp.khat(x2s, bbar, f_ot)] += pw
         # a key of probability 1.0 as a plain symbol, which the walk takes as is
         (sym, pw), *rest = out.items()
@@ -982,65 +980,58 @@ class BCProtocol:
         return _bit_strings(self.key_bits)
 
 
-def _reveal_columns(bcp: BCProtocol, x1_syms: Sequence[str], runs) -> dict:
-    """The reveal test of ``bcp`` as one |K| x |X1| column, keys outer, per
-    (x2, transcript) pair of ``runs``, in first-seen order.
-
-    ``test`` runs once per (k', x1', x2, transcript).  The cells are checked
-    against DEFAULT_CELL_CAP before any column is built.
-    """
+def _reveal_columns(bcp: BCProtocol, x1_syms: Sequence[str], pairs: list) -> np.ndarray:
+    """The reveal test of ``bcp`` as a |pairs| x |K| x |X1| table, keys outer:
+    ``test`` runs once per (k', x1', (x2, transcript) of ``pairs``), after
+    the cells are checked against DEFAULT_CELL_CAP."""
     keys = bcp.keys()
-    pairs = dict.fromkeys((x2, tr) for _, x2, _, tr, _ in runs)
     cells = len(keys) * len(x1_syms) * len(pairs)
     if cells > DEFAULT_CELL_CAP:
         raise CapExceededError(f"{cells} reveal-test cells exceed the cap {DEFAULT_CELL_CAP}")
-    return {
-        (x2, tr): np.array([[float(bcp.test(k, x1, x2, tr)) for x1 in x1_syms] for k in keys])
-        for x2, tr in pairs
-    }
+    tests = (float(bcp.test(k, x1, x2, tr)) for x2, tr in pairs for k in keys for x1 in x1_syms)
+    return np.fromiter(tests, float, cells).reshape(len(pairs), len(keys), len(x1_syms))
 
 
-def _scores(columns: Mapping, x2_law: Mapping, tr) -> np.ndarray:
-    """Each claim's acceptance mass: w * column summed over ``x2_law`` in
-    order, the same floats as adding the terms one by one."""
+def _scores(columns: np.ndarray, pairs: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Each claim's acceptance mass: mass x column ``pairs`` of ``columns``,
+    summed in order, as adding the terms one by one would."""
     acc = 0.0
-    for x2, w in x2_law.items():
-        acc = acc + w * columns[(x2, tr)]
+    for c, w in zip(pairs.tolist(), masses.tolist()):
+        acc = acc + w * columns[c]
     return acc
 
 
-def _bc_pass(J: JointDist, bcp: BCProtocol) -> tuple[list, dict, PrimitiveReport]:
-    """One walk of the commitment runs on J: the list of its (x1, x2, (k, None),
-    transcript, weight) runs, their ``_reveal_columns`` and the ``measure_bc``
-    report.  The table's cells are bounded below before the walk: every x2 of
-    positive mass has a run, so there are at least |K| x |X1| x |supp X2|."""
+def _bc_pass(J: JointDist, bcp: BCProtocol) -> tuple[_Runs, np.ndarray, np.ndarray,
+                                                      PrimitiveReport]:
+    """One walk of the commitment runs on J: the runs, each run's (x2,
+    transcript) pair in order of first appearance, their ``_reveal_columns``
+    and the ``measure_bc`` report.  The table's cells are bounded below
+    before the walk: every x2 of positive mass has a run, so |K| x |X1| x
+    |supp X2| at least."""
     keys = bcp.keys()
     x1_syms = J.alphabet(_two_party_names(J)[0]).symbols
     least = len(keys) * len(x1_syms) * int(J.array().any(axis=0).sum())
     if least > DEFAULT_CELL_CAP:
         raise CapExceededError(
             f"at least {least} reveal-test cells exceed the cap {DEFAULT_CELL_CAP}")
-    randomness = (LocalRand.uniform(keys), None)
-    runs = [(x1, x2, rand, tr, w) for (x1, x2), _, rand, tr, _, (w,) in _runs(
-        J, J.pmf[None], [[n] for n in _two_party_names(J)], bcp.rounds, bcp.message_maps,
-        randomness)]
-    columns = _reveal_columns(bcp, x1_syms, runs)
-    row = {k: i for i, k in enumerate(keys)}
-    col = {x1: i for i, x1 in enumerate(x1_syms)}
-    err = 0.0
-    law_hide: dict = defaultdict(float)
-    view: dict = defaultdict(lambda: defaultdict(float))
-    for x1, x2, (k, _), tr, w in runs:
-        err += w * (1.0 - float(columns[(x2, tr)][row[k], col[x1]]))
-        law_hide[(k, (x2, tr))] += w
-        view[(k, x1, tr)][x2] += w
-    d1 = _tv(law_hide, _ProductLaw(law_hide))
+    runs = _runs(J, J.pmf[None], [[n] for n in _two_party_names(J)], bcp.rounds,
+                 bcp.message_maps, (LocalRand.uniform(keys), None))
+    x1, x2 = np.unravel_index(runs.cell, J.shape)
+    k, w, n_nodes = runs.rand[0], runs.weights[0], len(runs.transcripts)
+    pair, firsts = _first_seen(x2 * n_nodes + runs.node, J.shape[1] * n_nodes)
+    columns = _reveal_columns(bcp, x1_syms, [
+        (J.vars[1][1].symbols[x2[j]], runs.transcripts[runs.node[j]]) for j in firsts.tolist()])
+    err = _sum(w * (1.0 - columns[pair, k, x1]))
+    d1 = _product_tv(k, len(keys), pair, len(firsts), w)
+    # binding: the best cheating claim under each view (k, x1, transcript)
     d2 = 0.0
-    for (k, x1, tr), x2_law in view.items():
-        scores = _scores(columns, x2_law, tr)
-        scores[row[k]] = 0.0  # revealing the committed key is no cheat; floor 0
+    views, start, at, mass = _x2_laws(J, runs, (k * len(x1_syms) + x1) * n_nodes + runs.node,
+                                      len(keys) * len(x1_syms) * n_nodes, False)
+    for j, lo, hi in zip(views.tolist(), start[:-1].tolist(), start[1:].tolist()):
+        scores = _scores(columns, pair[at[lo:hi]], mass[lo:hi])
+        scores[k[j]] = 0.0  # revealing the committed key is no cheat; floor 0
         d2 += float(scores.max())
-    return runs, columns, PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
+    return runs, pair, columns, PrimitiveReport(eps=float(err), delta1=float(d1), delta2=float(d2))
 
 
 def measure_bc(J: JointDist, bcp: BCProtocol) -> PrimitiveReport:
@@ -1051,7 +1042,7 @@ def measure_bc(J: JointDist, bcp: BCProtocol) -> PrimitiveReport:
     (binding): total probability of the best cheating reveal, optimized
     pointwise over party 1's view.
     """
-    return _bc_pass(J, bcp)[2]
+    return _bc_pass(J, bcp)[3]
 
 
 def ideal_bc_protocol(l: int) -> tuple[JointDist, BCProtocol]:
@@ -1098,21 +1089,29 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
     canonical order.  The eavesdropper observes X2.
     """
     x1, x2 = _two_party_names(J)
-    runs, columns, base = _bc_pass(J, bcp)
+    runs, pair, columns, base = _bc_pass(J, bcp)
     lab1 = mss(J, given=x1, target=x2)
     keys = bcp.keys()
-    x1_syms = J.alphabet(x1).symbols
-    label_of = {s: str(lab1.label_of(s)) for s in x1_syms}
+    labels = [str(lab1.label_of(s)) for s in J.vars[0][1].symbols]
+    code = {v: c for c, v in enumerate(labels)}  # one code per label
+    lab = np.array([code[v] for v in labels])[runs.cell // J.shape[1]]
 
     # first best claim, keys outer, under P(x2 | v1, transcript)
     decoder: dict = {}
-    posteriors = _posteriors(((label_of[x1s], tr), x2s, w) for x1s, x2s, _, tr, w in runs)
-    for (v, tr), x2_law in posteriors.items():
+    n_nodes = len(runs.transcripts)
+    firsts, start, at, prob = _x2_laws(J, runs, lab * n_nodes + runs.node,
+                                       len(labels) * n_nodes, True)
+    for j, lo, hi in zip(firsts.tolist(), start[:-1].tolist(), start[1:].tolist()):
+        scores = _scores(columns, pair[at[lo:hi]], prob[lo:hi]).ravel()
+        # scan ``if acc > best + _TOL`` from best = -1.0; only a new maximum can pass
+        rising = np.ones(len(scores), bool)
+        rising[1:] = scores[1:] > np.maximum.accumulate(scores)[:-1]
         best, best_at = -1.0, None
-        for at, acc in enumerate(_scores(columns, x2_law, tr).ravel().tolist()):
+        for at_, acc in zip(rising.nonzero()[0].tolist(), scores[rising].tolist()):
             if acc > best + _TOL:
-                best, best_at = acc, at
-        decoder[(v, tr)] = keys[best_at // len(x1_syms)]
+                best, best_at = acc, at_
+        name = (labels[runs.cell[j] // J.shape[1]], runs.transcripts[runs.node[j]])
+        decoder[name] = keys[best_at // columns.shape[2]]
     key_maps = (lambda obs, rand, tr: rand, lambda obs, rand, tr: decoder[(obs[0], tr)])
     return _reduced(J, lab1, False, bcp.rounds, bcp.message_maps, key_maps,
                     keys, (LocalRand.uniform(keys), None), base)

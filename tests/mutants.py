@@ -33,7 +33,7 @@ MUTANTS = {
         "if val < best_val - _TOL:",
         "if val < best_val:",
     )]),
-    "no-distance-clip": ("src/skconverse/protosim.py", [(
+    "no-distance-clip": ("src/skconverse/probcore.py", [(
         "    return min(dist, 1.0)\n",
         "    return dist\n",
     )]),
@@ -42,19 +42,19 @@ MUTANTS = {
         "labels = itertools.islice(_rgs(m), 2, None)",
     )]),
     "binding-max-includes-committed-key": ("src/skconverse/protosim.py", [(
-        "        scores[row[k]] = 0.0",
+        "        scores[k[j]] = 0.0",
         "        pass",
     )]),
-    "column-cached-without-transcript": ("src/skconverse/protosim.py", [
-        ("(x2, tr): np.array(", "x2: np.array("),
-        ("columns[(x2, tr)]", "columns[x2]"),
-    ]),
+    "column-cached-without-transcript": ("src/skconverse/protosim.py", [(
+        "_first_seen(x2 * n_nodes + runs.node, ",
+        "_first_seen(x2 * n_nodes, ",
+    )]),
     "no-pre-walk-bound": ("src/skconverse/protosim.py", [(
         "    if least > DEFAULT_CELL_CAP:\n",
         "    if False:\n",
     )]),
     "no-run-cap": ("src/skconverse/protosim.py", [(
-        "    if support * len(space) > STATE_CAP:\n",
+        "    if support * n_pts > STATE_CAP:\n",
         "    if False:\n",
     )]),
     "region-q-law-is-p-law": ("src/skconverse/protosim.py", [(
@@ -66,12 +66,20 @@ MUTANTS = {
         "rep.eps, eta, ((k, q[::-1]) for k, q in scan))",
     )]),
     "zero-mass-row-takes-runs": ("src/skconverse/protosim.py", [(
-        "rows = tuple(r for r, q in enumerate(col) if q > 0)",
-        "rows = tuple(r for r, q in enumerate(col))",
+        "    taken = weights > 0\n",
+        "    taken = weights >= 0\n",
     )]),
     "no-key-check-on-plain-symbol": ("src/skconverse/protosim.py", [(
-        "                if val not in key_set:\n",
-        "                if False:\n",
+        "if sym not in key_index:",
+        "if sym not in key_index and len(branches) > 1:",
+    )]),
+    "message-branches-first-symbol-first": ("src/skconverse/protosim.py", [(
+        "for sym, pw in reversed(branches)])",
+        "for sym, pw in branches])",
+    )]),
+    "one-branch-probability-left-out": ("src/skconverse/protosim.py", [(
+        "np.array([pw for _, pw in flat])",
+        "np.array([1.0] + [pw for _, pw in flat][1:])",
     )]),
     "no-pmf-sum-test": ("src/skconverse/protosim.py", [(
         " or abs(sum(probs) - 1.0) > SUM_TOL:",

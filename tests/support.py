@@ -5,9 +5,10 @@ oracles enumerate candidate tests as subset-plus-one-fractional-point
 vertices of the linear program or hand the program to scipy's LP solver,
 the composition oracle filters all k-tuples by their sum, the smoothing
 oracles bisect the monotone feasibility functions, the conditional
-product oracle accumulates marginals one cell at a time, and the bit
-commitment oracle sums the definitions over every (key, X1, X2, message), and
-the leftover-hash oracle hashes one X value at a time.  Expected values
+product oracle accumulates marginals one cell at a time, the bit
+commitment oracle sums the definitions over every (key, X1, X2, message),
+the leftover-hash oracle hashes one X value at a time, and the protocol
+oracles walk one run at a time into dict laws.  Expected values
 asserted in the tests are computed by these oracles, not copied from the
 code under test.
 """
@@ -21,7 +22,9 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import strategies as st
 
-from skconverse import Alphabet, BCProtocol, JointDist, Protocol, ideal_bc_protocol
+from skconverse import (
+    Alphabet, BCProtocol, JointDist, PreconditionError, Protocol, ideal_bc_protocol,
+)
 
 BIT = Alphabet(("0", "1"))
 
@@ -367,3 +370,278 @@ def leftover_hash_oracle(pxy: np.ndarray, out_len: int, seed: int) -> float:
     nk = 2 ** out_len
     py = [sum(float(pxy[x, y]) for x in range(x_size)) for y in range(y_size)]
     return 0.5 * sum(abs(joint[k, y] - py[y] / nk) for k in range(nk) for y in range(y_size))
+
+
+# ---------------------------------------------------------------------------
+# protocol walk oracle: a depth-first walk of one run at a time, dict laws
+#
+# The library walks every run at once, a level at a time, over integer codes
+# and sums laws with ``np.bincount``.  These oracles take each run on its own
+# with the protocol's maps called once per run, and sum laws with ``+=`` into
+# dicts; they share no code with that walk.
+
+
+def _map_value_oracle(m, obs, rand, transcript):
+    if callable(m):
+        return m(obs, rand, transcript)
+    try:
+        return m[(obs, rand, transcript)]
+    except KeyError:
+        raise PreconditionError(
+            f"map table is not total: missing entry for obs={obs} rand={rand} "
+            f"transcript={transcript}"
+        ) from None
+
+
+def _branches_oracle(value) -> list[tuple[str, float]]:
+    if isinstance(value, str):
+        return [(value, 1.0)]
+    items = sorted((str(k), float(p)) for k, p in value.items())
+    if not all(math.isfinite(p) and p >= 0 for _, p in items) or abs(
+            sum(p for _, p in items) - 1.0) > 1e-9:
+        raise PreconditionError("stochastic map values must form a pmf")
+    return [(s, p) for s, p in items if p > 0]
+
+
+def runs_oracle(J: JointDist, pmfs, obs_vars, rounds, message_maps, randomness):
+    """Yield (outcome, obs, rand, transcript, rows, weights) for every run,
+    depth first: outcomes in row-major order, then randomness points, then
+    message branches, the last sorted symbol first; ``rows`` are the pmf
+    rows with positive mass at the outcome, ``weights`` the run's
+    probability under each."""
+    positions = {n: i for i, n in enumerate(J.var_names)}
+    space = [((), 1.0)]
+    for r in randomness:
+        syms = [(None, 1.0)] if r is None else list(zip(r.symbols, r.probs))
+        space = [(combo + (s,), w * pw) for combo, w in space for s, pw in syms if pw > 0]
+    obs_pos = [tuple(positions[n] for n in group) for group in obs_vars]
+    parties = len(obs_vars)
+    steps = [(i - 1, message_maps.get((j, i)))
+             for j in range(1, rounds + 1) for i in range(1, parties + 1)]
+    symbols = [a.symbols for _, a in J.vars]
+    for flat, col in enumerate(np.asarray(pmfs).T.tolist()):
+        rows = tuple(r for r, q in enumerate(col) if q > 0)
+        if not rows:
+            continue
+        idx = np.unravel_index(flat, J.shape) if J.vars else ()
+        syms = tuple(s[int(k)] for s, k in zip(symbols, idx))
+        obs = tuple(tuple(syms[k] for k in pos) for pos in obs_pos)
+        for rand, rw in space:
+            stack = [((), [col[r] * rw for r in rows], 0)]
+            while stack:
+                transcript, ws, pos = stack.pop()
+                while pos < len(steps):
+                    i, m = steps[pos]
+                    pos += 1
+                    if m is None:
+                        transcript += ("-",)
+                        continue
+                    val = _map_value_oracle(m, obs[i], rand[i], transcript)
+                    if isinstance(val, str):
+                        transcript += (val,)
+                        continue
+                    for sym, pw in _branches_oracle(val):
+                        stack.append((transcript + (sym,), [w * pw for w in ws], pos))
+                    break
+                else:
+                    yield syms, obs, rand, transcript, rows, ws
+
+
+def laws_oracle(J: JointDist, p: Protocol, pmfs) -> list[dict]:
+    """The law of ``p`` keyed (keys, transcript, eve_view) on each pmf row
+    of ``pmfs`` over J's cells, from ``runs_oracle``; key branches expand in
+    sorted order and each weight is added with ``+=`` in run order."""
+    eve_pos = [J.var_names.index(n) for n in p.eve_vars]
+    laws = [defaultdict(float) for _ in np.asarray(pmfs)]
+    for syms, obs, rand, transcript, rows, ws in runs_oracle(
+            J, pmfs, p.obs_vars, p.rounds, p.message_maps, p.randomness):
+        z = tuple(syms[k] for k in eve_pos)
+        key_stack = [((), ws)]
+        for i in range(p.num_parties):
+            branches = _branches_oracle(
+                _map_value_oracle(p.key_maps[i], obs[i], rand[i], transcript))
+            for sym, _ in branches:
+                if sym not in p.key_symbols:
+                    raise PreconditionError(
+                        f"key map returned {sym!r} outside the key alphabet")
+            key_stack = [(keys + (sym,), [w * pw for w in kws])
+                         for keys, kws in key_stack for sym, pw in branches]
+        for keys, kws in key_stack:
+            for r, w in zip(rows, kws):
+                laws[r][(keys, transcript, z)] += w
+    return [dict(law) for law in laws]
+
+
+def tv_oracle(law: dict, ref: dict) -> float:
+    """0.5 sum |law - ref|: the law's keys in order, then the reference's
+    keys the law lacks, in its order, added one by one; clipped to 1."""
+    total = 0.0
+    for key, w in law.items():
+        total += abs(w - ref.get(key, 0.0))
+    for key, r in ref.items():
+        if key not in law:
+            total += r
+    return min(0.5 * total, 1.0)
+
+
+def _marginal_oracle(law: dict, part) -> dict:
+    out: dict = defaultdict(float)
+    for key, w in law.items():
+        out[part(key)] += w
+    return dict(out)
+
+
+def product_oracle(law: dict) -> dict:
+    """The product of the marginals of a law keyed (a, b), a outer."""
+    pa, pb = _marginal_oracle(law, lambda k: k[0]), _marginal_oracle(law, lambda k: k[1])
+    return {(a, b): wa * wb for a, wa in pa.items() for b, wb in pb.items()}
+
+
+def security_oracle(law: dict, p: Protocol) -> tuple[float, float, float]:
+    """(eps, eps_rec, delta_sec) of a secret-key law keyed (keys, f, z)."""
+    nk = len(p.key_symbols)
+    pfz = _marginal_oracle(law, lambda k: k[1:])
+    law1 = _marginal_oracle(law, lambda k: (k[0][0], *k[1:]))
+    agree = 0.0
+    for (keys, _, _), w in law.items():
+        if len(set(keys)) == 1:
+            agree += w
+    ideal = {((k,) * p.num_parties, *fz): m / nk for fz, m in pfz.items() for k in p.key_symbols}
+    ideal1 = {(k, *fz): m / nk for fz, m in pfz.items() for k in p.key_symbols}
+    return tv_oracle(law, ideal), 1.0 - agree, tv_oracle(law1, ideal1)
+
+
+def region_test_oracle(p: Protocol, l: int, eta: float, p_law: dict, q_law: dict,
+                       eps: float) -> tuple:
+    """(lam, type1, type1_bound, type2, type2_bound) of the acceptance-region
+    test of a partition into ``l`` blocks, from the dict laws on J and Q^pi."""
+    nk = len(p.key_symbols)
+    lam = (l - 1) * math.log2(nk) - l * math.log2(1.0 / eta)
+    q_fz = _marginal_oracle(q_law, lambda k: k[1:])
+
+    def inside(key) -> bool:
+        qw = q_law.get(key, 0.0)
+        keys, f, z = key
+        mfz = q_fz.get((f, z), 0.0)
+        if qw == 0.0 or mfz == 0.0:
+            return True
+        if len(set(keys)) != 1:
+            return False
+        return -math.log2(nk) - math.log2(qw / mfz) >= lam - 1e-9
+
+    def mass(law, keep) -> float:
+        part = 0.0
+        for key, w in law.items():
+            if keep(key):
+                part += w
+        return min(part, 1.0)
+
+    return (lam, mass(p_law, lambda k: not inside(k)), eps + eta,
+            mass(q_law, inside), nk ** (1 - l) * eta ** (-l))
+
+
+def independence_oracle(J: JointDist, p: Protocol, blocks) -> bool:
+    """Whether P(x | f, z) factorizes over ``blocks`` (of the non-z variables,
+    numbered from 1) for every transcript-z pair of positive probability."""
+    from skconverse.probcore import factorizes
+
+    eve_pos = [J.var_names.index(n) for n in p.eve_vars]
+    nonz = [k for k in range(len(J.vars)) if k not in eve_pos]
+    nonz_vars = tuple(J.vars[k] for k in nonz)
+    slices: dict = {}
+    for syms, _, _, f, _, (w,) in runs_oracle(
+            J, J.pmf[None], p.obs_vars, p.rounds, p.message_maps, p.randomness):
+        arr = slices.setdefault((f, tuple(syms[k] for k in eve_pos)),
+                                np.zeros([len(a.symbols) for _, a in nonz_vars]))
+        arr[tuple(J.vars[k][1].symbols.index(syms[k]) for k in nonz)] += w
+    return all(factorizes(JointDist(nonz_vars, a / a.sum()), blocks)
+               for a in slices.values() if a.sum() > 0)
+
+
+def _primitive_runs(J: JointDist, rounds, message_maps, randomness) -> list:
+    return [(x1, x2, rand, tr, w) for (x1, x2), _, rand, tr, _, (w,) in runs_oracle(
+        J, J.pmf[None], [[n] for n in J.var_names], rounds, message_maps, randomness)]
+
+
+def ot_oracle(J: JointDist, otp) -> tuple[tuple[float, float, float], list]:
+    """(eps, delta1, delta2) of an OT protocol on J, and its runs
+    (x1, x2, (k, b), transcript, weight)."""
+    from skconverse import LocalRand
+
+    strings = otp.strings()
+    l = otp.length
+    runs = _primitive_runs(J, otp.rounds, otp.message_maps, (
+        LocalRand.uniform([a + b for a in strings for b in strings]),
+        LocalRand.uniform(["0", "1"])))
+    err = 0.0
+    law1: dict = defaultdict(float)
+    law2: dict = defaultdict(float)
+    for x1, x2, (k, b), tr, w in runs:
+        k0, k1 = k[:l], k[l:]
+        kb, kbar = (k0, k1) if b == "0" else (k1, k0)
+        if otp.khat(x2, b, tr) != kb:
+            err += w
+        law1[(kbar, (x2, b, tr))] += w
+        law2[(b, (k0, k1, x1, tr))] += w
+    return (err, tv_oracle(law1, product_oracle(law1)),
+            tv_oracle(law2, product_oracle(law2))), runs
+
+
+def posteriors_oracle(rows) -> dict:
+    """P(x2 | key) from (key, x2, weight) rows, keys and x2 in first-seen order."""
+    mass: dict = defaultdict(lambda: defaultdict(float))
+    for key, x2, w in rows:
+        mass[key][x2] += w
+    return {key: {x2: w / sum(law.values()) for x2, w in law.items()}
+            for key, law in mass.items()}
+
+
+def bc_pass_oracle(J: JointDist, bcp: BCProtocol):
+    """(eps, delta1, delta2) of a commitment protocol on J, with its runs
+    (x1, x2, (k, None), transcript, weight) and a memo of its reveal test
+    per (x2, transcript), |K| x |X1| each, keys outer."""
+    from skconverse import LocalRand
+
+    keys = bcp.keys()
+    x1_syms = J.vars[0][1].symbols
+    runs = _primitive_runs(J, bcp.rounds, bcp.message_maps, (LocalRand.uniform(keys), None))
+    columns = {}
+    for _, x2, _, tr, _ in runs:
+        if (x2, tr) not in columns:
+            columns[(x2, tr)] = np.array(
+                [[float(bcp.test(k, x1, x2, tr)) for x1 in x1_syms] for k in keys])
+    err = 0.0
+    law_hide: dict = defaultdict(float)
+    view: dict = defaultdict(lambda: defaultdict(float))
+    for x1, x2, (k, _), tr, w in runs:
+        err += w * (1.0 - float(columns[(x2, tr)][keys.index(k), x1_syms.index(x1)]))
+        law_hide[(k, (x2, tr))] += w
+        view[(k, x1, tr)][x2] += w
+    d2 = 0.0
+    for (k, x1, tr), x2_law in view.items():
+        acc = 0.0
+        for x2, w in x2_law.items():
+            acc = acc + w * columns[(x2, tr)]
+        acc[keys.index(k)] = 0.0
+        d2 += float(acc.max())
+    return (err, tv_oracle(law_hide, product_oracle(law_hide)), d2), runs, columns
+
+
+def bc_decoder_oracle(J: JointDist, bcp: BCProtocol, label_of) -> dict:
+    """The BC reduction's decoder: per (label of x1, transcript), the key of
+    the first claim (keys outer) whose acceptance mass under P(x2 | label,
+    transcript) beats every earlier record by more than 1e-9."""
+    _, runs, columns = bc_pass_oracle(J, bcp)
+    keys, n_x1 = bcp.keys(), len(J.vars[0][1].symbols)
+    decoder = {}
+    posts = posteriors_oracle(((label_of[x1], tr), x2, w) for x1, x2, _, tr, w in runs)
+    for (v, tr), x2_law in posts.items():
+        acc = 0.0
+        for x2, w in x2_law.items():
+            acc = acc + w * columns[(x2, tr)]
+        best, best_at = -1.0, None
+        for at, a in enumerate(acc.ravel().tolist()):
+            if a > best + 1e-9:
+                best, best_at = a, at
+        decoder[(v, tr)] = keys[best_at // n_x1]
+    return decoder

@@ -175,6 +175,20 @@ def test_protocol_verbs(tmp_path, capsys):
     assert json.loads(out)["result"]["ok"] is True
 
 
+def test_protocol_eval_rejects_duplicate_key_symbols(tmp_path, capsys):
+    # a repeated key symbol once reported 1.585 key bits for a shared bit
+    J, p = disagreeing_keys()
+    d = write_dist(tmp_path, J, "j.json")
+    pfile = tmp_path / "p.json"
+    doc = protocol_to_json(p)
+    pfile.write_text(json.dumps(doc))
+    assert run(capsys, ["protocol", "eval", "--dist", d, "--protocol", str(pfile)])[0] == 0
+    pfile.write_text(json.dumps(dict(doc, key_symbols=["0", "0", "1"])))
+    code, out, err = run(capsys, ["protocol", "eval", "--dist", d, "--protocol", str(pfile)])
+    assert (code, out) == (1, "")
+    assert err == "error: malformed protocol JSON: key symbols must be unique\n"
+
+
 def test_determinism_byte_identical(tmp_path, capsys):
     d = write_dist(tmp_path, dsbs(0.2), "d.json")
     argv = ["bound", "sk", "--dist", d, "--eps", "0.1", "--eta", "0.05"]

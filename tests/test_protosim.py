@@ -37,7 +37,7 @@ from skconverse import bounds, cli, protosim
 from skconverse.errors import CapExceededError
 from skconverse.probcore import conditional_product, fuse_vars, marginal
 from skconverse.protosim import (
-    _ProductLaw,
+    _product_tv,
     _region_mass,
     _tv,
     ideal_ot_correlation,
@@ -48,7 +48,9 @@ from skconverse.protosim import (
 )
 from skconverse.structure import mss
 from support import (
-    BIT, bc_oracle, disagreeing_keys, leftover_hash_oracle, noisy_bc, random_dist,
+    BIT, bc_decoder_oracle, bc_oracle, bc_pass_oracle, disagreeing_keys, independence_oracle,
+    laws_oracle, leftover_hash_oracle, noisy_bc, ot_oracle, posteriors_oracle, product_oracle,
+    random_dist, region_test_oracle, security_oracle, tv_oracle,
 )
 
 
@@ -160,6 +162,53 @@ def test_perfect_key_converse_slack(m):
             assert abs(rep.slack - slack) <= 1e-9
     if m == 5:  # the 5-party key at eta = 5/6 sits 0.975 bits below its bound
         assert 0.97 < check_converse(*perfect_key(5, 1), 5 / 6).slack < 1.0
+
+
+def noisy_keys(m: int, flip: float, by_key_map: bool) -> tuple[JointDist, Protocol]:
+    """m copies of one uniform bit, each flipped independently with
+    probability ``flip``: by the source, each party outputting its bit, or
+    by each party's stochastic key map on an exact copy."""
+    names = [f"X{i}" for i in range(1, m + 1)]
+    q = 0.0 if by_key_map else flip
+    pmf = np.zeros(2 ** m)
+    for x in range(2 ** m):
+        for u in (0, 2 ** m - 1):
+            flips = bin(x ^ u).count("1")
+            pmf[x] += 0.5 * q ** flips * (1 - q) ** (m - flips)
+    other = {"0": "1", "1": "0"}
+
+    def noisy(o, r, t):
+        return {o[0]: 1 - flip, other[o[0]]: flip}
+
+    p = Protocol(
+        num_parties=m,
+        obs_vars=tuple((n,) for n in names),
+        rounds=0,
+        message_maps={},
+        key_maps=tuple((noisy if by_key_map else (lambda o, r, t: o[0])) for _ in range(m)),
+        key_symbols=("0", "1"),
+    )
+    return JointDist(tuple((n, BIT) for n in names), pmf), p
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_noisy_key_converse_and_region_tests(m):
+    # flips by the source or by the key maps give the same key law; the
+    # latter expands 2^m key branches per run.  eps + eta stays below 1
+    for eta in (0.05, 0.7):
+        reports = []
+        for by_key_map in (False, True):
+            J, p = noisy_keys(m, 0.05, by_key_map)
+            rep = check_converse(J, p, eta)
+            assert rep.ok and not rep.trivial and math.isfinite(rep.slack)
+            for pi in enum_partitions(m):
+                assert acceptance_region_test(J, p, pi, eta).ok, (m, eta, by_key_map, pi)
+            reports.append(eval_sk_security(J, p))
+        source, keyed = reports
+        for f in ("eps", "eps_rec", "delta_sec"):
+            assert abs(getattr(source, f) - getattr(keyed, f)) <= 1e-12
+        # the keys disagree unless no party or every party flips
+        assert abs(source.eps_rec - (1 - 0.95 ** m - 0.05 ** m)) <= 1e-12
 
 
 def test_region_test_perfect_key_and_unit_alphabet():
@@ -517,6 +566,44 @@ def test_bc_reveal_test_runs_once_per_claim():
     assert total <= 4224
 
 
+def _logged(p, log: list):
+    """``p`` (a Protocol, OTProtocol or BCProtocol) with every message and
+    key map appending (map, obs, rand, transcript) to ``log`` per call."""
+    def wrap(name, m):
+        def logged(obs, rand, tr):
+            log.append((name, obs, rand, tr))
+            return protosim._map_value(m, obs, rand, tr)
+        return logged
+
+    fields = {"message_maps": {k: wrap(k, m) for k, m in p.message_maps.items()}}
+    if isinstance(p, Protocol):
+        fields["key_maps"] = tuple(wrap(("key", i), m) for i, m in enumerate(p.key_maps))
+    return dataclasses.replace(p, **fields)
+
+
+def test_each_map_runs_once_per_distinct_input():
+    # within one walk, no (obs, rand, transcript) reaches a map twice
+    def walks():
+        J, otp = ideal_ot_protocol(3)
+        yield lambda log: measure_ot(J, _logged(otp, log))
+        red = reduce_ot_to_sk(J, otp, 2)
+        yield lambda log: eval_sk_security(red.dist, _logged(red.protocol, log))
+        J, bcp = ideal_bc_protocol(3)
+        yield lambda log: measure_bc(J, _logged(bcp, log))
+        red = reduce_bc_to_sk(J, bcp)
+        yield lambda log: eval_sk_security(red.dist, _logged(red.protocol, log))
+        J, p = next(inst for inst in (random_sk_instance([3, i], m=3, rounds=2) for i in range(40))
+                    if inst[1].randomness[0] is not None)
+        yield lambda log: protocol_law(J, _logged(p, log))
+        J, p = stochastic_three_party(0)
+        yield lambda log: protocol_law(J, _logged(p, log))
+
+    for walk in walks():
+        log: list = []
+        walk(log)
+        assert log and len(log) == len(set(log))
+
+
 def cli_reduce_bc(monkeypatch, capsys, length):
     """Exit code, stderr and reveal-test calls of ``protocol reduce --kind bc``."""
     calls = []
@@ -700,26 +787,150 @@ def test_laws_of_many_rows_equal_one_walk_per_row():
         laws = protosim._laws(J, p, np.array([d.pmf for d in dists]))
         assert len(laws) == len(dists)
         for d, law in zip(dists, laws):
-            _assert_same_law(law, protocol_law(d, p))
+            _assert_same_law(protosim._law_dict(J, p, law), protocol_law(d, p))
         q_only_support += bool(np.any((J.pmf == 0) & (dists[-1].pmf > 0)))
     assert q_only_support >= 4  # shared_bit and the three-party instances
 
 
 def test_region_tests_equal_one_law_per_partition():
-    # the reference builds each Q^pi and walks its runs alone
+    # the reference builds each Q^pi and walks its runs alone, one run at a
+    # time, into dict laws
     eta = 0.1
     for J, p in _walk_instances():
-        law = protocol_law(J, p)
+        (law,) = laws_oracle(J, p, J.pmf[None])
         rep = eval_sk_security(J, p)
         parts = enum_partitions(p.num_parties)
-        q_laws = [protocol_law(_q_pi(J, p, pi), p) for pi in parts]
+        q_laws = [laws_oracle(J, p, _q_pi(J, p, pi).pmf[None])[0] for pi in parts]
         refs = [
-            protosim._region_test(p, pi.num_blocks, eta, law, q_law, rep)
+            protosim.RegionTestReport(*region_test_oracle(p, pi.num_blocks, eta, law, q_law, rep.eps))
             for pi, q_law in zip(parts, q_laws)
         ]
         assert [acceptance_region_test(J, p, pi, eta) for pi in parts] == refs
         scan = protosim._party_scan(J, p, parts)
         assert protosim._region_tests(J, p, parts, scan, eta) == (rep, refs)
+
+
+# ---------------------------------------------------------------------------
+# the level-at-a-time array walk against the one-run-at-a-time dict oracle
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def zero_coin_three_party(seed: int) -> tuple[JointDist, Protocol]:
+    """``stochastic_three_party`` with a third randomness symbol of
+    probability 0 and a third key symbol, which party 3's stochastic key
+    value gives probability 0."""
+    J, p = stochastic_three_party(seed)
+    key3 = p.key_maps[2]
+    return J, dataclasses.replace(
+        p, key_symbols=("0", "1", "2"),
+        key_maps=(*p.key_maps[:2],
+                  lambda o, r, t: {"0": 0.2, "1": 0.8, "2": 0.0} if t[5] == "1" else key3(o, r, t)),
+        randomness=(LocalRand(("0", "1", "2"), (1 / 3, 2 / 3, 0.0)), None, None))
+
+
+def public_coin_without_variables() -> tuple[JointDist, Protocol]:
+    p = Protocol(
+        num_parties=2,
+        obs_vars=((), ()),
+        rounds=1,
+        message_maps={(1, 1): lambda o, r, t: {"0": 0.5, "1": 0.5}},
+        key_maps=(lambda o, r, t: t[0],) * 2,
+        key_symbols=("0", "1"),
+    )
+    return JointDist((), [1.0]), p
+
+
+def _oracle_instances() -> list[tuple[JointDist, Protocol]]:
+    return (
+        [(shared_bit(), observation_keys()), (indep_bits(), observation_keys())]
+        + [stochastic_three_party(seed) for seed in range(3)]
+        + [zero_coin_three_party(seed) for seed in range(3)]
+        + [random_sk_instance([41, i], m=2 + i % 2, rounds=1 + i % 2) for i in range(12)]
+    )
+
+
+def test_walk_matches_the_depth_first_oracle():
+    # every law of a walk over P and each partition's Q^pi, then the figures
+    # read from them, against dict laws summed one run at a time
+    eta = 0.1
+    for J, p in _oracle_instances() + [public_coin_without_variables()]:
+        parts = enum_partitions(p.num_parties) if J.vars else []
+        scan = list(protosim._party_scan(J, p, parts)) if parts else []
+        pmfs = np.vstack([J.pmf, *(q for _, q in scan)])
+        want = laws_oracle(J, p, pmfs)
+        got = protosim._laws(J, p, pmfs)
+        assert len(got) == len(want) == 1 + len(parts)
+        for law, ref in zip(got, want):
+            _assert_same_law(protosim._law_dict(J, p, law), ref)
+        rep = protosim._security(got[0], p)
+        assert _hex([rep.eps, rep.eps_rec, rep.delta_sec]) == _hex(security_oracle(want[0], p))
+        if parts:
+            tests = protosim._region_tests(J, p, parts, scan, eta)[1]
+            refs = [region_test_oracle(p, pi.num_blocks, eta, want[0], q, rep.eps)
+                    for pi, q in zip(parts, want[1:])]
+            assert [_hex(dataclasses.astuple(t)) for t in tests] == [_hex(r) for r in refs]
+
+
+def test_independence_check_matches_the_oracle():
+    checked = 0
+    for J, p in _oracle_instances():
+        finest = Partition(tuple(frozenset([i]) for i in range(1, p.num_parties + 1)), p.num_parties)
+        Jq = _q_pi(J, p, finest)  # factorizes across every partition given z
+        for pi in enum_partitions(p.num_parties):
+            blocks = [b for b in protosim._var_blocks(Jq, p, pi) if b]
+            want = len(blocks) < 2 or independence_oracle(Jq, p, blocks)
+            assert interactive_independence_check(Jq, p, pi) == want
+            checked += len(blocks) >= 2
+    assert checked >= 40
+
+
+def _ot2_key_oracle(J: JointDist, otp, runs):
+    """Variant 2's resampled key map and fallback flag, from oracle runs."""
+    lab1 = mss(J, given="X1", target="X2")
+    label_of = {s: str(lab1.label_of(s)) for s in J.alphabet("X1").symbols}
+    cond = posteriors_oracle(((label_of[x1], b, tr), x2, w) for x1, x2, (_, b), tr, w in runs)
+    cond_v = posteriors_oracle((label_of[x1], x2, w) for x1, x2, _, _, w in runs)
+    flip = {"0": "1", "1": "0"}
+
+    def key2(obs, rand, tr):
+        bbar, f_ot = flip[rand], tr[:2 * otp.rounds]
+        out: dict = defaultdict(float)
+        for x2, pw in cond.get((obs[0], bbar, f_ot), cond_v[obs[0]]).items():
+            out[otp.khat(x2, bbar, f_ot)] += pw
+        return dict(out)
+
+    return key2, any((v, flip[b], f) not in cond for v, b, f in cond)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_primitives_and_reductions_match_the_oracle(l):
+    J, otp = ideal_ot_protocol(l)
+    figures, runs = ot_oracle(J, otp)
+    assert _hex(dataclasses.astuple(measure_ot(J, otp))) == _hex(figures)
+    key2, fallback = _ot2_key_oracle(J, otp, runs)
+    for variant in (1, 2):
+        red = reduce_ot_to_sk(J, otp, variant)
+        assert _hex(dataclasses.astuple(red.base)) == _hex(figures)
+        proto = red.protocol
+        if variant == 2:
+            assert red.used_fallback == fallback
+            proto = dataclasses.replace(proto, key_maps=(proto.key_maps[0], key2))
+        _assert_same_law(protocol_law(red.dist, red.protocol),
+                         laws_oracle(red.dist, proto, red.dist.pmf[None])[0])
+    for J, bcp in [ideal_bc_protocol(l)] + [noisy_bc(l, seed) for seed in range(2)]:
+        figures, _, _ = bc_pass_oracle(J, bcp)
+        assert _hex(dataclasses.astuple(measure_bc(J, bcp))) == _hex(figures)
+        red = reduce_bc_to_sk(J, bcp)
+        assert _hex(dataclasses.astuple(red.base)) == _hex(figures)
+        lab1 = mss(J, given="X1", target="X2")
+        decoder = bc_decoder_oracle(J, bcp, {s: str(lab1.label_of(s)) for s in J.alphabet("X1").symbols})
+        proto = dataclasses.replace(red.protocol, key_maps=(
+            red.protocol.key_maps[0], lambda obs, rand, tr: decoder[(obs[0], tr)]))
+        _assert_same_law(protocol_law(red.dist, red.protocol),
+                         laws_oracle(red.dist, proto, red.dist.pmf[None])[0])
 
 
 def _fused(J: JointDist, p: Protocol) -> JointDist:
@@ -930,9 +1141,10 @@ def test_distances_clipped_to_one():
     assert 0.0 <= rep.delta_sec <= 1.0
     # a distance above 1 is returned as 1; one above the mean of the two
     # masses is a fault (here a negative weight)
-    assert _tv({"a": 1.0 + 1e-13}, {"b": 1.0}) == 1.0
+    key, ref = np.array([0]), np.array([[1.0]])
+    assert _tv(np.array([1.0 + 1e-13]), key, key, ref, np.array([False])) == 1.0
     with pytest.raises(AssertionError):
-        _tv({"a": -0.5}, {"a": 1.0})
+        _tv(np.array([-0.5]), key, key, ref)
 
 
 def test_region_masses_clipped_to_one():
@@ -944,9 +1156,9 @@ def test_region_masses_clipped_to_one():
         assert 0.0 <= rep.type2 <= 1.0
     # a region mass above 1 is returned as 1; one above the law's whole
     # mass is a fault (here a negative weight outside the region)
-    assert _region_mass({"a": 1.0 + 1e-13}, lambda key: True) == 1.0
+    assert _region_mass(np.array([1.0 + 1e-13]), np.array([True])) == 1.0
     with pytest.raises(AssertionError):
-        _region_mass({"a": 1.0, "b": -0.5}, lambda key: key == "a")
+        _region_mass(np.array([1.0, -0.5]), np.array([True, False]))
 
 
 def test_distance_on_mass_within_input_tolerance():
@@ -959,19 +1171,22 @@ def test_distance_on_mass_within_input_tolerance():
 
 
 def test_product_law_matches_dict_product():
+    # runs repeat keys, so the law sums them first; the distance is the
+    # dict product's, term for term
     rng = np.random.default_rng(5)
-    w = rng.random(6)
-    law = dict(zip([("a", 0), ("a", 1), ("b", 1), ("c", 0), ("c", 2), ("b", 2)], w / w.sum()))
-    ref = _ProductLaw(law)
-    pa, pb = defaultdict(float), defaultdict(float)
-    for (a, b), v in law.items():
-        pa[a] += v
-        pb[b] += v
-    product = {(a, b): va * vb for a, va in pa.items() for b, vb in pb.items()}
-    assert list(ref.items()) == list(product.items())
-    assert all(ref.get(key) == product[key] for key in product)
-    assert ref.get(("a", 9)) == 0.0
-    assert _tv(law, ref) == _tv(law, product)
+    a = np.array([0, 0, 1, 2, 2, 1, 0, 2])
+    b = np.array([0, 1, 1, 0, 2, 2, 0, 1])
+    w = rng.random(8)
+    w /= w.sum()
+    law: dict = defaultdict(float)
+    for x, y, v in zip(a.tolist(), b.tolist(), w.tolist()):
+        law[(x, y)] += v
+    want = tv_oracle(law, product_oracle(law))
+    assert _product_tv(a, 3, b, 3, w).hex() == want.hex()
+    # a product law is independent of itself
+    u = np.array([0.1, 0.3, 0.6])
+    grid = np.multiply.outer(u, u).ravel()
+    assert _product_tv(np.repeat(np.arange(3), 3), 3, np.tile(np.arange(3), 3), 3, grid) <= 1e-16
 
 
 def test_measure_ot_respects_state_cap():
@@ -1012,6 +1227,8 @@ INPUT_CHECKS = [
      PreconditionError, "rounds must be nonnegative"),
     (lambda: _keys_with(key_symbols=()),
      PreconditionError, "key alphabet must be nonempty"),
+    (lambda: _keys_with(key_symbols=("0", "0", "1")),
+     PreconditionError, "key symbols must be unique"),
     (lambda: _keys_with(randomness=(None,)),
      PreconditionError, "one randomness entry per party required"),
     (lambda: _keys_with(message_maps={(1, 1): {}}),
