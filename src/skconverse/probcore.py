@@ -15,10 +15,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+import orjson
 
 from .errors import CapExceededError, PreconditionError, ShapeMismatchError
 
@@ -753,17 +755,105 @@ def reject_json_constant(token: str):
 def read_json(path, what: str):
     """The JSON value in the file ``path``; NaN and +-Infinity are rejected.
 
-    A file that does not parse raises ``malformed {what}: ...``.
+    A file that is not UTF-8 or does not parse raises ``malformed {what}: ...``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_constant=reject_json_constant)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"malformed {what}: {exc}") from None
 
 
+#: the bytes of a flat array of JSON numbers: digits, signs, point,
+#: exponent, comma and the four JSON whitespace bytes
+_NUMBER_BYTES = b"0123456789+-.eE, \t\n\r"
+#: a ``"pmf"`` key, its colon and the bracket that opens its array
+_PMF_KEY = re.compile(rb'"pmf"[ \t\n\r]*:[ \t\n\r]*\[')
+#: the string that stands in for the pmf array while the rest is parsed
+_PMF_MARKER = "\x00skconverse pmf\x00"
+_CHUNK_BYTES = 1 << 20
+
+
+def _fast_dist_doc(raw: bytes) -> dict | None:
+    """The JSON document ``raw`` with its top-level ``"pmf"`` array read as
+    float64, or None if this route cannot vouch for the result.
+
+    The array is parsed by orjson in comma-aligned chunks of about
+    ``_CHUNK_BYTES``: a whole-file parse would hold orjson's copy of the
+    document next to one Python float per cell.  The rest is parsed by
+    ``json``, with the array replaced by a marker string.
+    """
+    key = _PMF_KEY.search(raw)
+    end = raw.find(b"]", key.end()) if key else -1
+    pmf = _pmf_array(raw, key.end(), end) if end >= 0 else None
+    if pmf is None:
+        return None
+    rest = raw[:key.end() - 1] + json.dumps(_PMF_MARKER).encode() + raw[end + 1:]
+    try:
+        doc = json.loads(rest.decode(), parse_constant=reject_json_constant)
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError, PreconditionError
+        return None
+    # the marker must be the top-level "pmf" and nothing else: the array
+    # found may be nested, or the file may spell the marker in escapes
+    ours = isinstance(doc, dict) and doc.get("pmf") == _PMF_MARKER
+    if not ours or _count_strings(doc, _PMF_MARKER) != 1:
+        return None
+    doc["pmf"] = pmf
+    return doc
+
+
+def _pmf_array(raw: bytes, start: int, end: int) -> np.ndarray | None:
+    """The numbers in ``raw[start:end]``, the inside of a JSON array, as
+    float64; None unless it holds only ``_NUMBER_BYTES``, orjson parses
+    every chunk, there is one number per comma plus one, and each is below
+    2^63 in magnitude.  (``json`` reads a longer integer literal as an int,
+    which ``dist_from_json`` rejects; orjson reads it as a float.)
+    """
+    out = np.empty(raw.count(b",", start, end) + 1)
+    filled = 0
+    while start < end:
+        stop = raw.find(b",", min(start + _CHUNK_BYTES, end), end)
+        stop = end if stop < 0 else stop
+        chunk = raw[start:stop]
+        if chunk.translate(None, _NUMBER_BYTES):
+            return None
+        try:
+            values = orjson.loads(b"[" + chunk + b"]")
+        except orjson.JSONDecodeError:
+            return None
+        out[filled:filled + len(values)] = values
+        filled += len(values)
+        start = stop + 1
+    if filled != out.size or max(-out.min(), out.max()) >= 2.0 ** 63:
+        return None
+    return out
+
+
+def _count_strings(doc, text: str) -> int:
+    """How many keys and string values in the JSON value ``doc`` equal ``text``."""
+    count, stack = 0, [doc]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend(value.keys())
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif value == text:
+            count += 1
+    return count
+
+
 def load_dist(path) -> JointDist:
-    return dist_from_json(read_json(path, f"JSON in {path}"))
+    """The distribution in the JSON file ``path``, read once as bytes.
+
+    A flat numeric top-level ``"pmf"`` array takes ``_fast_dist_doc``; any
+    file that route cannot vouch for is read again by ``read_json``, so
+    values and error messages are those of ``json``.
+    """
+    with open(path, "rb") as fh:
+        doc = _fast_dist_doc(fh.read())
+    return dist_from_json(read_json(path, f"JSON in {path}") if doc is None else doc)
 
 
 def save_dist(J: JointDist, path) -> None:

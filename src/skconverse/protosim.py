@@ -1212,10 +1212,11 @@ def fuzz_converse(
     conv_bad = region_bad = relation_bad = 0
     max_eps = 0.0
     min_slack = math.inf
+    parts_of = {m: enum_partitions(m) for m in (2, 3)}
     for idx in range(count):
         m = 2 + idx % 2
         J, proto = random_sk_instance([seed, idx], m=m, rounds=1 + idx % 2)
-        parts = enum_partitions(m)
+        parts = parts_of[m]
         scan = list(_party_scan(J, proto, parts))
         rep, region_tests = _region_tests(J, proto, parts, scan, eta)
         max_eps = max(max_eps, rep.eps)

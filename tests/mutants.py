@@ -97,6 +97,14 @@ MUTANTS = {
         "    if changed.all():\n",
         "    if True:\n",
     )]),
+    "nested-pmf-read": ("src/skconverse/probcore.py", [(
+        "    if not ours or _count_strings(doc, _PMF_MARKER) != 1:\n",
+        "    if not isinstance(doc, dict):\n",
+    )]),
+    "no-2^63-guard": ("src/skconverse/probcore.py", [(
+        "    if filled != out.size or max(-out.min(), out.max()) >= 2.0 ** 63:\n",
+        "    if filled != out.size:\n",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

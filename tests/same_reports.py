@@ -143,7 +143,60 @@ def write_inputs(base: Path) -> dict:
     Path(paths["nan"]).write_text('{"variables": [{"name": "X", "symbols": ["a", "b"]}], '
                                   '"pmf": [NaN, 1.0]}')
     paths["missing"] = str(base / "missing.json")
+    for name, raw in EDGE_DISTS.items():
+        paths[name] = str(base / f"{name}.json")
+        Path(paths[name]).write_bytes(raw)
     return paths
+
+
+_X = '[{"name": "X", "symbols": ["a", "b"]}]'
+
+
+def _edge(body: str) -> bytes:
+    """A two-symbol distribution file whose pmf array reads ``[body]``."""
+    return f'{{"variables": {_X}, "pmf": [{body}]}}'.encode()
+
+
+#: distribution files with unusual pmf spellings or placement, by name ->
+#: bytes: each is read by the fast pmf parse or by json, with one outcome
+EDGE_DISTS = {
+    "e_long": _edge("0.2500000000000000000000000001, 0.7499999999999999999999999999"),
+    "e_halfway": _edge("0.25000000000000002775557561562891351059079170227050781250, 0.75"),
+    "e_subnormal": _edge("5e-324, 1.0"),
+    "e_ints": _edge("1, 0"),
+    "e_minus_zero": _edge("-0, 1.0E0"),
+    "e_2p53": _edge("9007199254740993, -9007199254740992"),
+    "e_2p63": _edge("9223372036854775808, 0"),
+    "e_2p64": _edge("18446744073709551616, 0"),
+    "e_infinity": _edge("Infinity, 0"),
+    "e_1e400": _edge("1e400, 0"),
+    "e_true": _edge("true, 0"),
+    "e_null": _edge("null, 1.0"),
+    "e_string": _edge('"0.5", 0.5'),
+    "e_nested": _edge("[0.5], [0.5]"),
+    "e_empty": _edge(""),
+    "e_leading_zero": _edge("01, 0"),
+    "e_trailing_point": _edge("1., 0"),
+    "e_leading_point": _edge(".5, 0.5"),
+    "e_plus": _edge("+1, 0"),
+    "e_trailing_comma": _edge("0.5, 0.5,"),
+    "e_nested_key": ('{"meta": {"pmf": [1.0, 0.0]}, "variables": ' + _X
+                     + ', "pmf": [0.25, 0.75]}').encode(),
+    "e_quoted_key": ('{"a\\"pmf": [1.0, 0.0], "variables": ' + _X
+                     + ', "pmf": [0.25, 0.75]}').encode(),
+    "e_escaped_key": ('{"variables": ' + _X + ', "\\u0070mf": [0.25, 0.75]}').encode(),
+    "e_escaped_marker": ('{"variables": ' + _X + ', "pmf": "\\u0000skconverse pmf\\u0000", '
+                         '"x": {"pmf": [0.25, 0.75]}}').encode(),
+    "e_duplicate": ('{"variables": ' + _X + ', "pmf": [1.0, 0.0], "pmf": [0.25, 0.75]}').encode(),
+    "e_eve_first": ('{"eve": "X", "pmf": [0.25, 0.75], "variables": ' + _X + "}").encode(),
+    "e_whitespace": ('\r\n{\t"variables"\n:' + _X
+                     + ' ,\r"pmf"\n\t: \r[\n0.25\r,\t0.75 \n]\r\n}\n').encode(),
+    "e_bom": b"\xef\xbb\xbf" + _edge("0.25, 0.75"),
+    "e_garbage": _edge("0.25, 0.75") + b" x",
+    "e_truncated": _edge("0.25, 0.75")[:-1],
+    "e_truncated_array": _edge("0.25, 0.75")[:-8],
+    "e_not_utf8": b"\xff" + _edge("0.25, 0.75"),
+}
 
 
 def corpus(f: dict) -> list[list[str]]:
@@ -215,7 +268,8 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--eta", "1"],
         ["structure", "mss", "--dist", f["j2"], "--given", "X1", "--target", "X1"],
     ]
-    return ok + symmetric + screened + reduce + errors
+    edge = [["smooth", "hmin", "--dist", f[name], "--eps", "0.1"] for name in EDGE_DISTS]
+    return ok + symmetric + screened + reduce + errors + edge
 
 
 def bench_corpus(base: Path) -> list[list[str]]:

@@ -332,6 +332,21 @@ def test_malformed_json_inputs_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, ["protocol", "eval", "--dist", d, "--protocol", str(bad)])
     assert code == 1 and "malformed protocol JSON" in err
 
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    for argv, what in [
+        (["smooth", "hmin", "--dist", str(bad), "--eps", "0.1"], f"JSON in {bad}"),
+        (["beta", "--p", d, "--q", d, "--params", str(bad)], "parameters JSON"),
+        (["bound", "compute", "--dist", d, "--g", str(bad), "--eps", "0.1", "--delta", "0.1"],
+         "function JSON"),
+        (["bound", "sk", "--dist", d, "--aux-channel", str(bad), "--eps", "0.1", "--eta", "0.2",
+          "--delta", "0.1", "--eta1", "0.05", "--eta2", "0.05"], "channel JSON"),
+        (["protocol", "eval", "--dist", d, "--protocol", str(bad)], "protocol JSON"),
+    ]:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, ""), argv
+        assert err == (f"error: malformed {what}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n"), argv
+
 
 def test_function_table_object_form(tmp_path, capsys):
     d = write_dist(tmp_path, dsbs(0.11), "d.json")

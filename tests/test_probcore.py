@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from skconverse import (
     mutual_information,
     tv_distance,
 )
+from skconverse import probcore
 from skconverse.errors import CapExceededError
 from skconverse.probcore import (
     Channel,
@@ -30,7 +32,10 @@ from skconverse.probcore import (
     extend_with_channel,
     factorizes,
     fuse_vars,
+    load_dist,
     pushforward_function,
+    read_json,
+    save_dist,
     stable_order,
 )
 from skconverse.structure import _partition_masks
@@ -433,3 +438,135 @@ def test_input_checks(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# distribution files: the orjson route for a flat "pmf" array against json
+
+
+_VARS = '[{"name": "X", "symbols": ["0", "1"]}]'
+
+
+def _doc(body: str) -> str:
+    return f'{{"variables": {_VARS}, "pmf": [{body}]}}'
+
+
+def _float_corpus() -> list[str]:
+    """Decimal spellings that are hard to round, all below 2^63 in magnitude:
+    the exact midpoint of two adjacent doubles and a digit either side of it,
+    subnormals, 25-digit mantissas, and integers near 2^53 and 2^62."""
+    rng = np.random.default_rng(20)
+    xs = (rng.uniform(-1e3, 1e3, 30).tolist() + (rng.standard_normal(10) * 1e15).tolist()
+          + (rng.standard_normal(10) * 1e-300).tolist()
+          + (rng.uniform(0, 1, 10) * 2.2e-308).tolist() + [0.1, 1.0, 2.0 ** 52, 5e-324])
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 1200  # exact sums and halves of doubles
+        for x in xs:
+            lo, hi = decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))
+            mid = (lo + hi) / 2
+            mantissa, exp = format(mid, "e").split("e")
+            out += [repr(x), format(mid, "e"), f"{mantissa}0000001e{exp}",
+                    format(mid - (hi - lo) / 1024, "e"), format(lo, ".24e")]
+    out += ["2.4703282292062327e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+            "2.2250738585072014e-308", "1e-320", "1.5e-400", "9.2233720368547748e18",
+            "0.1234567890123456789012345", "1.0000000000000000000000001",
+            "9.999999999999999999999999e17", "1E2", "1e+2", "1e-2", "1e05", "-0", "-0.0"]
+    for k in (53, 62):
+        out += [str(s * (2 ** k + d)) for s in (1, -1) for d in (-1, 0, 1)]
+    return out
+
+
+# name -> (file text or bytes, whether the orjson route may read the pmf)
+JSON_INPUTS = {
+    "floats": (_doc(", ".join(_float_corpus())), True),
+    "ints-only": (_doc("1, 0, 9007199254740993, -9007199254740993"), True),
+    "dist": (_doc("0.25, 0.75"), True),
+    "eve-first": ('{"eve": "X", "pmf": [0.25, 0.75], "variables": ' + _VARS + "}", True),
+    "odd-whitespace": ('\r\n{\t"variables"\n:' + _VARS + ' ,\r"pmf"\n\t: \r[\n0.25\r,\t0.75 \n]\r\n}\n',
+                       True),
+    "big-floats": (_doc("1.7976931348623157e308, 9.2233720368547758e18, -1e300"), False),
+    "int-2^63-minus-1": (_doc("9223372036854775807, 0.5"), False),
+    "int-2^63": (_doc("9223372036854775808, 0.5"), False),
+    "int-minus-2^63": (_doc("-9223372036854775808, 0.5"), False),
+    "int-2^63-only": (_doc("9223372036854775808, 1"), False),
+    "int-minus-2^63-minus-1": (_doc("-9223372036854775809, 0.5"), False),
+    "int-2^64": (_doc("18446744073709551616, 0.5"), False),
+    "int-2^64-only": (_doc("18446744073709551616, 1"), False),
+    "nan": (_doc("NaN, 1.0"), False),
+    "infinity": (_doc("Infinity, 1.0"), False),
+    "minus-infinity": (_doc("-Infinity, 1.0"), False),
+    "1e400": (_doc("1e400, 0.5"), False),
+    "true": (_doc("true, 0.5"), False),
+    "null": (_doc("null, 1.0"), False),
+    "string": (_doc('"0.5", 0.5'), False),
+    "nested": (_doc("[0.25], [0.75]"), False),
+    "empty": (_doc(""), False),
+    "blank": (_doc(" \n "), False),
+    "leading-zero": (_doc("01, 0.5"), False),
+    "trailing-point": (_doc("1., 0.5"), False),
+    "leading-point": (_doc(".5, 0.5"), False),
+    "plus-sign": (_doc("+1, 0.5"), False),
+    "two-numbers-no-comma": (_doc("0.25 0.75"), False),
+    "trailing-comma": (_doc("0.25, 0.75,"), False),
+    "double-comma": (_doc("0.25,, 0.75"), False),
+    "blank-element": (_doc("0.25, , 0.75"), False),
+    "nested-pmf-key": ('{"meta": {"pmf": [1.0, 0.0]}, "variables": ' + _VARS
+                       + ', "pmf": [0.25, 0.75]}', False),
+    "nested-pmf-only": ('{"variables": ' + _VARS + ', "meta": {"pmf": [0.25, 0.75]}}', False),
+    "key-ending-in-pmf": ('{"a\\"pmf": [1.0, 0.0], "variables": ' + _VARS
+                          + ', "pmf": [0.25, 0.75]}', False),
+    "escaped-key": ('{"variables": ' + _VARS + ', "\\u0070mf": [0.25, 0.75]}', False),
+    "escaped-marker": ('{"variables": ' + _VARS + ', "pmf": "\\u0000skconverse pmf\\u0000", '
+                       '"x": {"pmf": [0.25, 0.75]}}', False),
+    "duplicate-pmf": ('{"variables": ' + _VARS + ', "pmf": [1.0, 0.0], "pmf": [0.25, 0.75]}',
+                      False),
+    "top-level-array": ('[{"variables": ' + _VARS + ', "pmf": [0.25, 0.75]}]', False),
+    "bom": ("\ufeff" + _doc("0.25, 0.75"), False),
+    "not-utf8": (b"\xff" + _doc("0.25, 0.75").encode(), False),
+    "trailing-garbage": (_doc("0.25, 0.75") + " x", False),
+    "trailing-bracket": (_doc("0.25, 0.75") + "]", False),
+    "truncated": (_doc("0.25, 0.75")[:-1], False),
+    "truncated-in-array": (_doc("0.25, 0.75")[:-8], False),
+    "nan-elsewhere": ('{"variables": ' + _VARS + ', "w": NaN, "pmf": [0.25, 0.75]}', False),
+}
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 7, 1])
+@pytest.mark.parametrize("name", list(JSON_INPUTS))
+def test_dist_json_route_reads_what_json_reads(tmp_path, monkeypatch, name, chunk):
+    monkeypatch.setattr(probcore, "_CHUNK_BYTES", chunk)
+    raw, fast = JSON_INPUTS[name]
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(raw if isinstance(raw, bytes) else raw.encode())
+    got = probcore._fast_dist_doc(path.read_bytes())
+    assert (got is not None) == fast
+    if fast:
+        want = read_json(path, "JSON")
+        ref = np.array(want["pmf"])
+        assert ref.dtype.kind in "iuf"
+        assert got["pmf"].dtype == np.float64
+        assert got["pmf"].tobytes() == ref.astype(np.float64).tobytes()
+        assert {**got, "pmf": None} == {**want, "pmf": None}
+
+    def load(route):
+        try:
+            J = route(path)
+        except PreconditionError as exc:
+            return f"error: {exc}"
+        return J.vars, J.eve, J.pmf.tobytes()
+
+    assert load(load_dist) == load(lambda p: dist_from_json(read_json(p, f"JSON in {p}")))
+
+
+def test_flat_pmf_skips_read_json(tmp_path, monkeypatch):
+    def refuse(path, what):
+        raise AssertionError("read_json called")
+
+    J = random_dist(np.random.default_rng(3), (3, 4, 5), eve="X2")
+    path = tmp_path / "d.json"
+    save_dist(J, path)
+    monkeypatch.setattr(probcore, "read_json", refuse)
+    back = load_dist(path)
+    assert back.vars == J.vars and back.eve == J.eve
+    assert back.pmf.tobytes() == J.pmf.tobytes()
