@@ -119,22 +119,24 @@ def _party_vars(J: JointDist, z_names: Sequence[str]) -> list[str]:
     return [n for n in J.var_names if n not in set(z_names)]
 
 
-def _partition_scan(J: JointDist, zs: Sequence[str], partition: Partition | None = None):
-    """Q^pi of every partition of J's parties given ``zs``, a chunk at a time.
+def _partition_scan(J: JointDist, zs: Sequence[str], m: int,
+                    partition: Partition | None = None, table: np.ndarray | None = None):
+    """Q^pi of every partition of m parties given ``zs``, a chunk at a time.
 
     Yields (masks, q) pairs: ``masks`` holds one row of block bitmasks per
     partition (see ``structure._partition_masks``), in ``enum_partitions``
     order or only ``partition``'s, and ``q`` the pmf rows of their Q^pi,
-    equal bit for bit to ``conditional_product``.  A chunk holds at most
-    2^16 cells of Q^pi, or one row.
+    equal bit for bit to ``conditional_product``.  ``table`` maps each set
+    of parties (a bitmask) to the bitmask of J's non-``zs`` variables they
+    observe; by default party i is variable i.  A chunk holds at most 2^16
+    cells of Q^pi, or one row.
     """
     build = _q_pi_rows(J, zs)
-    m = len(J.vars) - len(zs)
     if partition is not None:
         chunks = [np.array([_block_masks(partition, m)])]
     else:
         chunks = _partition_masks(m, _chunk_rows(J.n_cells))
-    return ((masks, build(masks)) for masks in chunks)
+    return ((masks, build(masks if table is None else table[masks])) for masks in chunks)
 
 
 def _num_blocks(masks: np.ndarray) -> np.ndarray:
@@ -188,7 +190,8 @@ def cit_bound(
             f"partition is over {partition.m} parties but J has {len(parties)}"
         )
     if q is None:
-        return _least_cit(J, len(parties), zs, eps, eta, _partition_scan(J, zs, partition))
+        scan = _partition_scan(J, zs, len(parties), partition)
+        return _least_cit(J, len(parties), zs, eps, eta, scan)
     if q.vars != J.vars:
         raise PreconditionError("supplied Q has a different variable structure")
     if not factorizes(q, partition, zs if zs else None):
@@ -206,9 +209,10 @@ def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
     value wins.
     """
     zs = _z_names(J)
-    scan = _partition_scan(J, zs)
+    m = len(J.vars) - len(zs)
+    scan = _partition_scan(J, zs, m)
     _check_cit_slacks(eps, eta)
-    return _least_cit(J, len(J.vars) - len(zs), zs, eps, eta, scan)
+    return _least_cit(J, m, zs, eps, eta, scan)
 
 
 def _slack_test(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
@@ -284,7 +288,7 @@ def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
             "capacity formula requires constant eavesdropper side information"
         )
     best_val, best = math.inf, None
-    for masks, q in _partition_scan(J, []):
+    for masks, q in _partition_scan(J, [], len(J.vars)):
         for row, l, kl in zip(masks.tolist(), _num_blocks(masks).tolist(), _kl_rows(J.pmf, q)):
             val = kl / (l - 1)
             if val < best_val - _TOL:
@@ -550,7 +554,7 @@ def sc_necessary_check(
     extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
     m = len(J.vars)
     labels, rhss, masks_seen = [], [], []
-    for masks, q in _partition_scan(J, [], partition):
+    for masks, q in _partition_scan(J, [], m, partition):
         nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, q, mu)])
         rhss.append(_cit_value(nlbs, _num_blocks(masks), eta) + extra)
         labels += _partition_labels(masks, m)

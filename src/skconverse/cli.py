@@ -35,6 +35,7 @@ from .hyptest import beta_epsilon, beta_epsilon_iid, stein_scan
 from .probcore import (
     Alphabet,
     Channel,
+    _json_pmf,
     conditional_product,
     divergence,
     fuse_vars,
@@ -195,7 +196,7 @@ def _channel_from_json(path: str) -> Channel:
     try:
         in_vars = tuple((v["name"], Alphabet(tuple(v["symbols"]))) for v in obj["inputs"])
         out_vars = tuple((v["name"], Alphabet(tuple(v["symbols"]))) for v in obj["outputs"])
-        rows = {tuple(int(i) for i in k.split(",")) if k else (): row
+        rows = {tuple(int(i) for i in k.split(",")) if k else (): _json_pmf(row)
                 for k, row in obj["rows"].items()}
     except PreconditionError:  # a ValueError that already names the problem
         raise

@@ -726,6 +726,14 @@ def _ravel(index: Sequence[np.ndarray], shape: Sequence[int], pos: Sequence[int]
 #  "pmf": [...row-major...], "eve": "Z"}   (eve optional)
 
 
+def _json_pmf(values):
+    """``values``, a pmf or channel row read from JSON; a list must hold only
+    numbers, since numpy would read ``true`` as 1 and flatten a nested list."""
+    if isinstance(values, list) and not all(type(v) in (int, float) for v in values):
+        raise PreconditionError("pmf entries must be numbers")
+    return values
+
+
 def dist_from_json(obj: Mapping) -> JointDist:
     try:
         vars = tuple(
@@ -734,7 +742,7 @@ def dist_from_json(obj: Mapping) -> JointDist:
         pmf = obj["pmf"]
     except (KeyError, TypeError) as exc:
         raise PreconditionError(f"malformed distribution JSON: {exc}") from None
-    return JointDist(vars, pmf, eve=obj.get("eve"))
+    return JointDist(vars, _json_pmf(pmf), eve=obj.get("eve"))
 
 
 def dist_to_json(J: JointDist) -> dict:

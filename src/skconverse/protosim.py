@@ -23,14 +23,14 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import _TOL, _Report, _least_cit, _two_party_names
+from .bounds import _TOL, _Report, _least_cit, _num_blocks, _partition_scan, _two_party_names
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
-    DEFAULT_CELL_CAP, SUM_TOL, Alphabet, JointDist, _block_masks, _chunk_rows, _distinct,
-    _first_seen, _product_tv, _q_pi_rows, _ravel, _region_mass, _sum, _tv, factorizes,
+    DEFAULT_CELL_CAP, SUM_TOL, Alphabet, JointDist, _distinct,
+    _first_seen, _product_tv, _ravel, _region_mass, _sum, _tv, factorizes,
 )
 from .smoothinfo import _xy_matrix, h_min_cond, h_min_smooth
-from .structure import Partition, attach_label, enum_partitions, mcf, mss
+from .structure import Partition, attach_label, mcf, mss
 
 #: runs one enumeration may walk; an OT reduction takes 0.2-0.35 KB per run,
 #: so about 0.25 GB at the cap
@@ -391,42 +391,34 @@ def eval_sk_security(J: JointDist, p: Protocol) -> SecurityReport:
     return _security(_laws(J, p, J.pmf[None])[0], p)
 
 
-def _var_blocks(J: JointDist, p: Protocol, partition: Partition) -> list[frozenset[int]]:
-    """A partition of the parties as blocks of J's non-eavesdropper variables.
-
-    Those variables are numbered from 1 in J's order, as ``factorizes`` and
-    ``_block_masks`` expect.  The parties' observations outside the
-    eavesdropper variables must partition them.
-    """
-    if partition.m != p.num_parties:
+def _party_table(J: JointDist, p: Protocol, partition: Partition | None = None) -> np.ndarray:
+    """For each set of the protocol's parties (bit i-1 for party i), the bitmask
+    of the variables outside the eavesdropper's that they observe (bit k-1 for
+    the k-th in J's order).  ``partition``, if given, must be over the parties,
+    and their observations must partition those variables."""
+    eve_pos = _eve_pos(J, p)
+    if partition is not None and partition.m != p.num_parties:
         raise PreconditionError(
             f"partition is over {partition.m} parties but the protocol has {p.num_parties}"
         )
+    nonz = [n for k, n in enumerate(J.var_names) if k not in eve_pos]
     blocks = [[n for n in group if n not in p.eve_vars] for group in p.obs_vars]
-    nonz = [n for n in J.var_names if n not in p.eve_vars]
     if sorted(n for b in blocks for n in b) != sorted(nonz):
         raise PreconditionError("party observations must partition the non-conditioning variables")
-    index_of = {n: i + 1 for i, n in enumerate(nonz)}
-    return [frozenset(index_of[n] for i in b for n in blocks[i - 1]) for b in partition.blocks]
+    table = [0]
+    for b in blocks:  # the sets with party i are those without it, plus its variables
+        bits = sum(1 << nonz.index(n) for n in b)
+        table += [t | bits for t in table]
+    return np.array(table)
 
 
-def _party_scan(J: JointDist, p: Protocol, partitions: Sequence[Partition]):
-    """(masks, q) chunks as ``bounds._partition_scan`` yields them, on J's own
-    cells: ``masks`` holds the partitions' block bitmasks over the parties,
-    and ``q`` their Q^pi given the eavesdropper variables, each party's
-    variables one block (none, for a party that sees only those: a factor
-    of 1).  The partitions are checked before this returns; one
-    ``_q_pi_rows`` builder serves every chunk."""
-    zs = [J.var_names[k] for k in _eve_pos(J, p)]
-
-    def padded(rows: list[list[int]]) -> np.ndarray:
-        return np.array([row + [0] * (p.num_parties - len(row)) for row in rows])
-
-    var_masks = padded([[sum(1 << (i - 1) for i in b) for b in _var_blocks(J, p, pi)]
-                        for pi in partitions])
-    masks = padded([_block_masks(pi, pi.m) for pi in partitions])
-    build, step = _q_pi_rows(J, zs), _chunk_rows(J.n_cells)
-    return ((masks[i:i + step], build(var_masks[i:i + step])) for i in range(0, len(masks), step))
+def _party_scan(J: JointDist, p: Protocol, partition: Partition | None = None):
+    """``bounds._partition_scan`` over the protocol's parties on J's own
+    cells: Q^pi given the eavesdropper variables, each party's variables one
+    block (none, for a party that sees only those: a factor of 1).  The
+    partition and the observations are checked before this returns."""
+    table = _party_table(J, p, partition)
+    return _partition_scan(J, p.eve_vars, p.num_parties, partition, table)
 
 
 @dataclass(frozen=True)
@@ -457,8 +449,7 @@ def check_converse(
     vacuously +inf and the check passes trivially.
     """
     _check_eta(eta)
-    parts = [partition] if partition is not None else enum_partitions(p.num_parties)
-    scan = _party_scan(J, p, parts)
+    scan = _party_scan(J, p, partition)
     return _converse(J, p, eval_sk_security(J, p), eta, scan)
 
 
@@ -510,7 +501,7 @@ def acceptance_region_test(
     achieved-eps + eta.
     """
     _check_eta(eta)
-    return _region_tests(J, p, [partition], _party_scan(J, p, [partition]), eta)[1][0]
+    return _region_tests(J, p, list(_party_scan(J, p, partition)), eta)[1][0]
 
 
 def _check_eta(eta: float) -> None:
@@ -519,15 +510,15 @@ def _check_eta(eta: float) -> None:
 
 
 def _region_tests(
-    J: JointDist, p: Protocol, partitions: Sequence[Partition], scan, eta: float,
+    J: JointDist, p: Protocol, scan, eta: float,
 ) -> tuple[SecurityReport, list[RegionTestReport]]:
     """The protocol's report on J and ``acceptance_region_test`` of each
-    partition, given their ``_party_scan`` chunks: P's law and every Q^pi
-    law from one walk of the runs."""
+    partition of the ``_party_scan`` chunks ``scan``: P's law and every
+    Q^pi law from one walk of the runs."""
     p_law, *q_laws = _laws(J, p, np.vstack([J.pmf, *(q for _, q in scan)]))
     rep = _security(p_law, p)
-    return rep, [_region_test(p, pi.num_blocks, eta, p_law, q_law, rep)
-                 for pi, q_law in zip(partitions, q_laws)]
+    blocks = np.concatenate([_num_blocks(masks) for masks, _ in scan]).tolist()
+    return rep, [_region_test(p, l, eta, p_law, q_law, rep) for l, q_law in zip(blocks, q_laws)]
 
 
 def _region_test(
@@ -570,14 +561,17 @@ def interactive_independence_check(
     with fewer than two blocks left, the check is trivially True.
     """
     eve_pos = _eve_pos(J, p)
-    var_blocks = [b for b in _var_blocks(J, p, partition) if b]
+    table = _party_table(J, p, partition).tolist()
+    nonz_pos = [k for k in range(len(J.vars)) if k not in eve_pos]
+    # each block's variables, numbered from 1 in J's order as ``factorizes`` reads them
+    var_masks = [table[sum(1 << (i - 1) for i in b)] for b in partition.blocks]
+    var_blocks = [[i + 1 for i in range(len(nonz_pos)) if k >> i & 1] for k in var_masks if k]
     if len(var_blocks) < 2:
         return True
     if not factorizes(J, var_blocks, list(p.eve_vars) or None):
         raise PreconditionError(
             "J does not conditionally factorize across the partition"
         )
-    nonz_pos = [k for k in range(len(J.vars)) if k not in eve_pos]
     nonz_vars = tuple(J.vars[k] for k in nonz_pos)
     runs = _runs(J, J.pmf[None], p.obs_vars, p.rounds, p.message_maps, p.randomness)
     shape, index = J.shape, np.unravel_index(runs.cell, J.shape)
@@ -923,20 +917,18 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
     # variant 2: resample X2 under the flipped choice bit, from the laws of X2
     # given (V1, B, OT transcript) and given V1 alone of an exact run
     lab1 = mss(J, given=x1, target=x2)
-    labels = [str(lab1.label_of(s)) for s in J.vars[0][1].symbols]
-    code = {v: c for c, v in enumerate(labels)}  # one code per label
-    n2, n_nodes = J.shape[1], len(runs.transcripts)
+    nl, n2, n_nodes = lab1.num_labels, J.shape[1], len(runs.transcripts)
     node_of = {t: n for n, t in enumerate(runs.transcripts)}
-    lab, size = np.array([code[v] for v in labels])[runs.cell // n2], len(labels) * 2 * n_nodes
+    lab, size = np.array(lab1.labels)[runs.cell // n2], nl * 2 * n_nodes
     # law c of (v, b, f), then of v from ``size`` on, is x2_of, probs[span[c]]
-    span, x2_of, probs = np.zeros((size + len(labels), 2), np.intp), [], []
+    span, x2_of, probs = np.zeros((size + nl, 2), np.intp), [], []
     for group, offset in (((lab * 2 + runs.rand[1]) * n_nodes + runs.node, 0), (lab, size)):
         firsts, start, at, prob = _x2_laws(J, runs, group, size, True)
         span[group[firsts] + offset] = np.c_[start[:-1], start[1:]] + len(probs)
         x2_of += [J.vars[1][1].symbols[c] for c in (runs.cell[at] % n2).tolist()]
         probs += prob.tolist()
     # every reachable key-map input (v, b, f) reads the law at (v, not b, f)
-    reached = span[:size, 1].reshape(len(labels), 2, n_nodes) > 0
+    reached = span[:size, 1].reshape(nl, 2, n_nodes) > 0
     used_fallback = bool((reached[:, 0] != reached[:, 1]).any())
     flip, bit = {"0": "1", "1": "0"}, {"0": 0, "1": 1}
 
@@ -944,7 +936,7 @@ def reduce_ot_to_sk(J: JointDist, otp: OTProtocol, variant: int) -> ReducedSK:
         return rand[l:] if tr[-1] == "0" else rand[:l]  # K_{not B}
 
     def key2(obs, rand, tr):
-        v, bbar, f_ot = code[obs[0]], flip[rand], tr[:n_ot_msgs]
+        v, bbar, f_ot = int(obs[0]), flip[rand], tr[:n_ot_msgs]  # V1's symbol is str(label)
         lo, hi = span[(v * 2 + bit[bbar]) * n_nodes + node_of[f_ot]]
         lo, hi = (lo, hi) if hi else span[size + v]  # unreachable under the flip
         out: dict = defaultdict(float)
@@ -1092,15 +1084,13 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
     runs, pair, columns, base = _bc_pass(J, bcp)
     lab1 = mss(J, given=x1, target=x2)
     keys = bcp.keys()
-    labels = [str(lab1.label_of(s)) for s in J.vars[0][1].symbols]
-    code = {v: c for c, v in enumerate(labels)}  # one code per label
-    lab = np.array([code[v] for v in labels])[runs.cell // J.shape[1]]
+    lab = np.array(lab1.labels)[runs.cell // J.shape[1]]
 
     # first best claim, keys outer, under P(x2 | v1, transcript)
     decoder: dict = {}
     n_nodes = len(runs.transcripts)
     firsts, start, at, prob = _x2_laws(J, runs, lab * n_nodes + runs.node,
-                                       len(labels) * n_nodes, True)
+                                       lab1.num_labels * n_nodes, True)
     for j, lo, hi in zip(firsts.tolist(), start[:-1].tolist(), start[1:].tolist()):
         scores = _scores(columns, pair[at[lo:hi]], prob[lo:hi]).ravel()
         # scan ``if acc > best + _TOL`` from best = -1.0; only a new maximum can pass
@@ -1110,7 +1100,7 @@ def reduce_bc_to_sk(J: JointDist, bcp: BCProtocol) -> ReducedSK:
         for at_, acc in zip(rising.nonzero()[0].tolist(), scores[rising].tolist()):
             if acc > best + _TOL:
                 best, best_at = acc, at_
-        name = (labels[runs.cell[j] // J.shape[1]], runs.transcripts[runs.node[j]])
+        name = (str(lab[j]), runs.transcripts[runs.node[j]])  # V1's symbol
         decoder[name] = keys[best_at // columns.shape[2]]
     key_maps = (lambda obs, rand, tr: rand, lambda obs, rand, tr: decoder[(obs[0], tr)])
     return _reduced(J, lab1, False, bcp.rounds, bcp.message_maps, key_maps,
@@ -1212,13 +1202,10 @@ def fuzz_converse(
     conv_bad = region_bad = relation_bad = 0
     max_eps = 0.0
     min_slack = math.inf
-    parts_of = {m: enum_partitions(m) for m in (2, 3)}
     for idx in range(count):
-        m = 2 + idx % 2
-        J, proto = random_sk_instance([seed, idx], m=m, rounds=1 + idx % 2)
-        parts = parts_of[m]
-        scan = list(_party_scan(J, proto, parts))
-        rep, region_tests = _region_tests(J, proto, parts, scan, eta)
+        J, proto = random_sk_instance([seed, idx], m=2 + idx % 2, rounds=1 + idx % 2)
+        scan = list(_party_scan(J, proto))
+        rep, region_tests = _region_tests(J, proto, scan, eta)
         max_eps = max(max_eps, rep.eps)
 
         # relations between the combined and split security criteria

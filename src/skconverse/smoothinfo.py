@@ -222,6 +222,8 @@ def dmax_convergence_scan(
     if not 0.0 < eps < 1.0:
         raise PreconditionError("smoothing parameter must lie in (0, 1)")
     ns = [int(n) for n in ns]
+    if min(ns, default=1) < 1:
+        raise PreconditionError("n must be >= 1")
 
     def one(n: int) -> tuple[int, float]:
         _, logp, logq = typeclass_table(P.pmf, Q.pmf, n)

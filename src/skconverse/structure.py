@@ -263,19 +263,10 @@ def attach_label(J: JointDist, labeling: Labeling, name: str) -> JointDist:
         raise PreconditionError(f"variable name {name!r} already present")
     axis = J.axis(labeling.var)
     arr = J.array()
-    k = labeling.num_labels
-    out_shape = arr.shape + (k,)
-    out = np.zeros(out_shape)
-    labels = np.asarray(labeling.labels)
-    for lab in range(k):
-        sel = [slice(None)] * arr.ndim
-        take = np.nonzero(labels == lab)[0]
-        if take.size == 0:
-            continue
-        sel[axis] = take
-        mask = np.zeros(arr.shape)
-        mask_sel = tuple(sel)
-        mask[mask_sel] = arr[mask_sel]
-        out[..., lab] = mask
+    # the labels along the labelled axis: cell (..., x, ..., lab) is kept iff x has label lab
+    shape = [1] * (arr.ndim + 1)
+    shape[axis] = -1
+    mine = np.asarray(labeling.labels).reshape(shape) == np.arange(labeling.num_labels)
+    out = np.where(mine, arr[..., None], 0.0)
     new_vars = J.vars + ((name, labeling.label_alphabet()),)
     return JointDist(new_vars, out.reshape(-1), eve=J.eve)

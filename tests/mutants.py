@@ -58,9 +58,13 @@ MUTANTS = {
         "    if False:\n",
     )]),
     "region-q-law-is-p-law": ("src/skconverse/protosim.py", [(
-        "_region_test(p, pi.num_blocks, eta, p_law, q_law, rep)",
-        "_region_test(p, pi.num_blocks, eta, p_law, p_law, rep)",
+        "_region_test(p, l, eta, p_law, q_law, rep)",
+        "_region_test(p, l, eta, p_law, p_law, rep)",
     )]),
+    "party-left-out-of-table": ("src/skconverse/protosim.py", [
+        ("    table = [0]\n", "    table = [0, 0]\n"),
+        ("    for b in blocks:  # the sets", "    for b in blocks[1:]:  # the sets"),
+    ]),
     "converse-rows-misaligned": ("src/skconverse/protosim.py", [(
         "rep.eps, eta, scan)",
         "rep.eps, eta, ((k, q[::-1]) for k, q in scan))",
@@ -85,6 +89,10 @@ MUTANTS = {
         " or abs(sum(probs) - 1.0) > SUM_TOL:",
         ":",
     )]),
+    "cit-value-minus-3": ("src/skconverse/bounds.py", [(
+        " / (num_blocks - 1)\n",
+        " / (num_blocks - 1) - 3\n",
+    )]),
     "screen-skips-a-winner": ("src/skconverse/bounds.py", [(
         "<= best + 1e-6 * max(1.0, abs(best))",
         "<= best - 1e-6 * max(1.0, abs(best))",
@@ -104,6 +112,10 @@ MUTANTS = {
     "no-2^63-guard": ("src/skconverse/probcore.py", [(
         "    if filled != out.size or max(-out.min(), out.max()) >= 2.0 ** 63:\n",
         "    if filled != out.size:\n",
+    )]),
+    "true-pmf-entry-read": ("src/skconverse/probcore.py", [(
+        "not all(type(v) in (int, float) for v in values)",
+        "not all(isinstance(v, (int, float)) for v in values)",
     )]),
 }
 

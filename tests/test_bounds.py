@@ -405,7 +405,7 @@ def test_screened_scan_equals_full_scan(name, monkeypatch):
     J = _screen_sources()[name]
     eps, eta = 0.1, 0.05
     zs = [J.eve] if J.eve else []
-    chunks = list(bounds._partition_scan(J, zs))
+    chunks = list(bounds._partition_scan(J, zs, len(J.vars) - len(zs)))
     assert len(chunks) > 1
     values, betas = [], []
     for masks, q in chunks:

@@ -564,7 +564,9 @@ def test_bound_sk_modes_are_exclusive(tmp_path, capsys):
 def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
     # these once escaped main() as ValueError / TypeError tracebacks
     bad = tmp_path / "bad.json"
-    for pmf in (["x", 0.5], ["0.5", "0.5"], [True, False], [[0.5], 0.5], {"a": 1}):
+    # [true, 0], [true, 0.0] and [[0.5], [0.5]] once loaded as two-cell pmfs
+    for pmf in (["x", 0.5], ["0.5", "0.5"], [True, False], [[0.5], 0.5], {"a": 1},
+                [True, 0], [True, 0.0], [[0.5], [0.5]]):
         bad.write_text(json.dumps(
             {"variables": [{"name": "X", "symbols": ["0", "1"]}], "pmf": pmf}))
         code, out, err = run(capsys, ["smooth", "hmin", "--dist", str(bad), "--eps", "0.1"])
@@ -573,7 +575,7 @@ def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
     rng = np.random.default_rng(5)
     d = write_dist(tmp_path, random_dist(rng, [2, 2, 2], names=["X1", "X2", "Z"], eve="Z"),
                    "j.json")
-    for row in (["x", 0.5], ["0.5", "0.5"]):
+    for row in (["x", 0.5], ["0.5", "0.5"], [True, 0], [[0.5], [0.5]]):
         bad.write_text(json.dumps({
             "inputs": [{"name": "Z", "symbols": ["0", "1"]}],
             "outputs": [{"name": "U", "symbols": ["0", "1"]}],
@@ -592,6 +594,8 @@ def test_non_numeric_pmf_entries_exit_one(tmp_path, capsys):
 INPUT_CHECKS = [
     (["scan", "stein", "--p", "{p}", "--q", "{p}", "--eps", "0.1", "--n", "1,x"],
      1, "error: cannot parse n-list '1,x'"),
+    (["scan", "dmax", "--p", "{p}", "--q", "{p}", "--eps", "0.1", "--n", "10,0,-1"],
+     1, "error: n must be >= 1"),
     (["scan", "capacity", "--dist", "{j2e}", "--eps", "0.1", "--eta", "0.05", "--n", "10"],
      1, "error: capacity scan expects no eve variable"),
     (["scan", "capacity", "--dist", "{j3}", "--eps", "0.1", "--eta", "0.05", "--n", "10"],

@@ -695,7 +695,7 @@ def test_fuzz_walks_the_runs_once_per_instance(monkeypatch):
     # one walk per instance weighs P and every partition's Q^pi, and one
     # builder makes every Q^pi that the region tests and the converse read
     walks, builds = [], []
-    runs, q_pi_rows = protosim._runs, protosim._q_pi_rows
+    runs, q_pi_rows = protosim._runs, bounds._q_pi_rows
 
     def counting(J, pmfs, *args):
         walks.append(len(pmfs))
@@ -709,11 +709,10 @@ def test_fuzz_walks_the_runs_once_per_instance(monkeypatch):
         raise AssertionError("the fuzzer built a Q^pi alone or re-evaluated a bound")
 
     monkeypatch.setattr(protosim, "_runs", counting)
-    monkeypatch.setattr(protosim, "_q_pi_rows", building)
+    monkeypatch.setattr(bounds, "_q_pi_rows", building)
     monkeypatch.setattr(bounds, "conditional_product", refuse)
     monkeypatch.setattr(bounds, "cit_bound", refuse)
     monkeypatch.setattr(bounds, "cit_bound_best", refuse)
-    monkeypatch.setattr(bounds, "_q_pi_rows", refuse)
     fuzz_converse(count=7, seed=3)
     ms = [(2, 3)[idx % 2] for idx in range(7)]
     assert walks == [1 + len(enum_partitions(m)) for m in ms]
@@ -771,8 +770,16 @@ def _walk_instances() -> list[tuple[JointDist, Protocol]]:
     )
 
 
+def _var_blocks(J: JointDist, p: Protocol, pi: Partition) -> list[frozenset[int]]:
+    """Each block of ``pi`` as the variables its parties observe outside the
+    eavesdropper's, numbered from 1 in J's order."""
+    index_of = {n: i + 1 for i, n in enumerate(n for n in J.var_names if n not in p.eve_vars)}
+    return [frozenset(index_of[n] for i in b for n in p.obs_vars[i - 1] if n in index_of)
+            for b in pi.blocks]
+
+
 def _q_pi(J: JointDist, p: Protocol, pi: Partition) -> JointDist:
-    return conditional_product(J, protosim._var_blocks(J, p, pi), list(p.eve_vars) or None)
+    return conditional_product(J, _var_blocks(J, p, pi), list(p.eve_vars) or None)
 
 
 def _assert_same_law(got: dict, want: dict) -> None:
@@ -806,8 +813,8 @@ def test_region_tests_equal_one_law_per_partition():
             for pi, q_law in zip(parts, q_laws)
         ]
         assert [acceptance_region_test(J, p, pi, eta) for pi in parts] == refs
-        scan = protosim._party_scan(J, p, parts)
-        assert protosim._region_tests(J, p, parts, scan, eta) == (rep, refs)
+        scan = list(protosim._party_scan(J, p))
+        assert protosim._region_tests(J, p, scan, eta) == (rep, refs)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +865,7 @@ def test_walk_matches_the_depth_first_oracle():
     eta = 0.1
     for J, p in _oracle_instances() + [public_coin_without_variables()]:
         parts = enum_partitions(p.num_parties) if J.vars else []
-        scan = list(protosim._party_scan(J, p, parts)) if parts else []
+        scan = list(protosim._party_scan(J, p)) if parts else []
         pmfs = np.vstack([J.pmf, *(q for _, q in scan)])
         want = laws_oracle(J, p, pmfs)
         got = protosim._laws(J, p, pmfs)
@@ -868,7 +875,7 @@ def test_walk_matches_the_depth_first_oracle():
         rep = protosim._security(got[0], p)
         assert _hex([rep.eps, rep.eps_rec, rep.delta_sec]) == _hex(security_oracle(want[0], p))
         if parts:
-            tests = protosim._region_tests(J, p, parts, scan, eta)[1]
+            tests = protosim._region_tests(J, p, scan, eta)[1]
             refs = [region_test_oracle(p, pi.num_blocks, eta, want[0], q, rep.eps)
                     for pi, q in zip(parts, want[1:])]
             assert [_hex(dataclasses.astuple(t)) for t in tests] == [_hex(r) for r in refs]
@@ -880,7 +887,7 @@ def test_independence_check_matches_the_oracle():
         finest = Partition(tuple(frozenset([i]) for i in range(1, p.num_parties + 1)), p.num_parties)
         Jq = _q_pi(J, p, finest)  # factorizes across every partition given z
         for pi in enum_partitions(p.num_parties):
-            blocks = [b for b in protosim._var_blocks(Jq, p, pi) if b]
+            blocks = [b for b in _var_blocks(Jq, p, pi) if b]
             want = len(blocks) < 2 or independence_oracle(Jq, p, blocks)
             assert interactive_independence_check(Jq, p, pi) == want
             checked += len(blocks) >= 2
@@ -1280,3 +1287,26 @@ def test_input_checks(call, exc, message):
     with pytest.raises(exc) as info:
         call()
     assert str(info.value) == message
+
+
+def test_partition_and_observations_checked_before_any_walk(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run was walked before the partition was checked")
+
+    monkeypatch.setattr(protosim, "_runs", refuse)
+    three, two = Partition.parse("1|2|3", 3), Partition.parse("1|2", 2)
+    split = random_dist(np.random.default_rng(0), [2, 2, 2]), observation_keys()
+    over = "partition is over 3 parties but the protocol has 2"
+    unsplit = "party observations must partition the non-conditioning variables"
+    for call, message in (
+        (lambda: check_converse(*_EPS_ONE, 0.05, partition=three), over),
+        (lambda: acceptance_region_test(*_EPS_ONE, three, 0.05), over),
+        (lambda: interactive_independence_check(*_EPS_ONE, three), over),
+        (lambda: check_converse(*split, 0.05), unsplit),
+        (lambda: check_converse(*split, 0.05, partition=two), unsplit),
+        (lambda: acceptance_region_test(*split, two, 0.05), unsplit),
+        (lambda: interactive_independence_check(*split, two), unsplit),
+    ):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert str(info.value) == message

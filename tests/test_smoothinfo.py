@@ -307,6 +307,8 @@ INPUT_CHECKS = [
      PreconditionError, "scan expects one shared variable"),
     (lambda: dmax_convergence_scan(_P, _Q, 1.0, [1]),
      PreconditionError, "smoothing parameter must lie in (0, 1)"),
+    (lambda: dmax_convergence_scan(_P, _Q, 0.1, [3, 0, -1]),
+     PreconditionError, "n must be >= 1"),
 ]
 
 
