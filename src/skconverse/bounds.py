@@ -38,6 +38,7 @@ from .smoothinfo import d_max, d_max_smooth, h_min_smooth
 from .structure import (
     Labeling,
     Partition,
+    _check_party_count,
     _partition_labels,
     _partition_masks,
     _partition_of,
@@ -282,18 +283,79 @@ def sk_capacity_formula(J: JointDist) -> tuple[float, Partition]:
     """min over partitions of D(P || product of block marginals)/(|pi|-1).
 
     Valid when the eavesdropper has no side information (no eve variable).
+    Scanning the partitions in ``enum_partitions`` order, a value is taken
+    when it is below the best so far by more than 1e-12; each value is a
+    ``_kl_rows`` divergence of the partition's Q^pi.  Only partitions that
+    pass the screen of ``_least_kl`` are tested: its skips cannot change
+    the winner.
     """
     if J.eve is not None:
         raise PreconditionError(
             "capacity formula requires constant eavesdropper side information"
         )
-    best_val, best = math.inf, None
-    for masks, q in _partition_scan(J, [], len(J.vars)):
-        for row, l, kl in zip(masks.tolist(), _num_blocks(masks).tolist(), _kl_rows(J.pmf, q)):
-            val = kl / (l - 1)
-            if val < best_val - _TOL:
-                best_val, best = val, row
-    return best_val, None if best is None else _partition_of(best, len(J.vars))
+    m = len(J.vars)
+    _check_party_count(m)
+    h = _subset_entropies(J)
+    found = _least_kl(J, h, 1e-9 * max(1.0, h[1 << np.arange(m)].sum()))
+    if found is None:
+        found = _least_kl(J, h, math.inf)
+    best_val, best = found
+    return best_val, None if best is None else _partition_of(best, m)
+
+
+def _subset_entropies(J: JointDist) -> np.ndarray:
+    """H(X_S) in bits of each set S of J's variables, indexed by its bitmask
+    (bit i for the i-th variable); 0 for the empty set.
+
+    Each marginal sums one axis of a marginal on one more variable, so only
+    a chain of at most m marginals is held at a time.
+    """
+    h = np.zeros(1 << len(J.vars))
+
+    def visit(arr: np.ndarray, mask: int, below: int) -> None:
+        p = arr[arr > 0]
+        h[mask] = -(p * np.log2(p)).sum()
+        for i in range(below):  # drop variable i; the set's axes are its bits in order
+            if mask >> i & 1 and mask != 1 << i:
+                visit(arr.sum(axis=(mask & ((1 << i) - 1)).bit_count()), mask ^ 1 << i, i)
+
+    visit(J.array(), len(h) - 1, len(J.vars))
+    return h
+
+
+def _least_kl(J: JointDist, h: np.ndarray, margin: float):
+    """The capacity scan's (best value, block masks of its partition), or
+    None if a tested Q^pi is 0 where P is not.
+
+    A partition's screen is (h summed over its blocks - h[all]) / (|pi| - 1).
+    If P sums to s, its value is its screen plus s log2 s, up to rounding
+    (measured below 1e-15 (1 + h summed over single variables)) that
+    ``margin`` must exceed twice.  A row is tested only if its screen is at
+    most the least screen so far, its own included, plus ``margin``.  A
+    skipped row r would not have been taken: the earlier row j of that least
+    screen was tested, so the best before r is at most value(j) + 1e-12,
+    while value(r) exceeds value(j).  A Q^pi that underflows to 0 where
+    P > 0 gives an infinite value, not near its screen; then the caller
+    scans again with an infinite margin, which tests every row.
+    """
+    build, rows = _q_pi_rows(J, []), _chunk_rows(J.n_cells)
+    best_val, best, low = math.inf, None, math.inf
+    for masks in _partition_masks(len(J.vars), 1 << 12):
+        l = _num_blocks(masks)
+        screen = (h[masks].sum(axis=1) - h[-1]) / (l - 1)
+        least = np.minimum.accumulate(np.concatenate([[low], screen]))
+        kept = np.flatnonzero(screen <= least[1:] + margin)
+        low = least[-1]
+        for at in range(0, kept.size, rows):  # Q^pi rows a chunk at a time
+            sel = kept[at:at + rows]
+            kls = _kl_rows(J.pmf, build(masks[sel]))
+            for row, k, kl in zip(masks[sel].tolist(), l[sel].tolist(), kls):
+                if kl == math.inf and margin < math.inf:
+                    return None
+                val = kl / (k - 1)
+                if val < best_val - _TOL:
+                    best_val, best = val, row
+    return best_val, best
 
 
 def aux_singleshot_bound(

@@ -401,6 +401,39 @@ def _protocol_fuzz(args, merged):
     return {"count": args.count, "seed": args.seed, "eta": eta}, rep.as_json()
 
 
+#: the empty rows of a result, as ``json.dumps(..., indent=2)`` writes them
+_ROWS_KEY = '\n    "per_partition": []'
+
+
+def _dumps(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``.
+
+    A check report's ``per_partition`` rows, one per partition, are written
+    here rather than by json's encoder: each row's label through
+    ``encode_basestring_ascii`` and its two floats by ``repr``, in json's
+    layout.  A row that is not a string label with two finite floats, or a
+    placeholder that does not occur exactly once, leaves it to ``json.dumps``.
+    """
+    rows = doc["result"].get("per_partition")
+    if not rows or not all(
+        type(r["partition"]) is str and type(r["rhs"]) is float and type(r["slack"]) is float
+        and math.isfinite(r["rhs"]) and math.isfinite(r["slack"]) and len(r) == 3
+        for r in rows
+    ):
+        return json.dumps(doc, sort_keys=True, indent=2)
+    text = json.dumps(doc | {"result": doc["result"] | {"per_partition": []}},
+                      sort_keys=True, indent=2)
+    if text.count(_ROWS_KEY) != 1:
+        return json.dumps(doc, sort_keys=True, indent=2)
+    quote = json.encoder.encode_basestring_ascii
+    body = ",\n".join(
+        f'      {{\n        "partition": {quote(r["partition"])},\n'
+        f'        "rhs": {r["rhs"]!r},\n        "slack": {r["slack"]!r}\n      }}'
+        for r in rows
+    )
+    return text.replace(_ROWS_KEY, f'\n    "per_partition": [\n{body}\n    ]')
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -415,7 +448,7 @@ def main(argv=None) -> int:
             params, result = report
             doc = {"command": args.command, "version": __version__,
                    "params": params, "result": result}
-            report = json.dumps(doc, sort_keys=True, indent=2)
+            report = _dumps(doc)
         _emit(report, args.out)
         return 0
     except (PreconditionError, CapExceededError, OSError) as exc:

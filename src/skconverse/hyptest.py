@@ -168,13 +168,7 @@ def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
     )
 
 
-def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCertificate:
-    """beta_eps(P^n, Q^n) via type classes; equals the dense value exactly.
-
-    The likelihood ratio depends on an outcome only through its empirical
-    counts, so greedy acceptance at class granularity with one fractional
-    class realizes the same optimum as outcome granularity.
-    """
+def _check_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> None:
     _check_same_shape(P, Q)
     if len(P.vars) != 1:
         raise PreconditionError("IID variant expects one shared variable")
@@ -182,6 +176,16 @@ def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCert
         raise PreconditionError("n must be >= 1")
     if not 0.0 <= eps < 1.0:
         raise PreconditionError("eps must lie in [0, 1)")
+
+
+def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCertificate:
+    """beta_eps(P^n, Q^n) via type classes; equals the dense value exactly.
+
+    The likelihood ratio depends on an outcome only through its empirical
+    counts, so greedy acceptance at class granularity with one fractional
+    class realizes the same optimum as outcome granularity.
+    """
+    _check_iid(P, Q, n, eps)
     counts, logp, logq = typeclass_table(P.pmf, Q.pmf, n)
     order = _ratio_order(logp, logq)
     ps = np.exp2(logp[order])
@@ -271,8 +275,13 @@ def renyi_beta_bound(
 
 
 def stein_scan(P: JointDist, Q: JointDist, eps: float, ns) -> list[tuple[int, float]]:
-    """Table of (n, -(1/n) log2 beta_eps(P^n, Q^n)); converges to D(P||Q)."""
+    """Table of (n, -(1/n) log2 beta_eps(P^n, Q^n)); converges to D(P||Q).
+
+    Every n is checked, in order, before any type-class table is built.
+    """
     ns = [int(n) for n in ns]
+    for n in ns:
+        _check_iid(P, Q, n, eps)
 
     def one(n: int) -> tuple[int, float]:
         cert = beta_epsilon_iid(P, Q, n, eps)

@@ -10,7 +10,8 @@ strings, which gives a canonical, allocation-light order.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -60,31 +61,22 @@ class Partition:
         return cls(tuple(blocks), m)
 
 
-def _rgs(m: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length m, lexicographic order.
+def _grow(a: np.ndarray, m: int) -> np.ndarray:
+    """Every extension to length m of the restricted growth strings in the
+    rows of ``a``, in lexicographic order.
 
-    Entry i exceeds ``top[i]``, the maximum of the entries before it, by at
-    most one.  The last entry runs through its values in the inner loop;
-    then the last earlier entry that may still grow is raised, and the
-    entries after it are zeroed.
+    Entry i exceeds the maximum of the entries before it by at most one.
+    Each level repeats every row once per value its next entry may take,
+    so the children of a row follow each other in value order.
     """
-    if m == 1:
-        yield (0,)
-        return
-    a = [0] * (m - 1)
-    top = [0] * m
-    while True:
-        head = tuple(a)
-        for v in range(top[-1] + 2):
-            yield head + (v,)
-        i = m - 2
-        while i > 0 and a[i] > top[i]:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        a[i + 1:] = [0] * (m - 2 - i)
-        top[i + 1:] = [max(top[i], a[i])] * (m - 1 - i)
+    top = a.max(axis=1)
+    while a.shape[1] < m:
+        width = top + 2
+        parent = np.repeat(np.arange(len(a)), width)
+        value = np.arange(parent.size) - np.repeat(np.cumsum(width) - width, width)
+        a = np.column_stack([a[parent], value])
+        top = np.maximum(top[parent], value)
+    return a
 
 
 def _check_party_count(m: int) -> None:
@@ -114,15 +106,46 @@ def _partition_masks(m: int, rows: int) -> Iterator[np.ndarray]:
     ``Partition.blocks``, then zeros.
     """
     _check_party_count(m)
-    labels = itertools.islice(_rgs(m), 1, None)  # skip the one-block partition
-    bits = 1 << np.arange(m, dtype=np.int64)
-    block_ids = np.arange(m)[:, None]
 
     def chunks():
-        while chunk := list(itertools.islice(labels, rows)):
-            yield (np.array(chunk)[:, None, :] == block_ids) @ bits
+        rest = np.empty((0, m), dtype=np.int64)
+        for masks in [_small_lattice(m)] if m <= 6 else _lattice_slices(m):
+            rest = np.concatenate([rest, masks])
+            full = len(rest) - len(rest) % rows
+            yield from (rest[i:i + rows] for i in range(0, full, rows))
+            rest = rest[full:]
+        if len(rest):
+            yield rest
 
     return chunks()
+
+
+@functools.cache
+def _small_lattice(m: int) -> np.ndarray:
+    """All of ``_lattice_slices(m)`` in one read-only array, kept for the
+    many scans of few parties (at most 202 rows, for m <= 6)."""
+    table = np.concatenate(list(_lattice_slices(m)))
+    table.setflags(write=False)
+    return table
+
+
+def _lattice_slices(m: int) -> Iterator[np.ndarray]:
+    """The rows of ``_partition_masks(m, ...)``, at most 2^12 at a time.
+
+    The strings of length m - 3 (at most Bell(9) rows) have at most
+    (m - 2)(m - 1)m extensions each, so a slice of ``step`` of them grows to
+    at most 2^12 rows, whatever m.
+    """
+    k = max(1, m - 3)
+    heads = _grow(np.zeros((1, 1), dtype=np.intp), k)
+    step = max(1, (1 << 12) // math.prod(range(k + 1, m + 1)))
+    for s in range(0, len(heads), step):
+        grown = _grow(heads[s:s + step], m)[s == 0:]  # no one-block partition
+        masks = np.zeros(grown.shape, dtype=np.int64)
+        at = np.arange(len(grown))
+        for i in range(m):
+            masks[at, grown[:, i]] |= 1 << i
+        yield masks
 
 
 def _partition_labels(masks: np.ndarray, m: int) -> list[str]:

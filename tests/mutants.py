@@ -38,8 +38,8 @@ MUTANTS = {
         "    return dist\n",
     )]),
     "skipped-partition": ("src/skconverse/structure.py", [(
-        "labels = itertools.islice(_rgs(m), 1, None)",
-        "labels = itertools.islice(_rgs(m), 2, None)",
+        "[s == 0:]  # no one-block partition",
+        "[2 * (s == 0):]  # no one-block partition",
     )]),
     "binding-max-includes-committed-key": ("src/skconverse/protosim.py", [(
         "        scores[k[j]] = 0.0",
@@ -92,6 +92,10 @@ MUTANTS = {
     "cit-value-minus-3": ("src/skconverse/bounds.py", [(
         " / (num_blocks - 1)\n",
         " / (num_blocks - 1) - 3\n",
+    )]),
+    "capacity-screen-no-margin": ("src/skconverse/bounds.py", [(
+        "found = _least_kl(J, h, 1e-9 * max(1.0, h[1 << np.arange(m)].sum()))",
+        "found = _least_kl(J, h, 0.0)",
     )]),
     "screen-skips-a-winner": ("src/skconverse/bounds.py", [(
         "<= best + 1e-6 * max(1.0, abs(best))",

@@ -308,6 +308,61 @@ def test_capacity_formula_equals_loop_over_partitions():
         assert sk_capacity_formula(J) == _capacity_loop(J, parts, qs)
 
 
+def _bits_source(pmf):
+    m = int(np.log2(len(pmf)))
+    return JointDist(tuple((f"X{i + 1}", BIT) for i in range(m)), np.asarray(pmf) / np.sum(pmf))
+
+
+def _tie_sources():
+    """Sources whose partitions tie or nearly tie in the capacity formula
+    (``test_partition_scan_across_chunks`` checks its m = 8 source too)."""
+    out = [_bits_source(np.ones(1 << m)) for m in range(4, 9)]  # every value 0
+    for a, b in ((3, 3), (2, 5)):  # two independent groups of correlated bits
+        groups = []
+        for k, f in ((a, 0.1), (b, 0.2)):
+            ones = np.array([bin(x).count("1") for x in range(1 << k)])
+            groups.append(f ** ones * (1 - f) ** (k - ones) + (1 - f) ** ones * f ** (k - ones))
+        out.append(_bits_source(np.multiply.outer(*groups).reshape(-1)))
+    for m in (5, 7):  # copies of one bit: every value exactly 1
+        pmf = np.zeros(1 << m)
+        pmf[0] = pmf[-1] = 1.0
+        out.append(_bits_source(pmf))
+    for seed in range(3):  # near-independent bits: values near 1e-12
+        rng = np.random.default_rng(seed)
+        out.append(_bits_source(1 + 1e-5 * rng.random(1 << (5 + seed))))
+    return out
+
+
+def test_capacity_screen_equals_full_scan_on_ties(monkeypatch):
+    """The screen's winner is the full scan's, also when every subset entropy
+    is moved by up to 1e-11: well inside the margin the screen allows for
+    rounding, and enough to reorder the near-independent sources' rows."""
+    entropies, rng = bounds._subset_entropies, np.random.default_rng(100)
+
+    def jittered(J):
+        h = entropies(J)
+        return h + np.concatenate([[0.0], rng.uniform(-1e-11, 1e-11, len(h) - 1)])
+
+    for J in _tie_sources():
+        parts = enum_partitions(len(J.vars))
+        want = _capacity_loop(J, parts, [conditional_product(J, pi) for pi in parts])
+        assert sk_capacity_formula(J) == want
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_subset_entropies", jittered)
+            assert sk_capacity_formula(J) == want
+
+
+def test_capacity_screen_falls_back_when_q_underflows():
+    """A cell of mass 1e-170 whose product of marginals underflows to 0 gives
+    its partitions an infinite divergence, far from their screen; the scan
+    then tests every partition, as the full scan does."""
+    pmf = np.zeros(8)
+    pmf[[0, 3, 7]] = 1 - 2e-170, 1e-170, 1e-170
+    J = JointDist((("X1", BIT), ("X2", BIT), ("X3", BIT)), pmf)
+    parts = enum_partitions(3)
+    assert sk_capacity_formula(J) == _capacity_loop(J, parts, [conditional_product(J, pi) for pi in parts])
+
+
 def _sc_rows(J, parts, qs, lhs, mu, zeta, eta):
     rows = []
     for pi, q in zip(parts, qs):

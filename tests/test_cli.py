@@ -201,6 +201,49 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert f1 == f2
 
 
+def _check_doc(rows, dist="d.json"):
+    return {"command": "bound compute", "version": "0", "params": {"dist": dist, "eps": 0.1},
+            "result": {"lhs": 1.0, "partition": "1|2", "passed": True, "per_partition": [
+                {"partition": p, "rhs": r, "slack": s} for p, r, s in rows]}}
+
+
+@pytest.mark.parametrize("rows", [
+    [("1|2", 1e-7, 1.5e-05), ("1,2|3", 1e16, -0.0), ("1|2|3", 5e-324, -1e16)],
+    [("1|2", 0.5, float("inf")), ("1,2|3", 0.5, 0.25)],  # json's own writer
+    [("1|2", float("nan"), 0.25)],
+    [("1|2", float("-inf"), 0.25)],
+    [("1|2", 1, 0.25)],
+    [],
+])
+@pytest.mark.parametrize("dist", ["d.json", 'a"per_partition": []"\\x\u00e9.json'])
+def test_report_writer_matches_json_dumps(rows, dist):
+    doc = _check_doc(rows, dist)
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    # the placeholder twice: json's writer again
+    doc["params"]["per_partition"] = []
+    assert cli._dumps(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["bound", "compute", "--g", "{g}", "--eps", "0.02", "--delta", "0.02"], 4),
+    (["bound", "compute", "--g", "{g}", "--eps", "0.02", "--delta", "0.02",
+      "--partition", "1,3|2"], 1),
+    (["bound", "transmit", "--kappa", "1", "--eps", "0.02", "--delta", "0.02"], 0),
+])
+def test_check_reports_are_json_dumps_bytes(argv, rows, tmp_path, capsys):
+    """Check reports read back and written by json give the same bytes, with
+    a --dist path that holds quotes and the rows' placeholder text."""
+    rng = np.random.default_rng(4)
+    d = write_dist(tmp_path, random_dist(rng, [2, 3, 2]), 'q"per_partition": []".json')
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps([str(i % 3) for i in range(12)]))
+    code, out, _ = run(capsys, [a.format(g=g) for a in argv] + ["--dist", d])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["dist"] == d and len(doc["result"]["per_partition"]) == rows
+    assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_output_file(tmp_path, capsys):
     d = write_dist(tmp_path, ber(0.3), "p.json")
     q = write_dist(tmp_path, ber(0.5), "q.json")

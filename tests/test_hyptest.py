@@ -18,6 +18,7 @@ from skconverse import (
     renyi_beta_bound,
     stein_scan,
 )
+from skconverse import hyptest
 from skconverse._typeclasses import compositions, typeclass_table
 from skconverse.errors import CapExceededError
 from skconverse.hyptest import default_gamma_grid
@@ -307,6 +308,19 @@ def test_stein_scan():
     diffs = [abs(v - kl) for _, v in rows]
     assert diffs[0] > diffs[1] > diffs[2]
     assert diffs[2] <= 0.01
+
+
+@pytest.mark.parametrize("ns, eps, message", [
+    ([400, 0], 0.1, "n must be >= 1"),
+    ([400, 10], 1.0, "eps must lie in"),
+    ([0, 400], 1.0, "n must be >= 1"),
+])
+def test_stein_scan_checks_every_n_before_any_table(ns, eps, message, monkeypatch):
+    tables = []
+    monkeypatch.setattr(hyptest, "typeclass_table", lambda *a: tables.append(a))
+    with pytest.raises(PreconditionError, match=message):
+        stein_scan(ber(0.3), ber(0.5), eps, ns)
+    assert tables == []
 
 
 # ---------------------------------------------------------------------------

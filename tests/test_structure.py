@@ -13,7 +13,7 @@ from skconverse import (
     mcf,
     mss,
 )
-from skconverse.structure import _rgs, attach_label
+from skconverse.structure import _grow, _partition_masks, attach_label
 from support import BIT, random_dist
 
 
@@ -49,12 +49,27 @@ def test_enum_partitions_canonical_order():
 def test_rgs_matches_filtered_product():
     # a restricted growth string starts at 0 and exceeds the maximum of its
     # prefix by at most one; lexicographic order is that of product()
+    bits = 1 << np.arange(8)
     for m in range(1, 8):
         want = [
             a for a in itertools.product(range(m), repeat=m)
             if a[0] == 0 and all(a[i] <= max(a[:i]) + 1 for i in range(1, m))
         ]
-        assert list(_rgs(m)) == want
+        assert _grow(np.zeros((1, 1), dtype=np.intp), m).tolist() == [list(a) for a in want]
+        if m < 2:
+            continue
+        # block masks ordered by least member, then zeros; the one-block
+        # string left out; chunks of exactly ``rows`` rows but the last
+        masks = [[int(bits[:m][np.array(a) == b].sum()) for b in range(m)] for a in want[1:]]
+        for rows in (1, 3, 64, 1 << 12):
+            chunks = list(_partition_masks(m, rows))
+            assert all(len(c) == rows for c in chunks[:-1]) and 0 < len(chunks[-1]) <= rows
+            assert np.concatenate(chunks).tolist() == masks
+    # m = 9 is enumerated in 26 slices of its length-6 prefixes; the
+    # chunks follow the one-slice growth
+    grown = _grow(np.zeros((1, 1), dtype=np.intp), 9)[1:]
+    want = (grown[:, None, :] == np.arange(9)[:, None]) @ (1 << np.arange(9))
+    assert np.array_equal(np.concatenate(list(_partition_masks(9, 100))), want)
 
 
 def test_mcf_identity_independent_shared_bit():
