@@ -192,9 +192,10 @@ def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCert
     logq_sorted = logq[order]
     b, gamma, covered = _greedy_threshold(ps[None], 1.0 - eps)
     b, gamma, covered = int(b[0]), float(gamma[0]), float(covered[0])
+    # accumulate is sequential: its last entry over the b accepted classes
+    # is entry b - 1 of the accumulate over all of them
     with np.errstate(invalid="ignore"):
-        q_prefix = np.logaddexp2.accumulate(logq_sorted) if logq_sorted.size else None
-    log2_beta = float(q_prefix[b - 1]) if b > 0 else LOG2_ZERO
+        log2_beta = float(np.logaddexp2.accumulate(logq_sorted[:b])[-1]) if b else LOG2_ZERO
     if gamma > 0:
         log2_beta = float(np.logaddexp2(log2_beta, math.log2(gamma) + logq_sorted[b]))
     if log2_beta <= LOG2_ZERO / 2:
@@ -207,7 +208,7 @@ def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCert
         n_full=b,
         gamma=gamma,
         type1_error=1.0 - covered,
-        outcome_labels=counts[order],
+        outcome_labels=np.take(counts, order, axis=0),
     )
 
 

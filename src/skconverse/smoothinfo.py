@@ -141,11 +141,12 @@ def d_max(P, Q) -> float:
 
 
 def d_max_smooth(P, Q, eps: float) -> SmoothingResult:
-    """Smooth max-divergence: least lam with sum_x min(P, Q*2^lam) >= 1-eps.
+    """Smooth max-divergence: least lam with sum_x min(P, Q*2^lam) >= |P| - eps.
 
-    Witness is min(P, Q*2^lam).  Outcomes with Q(x)=0 carry only removable
-    P-mass; if that mass exceeds eps the value is +inf.  Solved exactly via
-    the sorted piecewise-linear coverage function.
+    |P| is P's total mass (1 within 1e-9 for a distribution), so the witness
+    min(P, Q*2^lam) keeps all of P's mass but eps.  Outcomes with Q(x)=0
+    carry only removable P-mass; if that mass exceeds eps the value is +inf.
+    Solved exactly via the sorted piecewise-linear coverage function.
     """
     _check_same_shape(P, Q)
     if not 0.0 < eps < 1.0:
@@ -214,7 +215,8 @@ def dmax_convergence_scan(
     """Table of (n, D_max^eps(P^n || Q^n) / n); the values trend to D(P||Q).
 
     Computed on type classes: the ratio is constant inside a class, so the
-    coverage function aggregates classwise without error.
+    coverage function aggregates classwise without error.  Each row solves
+    d_max_smooth's rule against P^n's mass, |P|^n - eps.
     """
     _check_same_shape(P, Q)
     if len(P.vars) != 1:
@@ -225,9 +227,11 @@ def dmax_convergence_scan(
     if min(ns, default=1) < 1:
         raise PreconditionError("n must be >= 1")
 
+    mass = P.total_mass()
+
     def one(n: int) -> tuple[int, float]:
         _, logp, logq = typeclass_table(P.pmf, Q.pmf, n)
-        val = _dmax_cap_log(logp, logq, 1.0 - eps)
+        val = _dmax_cap_log(logp, logq, mass ** n - eps)
         return n, val / n
 
     return parallel_map(one, ns)

@@ -105,6 +105,10 @@ MUTANTS = {
         "    if xi <= 0:\n",
         "    if False:\n",
     )]),
+    "iid-beta-one-class-short": ("src/skconverse/hyptest.py", [(
+        "np.logaddexp2.accumulate(logq_sorted[:b])",
+        "np.logaddexp2.accumulate(logq_sorted[:b - 1])",
+    )]),
     "no-tie-repair": ("src/skconverse/probcore.py", [(
         "    if changed.all():\n",
         "    if True:\n",

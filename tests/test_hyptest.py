@@ -22,7 +22,7 @@ from skconverse import hyptest
 from skconverse._typeclasses import compositions, typeclass_table
 from skconverse.errors import CapExceededError
 from skconverse.hyptest import default_gamma_grid
-from skconverse.probcore import apply_channel, Channel
+from skconverse.probcore import LOG2_ZERO, apply_channel, Channel
 from skconverse.smoothinfo import d_max
 from support import (
     ber,
@@ -223,6 +223,38 @@ def test_certificate_equality_and_hash():
     t = cert.test_vector()
     assert t.size == logp.size
     assert abs(float(np.exp2(logp) @ t) - (1 - cert.type1_error)) <= 1e-12
+
+
+def test_iid_log2_beta_is_entry_b_minus_1_of_the_full_accumulate():
+    # beta sums Q over the accepted classes only; accumulate is sequential,
+    # so that is entry b - 1 of the accumulate over every class
+    rng = np.random.default_rng(91)
+    x = rng.normal(-20.0, 8.0, 300)
+    full = np.logaddexp2.accumulate(x)
+    for b in range(1, x.size + 1):
+        assert np.logaddexp2.accumulate(x[:b])[-1] == full[b - 1], b
+    cases = [
+        (ber(0.9), ber(0.1), 1, 0.5, 0),  # the first class alone covers 1 - eps
+        (ber(0.5), ber(0.5), 3, 0.0, 3),  # every class but the last in full
+        (ber(0.3), ber(0.6), 40, 0.1, None),
+        (one_var_dist([0.5, 0.3, 0.2, 0.0]), one_var_dist([0.0, 0.2, 0.3, 0.5]), 12, 0.05, None),
+    ]
+    for P, Q, n, eps, b_want in cases:
+        cert = beta_epsilon_iid(P, Q, n, eps)
+        _, _, logq = typeclass_table(P.pmf, Q.pmf, n)
+        logq_sorted = logq[cert.order]
+        b = cert.n_full
+        assert b_want is None or b == b_want
+        with np.errstate(invalid="ignore"):
+            prefix = np.logaddexp2.accumulate(logq_sorted)
+        want = float(prefix[b - 1]) if b > 0 else LOG2_ZERO
+        if cert.gamma > 0:
+            want = float(np.logaddexp2(want, math.log2(cert.gamma) + logq_sorted[b]))
+        if want <= LOG2_ZERO / 2:
+            want = -math.inf
+        assert cert.log2_beta == want, (n, eps)
+        assert np.array_equal(cert.outcome_labels, compositions(n, P.n_cells)[cert.order])
+        assert cert.outcome_labels.dtype == np.int64
 
 
 def test_stein_limit_at_1e4():

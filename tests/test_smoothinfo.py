@@ -17,6 +17,7 @@ from skconverse import (
     h_min,
     h_min_cond,
     h_min_smooth,
+    iid_extend,
 )
 from skconverse.probcore import LOG2_ZERO, Channel, apply_channel, log2_pmf
 from skconverse.smoothinfo import _SEGMENT_BLOCK, _dmax_cap_log, _waterfill_cap
@@ -27,6 +28,7 @@ from support import (
     h_min_cond_grid_oracle,
     h_min_smooth_oracle,
     int_weight_pairs,
+    one_var_dist,
     random_dist,
     uniform_bits,
 )
@@ -258,6 +260,26 @@ def test_dmax_scan():
         for e in (0.1, 0.25, 0.5)
     ]
     assert vals[0] >= vals[1] - 1e-12 >= vals[2] - 2e-12
+
+
+def test_dmax_scan_rows_are_d_max_smooth_of_the_product():
+    # rows solve against P^n's mass minus eps, as d_max_smooth does against
+    # P's: the n = 1 row is d_max_smooth of P, the n = 2 row half that of P^2
+    rng = np.random.default_rng(29)
+    pairs = [([0.5, 0.3, 0.2], [0.2, 0.3, 0.5])]
+    pairs += [(rng.random(4) + 0.01, rng.random(4) + 0.01) for _ in range(3)]
+    for p, q in pairs:
+        p, q = np.asarray(p) / np.sum(p), np.asarray(q) / np.sum(q)
+        for off in (-9e-10, -6e-10, -4.5e-10, -1e-12, 0.0, 4e-10, 9e-10):
+            P = one_var_dist(p + np.eye(p.size)[-1] * off)
+            Q = one_var_dist(q)
+            for eps in (0.05, 0.3, 0.6):
+                rows = dict(dmax_convergence_scan(P, Q, eps, [1, 2]))
+                one = d_max_smooth(P, Q, eps).value
+                assert abs(rows[1] - one) <= 1e-12, (off, eps)
+                if abs(off) < 5e-10:  # P^2 is off 1 by 2 off, within 1e-9
+                    two = d_max_smooth(iid_extend(P, 2), iid_extend(Q, 2), eps).value
+                    assert abs(rows[2] - two / 2) <= 1e-12, (off, eps)
 
 
 @settings(max_examples=200, deadline=None)
