@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 
@@ -21,5 +20,7 @@ def parallel_map(fn: Callable, items: Sequence) -> list:
     workers = worker_count()
     if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

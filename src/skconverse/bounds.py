@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import CapExceededError, PreconditionError
 from .hyptest import _betas, _greedy_threshold, _ratio_order, beta_epsilon
 from .probcore import (
     Channel,
@@ -39,6 +39,7 @@ from .structure import (
     Labeling,
     Partition,
     _check_party_count,
+    _partition_count,
     _partition_labels,
     _partition_masks,
     _partition_of,
@@ -48,6 +49,10 @@ from .structure import (
 )
 
 _TOL = 1e-12
+
+#: most ``per_partition`` rows of a check report over all partitions: a row
+#: holds about 0.8 KB of Python objects, so a report at the cap about 0.8 GB
+ROW_CAP = 1_000_000
 
 
 class _Report:
@@ -611,10 +616,15 @@ def sc_necessary_check(
     mu = _secure_mu(eps, delta, xi, zeta, eta)
     if J.eve is not None:
         raise PreconditionError("secure computing check expects no eve variable")
+    m = len(J.vars)
+    if partition is None:
+        _check_party_count(m)
+        count = _partition_count(m)
+        if count > ROW_CAP:  # refused before any row is computed
+            raise CapExceededError(f"{count} partition rows exceed the cap {ROW_CAP}")
     p_g = pushforward_function(J, g)
     lhs = h_min_smooth(p_g, xi).value
     extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
-    m = len(J.vars)
     labels, rhss, masks_seen = [], [], []
     for masks, q in _partition_scan(J, [], m, partition):
         nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, q, mu)])

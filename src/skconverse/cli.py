@@ -119,14 +119,36 @@ def _ns(text: str) -> list[int]:
 _FLAG_HELP = {"g": "JSON function table (row-major list)", "n": "comma-separated n values"}
 
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The parser of every command, or only of the command that ``argv`` names.
+
+    Given ``argv``, it builds the top parser and just the group and leaf
+    whose names are ``argv[0]`` and ``argv[1]`` (the leaf alone for
+    ``beta``), which parse that ``argv`` as the whole tree does.  If they
+    name no leaf (no verb, an option first, a group's ``-h``, an unknown
+    name), it builds the whole tree, so every help, usage and error text is
+    the whole tree's.
+    """
+    path = None if argv is None else list(argv[:2])
     top = _Parser(prog="skconverse", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="verb", required=True)
+    leaves = []
 
-    def command(parent, name, run, files=(), floats=(), help=None):
+    def group(name, dest, help):
+        """The subcommands of group ``name``, or None when ``argv`` names another."""
+        if path is not None and path[:1] != [name]:
+            return None
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
+
+    def command(parent, name, run, files=(), floats=(), flags=None, modes=None, help=None):
         """A leaf command: required string flags (``files``), finite float
-        flags, ``--out`` and ``--params``; its handler ``run`` and its name."""
+        flags, ``--out``, ``--params``, the other ``flags`` and at most one of
+        the ``modes`` (flag -> ``add_argument`` keywords); its handler ``run``
+        and its name.  Not built when ``argv`` names another."""
+        depth = 0 if parent is sub else 1
+        if parent is None or path is not None and path[depth:depth + 1] != [name]:
+            return
         p = parent.add_parser(name, help=help)
         for flag in files:
             p.add_argument(f"--{flag}", required=True, help=_FLAG_HELP.get(flag))
@@ -134,60 +156,60 @@ def build_parser() -> _Parser:
             p.add_argument(f"--{flag}", type=_finite)
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument("--params", help="JSON file of parameter values")
+        for flag, kw in (flags or {}).items():
+            p.add_argument(flag, **kw)
+        if modes:
+            exclusive = p.add_mutually_exclusive_group()
+            for flag, kw in modes.items():
+                exclusive.add_argument(flag, **kw)
         p.set_defaults(run=run, command=p.prog.split(" ", 1)[1])
-        return p
+        leaves.append(p)
 
+    switch = {"action": "store_true"}
     command(sub, "beta", _beta, ("p", "q"), ("eps",),
             help="optimal type-II error with certificate")
 
-    smooth = sub.add_parser("smooth", help="smoothed entropy quantities")
-    ssub = smooth.add_subparsers(dest="quantity", required=True)
+    ssub = group("smooth", "quantity", "smoothed entropy quantities")
     command(ssub, "hmin", _hmin, ("dist",), ("eps",))
     command(ssub, "dmax", _dmax, ("p", "q"), ("eps",))
 
-    structure = sub.add_parser("structure", help="mcf / mss label tables")
-    stsub = structure.add_subparsers(dest="stat", required=True)
+    stsub = group("structure", "stat", "mcf / mss label tables")
     command(stsub, "mcf", _mcf, ("dist", "v1", "v2"))
     command(stsub, "mss", _mss, ("dist", "given", "target"), ("tol",))
 
-    bound = sub.add_parser("bound", help="converse bounds and checks")
-    bsub = bound.add_subparsers(dest="task", required=True)
-    p = command(bsub, "sk", _bound_sk, ("dist",), ("eps", "eta", "delta", "eta1", "eta2"))
-    p.add_argument("--q", help="alternative conditionally factorizing Q (needs --partition)")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--partition")
-    mode.add_argument("--all-partitions", action="store_true")
-    mode.add_argument("--capacity", action="store_true", help="capacity formula only")
-    mode.add_argument("--aux-channel", help="auxiliary channel JSON for the two-party bound")
+    bsub = group("bound", "task", "converse bounds and checks")
+    command(bsub, "sk", _bound_sk, ("dist",), ("eps", "eta", "delta", "eta1", "eta2"),
+            flags={"--q": {"help": "alternative conditionally factorizing Q (needs --partition)"}},
+            modes={"--partition": {}, "--all-partitions": switch,
+                   "--capacity": switch | {"help": "capacity formula only"},
+                   "--aux-channel": {"help": "auxiliary channel JSON for the two-party bound"}})
     for task, bound_fn, capacity_fn in (("ot", ot_bounds, ot_capacity_bound),
                                         ("bc", bc_bound, bc_capacity_bound)):
-        p = command(bsub, task, _two_party(bound_fn, capacity_fn), ("dist",),
-                    ("eps", "delta1", "delta2", "xi"))
-        p.add_argument("--capacity", action="store_true")
-    p = command(bsub, "compute", _bound_compute, ("dist", "g"),
-                ("eps", "delta", "xi", "zeta", "eta"))
-    p.add_argument("--partition")
+        command(bsub, task, _two_party(bound_fn, capacity_fn), ("dist",),
+                ("eps", "delta1", "delta2", "xi"), flags={"--capacity": switch})
+    command(bsub, "compute", _bound_compute, ("dist", "g"),
+            ("eps", "delta", "xi", "zeta", "eta"), flags={"--partition": {}})
     command(bsub, "transmit", _bound_transmit, ("dist",),
             ("kappa", "eps", "delta", "xi", "zeta", "eta"))
 
-    scan = sub.add_parser("scan", help="CSV convergence scans")
-    csub = scan.add_subparsers(dest="what", required=True)
+    csub = group("scan", "what", "CSV convergence scans")
     command(csub, "stein", _kl_scan("n,neg_log_beta_over_n,kl_limit", stein_scan),
             ("p", "q", "n"), ("eps",))
     command(csub, "dmax", _kl_scan("n,dmax_eps_over_n,kl_limit", dmax_convergence_scan),
             ("p", "q", "n"), ("eps",))
     command(csub, "capacity", _capacity_scan, ("dist", "n"), ("eps", "eta"))
 
-    proto = sub.add_parser("protocol", help="exact protocol evaluation")
-    psub = proto.add_subparsers(dest="action", required=True)
+    psub = group("protocol", "action", "exact protocol evaluation")
     command(psub, "eval", _protocol_eval, ("dist", "protocol"))
-    p = command(psub, "reduce", _protocol_reduce)
-    p.add_argument("--kind", choices=["ot1", "ot2", "bc"], required=True)
-    p.add_argument("--length", type=int, default=1)
-    p = command(psub, "fuzz", _protocol_fuzz, floats=("eta",))
-    p.add_argument("--count", type=int, default=500)
-    p.add_argument("--seed", type=int, default=20240913)
+    command(psub, "reduce", _protocol_reduce,
+            flags={"--kind": {"choices": ["ot1", "ot2", "bc"], "required": True},
+                   "--length": {"type": int, "default": 1}})
+    command(psub, "fuzz", _protocol_fuzz, floats=("eta",),
+            flags={"--count": {"type": int, "default": 500},
+                   "--seed": {"type": int, "default": 20240913}})
 
+    if path is not None and not leaves:
+        return build_parser()
     return top
 
 
@@ -435,7 +457,9 @@ def _dumps(doc: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         merged = _load_params(args)

@@ -11,6 +11,7 @@ strings, which gives a canonical, allocation-light order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -95,6 +96,14 @@ def enum_partitions(m: int) -> list[Partition]:
         for masks in _partition_masks(m, 1 << 12)
         for row in masks.tolist()
     ]
+
+
+def _partition_count(m: int) -> int:
+    """Bell(m) - 1, the number of partitions ``enum_partitions(m)`` lists."""
+    row = [1]  # a row of the Bell triangle: row m ends in Bell(m)
+    for _ in range(m - 1):
+        row = list(itertools.accumulate(row, initial=row[-1]))
+    return row[-1] - 1
 
 
 def _partition_masks(m: int, rows: int) -> Iterator[np.ndarray]:

@@ -121,6 +121,10 @@ MUTANTS = {
         "    if filled != out.size or max(-out.min(), out.max()) >= 2.0 ** 63:\n",
         "    if filled != out.size:\n",
     )]),
+    "path-parser-no-whole-tree": ("src/skconverse/cli.py", [(
+        "        return build_parser()\n",
+        "        return top\n",
+    )]),
     "true-pmf-entry-read": ("src/skconverse/probcore.py", [(
         "not all(type(v) in (int, float) for v in values)",
         "not all(isinstance(v, (int, float)) for v in values)",

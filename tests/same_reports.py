@@ -9,10 +9,10 @@ It unpacks ``src/`` at the revision REF with ``git archive`` into a
 temporary directory and writes one set of inputs there: small hand-made
 files, plus the inputs of every benchmark workload at seed 11 in full and
 small form (``bench/workloads.py``).  Each call of a fixed corpus, which
-covers every leaf command and its error exits, then runs once on REF's
-``src`` and once on the working tree's, in a fresh interpreter with
-``PYTHONHASHSEED=0``, on the same input paths, because reports embed the
-file names.  Their stdout, stderr and exit status are compared.  A
+covers every leaf command and its error exits and the parser's help, usage
+and error texts, then runs once on REF's ``src`` and once on the working
+tree's, in a fresh interpreter with ``PYTHONHASHSEED=0``, on the same input
+paths, because reports embed the file names.  Their stdout, stderr and exit status are compared.  A
 benchmark call's ``--out`` is dropped, so its report goes to stdout.
 
 The script prints one line per call and a count of the calls that differ,
@@ -269,7 +269,23 @@ def corpus(f: dict) -> list[list[str]]:
         ["structure", "mss", "--dist", f["j2"], "--given", "X1", "--target", "X1"],
     ]
     edge = [["smooth", "hmin", "--dist", f[name], "--eps", "0.1"] for name in EDGE_DISTS]
-    return ok + symmetric + screened + reduce + errors + edge
+    return ok + symmetric + screened + reduce + errors + edge + parser_texts()
+
+
+#: the leaf commands of each command group
+GROUPS = {"smooth": ["hmin", "dmax"], "structure": ["mcf", "mss"],
+          "bound": ["sk", "ot", "bc", "compute", "transmit"],
+          "scan": ["stein", "dmax", "capacity"], "protocol": ["eval", "reduce", "fuzz"]}
+
+
+def parser_texts() -> list[list[str]]:
+    """Calls that end in argparse's help, version, usage or error text:
+    ``-h`` of the top parser, every group and every leaf, and bad verbs."""
+    paths = [[], ["beta"]] + [[group, *leaf] for group, leaves in GROUPS.items()
+                              for leaf in [[]] + [[name] for name in leaves]]
+    return [path + ["-h"] for path in paths] + [
+        ["--version"], [], ["bound", "xx"], ["xx"], ["--out", "x", "beta"], ["beta", "--bogus"],
+    ]
 
 
 def bench_corpus(base: Path) -> list[list[str]]:

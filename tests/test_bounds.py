@@ -37,7 +37,8 @@ from skconverse.probcore import (
 )
 from skconverse.protosim import ideal_ot_correlation
 from skconverse.smoothinfo import h_min_smooth
-from skconverse.structure import _partition_of
+from skconverse.errors import CapExceededError
+from skconverse.structure import _partition_count, _partition_of
 from support import (
     BIT,
     binary_entropy,
@@ -727,6 +728,38 @@ def test_sc_check_shared_key_instance_passes():
 
     with pytest.raises(PreconditionError):
         sc_necessary_check(J, parity, 0.3, 0.3, 0.2, 0.2, 0.2)
+
+
+def test_partition_count_is_enum_length():
+    assert [_partition_count(m) for m in range(2, 9)] == [
+        len(enum_partitions(m)) for m in range(2, 9)]
+    assert (_partition_count(11), _partition_count(12)) == (678_569, 4_213_596)
+
+
+class _Scanned(Exception):
+    pass
+
+
+def test_sc_check_row_cap(monkeypatch):
+    # a report over all partitions of 12 parties would hold 4,213,596 rows,
+    # about 3.6 GB of Python objects: refused before the function's law or
+    # any scan, which raise _Scanned here
+    def scanned(*args, **kwargs):
+        raise _Scanned
+
+    monkeypatch.setattr(bounds, "_partition_scan", scanned)
+    monkeypatch.setattr(bounds, "pushforward_function", scanned)
+    J = JointDist(tuple((f"X{i}", BIT) for i in range(1, 13)), np.full(4096, 2.0 ** -12))
+    with pytest.raises(CapExceededError) as info:
+        sc_necessary_check(J, [0] * 4096, 0.02, 0.02, 0.05, 0.1, 0.1)
+    assert str(info.value) == "4213596 partition rows exceed the cap 1000000"
+    # one partition, and the 678,569 rows of 11 parties, stay under the cap
+    with pytest.raises(_Scanned):
+        sc_necessary_check(J, [0] * 4096, 0.02, 0.02, 0.05, 0.1, 0.1,
+                           partition=Partition.parse("1|2,3,4,5,6,7,8,9,10,11,12", 12))
+    J11 = JointDist(J.vars[:11], np.full(2048, 2.0 ** -11))
+    with pytest.raises(_Scanned):
+        sc_necessary_check(J11, [0] * 2048, 0.02, 0.02, 0.05, 0.1, 0.1)
 
 
 def test_transmission_check_uniform_passes():

@@ -1,8 +1,14 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import skconverse
 from skconverse import Channel, Partition, cli, divergence, save_dist, stein_scan
 from skconverse.bounds import aux_capacity_bound, aux_singleshot_bound, cit_bound
 from skconverse.cli import main
@@ -25,7 +31,10 @@ def write_dist(tmp_path, J, name):
 
 
 def run(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # -h and --version exit through argparse
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -512,6 +521,16 @@ def test_thread_env_does_not_change_results(tmp_path, capsys, monkeypatch):
     assert serial == threaded
 
 
+def test_import_leaves_thread_pool_out():
+    # concurrent.futures is imported only by a run with SKCONVERSE_THREADS > 1
+    env = dict(os.environ, PYTHONPATH=str(Path(skconverse.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, skconverse.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+
+
 def test_eval_on_mass_within_input_tolerance(tmp_path, capsys):
     J, proto = disagreeing_keys(1.0 + 5e-10)
     pfile = tmp_path / "p.json"
@@ -674,3 +693,88 @@ def test_internal_assertion_exits_two(monkeypatch, capsys):
     assert run(capsys, ["protocol", "fuzz", "--count", "1"]) == (
         2, "", "internal assertion failed: distance 1.5 exceeds the mean of its masses\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# the parser: a call builds only the parsers along its argv, with the whole
+# tree's texts
+
+
+def _paths(parser, path=()):
+    """The argv path of ``parser`` and of every group and leaf below it."""
+    yield list(path)
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _paths(child, (*path, name))
+
+
+_PATHS = list(_paths(cli.build_parser()))
+_LEAVES = [p for p in _PATHS if not any(q[:-1] == p for q in _PATHS)]
+
+PARSER_TEXTS = [path + ["-h"] for path in _PATHS] + [
+    ["--version"],
+    [],
+    ["xx"],
+    ["bound"],
+    ["bound", "xx"],
+    ["smooth", "beta"],
+    ["--out", "x", "beta"],
+    ["bound", "--out", "x", "sk"],
+    ["beta", "--p", "p.json"],
+    ["beta", "--bogus"],
+    ["beta", "--version"],
+    ["bound", "sk", "--dist", "d.json", "--capacity", "--all-partitions"],
+    ["protocol", "reduce", "--kind", "ot3"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSER_TEXTS, ids=lambda a: " ".join(a) or "(no verb)")
+def test_parser_texts_are_the_whole_trees(argv, capsys, monkeypatch):
+    path_build = run(capsys, argv)
+    whole = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: whole())
+    assert path_build == run(capsys, argv)
+    assert path_build[1] or path_build[2]
+
+
+def test_parsers_built_along_the_path(monkeypatch):
+    made = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.build_parser()
+    assert len(made) == len(_PATHS) == 22
+    assert len(_LEAVES) == 16
+    for leaf in _LEAVES:
+        made.clear()
+        cli.build_parser(leaf + ["--out", "x"])
+        assert len(made) == 1 + len(leaf) <= 3, leaf
+
+
+def test_main_reads_sys_argv(tmp_path, capsys, monkeypatch):
+    # the console script calls main() with no argument
+    p = write_dist(tmp_path, ber(0.3), "p.json")
+    q = write_dist(tmp_path, ber(0.5), "q.json")
+    argv = ["beta", "--p", p, "--q", q, "--eps", "0.1"]
+    given = run(capsys, argv)
+    monkeypatch.setattr(sys, "argv", ["skconverse", *argv])
+    assert run(capsys, None) == given
+    assert given[0] == 0 and json.loads(given[1])["command"] == "beta"
+
+
+def test_bound_compute_row_cap_exits_one(tmp_path, capsys):
+    # 12 parties: a report of 4,213,596 partition rows is refused
+    d = tmp_path / "d.json"
+    d.write_text(json.dumps({"variables": [{"name": f"X{i}", "symbols": ["0", "1"]}
+                                           for i in range(1, 13)],
+                             "pmf": [2.0 ** -12] * 4096}))
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps([0] * 4096))
+    argv = ["bound", "compute", "--dist", str(d), "--g", str(g), "--eps", ".02", "--delta", ".02"]
+    assert run(capsys, argv) == (
+        1, "", "error: 4213596 partition rows exceed the cap 1000000\n")
