@@ -129,20 +129,31 @@ def _partition_scan(J: JointDist, zs: Sequence[str], m: int,
                     partition: Partition | None = None, table: np.ndarray | None = None):
     """Q^pi of every partition of m parties given ``zs``, a chunk at a time.
 
-    Yields (masks, q) pairs: ``masks`` holds one row of block bitmasks per
-    partition (see ``structure._partition_masks``), in ``enum_partitions``
-    order or only ``partition``'s, and ``q`` the pmf rows of their Q^pi,
-    equal bit for bit to ``conditional_product``.  ``table`` maps each set
-    of parties (a bitmask) to the bitmask of J's non-``zs`` variables they
-    observe; by default party i is variable i.  A chunk holds at most 2^16
-    cells of Q^pi, or one row.
+    Yields (masks, rows) pairs: ``masks`` holds one row of block bitmasks
+    per partition (see ``structure._partition_masks``), in
+    ``enum_partitions`` order or only ``partition``'s, and ``rows(keep,
+    cells)`` builds the pmf rows of the Q^pi of ``masks[keep]`` (all rows by
+    default) on J's flat cells ``cells`` (all by default), equal bit for bit
+    to ``conditional_product``'s.  ``table`` maps each set of parties (a
+    bitmask) to the bitmask of J's non-``zs`` variables they observe; by
+    default party i is variable i.  A chunk holds at most 2^16 cells of
+    Q^pi, or one row.
     """
     build = _q_pi_rows(J, zs)
     if partition is not None:
         chunks = [np.array([_block_masks(partition, m)])]
     else:
         chunks = _partition_masks(m, _chunk_rows(J.n_cells))
-    return ((masks, build(masks if table is None else table[masks])) for masks in chunks)
+
+    def rows(bits: np.ndarray):
+        return lambda keep=slice(None), cells=None: build(bits[keep], cells)
+
+    return ((masks, rows(masks if table is None else table[masks])) for masks in chunks)
+
+
+def _given_rows(q: np.ndarray):
+    """The ``rows`` of a ``_partition_scan`` chunk whose Q^pi pmfs ``q`` are built."""
+    return lambda keep=slice(None), cells=slice(None): q[keep][:, cells]
 
 
 def _num_blocks(masks: np.ndarray) -> np.ndarray:
@@ -205,7 +216,7 @@ def cit_bound(
             "supplied Q fails the conditional factorization test"
         )
     masks = np.array([_block_masks(partition, len(parties))])
-    return _least_cit(J, len(parties), zs, eps, eta, [(masks, q.pmf[None])])
+    return _least_cit(J, len(parties), zs, eps, eta, [(masks, _given_rows(q.pmf[None]))])
 
 
 def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
@@ -222,51 +233,55 @@ def cit_bound_best(J: JointDist, eps: float, eta: float) -> BoundReport:
 
 
 def _slack_test(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """Indicator of the Neyman-Pearson test of p against the row q at level
-    max(0, eps - 1e-9), its boundary cell accepted in full.  Its P-mass is
-    at least 1 - eps: the slack is far above the rounding of the prefix sums.
+    """The sorted cells of the Neyman-Pearson test of p against the row q at
+    level max(0, eps - 1e-9), its boundary cell accepted in full.  Its
+    P-mass is at least 1 - eps: the slack is far above the rounding of the
+    prefix sums.
     """
     order = _ratio_order(log2_pmf(p), log2_pmf(q))
     b = int(_greedy_threshold(p[order][None], 1.0 - max(0.0, eps - 1e-9))[0][0])
-    t = np.zeros(p.size)
-    t[order[:b + 1]] = 1.0
-    return t
+    return np.sort(order[:b + 1])
 
 
-def _cit_floor(q: np.ndarray, t: np.ndarray, num_blocks, eta: float) -> np.ndarray:
-    """A lower bound on the ``_cit_value`` of each row of q, from a test t of
-    P-mass at least 1 - eps - eta: beta <= Q(T).  The factor 1 + 1e-12
-    covers the rounding of both sums (float beta was measured at most
-    1.3e-14 above the exact one); the caller's 1e-6 margin, any more."""
+def _cit_floor(q_on_t: np.ndarray, num_blocks, eta: float) -> np.ndarray:
+    """A lower bound on the ``_cit_value`` of each Q^pi row, from its pmf
+    ``q_on_t`` on the cells of a test T of P-mass at least 1 - eps - eta:
+    beta <= Q(T).  The factor 1 + 1e-12 covers the rounding of both sums
+    (float beta was measured at most 1.3e-14 above the exact one); the
+    caller's 1e-6 margin, any more."""
     with np.errstate(divide="ignore"):
-        return _cit_value(-np.log2(q @ t * (1 + 1e-12)), num_blocks, eta)
+        return _cit_value(-np.log2(q_on_t.sum(axis=1) * (1 + 1e-12)), num_blocks, eta)
 
 
 def _least_cit(J: JointDist, m: int, zs: list[str], eps: float, eta: float, scan) -> BoundReport:
-    """The ``cit_bound`` report of the first least row of the (masks, q)
-    chunks of ``scan`` (partitions of {1..m}, pmfs over J's cells), written
-    from the beta its test found.
+    """The ``cit_bound`` report of the first least row of the (masks, rows)
+    chunks of ``scan`` (partitions of {1..m}, ``_partition_scan`` rows over
+    J's cells), written from the beta its test found.
 
     The first chunk is tested in full.  A later row reaches ``_betas`` only
-    if its ``_cit_floor`` under the running winner's ``_slack_test`` is at
-    most best + 1e-6 max(1, |best|): a row above that is above the best, so
-    it can be neither the least row nor tied with it.
+    if its ``_cit_floor`` on the cells of the running winner's
+    ``_slack_test`` is at most best + 1e-6 max(1, |best|): a row above that
+    is above the best, so it can be neither the least row nor tied with it.
+    A later chunk's rows are built on those cells, and in full only for the
+    rows that reach ``_betas``.
     """
-    best = t = None
-    for masks, q in scan:
+    best = cells = None
+    for masks, rows in scan:
         l = _num_blocks(masks)
-        if best is not None:
-            if t is None:
-                t = _slack_test(J.pmf, winner[1], eps + eta)
-            keep = _cit_floor(q, t, l, eta) <= best + 1e-6 * max(1.0, abs(best))
+        if best is None:
+            q = rows()
+        else:
+            if cells is None:
+                cells = _slack_test(J.pmf, winner[1], eps + eta)
+            keep = _cit_floor(rows(cells=cells), l, eta) <= best + 1e-6 * max(1.0, abs(best))
             if not keep.any():
                 continue
-            masks, q, l = masks[keep], q[keep], l[keep]
+            masks, q, l = masks[keep], rows(keep), l[keep]
         chunk = _betas(J.pmf, q, eps + eta)
         values = _cit_value(np.array([_neg_log2(beta) for beta in chunk]), l, eta)
         i = int(np.argmin(values))
         if best is None or values[i] < best:
-            best, beta, winner, t = values[i], chunk[i], (masks[i], q[i]), None
+            best, beta, winner, cells = values[i], chunk[i], (masks[i], q[i]), None
     partition = _partition_of(winner[0].tolist(), m)
     nlb = _neg_log2(beta)
     l = partition.num_blocks
@@ -626,8 +641,8 @@ def sc_necessary_check(
     lhs = h_min_smooth(p_g, xi).value
     extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
     labels, rhss, masks_seen = [], [], []
-    for masks, q in _partition_scan(J, [], m, partition):
-        nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, q, mu)])
+    for masks, rows in _partition_scan(J, [], m, partition):
+        nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, rows(), mu)])
         rhss.append(_cit_value(nlbs, _num_blocks(masks), eta) + extra)
         labels += _partition_labels(masks, m)
         masks_seen.append(masks)

@@ -306,16 +306,24 @@ def _chunk_rows(cells: int) -> int:
     return max(1, _CHUNK_CELLS // cells)
 
 
-def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+def _cell_positions(shape: Sequence[int], perm: Sequence[int]) -> np.ndarray:
+    """Flat position, in an array of ``shape`` whose axis i is axis
+    ``perm[i]`` of the original, of each of the original's row-major cells."""
+    return np.transpose(np.arange(math.prod(shape)).reshape(shape), np.argsort(perm)).reshape(-1)
+
+
+def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[..., np.ndarray]:
     """Builder of conditional-product pmfs of J given ``z_names``, many at a time.
 
     The builder maps an (r, k) array of block bitmasks (bit i-1 for the i-th
     non-z variable, blocks in product order, zero entries ignored) to the
-    (r, cells) pmfs of their Q^pi.  Each z-slice's block marginals are
+    (r, cells) pmfs of their Q^pi.  Given ``cells``, flat indices of J's
+    cells, it builds the (r, len(cells)) pmfs on those cells only, equal to
+    the full rows' columns ``cells``.  Each z-slice's block marginals are
     computed when a call first needs them and kept for later calls.  Every
     row is the product of its blocks' marginals of the slice's conditional
     law, in block order, times the slice's mass: the same floating-point
-    operations whatever the rows around it.
+    operations whatever the rows and cells around it.
     """
     z_set = set(z_names)
     perm = [J.axis(n) for n in z_names] + [
@@ -333,6 +341,9 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], n
     mass_col = np.array(masses).reshape((len(slices),) + (1,) * len(x_shape))
     back = [0] + [1 + a for a in sorted(range(len(perm)), key=perm.__getitem__)]
     cache: dict[int, np.ndarray] = {}
+    # each J cell's column in the (z, x) layout the rows are multiplied in,
+    # made by the first call given cells: a one-chunk scan makes no such call
+    positions = None
 
     def block(mask: int) -> np.ndarray:
         """Each slice's marginal on the block's axes, shaped to broadcast back."""
@@ -341,7 +352,7 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], n
         cache[mask] = np.array([(c.sum(axis=other) if other else c).reshape(shape) for c in conds])
         return cache[mask]
 
-    def build(masks: np.ndarray) -> np.ndarray:
+    def build(masks: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
         # each distinct mask's factor at full size, in mask order; mask 0
         # contributes 1.0.  A lookup over the 2^m masks numbers them: cheaper
         # than np.unique's sort, which would dominate a chunk of one row.
@@ -352,10 +363,23 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[[np.ndarray], n
         table = np.empty((len(keys), len(slices)) + x_shape)
         for t, k in zip(table, keys.tolist()):
             t[...] = (cache[k] if k in cache else block(k)) if k else 1.0
-        inv = index[masks]
+        # a block column that is 0 in every row multiplies by 1.0: left out
+        used = masks.any(axis=0)
+        used[0] = True
+        inv = index[masks[:, used]]
+        if cells is not None:
+            nonlocal positions
+            if positions is None:
+                positions = _cell_positions(arr.shape, perm)
+            cols = positions[cells]
+            table = table.reshape(len(keys), -1)[:, cols]
+            mass = mass_col.reshape(-1)[cols // math.prod(x_shape)]
         out = table[inv[:, 0]]
         for col in inv.T[1:]:
             out *= table[col]
+        if cells is not None:
+            out *= mass
+            return out
         out *= mass_col
         out = out.reshape((len(masks),) + z_shape + x_shape)
         return np.transpose(out, back).reshape(len(masks), -1)
@@ -813,12 +837,12 @@ def _fast_dist_doc(raw: bytes) -> dict | None:
 def _pmf_array(raw: bytes, start: int, end: int) -> np.ndarray | None:
     """The numbers in ``raw[start:end]``, the inside of a JSON array, as
     float64; None unless it holds only ``_NUMBER_BYTES``, orjson parses
-    every chunk, there is one number per comma plus one, and each is below
-    2^63 in magnitude.  (``json`` reads a longer integer literal as an int,
-    which ``dist_from_json`` rejects; orjson reads it as a float.)
+    every chunk to at least one number, the last chunk ends at ``end`` (so
+    no comma is left over), and each number is below 2^63 in magnitude.
+    (``json`` reads a longer integer literal as an int, which
+    ``dist_from_json`` rejects; orjson reads it as a float.)
     """
-    out = np.empty(raw.count(b",", start, end) + 1)
-    filled = 0
+    chunks = []
     while start < end:
         stop = raw.find(b",", min(start + _CHUNK_BYTES, end), end)
         stop = end if stop < 0 else stop
@@ -829,10 +853,14 @@ def _pmf_array(raw: bytes, start: int, end: int) -> np.ndarray | None:
             values = orjson.loads(b"[" + chunk + b"]")
         except orjson.JSONDecodeError:
             return None
-        out[filled:filled + len(values)] = values
-        filled += len(values)
+        if not values:
+            return None
+        chunks.append(np.fromiter(values, np.float64, len(values)))
         start = stop + 1
-    if filled != out.size or max(-out.min(), out.max()) >= 2.0 ** 63:
+    if start != end + 1:
+        return None
+    out = np.concatenate(chunks)
+    if max(-out.min(), out.max()) >= 2.0 ** 63:
         return None
     return out
 

@@ -23,7 +23,9 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import _TOL, _Report, _least_cit, _num_blocks, _partition_scan, _two_party_names
+from .bounds import (
+    _TOL, _Report, _given_rows, _least_cit, _num_blocks, _partition_scan, _two_party_names,
+)
 from .errors import CapExceededError, PreconditionError
 from .probcore import (
     DEFAULT_CELL_CAP, SUM_TOL, Alphabet, JointDist, _distinct,
@@ -515,7 +517,7 @@ def _region_tests(
     """The protocol's report on J and ``acceptance_region_test`` of each
     partition of the ``_party_scan`` chunks ``scan``: P's law and every
     Q^pi law from one walk of the runs."""
-    p_law, *q_laws = _laws(J, p, np.vstack([J.pmf, *(q for _, q in scan)]))
+    p_law, *q_laws = _laws(J, p, np.vstack([J.pmf, *(rows() for _, rows in scan)]))
     rep = _security(p_law, p)
     blocks = np.concatenate([_num_blocks(masks) for masks, _ in scan]).tolist()
     return rep, [_region_test(p, l, eta, p_law, q_law, rep) for l, q_law in zip(blocks, q_laws)]
@@ -1204,7 +1206,7 @@ def fuzz_converse(
     min_slack = math.inf
     for idx in range(count):
         J, proto = random_sk_instance([seed, idx], m=2 + idx % 2, rounds=1 + idx % 2)
-        scan = list(_party_scan(J, proto))
+        scan = [(masks, _given_rows(rows())) for masks, rows in _party_scan(J, proto)]
         rep, region_tests = _region_tests(J, proto, scan, eta)
         max_eps = max(max_eps, rep.eps)
 

@@ -67,7 +67,7 @@ MUTANTS = {
     ]),
     "converse-rows-misaligned": ("src/skconverse/protosim.py", [(
         "rep.eps, eta, scan)",
-        "rep.eps, eta, ((k, q[::-1]) for k, q in scan))",
+        "rep.eps, eta, ((k, lambda *a, q=q: q(*a)[::-1]) for k, q in scan))",
     )]),
     "zero-mass-row-takes-runs": ("src/skconverse/protosim.py", [(
         "    taken = weights > 0\n",
@@ -118,8 +118,16 @@ MUTANTS = {
         "    if not isinstance(doc, dict):\n",
     )]),
     "no-2^63-guard": ("src/skconverse/probcore.py", [(
-        "    if filled != out.size or max(-out.min(), out.max()) >= 2.0 ** 63:\n",
-        "    if filled != out.size:\n",
+        "    if max(-out.min(), out.max()) >= 2.0 ** 63:\n",
+        "    if False:\n",
+    )]),
+    "reader-no-end-check": ("src/skconverse/probcore.py", [(
+        "    if start != end + 1:\n",
+        "    if not chunks:\n",
+    )]),
+    "screen-cells-unmapped": ("src/skconverse/probcore.py", [(
+        "cols = positions[cells]",
+        "cols = cells",
     )]),
     "path-parser-no-whole-tree": ("src/skconverse/cli.py", [(
         "        return build_parser()\n",

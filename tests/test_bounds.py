@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse import bounds, hyptest
+from skconverse import bounds, cli, hyptest, probcore
 from skconverse.bounds import BoundReport, even_slack_split
 from skconverse.probcore import (
     _chunk_rows,
@@ -454,9 +455,10 @@ def _screen_sources():
 def test_screened_scan_equals_full_scan(name, monkeypatch):
     """The screened scan reports what an argmin over every row reports.
 
-    Every row after the first chunk gets a floor; a skipped row's exact
-    value is at least its floor and above the best.  On the lattice sources
-    at most 10% of the 4,139 rows reach ``_betas``.
+    Every row after the first chunk gets a floor from its Q^pi built only on
+    the cells of the winner's test; a skipped row's exact value is at least
+    its floor and above the best.  On the lattice sources at most 10% of the
+    4,139 rows reach ``_betas``.
     """
     J = _screen_sources()[name]
     eps, eta = 0.1, 0.05
@@ -464,17 +466,18 @@ def test_screened_scan_equals_full_scan(name, monkeypatch):
     chunks = list(bounds._partition_scan(J, zs, len(J.vars) - len(zs)))
     assert len(chunks) > 1
     values, betas = [], []
-    for masks, q in chunks:
-        chunk = hyptest._betas(J.pmf, q, eps + eta)
+    for masks, rows in chunks:
+        chunk = hyptest._betas(J.pmf, rows(), eps + eta)
         nlbs = np.array([-math.log2(b) if b > 0 else math.inf for b in chunk])
         values.append(bounds._cit_value(nlbs, np.count_nonzero(masks, axis=1), eta))
         betas += chunk
     best = int(np.argmin(np.concatenate(values)))
-    floors, sent = [], []
+    floors, widths, sent = [], [], []
     floor_of = bounds._cit_floor
 
-    def floor(*args):
-        floors.append(floor_of(*args))
+    def floor(q_on_t, *args):
+        widths.append(q_on_t.shape[1])
+        floors.append(floor_of(q_on_t, *args))
         return floors[-1]
 
     def counted(p, q, eps):
@@ -488,6 +491,7 @@ def test_screened_scan_equals_full_scan(name, monkeypatch):
     assert float.hex(rep.intermediates["beta"]) == float.hex(betas[best])
     assert rep.value == np.concatenate(values)[best]
     assert len(floors) == len(chunks) - 1
+    assert 0 < max(widths) < J.n_cells
     skipped = 0
     for k, (lb, value) in enumerate(zip(floors, values[1:]), 1):
         assert (value >= lb).all()
@@ -507,11 +511,30 @@ def test_screen_keeps_a_row_that_beats_the_best_by_less_than_the_margin():
     J = JointDist((("X", Alphabet(("a", "b", "c"))),), [0.85, 1e-7, 0.15 - 1e-7])
     q_first = np.array([[0.5, 1e-7, 0.5 - 1e-7]])
     q_later = np.array([[0.5 * (1 + 1e-9), 1e-7, 0.5 - 1e-7 - 0.5e-9]])
-    scan = [(np.array([[1, 6]]), q_first), (np.array([[3, 4]]), q_later)]
+    scan = [(np.array([[1, 6]]), bounds._given_rows(q_first)),
+            (np.array([[3, 4]]), bounds._given_rows(q_later))]
     rep = bounds._least_cit(J, 3, [], 0.1, 0.05, scan)
     first = bounds._least_cit(J, 3, [], 0.1, 0.05, scan[:1])
     assert (str(first.partition), str(rep.partition)) == ("1|2,3", "1,2|3")
     assert rep.value < first.value < rep.value * (1 + 1e-6)
+
+
+def test_one_chunk_scans_build_no_cell_positions(monkeypatch, capsys):
+    """Only a screened chunk builds Q^pi on a test's cells: ``cit_bound`` on
+    one partition and ``protocol fuzz`` (scans of one chunk) never make the
+    builder's cell-position map, which a scan of many chunks does make."""
+    def refuse(*args):
+        raise _Scanned
+
+    monkeypatch.setattr(probcore, "_cell_positions", refuse)
+    for J in _screen_sources().values():
+        m = len(J.vars) - (J.eve is not None)
+        for pi in (Partition.parse("1|2|3|4|5|6|7|8", m), Partition.parse("1,2,3|4,5,6,7,8", m)):
+            cit_bound(J, pi, 0.1, 0.05)
+    assert cli.main(["protocol", "fuzz", "--count", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["ok"]
+    with pytest.raises(_Scanned):
+        cit_bound_best(_screen_sources()["lattice-eve"], 0.1, 0.05)
 
 
 # ---------------------------------------------------------------------------

@@ -227,6 +227,40 @@ def test_q_pi_rows_equal_a_row_loop_bit_for_bit():
             assert np.array_equal(build(masks), _q_pi_row_loop(J, zs, masks))
 
 
+def test_q_pi_rows_on_cells_equal_full_rows_bit_for_bit():
+    """Rows built on a list of cells are the full rows' columns: without an
+    eavesdropper (every chunk of the m = 8 scan), with one first, in the
+    middle or last, with two, and with a z-slice of zero mass; for sorted,
+    unsorted, repeated and empty cell lists."""
+    rng = np.random.default_rng(1515)
+    arr8 = rng.random([2] * 8)
+    arr8[rng.random(arr8.shape) < 0.25] = 0.0
+    names = ["X1", "X2", "X3", "X4"]
+    sources = [
+        (JointDist(tuple((f"X{i}", BIT) for i in range(1, 9)), (arr8 / arr8.sum()).reshape(-1)),
+         []),
+        (random_dist(rng, [3, 2, 2, 3], names=["Z", *names[:3]], eve="Z"), ["Z"]),
+        (random_dist(rng, [2, 3, 2, 3], names=["X1", "X2", "Z", "X3"], eve="Z"), ["Z"]),
+        (random_dist(rng, [2, 3, 2, 3], names=[*names[:3], "Z"], eve="Z"), ["Z"]),
+        (random_dist(rng, [2, 3, 2, 2, 3], names=["X1", "Z1", "X2", "Z2", "X3"]), ["Z1", "Z2"]),
+    ]
+    arr_z = rng.random([2, 3, 2, 2])
+    arr_z[:, :, 1, :] = 0.0
+    sources.append((JointDist((("X1", BIT), ("X2", Alphabet(("0", "1", "2"))), ("Z", BIT),
+                               ("X3", BIT)), (arr_z / arr_z.sum()).reshape(-1), eve="Z"), ["Z"]))
+    for J, zs in sources:
+        build = _q_pi_rows(J, zs)
+        n = J.n_cells
+        cell_lists = [np.arange(n), np.arange(n)[::-1], rng.permutation(n)[: n // 2],
+                      rng.integers(0, n, 2 * n), np.array([n - 1, 0, n - 1]),
+                      np.zeros(0, dtype=np.intp)]
+        m = len(J.vars) - len(zs)
+        for masks in _partition_masks(m, _chunk_rows(n)):
+            full = build(masks)
+            for cells in cell_lists:
+                assert np.array_equal(build(masks, cells), full[:, cells])
+
+
 _TIE_KINDS = st.sampled_from(["rounded", "equal rows", "signed zeros", "infinities"])
 
 
@@ -509,6 +543,12 @@ JSON_INPUTS = {
     "plus-sign": (_doc("+1, 0.5"), False),
     "two-numbers-no-comma": (_doc("0.25 0.75"), False),
     "trailing-comma": (_doc("0.25, 0.75,"), False),
+    # at chunk sizes 7 and 1 the final comma ends a chunk, so every chunk
+    # parses and only the reader's end check refuses the array
+    "trailing-comma-at-chunk-end": (_doc("0.25,0.75,"), False),
+    # a last element of whitespace alone: at chunk size 1 its chunk parses
+    # to no number
+    "blank-last-element": (_doc("0.25, 0.75, \n"), False),
     "double-comma": (_doc("0.25,, 0.75"), False),
     "blank-element": (_doc("0.25, , 0.75"), False),
     "nested-pmf-key": ('{"meta": {"pmf": [1.0, 0.0]}, "variables": ' + _VARS

@@ -866,7 +866,7 @@ def test_walk_matches_the_depth_first_oracle():
     for J, p in _oracle_instances() + [public_coin_without_variables()]:
         parts = enum_partitions(p.num_parties) if J.vars else []
         scan = list(protosim._party_scan(J, p)) if parts else []
-        pmfs = np.vstack([J.pmf, *(q for _, q in scan)])
+        pmfs = np.vstack([J.pmf, *(rows() for _, rows in scan)])
         want = laws_oracle(J, p, pmfs)
         got = protosim._laws(J, p, pmfs)
         assert len(got) == len(want) == 1 + len(parts)
