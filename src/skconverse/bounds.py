@@ -153,7 +153,7 @@ def _partition_scan(J: JointDist, zs: Sequence[str], m: int,
 
 def _given_rows(q: np.ndarray):
     """The ``rows`` of a ``_partition_scan`` chunk whose Q^pi pmfs ``q`` are built."""
-    return lambda keep=slice(None), cells=slice(None): q[keep][:, cells]
+    return lambda keep=slice(None), cells=None: q[keep][:, slice(None) if cells is None else cells]
 
 
 def _num_blocks(masks: np.ndarray) -> np.ndarray:

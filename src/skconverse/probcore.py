@@ -306,83 +306,62 @@ def _chunk_rows(cells: int) -> int:
     return max(1, _CHUNK_CELLS // cells)
 
 
-def _cell_positions(shape: Sequence[int], perm: Sequence[int]) -> np.ndarray:
-    """Flat position, in an array of ``shape`` whose axis i is axis
-    ``perm[i]`` of the original, of each of the original's row-major cells."""
-    return np.transpose(np.arange(math.prod(shape)).reshape(shape), np.argsort(perm)).reshape(-1)
-
-
 def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[..., np.ndarray]:
     """Builder of conditional-product pmfs of J given ``z_names``, many at a time.
 
     The builder maps an (r, k) array of block bitmasks (bit i-1 for the i-th
     non-z variable, blocks in product order, zero entries ignored) to the
-    (r, cells) pmfs of their Q^pi.  Given ``cells``, flat indices of J's
-    cells, it builds the (r, len(cells)) pmfs on those cells only, equal to
-    the full rows' columns ``cells``.  Each z-slice's block marginals are
-    computed when a call first needs them and kept for later calls.  Every
-    row is the product of its blocks' marginals of the slice's conditional
-    law, in block order, times the slice's mass: the same floating-point
-    operations whatever the rows and cells around it.
+    (r, cells) pmfs of their Q^pi, or, given ``cells``, flat indices of J's
+    cells, to those rows' columns ``cells``.  Every entry is the product of
+    its blocks' marginals of its z-slice's conditional law, in block order,
+    times the slice's mass: the same floating-point operations whatever the
+    rows and cells around it.  The conditional law is laid out z first, and
+    its block marginals are summed in that memory order; each is computed
+    when a call first needs it and kept for later calls.
     """
-    z_set = set(z_names)
-    perm = [J.axis(n) for n in z_names] + [
-        a for a, n in enumerate(J.var_names) if n not in z_set
-    ]
+    if len(set(z_names)) != len(z_names):
+        raise PreconditionError("conditioning variables must be unique")
+    x_axes = [a for a, n in enumerate(J.var_names) if n not in z_names]
+    perm = [J.axis(n) for n in z_names] + x_axes
     arr = np.transpose(J.array(), perm)
-    z_shape = arr.shape[: len(z_names)]
-    x_shape = arr.shape[len(z_names):]
-    slices = [arr[zi] for zi in np.ndindex(*z_shape)]
-    masses = [sl.sum() for sl in slices]
+    # one sum per slice view: a sum over a contiguous copy rounds otherwise
+    # once a slice that is not contiguous in J spans more than 8192 cells
+    mass = np.array([arr[zi].sum() for zi in np.ndindex(*arr.shape[: len(z_names)])])
+    mass = mass.reshape(arr.shape[: len(z_names)] + (1,) * len(x_axes))
     # a slice of zero mass keeps Q = 0: its marginals are zero
-    conds = [
-        sl / mass if mass > 0.0 else np.zeros(x_shape) for sl, mass in zip(slices, masses)
-    ]
-    mass_col = np.array(masses).reshape((len(slices),) + (1,) * len(x_shape))
-    back = [0] + [1 + a for a in sorted(range(len(perm)), key=perm.__getitem__)]
-    cache: dict[int, np.ndarray] = {}
-    # each J cell's column in the (z, x) layout the rows are multiplied in,
-    # made by the first call given cells: a one-chunk scan makes no such call
-    positions = None
-
-    def block(mask: int) -> np.ndarray:
-        """Each slice's marginal on the block's axes, shaped to broadcast back."""
-        other = tuple(a for a in range(len(x_shape)) if not mask >> a & 1)
-        shape = [1 if a in other else n for a, n in enumerate(x_shape)]
-        cache[mask] = np.array([(c.sum(axis=other) if other else c).reshape(shape) for c in conds])
-        return cache[mask]
+    cond = np.divide(arr, mass, out=np.zeros(arr.shape), where=mass > 0.0)
+    back = sorted(range(len(perm)), key=perm.__getitem__)
+    cond = np.transpose(cond, back)
+    scale = np.empty(J.n_cells)
+    scale.reshape(J.shape)[...] = np.transpose(mass, back)
+    # the block marginals by mask, on J's axes; mask 0 contributes 1.0
+    cache: dict[int, np.ndarray | float] = {0: 1.0}
 
     def build(masks: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
-        # each distinct mask's factor at full size, in mask order; mask 0
-        # contributes 1.0.  A lookup over the 2^m masks numbers them: cheaper
-        # than np.unique's sort, which would dominate a chunk of one row.
-        index = np.zeros(1 << len(x_shape), dtype=np.intp)
+        cells = slice(None) if cells is None else cells
+        # each distinct mask's factor at full size, in mask order.  A lookup
+        # over the 2^m masks numbers them: cheaper than np.unique's sort,
+        # which would dominate a chunk of one row.
+        index = np.zeros(1 << len(x_axes), dtype=np.intp)
         index[masks] = 1
         keys = index.nonzero()[0]
         index[keys] = np.arange(len(keys))
-        table = np.empty((len(keys), len(slices)) + x_shape)
+        table = np.empty((len(keys),) + J.shape)
         for t, k in zip(table, keys.tolist()):
-            t[...] = (cache[k] if k in cache else block(k)) if k else 1.0
+            if k not in cache:
+                other = tuple(a for i, a in enumerate(x_axes) if not k >> i & 1)
+                cache[k] = cond.sum(axis=other, keepdims=True) if other else cond
+            t[...] = cache[k]
+        table = table.reshape(len(keys), -1)[:, cells]
         # a block column that is 0 in every row multiplies by 1.0: left out
         used = masks.any(axis=0)
         used[0] = True
         inv = index[masks[:, used]]
-        if cells is not None:
-            nonlocal positions
-            if positions is None:
-                positions = _cell_positions(arr.shape, perm)
-            cols = positions[cells]
-            table = table.reshape(len(keys), -1)[:, cols]
-            mass = mass_col.reshape(-1)[cols // math.prod(x_shape)]
         out = table[inv[:, 0]]
         for col in inv.T[1:]:
             out *= table[col]
-        if cells is not None:
-            out *= mass
-            return out
-        out *= mass_col
-        out = out.reshape((len(masks),) + z_shape + x_shape)
-        return np.transpose(out, back).reshape(len(masks), -1)
+        out *= scale[cells]
+        return out
 
     return build
 

@@ -110,6 +110,8 @@ class Protocol:
         object.__setattr__(self, "key_symbols", tuple(self.key_symbols))
         if len(set(self.key_symbols)) != len(self.key_symbols):
             raise PreconditionError("key symbols must be unique")
+        if len(set(self.eve_vars)) != len(self.eve_vars):
+            raise PreconditionError("eavesdropper variables must be unique")
         for (j, i) in self.message_maps:
             if not (1 <= j <= self.rounds and 1 <= i <= self.num_parties):
                 raise PreconditionError(

@@ -125,9 +125,17 @@ MUTANTS = {
         "    if start != end + 1:\n",
         "    if not chunks:\n",
     )]),
-    "screen-cells-unmapped": ("src/skconverse/probcore.py", [(
-        "cols = positions[cells]",
-        "cols = cells",
+    "marginals-in-j-order": ("src/skconverse/probcore.py", [(
+        "cond.sum(axis=other, keepdims=True)",
+        "np.ascontiguousarray(cond).sum(axis=other, keepdims=True)",
+    )]),
+    "masses-on-contiguous-copy": ("src/skconverse/probcore.py", [(
+        "np.array([arr[zi].sum() for zi in np.ndindex(*arr.shape[: len(z_names)])])",
+        "np.ascontiguousarray(arr).reshape(math.prod(arr.shape[: len(z_names)]), -1).sum(axis=1)",
+    )]),
+    "cells-mass-ungathered": ("src/skconverse/probcore.py", [(
+        "out *= scale[cells]",
+        "out *= scale[:out.shape[1]]",
     )]),
     "path-parser-no-whole-tree": ("src/skconverse/cli.py", [(
         "        return build_parser()\n",

@@ -34,6 +34,8 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 BENCH_SEED = 11
 
@@ -59,6 +61,11 @@ def _lattice_style_pmf() -> list:
             like += w
         pmf.append(0.97 * like + 0.03 / 512)
     return pmf
+
+
+def _z_moved(pmf: list, to: int) -> list:
+    """``_lattice_style_pmf`` with Z, its last of nine bits, moved to position ``to``."""
+    return np.moveaxis(np.reshape(pmf, [2] * 9), 8, to).reshape(-1).tolist()
 
 
 def write_inputs(base: Path) -> dict:
@@ -130,6 +137,13 @@ def write_inputs(base: Path) -> dict:
         # an eavesdropper, and two independent groups of four parties
         "lat8e": {"variables": _bits(*(f"X{i}" for i in range(1, 9)), "Z"),
                   "pmf": _lattice_style_pmf(), "eve": "Z"},
+        # the same source with Z first and in the middle, which Q^pi's
+        # z-first layout orders differently from J's
+        "lat8e_zfirst": {"variables": _bits("Z", *(f"X{i}" for i in range(1, 9))),
+                         "pmf": _z_moved(_lattice_style_pmf(), 0), "eve": "Z"},
+        "lat8e_zmid": {"variables": _bits(*(f"X{i}" for i in range(1, 5)), "Z",
+                                          *(f"X{i}" for i in range(5, 9))),
+                       "pmf": _z_moved(_lattice_style_pmf(), 4), "eve": "Z"},
         "grp8": {"variables": _bits(*(f"X{i}" for i in range(1, 9))),
                  "pmf": [((x >> 4) % 5 + 1) * ((x & 15) % 3 + 1) / 1426 for x in range(256)]},
         "params": {"eps": 0.1, "eta": 0.05},
@@ -239,7 +253,9 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--count", "300", "--seed", "1", "--eta", "0.1"],
     ]
     screened = [["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05",
-                 "--all-partitions"] for d in ("lat8e", "grp8")]
+                 "--all-partitions"] for d in ("lat8e", "grp8", "lat8e_zfirst", "lat8e_zmid")]
+    screened += [["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--partition",
+                  "1,4,7|2,5,8|3,6"] for d in ("lat8e", "lat8e_zfirst", "lat8e_zmid")]
     symmetric = [call for d in ("iu8", "nc8") for call in (
         ["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--all-partitions"],
         ["bound", "compute", "--dist", f[d], "--g", f["g8"], "--eps", ".02", "--delta", ".02"],

@@ -28,7 +28,7 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse import bounds, cli, hyptest, probcore
+from skconverse import bounds, cli, hyptest
 from skconverse.bounds import BoundReport, even_slack_split
 from skconverse.probcore import (
     _chunk_rows,
@@ -519,14 +519,22 @@ def test_screen_keeps_a_row_that_beats_the_best_by_less_than_the_margin():
     assert rep.value < first.value < rep.value * (1 + 1e-6)
 
 
-def test_one_chunk_scans_build_no_cell_positions(monkeypatch, capsys):
+def test_one_chunk_scans_build_no_rows_on_cells(monkeypatch, capsys):
     """Only a screened chunk builds Q^pi on a test's cells: ``cit_bound`` on
-    one partition and ``protocol fuzz`` (scans of one chunk) never make the
-    builder's cell-position map, which a scan of many chunks does make."""
-    def refuse(*args):
-        raise _Scanned
+    one partition and ``protocol fuzz`` (scans of one chunk) never give the
+    builder a list of cells, which a scan of many chunks does."""
+    q_pi_rows = bounds._q_pi_rows
 
-    monkeypatch.setattr(probcore, "_cell_positions", refuse)
+    def spied(J, zs):
+        build = q_pi_rows(J, zs)
+
+        def full_rows_only(masks, cells=None):
+            if cells is not None:
+                raise _Scanned
+            return build(masks)
+        return full_rows_only
+
+    monkeypatch.setattr(bounds, "_q_pi_rows", spied)
     for J in _screen_sources().values():
         m = len(J.vars) - (J.eve is not None)
         for pi in (Partition.parse("1|2|3|4|5|6|7|8", m), Partition.parse("1,2,3|4,5,6,7,8", m)):
@@ -967,6 +975,10 @@ INPUT_CHECKS = [
      PreconditionError, "partition is over 3 parties but J has 2"),
     (lambda: cit_bound(_J2, _PI2, 0.1, 0.05, q=dsbs(0.1, names=("A", "B"))),
      PreconditionError, "supplied Q has a different variable structure"),
+    (lambda: cit_bound(_J3E, _PI2, 0.1, 0.05, z=["X3", "X3"]),
+     PreconditionError, "conditioning variables must be unique"),
+    (lambda: cit_bound(_J3E, _PI2, 0.1, 0.05, z=["X3", "X3"], q=_J3E),
+     PreconditionError, "conditioning variables must be unique"),
     (lambda: aux_singleshot_bound(_J2, _U, 0.5, 0.3, 0.1, 0.01, 0.01),
      PreconditionError, "need eps, delta >= 0 with eps + 2*delta < 1"),
     (lambda: aux_singleshot_bound(_J3, _U, 0.1, 0.05, 0.3, 0.05, 0.05),

@@ -665,6 +665,8 @@ INPUT_CHECKS = [
     (["bound", "sk", "--dist", "{j2}", "--aux-channel", "{ch}", "--eps", "0.1",
       "--delta", "0.05", "--eta", "0.3", "--eta1", "0.05", "--eta2", "0.05"],
      1, "error: alphabet symbols must be unique"),
+    (["protocol", "eval", "--dist", "{j2e}", "--protocol", "{eve_twice}"],
+     1, "error: malformed protocol JSON: eavesdropper variables must be unique"),
 ]
 
 
@@ -675,12 +677,18 @@ def test_input_checks(argv, code, err, tmp_path, capsys):
     ch.write_text(json.dumps({"inputs": [{"name": "X1", "symbols": ["0", "1"]}],
                               "outputs": [{"name": "U", "symbols": ["0", "0"]}],
                               "rows": {"0": [1.0, 0.0], "1": [0.0, 1.0]}}))
+    eve_twice = tmp_path / "eve_twice.json"  # a protocol naming its eavesdropper twice
+    keys = {f"obs={x}|rand=|tr=": "0" for x in "01"}
+    eve_twice.write_text(json.dumps({"parties": 2, "obs_vars": [["X1"], ["X2"]],
+                                     "eve_vars": ["X3", "X3"], "rounds": 0, "key_symbols": ["0"],
+                                     "messages": {}, "keys": [keys, keys]}))
     files = {
         "p": write_dist(tmp_path, ber(0.3), "p.json"),
         "j2": write_dist(tmp_path, dsbs(0.1), "j2.json"),
         "j2e": write_dist(tmp_path, random_dist(rng, [2, 2, 2], eve="X3"), "j2e.json"),
         "j3": write_dist(tmp_path, random_dist(rng, [2, 2, 2]), "j3.json"),
         "ch": str(ch),
+        "eve_twice": str(eve_twice),
     }
     assert run(capsys, [a.format(**files) for a in argv]) == (code, "", err + "\n")
 

@@ -205,9 +205,30 @@ def _q_pi_row_loop(J, z_names, masks):
     return np.array(rows)
 
 
+def _q_pi_sources(rng):
+    """Sources with an eavesdropper first, in the middle or last, with two
+    conditioning variables, with a z-slice of zero mass, and with Z between
+    two variables of 100 symbols: z-slices of 10^4 cells, whose masses round
+    differently when summed over a contiguous copy."""
+    names = ["X1", "X2", "X3", "X4"]
+    sources = [
+        (random_dist(rng, [3, 2, 2, 3], names=["Z", *names[:3]], eve="Z"), ["Z"]),
+        (random_dist(rng, [2, 3, 2, 3], names=["X1", "X2", "Z", "X3"], eve="Z"), ["Z"]),
+        (random_dist(rng, [2, 3, 2, 3], names=[*names[:3], "Z"], eve="Z"), ["Z"]),
+        (random_dist(rng, [2, 3, 2, 2, 3], names=["X1", "Z1", "X2", "Z2", "X3"]), ["Z1", "Z2"]),
+        (random_dist(rng, [100, 8, 100], names=["X1", "Z", "X2"], eve="Z"), ["Z"]),
+    ]
+    arr_z = rng.random([2, 3, 2, 2])
+    arr_z[:, :, 1, :] = 0.0
+    sources.append((JointDist((("X1", BIT), ("X2", Alphabet(("0", "1", "2"))), ("Z", BIT),
+                               ("X3", BIT)), (arr_z / arr_z.sum()).reshape(-1), eve="Z"), ["Z"]))
+    return sources
+
+
 def test_q_pi_rows_equal_a_row_loop_bit_for_bit():
-    """Every chunk of the partition scan, at m = 8 (17 chunks) and with an
-    eavesdropper one of whose values has zero mass (6 chunks)."""
+    """Every chunk of the partition scan, at m = 8 (17 chunks), with an
+    eavesdropper last one of whose values has zero mass (6 chunks), and on
+    the sources of ``_q_pi_sources`` (one chunk each)."""
     rng = np.random.default_rng(1414)
     arr8 = rng.random([2] * 8)
     arr8[rng.random(arr8.shape) < 0.25] = 0.0
@@ -219,36 +240,26 @@ def test_q_pi_rows_equal_a_row_loop_bit_for_bit():
         (JointDist(tuple((f"X{i}", BIT) for i in range(1, 8)) + (("Z", ("0", "1", "2")),),
                    (arr_z / arr_z.sum()).reshape(-1), eve="Z"), ["Z"]),
     ]
-    for J, zs in sources:
+    for at, (J, zs) in enumerate(sources + _q_pi_sources(rng)):
         build = _q_pi_rows(J, zs)
         chunks = list(_partition_masks(len(J.vars) - len(zs), _chunk_rows(J.n_cells)))
-        assert len(chunks) == (17 if not zs else 6)
+        assert len(chunks) == [17, 6, 1, 1, 1, 1, 1, 1, 1, 1][at]
         for masks in chunks:
             assert np.array_equal(build(masks), _q_pi_row_loop(J, zs, masks))
 
 
 def test_q_pi_rows_on_cells_equal_full_rows_bit_for_bit():
     """Rows built on a list of cells are the full rows' columns: without an
-    eavesdropper (every chunk of the m = 8 scan), with one first, in the
-    middle or last, with two, and with a z-slice of zero mass; for sorted,
-    unsorted, repeated and empty cell lists."""
+    eavesdropper (every chunk of the m = 8 scan) and on the sources of
+    ``_q_pi_sources``; for sorted, unsorted, repeated and empty cell lists."""
     rng = np.random.default_rng(1515)
     arr8 = rng.random([2] * 8)
     arr8[rng.random(arr8.shape) < 0.25] = 0.0
-    names = ["X1", "X2", "X3", "X4"]
     sources = [
         (JointDist(tuple((f"X{i}", BIT) for i in range(1, 9)), (arr8 / arr8.sum()).reshape(-1)),
          []),
-        (random_dist(rng, [3, 2, 2, 3], names=["Z", *names[:3]], eve="Z"), ["Z"]),
-        (random_dist(rng, [2, 3, 2, 3], names=["X1", "X2", "Z", "X3"], eve="Z"), ["Z"]),
-        (random_dist(rng, [2, 3, 2, 3], names=[*names[:3], "Z"], eve="Z"), ["Z"]),
-        (random_dist(rng, [2, 3, 2, 2, 3], names=["X1", "Z1", "X2", "Z2", "X3"]), ["Z1", "Z2"]),
     ]
-    arr_z = rng.random([2, 3, 2, 2])
-    arr_z[:, :, 1, :] = 0.0
-    sources.append((JointDist((("X1", BIT), ("X2", Alphabet(("0", "1", "2"))), ("Z", BIT),
-                               ("X3", BIT)), (arr_z / arr_z.sum()).reshape(-1), eve="Z"), ["Z"]))
-    for J, zs in sources:
+    for J, zs in sources + _q_pi_sources(rng):
         build = _q_pi_rows(J, zs)
         n = J.n_cells
         cell_lists = [np.arange(n), np.arange(n)[::-1], rng.permutation(n)[: n // 2],
@@ -446,6 +457,9 @@ INPUT_CHECKS = [
      PreconditionError, "conditioning marginal is identically zero"),
     (lambda: conditional_product(_J, [[1, 2], []]),
      PreconditionError, "partition blocks must be nonempty"),
+    (lambda: conditional_product(random_dist(np.random.default_rng(0), [2, 2, 2]), [[1], [2]],
+                                 ["X3", "X3"]),
+     PreconditionError, "conditioning variables must be unique"),
     (lambda: fuse_vars(_J, [["X1"]], ["A"]),
      PreconditionError, "groups must cover all variables exactly once"),
     (lambda: apply_channel(_J, Channel((("X1", BIT),), (("U", BIT),), _TO_U)),

@@ -1236,6 +1236,8 @@ INPUT_CHECKS = [
      PreconditionError, "key alphabet must be nonempty"),
     (lambda: _keys_with(key_symbols=("0", "0", "1")),
      PreconditionError, "key symbols must be unique"),
+    (lambda: _keys_with(eve_vars=("Z", "Z")),
+     PreconditionError, "eavesdropper variables must be unique"),
     (lambda: _keys_with(randomness=(None,)),
      PreconditionError, "one randomness entry per party required"),
     (lambda: _keys_with(message_maps={(1, 1): {}}),
