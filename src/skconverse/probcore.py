@@ -520,11 +520,16 @@ def tv_distance(P, Q) -> float:
 
 
 def log2_pmf(pmf: np.ndarray) -> np.ndarray:
-    """Elementwise log2 with zeros mapped to the LOG2_ZERO sentinel."""
-    out = np.full(pmf.shape, LOG2_ZERO)
-    mask = pmf > 0
-    out[mask] = np.log2(pmf[mask])
-    return out
+    """Elementwise log2 with zeros mapped to the LOG2_ZERO sentinel.
+
+    One masked pass: cells that are not positive keep the sentinel.  The
+    input is read contiguously (a no-op for a pmf), because numpy's log2 on
+    a reversed or widely strided view may take another code path that
+    rounds differently; so each positive cell gets the bits of ``np.log2``
+    on the compacted positive cells.
+    """
+    pmf = np.ascontiguousarray(pmf)
+    return np.log2(pmf, out=np.full(pmf.shape, LOG2_ZERO), where=pmf > 0)
 
 
 def stable_order(key: np.ndarray) -> np.ndarray:

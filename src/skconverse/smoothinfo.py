@@ -28,7 +28,6 @@ from .probcore import (
     SubDist,
     _check_same_shape,
     _resolve_names,
-    log2_pmf,
     stable_order,
 )
 
@@ -109,15 +108,26 @@ def _smoothed(value: float, P, witness: np.ndarray) -> SmoothingResult:
 
 
 def _waterfill_cap(p: np.ndarray, budget: float) -> float:
-    """Smallest cap c with sum max(p - c, 0) = budget."""
-    ps = np.sort(p[p > 0])[::-1]
+    """Smallest cap c with sum max(p - c, 0) = budget.
+
+    Works on one sorted copy of P's support, one array of candidate caps
+    and one scratch array that holds each side of the bracket test in turn.
+    """
+    ps = p[p > 0]
+    if not ps.size:
+        raise PreconditionError("min-entropy of an identically zero function")
+    ps.sort()
+    ps = ps[::-1]
     if budget <= 0.0:
         return float(ps[0])
-    cum = np.cumsum(ps)
-    ks = np.arange(1, ps.size + 1, dtype=np.float64)
-    caps = (cum - budget) / ks  # cap if exactly the top k entries exceed it
-    lower = np.append(ps[1:], 0.0)
-    valid = (caps <= ps + MASS_SLACK) & (caps >= lower - MASS_SLACK)
+    caps = np.cumsum(ps)
+    caps -= budget
+    caps /= np.arange(1, ps.size + 1, dtype=np.float64)  # cap if exactly the top k entries exceed it
+    scratch = np.add(ps, MASS_SLACK)
+    valid = caps <= scratch
+    np.subtract(ps[1:], MASS_SLACK, out=scratch[:-1])  # the next entry below, 0 after the last
+    scratch[-1] = -MASS_SLACK
+    valid &= caps >= scratch
     idx = int(np.argmax(valid))
     if not valid[idx]:
         raise PreconditionError("water-filling budget exceeds removable mass")
@@ -153,44 +163,53 @@ def d_max_smooth(P, Q, eps: float) -> SmoothingResult:
         raise PreconditionError("smoothing parameter must lie in (0, 1)")
     p, q = P.pmf, Q.pmf
     target = P.total_mass() - eps
-    log2_t = _dmax_cap_log(log2_pmf(p), log2_pmf(q), target)
+    keep = p > 0
+    keep &= q > 0
+    log2_t = _dmax_cap_log(np.log2(p[keep]), np.log2(q[keep]), target)
     if log2_t == math.inf:
         return _smoothed(math.inf, P, np.where(q > 0, p, 0.0))
-    return _smoothed(log2_t, P, np.minimum(p, q * math.pow(2.0, log2_t)))
+    w = q * math.pow(2.0, log2_t)
+    return _smoothed(log2_t, P, np.minimum(p, w, out=w))
 
 
-def _dmax_cap_log(logp: np.ndarray, logq: np.ndarray, target: float) -> float:
+def _dmax_cap_log(lp: np.ndarray, lq: np.ndarray, target: float) -> float:
     """log2 of the least t with sum min(p, q*t) >= target, or +inf.
 
-    Operates on log-masses so that type-class inputs with astronomically
-    small per-class masses stay representable.
+    ``lp`` and ``lq`` are log2 P and log2 Q on the cells where both are
+    positive, in any order; the other cells never lower t.  Log-masses keep
+    type-class inputs with astronomically small per-class masses
+    representable.  Both arrays are overwritten: the log-ratio goes into
+    ``lp`` and the sorted log-ratio into ``lq``, so the search holds two
+    pmf-sized arrays besides its inputs and the sort order.
     """
-    alive_q = logq > LOG2_ZERO
-    alive_p = logp > LOG2_ZERO
-    keep = alive_q & alive_p
-    covered_max = float(np.exp2(logp[keep]).sum()) if keep.any() else 0.0
+    p_lin = np.exp2(lp)  # elementwise, so p_lin[order] is exp2 of the sorted lp
+    covered_max = float(p_lin.sum())
     if covered_max < target - 1e-12:
         return math.inf
     if target <= 0.0:
         return -math.inf
-    if not keep.any():
+    if not lp.size:
         return math.inf  # no mass can be covered, and the target is positive
-    lp, lq = logp[keep], logq[keep]
-    ratio = lp - lq
+    ratio = np.subtract(lp, lq, out=lp)
     order = stable_order(ratio)
-    lp, lq, ratio = lp[order], lq[order], ratio[order]
-    p_lin = np.exp2(lp)
-    p_cum = np.concatenate([[0.0], np.cumsum(p_lin)])  # p mass of capped prefix
+    # Each sorted array goes into a buffer that is spent: take fills ``out``
+    # in place with mode="clip" (mode="raise" would buffer a copy), and
+    # every index in ``order`` is valid.
+    p_cum = np.zeros(lp.size + 1)  # p mass of capped prefix
+    np.cumsum(np.take(p_lin, order, out=p_cum[1:], mode="clip"), out=p_cum[1:])
     # log2 of Q-mass of the uncapped suffix, built from the top
-    q_tail = np.logaddexp2.accumulate(lq[::-1])[::-1]
+    q_tail = np.take(lq, order, out=p_lin, mode="clip")
+    np.logaddexp2.accumulate(q_tail[::-1], out=q_tail[::-1])
+    ratio = np.take(ratio, order, out=lq, mode="clip")
+    del order  # before the segment blocks' temporaries
 
     # Segment j: the first j outcomes are capped at p, the rest contribute
     # q*t.  Segments are tested a block at a time: numpy marks candidates
     # with a test looser than the scalar one (its log2 may differ from
     # math's in the last bits), and the scalar test decides.  Segment
-    # lq.size would give ratio[-1] whichever way it ends.
-    for a in range(0, lq.size, _SEGMENT_BLOCK):
-        b = min(a + _SEGMENT_BLOCK, lq.size)
+    # ratio.size would give ratio[-1] whichever way it ends.
+    for a in range(0, ratio.size, _SEGMENT_BLOCK):
+        b = min(a + _SEGMENT_BLOCK, ratio.size)
         his = ratio[a:b]
         los = ratio[a - 1 : b - 1] if a else np.concatenate(([-np.inf], his[:-1]))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -231,7 +250,8 @@ def dmax_convergence_scan(
 
     def one(n: int) -> tuple[int, float]:
         _, logp, logq = typeclass_table(P.pmf, Q.pmf, n)
-        val = _dmax_cap_log(logp, logq, mass ** n - eps)
+        keep = (logp > LOG2_ZERO) & (logq > LOG2_ZERO)
+        val = _dmax_cap_log(logp[keep], logq[keep], mass ** n - eps)
         return n, val / n
 
     return parallel_map(one, ns)

@@ -145,6 +145,15 @@ MUTANTS = {
         "not all(type(v) in (int, float) for v in values)",
         "not all(isinstance(v, (int, float)) for v in values)",
     )]),
+    "log2-zero-is-minus-inf": ("src/skconverse/probcore.py", [(
+        "where=pmf > 0",
+        "where=pmf >= 0",
+    )]),
+    "waterfill-empty-support": ("src/skconverse/smoothinfo.py", [(
+        "    if not ps.size:\n"
+        "        raise PreconditionError(\"min-entropy of an identically zero function\")\n",
+        "",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

@@ -79,6 +79,26 @@ def random_dist(rng, sizes, names=None, full_support=True, eve=None) -> JointDis
     return JointDist(vars, pmf, eve=eve)
 
 
+def dense_pair(nv: int, seed: int) -> tuple[JointDist, JointDist]:
+    """P and Q on ``nv`` binary variables, built like the dense benchmark
+    workload: integer weights, a tenth of the cells repeating one of 64
+    (P, Q) pairs (exact ratio ties), 1% of the cells with P = 0 (half of
+    them Q = 0 too) and 1.5% with Q = 0 < P."""
+    rng = np.random.default_rng(seed)
+    n = 1 << nv
+    a = rng.integers(1, 1 << 16, n)
+    b = rng.integers(1, 1 << 16, n)
+    tie = rng.choice(n, n // 10, replace=False)
+    pool = rng.integers(1, 1 << 16, (64, 2))
+    pick = rng.integers(0, 64, tie.size)
+    a[tie], b[tie] = pool[pick, 0], pool[pick, 1]
+    zero = rng.choice(n, n // 40, replace=False)
+    a[zero[: n // 100]] = 0
+    b[zero[n // 200 :]] = 0
+    vars = tuple((f"X{i + 1}", BIT) for i in range(nv))
+    return JointDist(vars, a / a.sum()), JointDist(vars, b / b.sum())
+
+
 def disagreeing_keys(mass: float = 1.0) -> tuple[JointDist, Protocol]:
     """Two bits of total mass ``mass``; party 1 always outputs key 0, party 2 key 1.
 

@@ -21,6 +21,7 @@ from skconverse import (
 from skconverse import probcore
 from skconverse.errors import CapExceededError
 from skconverse.probcore import (
+    LOG2_ZERO,
     Channel,
     _chunk_rows,
     _q_pi_rows,
@@ -33,6 +34,7 @@ from skconverse.probcore import (
     factorizes,
     fuse_vars,
     load_dist,
+    log2_pmf,
     pushforward_function,
     read_json,
     save_dist,
@@ -295,6 +297,40 @@ def test_stable_order_is_the_stable_argsort(rows, n, seed, kind):
     got = stable_order(key)
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argsort(key, axis=-1, kind="stable"))
+
+
+def _masked_log2_pmf(pmf):
+    """log2_pmf's earlier formula: log2 of a compacted copy, scattered back."""
+    out = np.full(pmf.shape, LOG2_ZERO)
+    mask = pmf > 0
+    out[mask] = np.log2(pmf[mask])
+    return out
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (8,), (33,), (1000,), (3, 17), (4, 256)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_log2_pmf_is_the_masked_formula_bit_for_bit(shape, seed):
+    """Exact zeros in runs of every length, subnormals and masses next to 1:
+    the one-pass log2 must give each cell the bits of the masked formula, and
+    log2 of the positive cells alone must be the same bits again."""
+    rng = np.random.default_rng(seed)
+    pmf = rng.random(shape) ** 3
+    specials = np.array([0.0, 5e-324, 2.2e-308, 1e-300, np.nextafter(1.0, 0.0),
+                         1.0 - 2.0**-30, 1.0, 0.5])
+    pick = rng.random(shape) < 0.4
+    pmf[pick] = rng.choice(specials, size=int(pick.sum()))
+    pmf[rng.random(shape) < 0.2] = 0.0
+    got = log2_pmf(pmf)
+    assert _bits_equal(got, _masked_log2_pmf(pmf))
+    for view in (pmf[..., ::-1], pmf.T):  # strided reads round like contiguous ones
+        assert _bits_equal(log2_pmf(view), _masked_log2_pmf(view))
+    keep = pmf > 0
+    assert _bits_equal(np.log2(pmf[keep]), got[keep])
+    assert np.all(got[~keep] == LOG2_ZERO)
 
 
 def test_iid_extend():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from skconverse import (
     JointDist,
     PreconditionError,
     SubDist,
+    beta_epsilon,
     d_max,
     d_max_smooth,
     divergence,
@@ -19,12 +21,13 @@ from skconverse import (
     h_min_smooth,
     iid_extend,
 )
-from skconverse.probcore import LOG2_ZERO, Channel, apply_channel, log2_pmf
+from skconverse.probcore import Channel, apply_channel
 from skconverse.smoothinfo import _SEGMENT_BLOCK, _dmax_cap_log, _waterfill_cap
 from support import (
     BIT,
     ber,
     d_max_smooth_oracle,
+    dense_pair,
     h_min_cond_grid_oracle,
     h_min_smooth_oracle,
     int_weight_pairs,
@@ -158,15 +161,14 @@ def test_d_max_smooth_matches_bisection_oracle():
             assert abs(got - want) <= 1e-9
 
 
-def _segment_loop(logp, logq, target):
+def _segment_loop(lp, lq, target):
     """The scalar segment loop the blocked search in _dmax_cap_log replaced.
 
-    Kept as its exact reference: it walks every segment j (first j outcomes
-    by ratio capped at p, the rest at q*t) and returns at the first that
-    reaches ``target`` at its breakpoint or brackets its solution.
+    Kept as its exact reference, on the same kept cells (P and Q both
+    positive): it walks every segment j (first j outcomes by ratio capped
+    at p, the rest at q*t) and returns at the first that reaches ``target``
+    at its breakpoint or brackets its solution.
     """
-    keep = (logp > LOG2_ZERO) & (logq > LOG2_ZERO)
-    lp, lq = logp[keep], logq[keep]
     ratio = lp - lq
     order = np.argsort(ratio, kind="stable")
     lq, ratio = lq[order], ratio[order]
@@ -197,10 +199,40 @@ def test_dmax_segment_search_across_blocks():
         p = np.append(p / p.sum() * (1 - 1e-5), [1e-5, 0.0, 0.0])
         q = np.append(q / q.sum(), [0.0, 0.5, 0.0])
         q /= q.sum()
+        keep = (p > 0) & (q > 0)
+        lp, lq = np.log2(p[keep]), np.log2(q[keep])
         for eps in (1e-3, 0.1, 0.3, 0.6, 0.95):
-            got = _dmax_cap_log(log2_pmf(p), log2_pmf(q), 1.0 - eps)
-            assert got == _segment_loop(log2_pmf(p), log2_pmf(q), 1.0 - eps), (segments, eps)
+            got = _dmax_cap_log(lp.copy(), lq.copy(), 1.0 - eps)  # it overwrites both
+            assert got == _segment_loop(lp, lq, 1.0 - eps), (segments, eps)
             assert abs(got - d_max_smooth_oracle(p, q, eps)) <= 1e-9, (segments, eps)
+
+
+_DENSE = dense_pair(18, 5)
+
+#: (call, ceiling): peak traced memory above the inputs, in pmf-sized float64
+#: arrays, of each dense call at 2^18 cells with ties and zeros in P and Q.
+#: The measured peaks are about 5.1 (dmax), 3.2 (hmin) and 5.1 (beta).
+WORKING_SETS = {
+    "d_max_smooth": (lambda P, Q: d_max_smooth(P, Q, 0.2), 7.0),
+    "h_min_smooth": (lambda P, Q: h_min_smooth(P, 0.1), 4.0),
+    "beta_epsilon": (lambda P, Q: beta_epsilon(P, Q, 0.1), 5.5),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKING_SETS))
+def test_dense_working_set_ceilings(name):
+    call, ceiling = WORKING_SETS[name]
+    P, Q = _DENSE
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    arrays = (peak - before) / P.pmf.nbytes
+    assert arrays <= ceiling, f"{name} peaks at {arrays:.2f} pmf-sized arrays"
 
 
 def test_d_max_smooth_infinite_when_offsupport_mass_exceeds_eps():
@@ -319,6 +351,8 @@ INPUT_CHECKS = [
      PreconditionError, "x_vars and y_vars must partition the variables"),
     (lambda: h_min_cond(SubDist(_PAIR.vars, [0.0] * 4), ["X1"], ["X2"]),
      PreconditionError, "conditional min-entropy of a zero function"),
+    (lambda: h_min_smooth(SubDist(_P.vars, [0.0, 0.0]), 0.0),
+     PreconditionError, "min-entropy of an identically zero function"),
     (lambda: h_min_smooth(SubDist(_P.vars, [0.05, 0.05]), 0.2),
      PreconditionError, "smoothing budget would remove all mass"),
     (lambda: _waterfill_cap(np.array([0.5, 0.5]), 2.0),
