@@ -1,26 +1,7 @@
-"""Optional thread-level parallelism, capped by SKCONVERSE_THREADS."""
+"""Reserved for a bounded, ordered pool over the partition chunk loop.
 
-from __future__ import annotations
-
-import os
-from typing import Callable, Sequence
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SKCONVERSE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Order-preserving map; runs serially unless SKCONVERSE_THREADS > 1."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay its import
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+Nothing here runs today: every scan is serial.  The module is kept because
+the benchmark counts its lines (``src.lines._parallel`` in BENCHMARK.json),
+``tests/test_bench_contract.py`` requires a module for every such metric,
+and ROADMAP.md plans to put the partition chunk pool here.
+"""

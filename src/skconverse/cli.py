@@ -81,6 +81,8 @@ def _load_params(args) -> dict:
 
 def _finite(val) -> float:
     """``val`` as a finite float: the type of every float flag and ``_num`` value."""
+    if isinstance(val, bool):  # a JSON true/false, which float() reads as 1.0/0.0
+        raise argparse.ArgumentTypeError(f"not a number: {val!r}")
     try:
         num = float(val)
     except (TypeError, ValueError):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from ._typeclasses import typeclass_table
 from .errors import PreconditionError
 from .probcore import (
@@ -91,10 +90,13 @@ def _ratio_order(logp: np.ndarray, logq: np.ndarray) -> np.ndarray:
     """Indices sorted by decreasing log-ratio, ties by index (stable).
 
     ``logq`` may hold one row per alternative; each row is sorted alone.
+    When it is one row, the ratio is written into ``logp``'s buffer, so
+    ``logp`` is overwritten and the caller must not read it afterwards.
     """
-    ratio = logp - logq
     # p == 0 outcomes can never help; force them last regardless of q
-    ratio[..., logp <= LOG2_ZERO] = -np.inf
+    zero = logp <= LOG2_ZERO
+    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else None)
+    ratio[..., zero] = -np.inf
     return stable_order(np.negative(ratio, out=ratio))
 
 
@@ -187,7 +189,7 @@ def beta_epsilon_iid(P: JointDist, Q: JointDist, n: int, eps: float) -> BetaCert
     """
     _check_iid(P, Q, n, eps)
     counts, logp, logq = typeclass_table(P.pmf, Q.pmf, n)
-    order = _ratio_order(logp, logq)
+    order = _ratio_order(logp.copy(), logq)  # it overwrites its logp
     ps = np.exp2(logp[order])
     logq_sorted = logq[order]
     b, gamma, covered = _greedy_threshold(ps[None], 1.0 - eps)
@@ -283,9 +285,4 @@ def stein_scan(P: JointDist, Q: JointDist, eps: float, ns) -> list[tuple[int, fl
     ns = [int(n) for n in ns]
     for n in ns:
         _check_iid(P, Q, n, eps)
-
-    def one(n: int) -> tuple[int, float]:
-        cert = beta_epsilon_iid(P, Q, n, eps)
-        return n, cert.neg_log2_beta / n
-
-    return parallel_map(one, ns)
+    return [(n, beta_epsilon_iid(P, Q, n, eps).neg_log2_beta / n) for n in ns]

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from ._typeclasses import typeclass_table
 from .errors import PreconditionError
 from .probcore import (
@@ -254,4 +253,4 @@ def dmax_convergence_scan(
         val = _dmax_cap_log(logp[keep], logq[keep], mass ** n - eps)
         return n, val / n
 
-    return parallel_map(one, ns)
+    return [one(n) for n in ns]

@@ -154,6 +154,16 @@ MUTANTS = {
         "        raise PreconditionError(\"min-entropy of an identically zero function\")\n",
         "",
     )]),
+    "params-bool-read-as-number": ("src/skconverse/cli.py", [(
+        "    if isinstance(val, bool):",
+        "    if False:",
+    )]),
+    "ratio-mask-after-subtract": ("src/skconverse/hyptest.py", [(
+        "    zero = logp <= LOG2_ZERO\n"
+        "    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else None)\n",
+        "    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else None)\n"
+        "    zero = logp <= LOG2_ZERO\n",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

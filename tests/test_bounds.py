@@ -1010,6 +1010,11 @@ INPUT_CHECKS = [
 ]
 
 
+def test_cit_bound_takes_one_conditioning_name_as_a_string():
+    J = random_dist(np.random.default_rng(4), [2, 2, 2], names=["X1", "X2", "Z"])
+    assert cit_bound(J, _PI2, 0.1, 0.05, z="Z") == cit_bound(J, _PI2, 0.1, 0.05, z=["Z"])
+
+
 @pytest.mark.parametrize("call, exc, message", INPUT_CHECKS,
                          ids=[m for _, _, m in INPUT_CHECKS])
 def test_input_checks(call, exc, message):

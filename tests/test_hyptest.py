@@ -298,6 +298,11 @@ def test_tail_bound_soundness_and_no_dispersion():
     assert default_gamma_grid(ber(0.3), ber(0.5)).size == 3
 
 
+def test_default_gamma_grid_on_disjoint_supports():
+    # no cell has a finite log-ratio, so the grid is the single point 0
+    assert default_gamma_grid(ber(0.0), ber(1.0)).tolist() == [0.0]
+
+
 def test_renyi_bound():
     rng = np.random.default_rng(61)
     for _ in range(100):

@@ -400,6 +400,33 @@ def test_divergence_renyi():
         divergence(b3, b5, kind="nope")
 
 
+def test_divergence_renyi_infinite_without_common_support():
+    P = JointDist((("X", BIT),), [1.0, 0.0])
+    Q = JointDist((("X", BIT),), [0.5, 0.5])
+    # alpha > 1: P has mass where Q has none
+    assert divergence(Q, P, kind="renyi", alpha=2.0) == math.inf
+    # alpha < 1 tolerates that, but disjoint supports share no cell
+    assert divergence(Q, P, kind="renyi", alpha=0.5) < math.inf
+    R = JointDist((("X", BIT),), [0.0, 1.0])
+    assert divergence(P, R, kind="renyi", alpha=0.5) == math.inf
+
+
+def test_ragged_pmf_is_not_numbers():
+    two = (("X", BIT), ("Y", BIT))
+    with pytest.raises(PreconditionError, match="pmf entries must be numbers"):
+        JointDist(two, [[0.25, 0.25], [0.5]])
+
+
+def test_distinct_sort_path_equals_lookup_path():
+    raw = np.random.default_rng(3).integers(0, 5000, size=300)
+    # a range of 5000 is read through a lookup table; 2^40 is sorted
+    values, index = probcore._distinct(raw, 5000)
+    wide_values, wide_index = probcore._distinct(raw, 1 << 40)
+    assert np.array_equal(values, wide_values) and np.array_equal(index, wide_index)
+    assert values.dtype == wide_values.dtype and index.dtype == wide_index.dtype
+    assert np.array_equal(values[index], raw)
+
+
 def test_info_measures():
     u = JointDist((("X", BIT),), [0.5, 0.5])
     assert abs(entropy(u) - 1.0) <= 1e-15

@@ -881,6 +881,28 @@ def test_walk_matches_the_depth_first_oracle():
             assert [_hex(dataclasses.astuple(t)) for t in tests] == [_hex(r) for r in refs]
 
 
+def test_laws_renumber_codes_of_wide_key_alphabets():
+    # four keys over 2^16 symbols would need a 64-bit joint code, so _laws
+    # renumbers the codes it has before it adds the last key
+    keys = tuple(f"k{v}" for v in range(1 << 16))
+    J = random_dist(np.random.default_rng(9), [2, 3, 2, 2], full_support=False)
+    p = Protocol(
+        num_parties=4,
+        obs_vars=tuple((n,) for n in J.var_names),
+        rounds=0,
+        message_maps={},
+        key_maps=tuple(lambda o, r, t, i=i: keys[(int(o[0]) + 1) * 9973 * (i + 1) % len(keys)]
+                       for i in range(4)),
+        key_symbols=keys,
+    )
+    pmfs = np.vstack([J.pmf, np.full(J.pmf.size, 1 / J.pmf.size)])
+    want = laws_oracle(J, p, pmfs)
+    got = protosim._laws(J, p, pmfs)
+    assert len(got) == len(want) == 2
+    for law, ref in zip(got, want):
+        _assert_same_law(protosim._law_dict(J, p, law), ref)
+
+
 def test_independence_check_matches_the_oracle():
     checked = 0
     for J, p in _oracle_instances():

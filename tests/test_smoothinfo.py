@@ -211,11 +211,11 @@ _DENSE = dense_pair(18, 5)
 
 #: (call, ceiling): peak traced memory above the inputs, in pmf-sized float64
 #: arrays, of each dense call at 2^18 cells with ties and zeros in P and Q.
-#: The measured peaks are about 5.1 (dmax), 3.2 (hmin) and 5.1 (beta).
+#: The measured peaks are about 5.1 (dmax), 3.2 (hmin) and 4.25 (beta).
 WORKING_SETS = {
     "d_max_smooth": (lambda P, Q: d_max_smooth(P, Q, 0.2), 7.0),
     "h_min_smooth": (lambda P, Q: h_min_smooth(P, 0.1), 4.0),
-    "beta_epsilon": (lambda P, Q: beta_epsilon(P, Q, 0.1), 5.5),
+    "beta_epsilon": (lambda P, Q: beta_epsilon(P, Q, 0.1), 4.5),
 }
 
 
@@ -240,6 +240,35 @@ def test_d_max_smooth_infinite_when_offsupport_mass_exceeds_eps():
     P = JointDist((("X", five),), [0.4, 0.3, 0.3, 0.0, 0.0])
     Q = JointDist((("X", five),), [0.0, 0.0, 0.0, 0.5, 0.5])
     assert d_max_smooth(P, Q, 0.3).value == math.inf
+
+
+def test_dmax_cap_log_target_reached_without_mass():
+    half = np.log2([0.5, 0.5])
+    assert _dmax_cap_log(half.copy(), half.copy(), 0.0) == -math.inf
+    assert _dmax_cap_log(half.copy(), half.copy(), -0.25) == -math.inf
+
+
+def test_d_max_smooth_coverage_within_slack_at_a_breakpoint():
+    # Sorted by ratio the cells are a, mid, b; capping a and mid covers
+    # 1 - b, which is 5e-16 short of the target 1 - eps: within MASS_SLACK, so
+    # the answer is mid's breakpoint and not the solve on b's tiny Q-mass
+    b = 0.3
+    three = Alphabet(tuple("abc"))
+    P = JointDist((("X", three),), [1 - b - 1e-6, 1e-6, b])
+    Q = JointDist((("X", three),), [1 - 1e-7 - 1e-30, 1e-7, 1e-30])
+    res = d_max_smooth(P, Q, b - 5e-16)
+    assert res.value == float(np.log2(1e-6) - np.log2(1e-7))
+    assert abs(res.witness.pmf.sum() - (1 - b)) <= 1e-15
+
+
+def test_d_max_smooth_target_just_above_the_coverable_mass():
+    # Q covers 0.7 of P, and the target 0.7 + 9e-13 is within the 1e-12 that
+    # counts as covered.  No segment's solve lies in its interval, since each
+    # asks for more than P's mass, so the search returns the largest ratio.
+    two = Alphabet(("a", "b"))
+    P = JointDist((("X", two),), [0.7, 0.3])
+    Q = JointDist((("X", two),), [1.0, 0.0])
+    assert d_max_smooth(P, Q, 0.3 - 9e-13).value == math.log2(0.7)
 
 
 def test_d_max_smooth_witness_and_monotone():
