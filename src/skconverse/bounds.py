@@ -263,25 +263,25 @@ def _least_cit(J: JointDist, m: int, zs: list[str], eps: float, eta: float, scan
     ``_slack_test`` is at most best + 1e-6 max(1, |best|): a row above that
     is above the best, so it can be neither the least row nor tied with it.
     A later chunk's rows are built on those cells, and in full only for the
-    rows that reach ``_betas``.
+    rows that reach ``_betas``.  No chunk's rows outlive its ``_betas``
+    call: the winner's row is built again when its test is needed.
     """
     best = cells = None
     for masks, rows in scan:
-        l = _num_blocks(masks)
-        if best is None:
-            q = rows()
-        else:
+        l, keep = _num_blocks(masks), np.arange(len(masks))
+        if best is not None:
             if cells is None:
-                cells = _slack_test(J.pmf, winner[1], eps + eta)
-            keep = _cit_floor(rows(cells=cells), l, eta) <= best + 1e-6 * max(1.0, abs(best))
-            if not keep.any():
+                cells = _slack_test(J.pmf, winner[1](winner[2])[0], eps + eta)
+            floor = _cit_floor(rows(cells=cells), l, eta)
+            keep = np.flatnonzero(floor <= best + 1e-6 * max(1.0, abs(best)))
+            if not keep.size:
                 continue
-            masks, q, l = masks[keep], rows(keep), l[keep]
-        chunk = _betas(J.pmf, q, eps + eta)
-        values = _cit_value(np.array([_neg_log2(beta) for beta in chunk]), l, eta)
+        chunk = _betas(J.pmf, rows(keep), eps + eta)
+        values = _cit_value(np.array([_neg_log2(beta) for beta in chunk]), l[keep], eta)
         i = int(np.argmin(values))
         if best is None or values[i] < best:
-            best, beta, winner, cells = values[i], chunk[i], (masks[i], q[i]), None
+            best, beta, cells = values[i], chunk[i], None
+            winner = masks[keep[i]], rows, keep[i:i + 1]
     partition = _partition_of(winner[0].tolist(), m)
     nlb = _neg_log2(beta)
     l = partition.num_blocks
@@ -640,12 +640,15 @@ def sc_necessary_check(
     p_g = pushforward_function(J, g)
     lhs = h_min_smooth(p_g, xi).value
     extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
-    labels, rhss, masks_seen = [], [], []
+    labels, rhss, least = [], [], None
     for masks, rows in _partition_scan(J, [], m, partition):
         nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, rows(), mu)])
         rhss.append(_cit_value(nlbs, _num_blocks(masks), eta) + extra)
         labels += _partition_labels(masks, m)
-        masks_seen.append(masks)
+        gap = rhss[-1] - lhs  # the rows' slacks
+        i = int(np.argmin(gap))
+        if least is None or gap[i] < least[0]:  # the first row of least slack
+            least = gap[i], masks[i].tolist()
     rhs = np.concatenate(rhss)
     slack = rhs - lhs
     worst = int(np.argmin(slack))
@@ -655,7 +658,7 @@ def sc_necessary_check(
         lhs=lhs,
         rhs=rows[worst][1],
         slack=rows[worst][2],
-        partition=_partition_of(np.concatenate(masks_seen)[worst].tolist(), m),
+        partition=_partition_of(least[1], m),
         per_partition=rows,
         params={
             "eps": eps, "delta": delta, "xi": xi, "zeta": zeta, "eta": eta, "mu": mu,

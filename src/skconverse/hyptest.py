@@ -90,12 +90,13 @@ def _ratio_order(logp: np.ndarray, logq: np.ndarray) -> np.ndarray:
     """Indices sorted by decreasing log-ratio, ties by index (stable).
 
     ``logq`` may hold one row per alternative; each row is sorted alone.
-    When it is one row, the ratio is written into ``logp``'s buffer, so
-    ``logp`` is overwritten and the caller must not read it afterwards.
+    The ratio is written into ``logp``'s buffer when ``logq`` is one row,
+    else into ``logq``'s, so that one is overwritten and the caller must not
+    read it afterwards.
     """
     # p == 0 outcomes can never help; force them last regardless of q
     zero = logp <= LOG2_ZERO
-    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else None)
+    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else logq)
     ratio[..., zero] = -np.inf
     return stable_order(np.negative(ratio, out=ratio))
 
@@ -108,11 +109,12 @@ def _greedy_threshold(p_sorted: np.ndarray, target: float):
     left-side ``searchsorted``.
     """
     rows, n = np.arange(len(p_sorted)), p_sorted.shape[1]
-    cum = np.zeros((len(p_sorted), n + 1))  # cum[:, b] is the mass before cell b
-    p_sorted.cumsum(axis=-1, out=cum[:, 1:])
+    # cum[:, b] is the mass up to and including cell b.  It has the rows'
+    # own shape, not a leading zero column, so a freed chunk's buffer fits it.
+    cum = p_sorted.cumsum(axis=-1)
     target = np.minimum(target, cum[:, -1])
-    b = (cum[:, 1:] < (target - MASS_SLACK)[:, None]).sum(axis=-1)
-    before = cum[rows, b]
+    b = (cum < (target - MASS_SLACK)[:, None]).sum(axis=-1)
+    before = np.where(b > 0, cum[rows, b - 1], 0.0)
     rest = target - before
     at = p_sorted[rows, np.minimum(b, n - 1)]
     # a fraction of cell b only where it exists and the rest is above slack
@@ -124,28 +126,46 @@ def _greedy_threshold(p_sorted: np.ndarray, target: float):
 def _np_tests(ps: np.ndarray, qs: np.ndarray, eps: float):
     """Neyman-Pearson tests on ratio-sorted rows: (n_full, gamma, covered, betas).
 
-    Each beta sums its row's accepted prefix alone: numpy's pairwise sum
-    depends on the length summed, so a masked full-row sum could differ in
-    the last bit.
+    The betas are summed by ``_test_betas`` a prefix length at a time, each
+    row's bits those of its own prefix sum (see there why).
     """
     b, gamma, covered = _greedy_threshold(ps, 1.0 - eps)
-    betas = []
-    for qrow, n_full, g in zip(qs, b.tolist(), gamma.tolist()):
-        beta = float(qrow[:n_full].sum())
-        if g > 0:
-            beta += g * float(qrow[n_full])
-        betas.append(beta)
-    return b, gamma, covered, betas
+    return b, gamma, covered, _test_betas(qs, b, gamma).tolist()
+
+
+def _test_betas(qs: np.ndarray, b: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``qs[i, :b[i]].sum() + gamma[i] * qs[i, b[i]]`` for each row i, the
+    second term only where ``gamma[i] > 0``.
+
+    Each beta sums its row's accepted prefix alone: numpy's pairwise sum
+    depends on the length summed, so a masked full-row sum could differ in
+    the last bit.  The rows of one prefix length n are summed at once, as
+    ``qs[rows, :n].sum(axis=1)``.  That reduction runs numpy's pairwise sum
+    over each row's n contiguous cells, the same call a one-row
+    ``qs[i, :n].sum()`` makes, whatever the other rows: so each sum is that
+    row's alone, bit for bit.  Rows of one length that are adjacent are
+    summed in place, so a single row is not copied.
+    """
+    betas = np.empty(len(b))
+    for n in set(b.tolist()):
+        rows = (b == n).nonzero()[0]
+        lo, hi = rows[0], rows[-1] + 1
+        betas[rows] = (qs[lo:hi, :n] if hi - lo == len(rows) else qs[rows, :n]).sum(axis=1)
+    part = (gamma > 0).nonzero()[0]
+    betas[part] += gamma[part] * qs[part, b[part]]
+    return betas
 
 
 def _betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
     """beta_eps(p, q) for each row q of ``q_rows``.
 
     Equal, bit for bit, to ``beta_epsilon(P, Q, eps).beta`` of each row:
-    one batched sort and one batched threshold.
+    one batched sort and one batched threshold.  The order is dropped once
+    the rows are gathered, and so are the rows if the caller holds none.
     """
     order = _ratio_order(log2_pmf(p), log2_pmf(q_rows))
     ps, qs = p[order], q_rows[np.arange(len(q_rows))[:, None], order]
+    del order, q_rows
     return _np_tests(ps, qs, eps)[3]
 
 

@@ -318,6 +318,16 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[..., np.ndarray
     rows and cells around it.  The conditional law is laid out z first, and
     its block marginals are summed in that memory order; each is computed
     when a call first needs it and kept for later calls.
+
+    Each block's factor, its marginal at J's full size, is copied into a
+    store when a call first needs it and reused by later calls; a call on
+    ``cells`` gathers only its own masks' factors, on those cells.  The
+    first call allocates rows for its own masks only, so a one-row caller
+    allocates no more than its factors.  A later call that needs more
+    allocates min(2^m, ``_chunk_rows(J.n_cells)`` * m) rows, as many
+    distinct masks as a chunk of partitions can have (or its own, if more).
+    When a call's new masks do not fit, the store is emptied and refilled
+    with that call's.
     """
     if len(set(z_names)) != len(z_names):
         raise PreconditionError("conditioning variables must be unique")
@@ -336,31 +346,46 @@ def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[..., np.ndarray
     scale.reshape(J.shape)[...] = np.transpose(mass, back)
     # the block marginals by mask, on J's axes; mask 0 contributes 1.0
     cache: dict[int, np.ndarray | float] = {0: 1.0}
+    cap = min(1 << len(x_axes), _chunk_rows(J.n_cells) * len(x_axes))
+    # slot[k] is mask k's row of the store, -1 while it has none
+    slot = np.full(1 << len(x_axes), -1, dtype=np.intp)
+    store, filled, shape = np.empty((0, J.n_cells)), 0, J.shape
 
     def build(masks: np.ndarray, cells: np.ndarray | None = None) -> np.ndarray:
-        cells = slice(None) if cells is None else cells
-        # each distinct mask's factor at full size, in mask order.  A lookup
-        # over the 2^m masks numbers them: cheaper than np.unique's sort,
-        # which would dominate a chunk of one row.
-        index = np.zeros(1 << len(x_axes), dtype=np.intp)
-        index[masks] = 1
-        keys = index.nonzero()[0]
-        index[keys] = np.arange(len(keys))
-        table = np.empty((len(keys),) + J.shape)
-        for t, k in zip(table, keys.tolist()):
+        nonlocal store, filled
+        # a lookup over the 2^m masks finds the distinct ones: cheaper than
+        # np.unique's sort, which would dominate a chunk of one row
+        keys = np.zeros(len(slot), dtype=bool)
+        keys[masks] = True
+        keys = keys.nonzero()[0]
+        new = keys[slot[keys] < 0]
+        if filled + len(new) > cap:  # emptied: this call's masks are refilled
+            slot[:], filled, new = -1, 0, keys
+        if filled + len(new) > len(store):
+            rows = max(cap, filled + len(new)) if len(store) else len(new)
+            grown = np.empty((rows, J.n_cells))
+            grown[:filled] = store[:filled]
+            store = grown
+        for k in new.tolist():
             if k not in cache:
                 other = tuple(a for i, a in enumerate(x_axes) if not k >> i & 1)
                 cache[k] = cond.sum(axis=other, keepdims=True) if other else cond
-            t[...] = cache[k]
-        table = table.reshape(len(keys), -1)[:, cells]
+            store[filled].reshape(shape)[...] = cache[k]
+            slot[k], filled = filled, filled + 1
         # a block column that is 0 in every row multiplies by 1.0: left out
         used = masks.any(axis=0)
         used[0] = True
-        inv = index[masks[:, used]]
+        if cells is None:
+            table, inv = store, slot[masks[:, used]]
+        else:  # only this call's factors, on ``cells``, in mask order
+            table = store[np.ix_(slot[keys], cells)]
+            at = np.zeros(len(slot), dtype=np.intp)
+            at[keys] = np.arange(len(keys))
+            inv = at[masks[:, used]]
         out = table[inv[:, 0]]
         for col in inv.T[1:]:
             out *= table[col]
-        out *= scale[cells]
+        out *= scale if cells is None else scale[cells]
         return out
 
     return build

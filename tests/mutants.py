@@ -134,8 +134,12 @@ MUTANTS = {
         "np.ascontiguousarray(arr).reshape(math.prod(arr.shape[: len(z_names)]), -1).sum(axis=1)",
     )]),
     "cells-mass-ungathered": ("src/skconverse/probcore.py", [(
-        "out *= scale[cells]",
-        "out *= scale[:out.shape[1]]",
+        "out *= scale if cells is None else scale[cells]",
+        "out *= scale if cells is None else scale[:out.shape[1]]",
+    )]),
+    "store-slots-kept-when-emptied": ("src/skconverse/probcore.py", [(
+        "slot[:], filled, new = -1, 0, keys",
+        "filled, new = 0, keys",
     )]),
     "path-parser-no-whole-tree": ("src/skconverse/cli.py", [(
         "        return build_parser()\n",
@@ -160,9 +164,13 @@ MUTANTS = {
     )]),
     "ratio-mask-after-subtract": ("src/skconverse/hyptest.py", [(
         "    zero = logp <= LOG2_ZERO\n"
-        "    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else None)\n",
-        "    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else None)\n"
+        "    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else logq)\n",
+        "    ratio = np.subtract(logp, logq, out=logp if logq.ndim == 1 else logq)\n"
         "    zero = logp <= LOG2_ZERO\n",
+    )]),
+    "beta-sums-grouped-by-wrong-length": ("src/skconverse/hyptest.py", [(
+        "rows = (b == n).nonzero()[0]",
+        "rows = (b <= n).nonzero()[0]",
     )]),
 }
 

@@ -1,5 +1,9 @@
+import importlib
 import json
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,7 @@ from skconverse.probcore import (
     conditional_product,
     extend_with_channel,
     fuse_vars,
+    load_dist,
 )
 from skconverse.protosim import ideal_ot_correlation
 from skconverse.smoothinfo import h_min_smooth
@@ -543,6 +548,50 @@ def test_one_chunk_scans_build_no_rows_on_cells(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["result"]["ok"]
     with pytest.raises(_Scanned):
         cit_bound_best(_screen_sources()["lattice-eve"], 0.1, 0.05)
+
+
+#: (call, ceiling): peak traced memory of each partition scan on the
+#: partition-lattice benchmark's seed-11 m = 8 sources, in arrays of one
+#: chunk (2^16 float64 cells).  The ceilings are the peaks before the
+#: builder kept its block factors across chunks (5.75, 5.74 and 7.04); the
+#: measured peaks are about 5.1, 5.2 and 6.6.
+SCAN_WORKING_SETS = {
+    "cit_bound_best": (lambda s: cit_bound_best(s["joint"], 0.1, 0.05), 5.75),
+    "cit_bound_best with Z": (lambda s: cit_bound_best(s["joint-eve"], 0.1, 0.05), 5.75),
+    "sc_necessary_check": (lambda s: sc_necessary_check(
+        s["joint"], s["parity"], 0.02, 0.02, **even_slack_split(0.02, 0.02)), 7.04),
+}
+
+
+@pytest.fixture(scope="module")
+def lattice_sources(tmp_path_factory):
+    """The partition-lattice benchmark's inputs at seed 11."""
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "bench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(root / "bench"))
+    base = tmp_path_factory.mktemp("lattice")
+    workloads.build("partition-lattice", 11, str(base))
+    return {name: load_dist(base / f"{name}.json") for name in ("joint", "joint-eve")} | {
+        "parity": json.loads((base / "parity.json").read_text())}
+
+
+@pytest.mark.parametrize("name", list(SCAN_WORKING_SETS))
+def test_partition_scan_working_set_ceilings(name, lattice_sources):
+    call, ceiling = SCAN_WORKING_SETS[name]
+    call(lattice_sources)  # module-level caches are filled outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call(lattice_sources)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    chunks = (peak - before) / (8 << 16)
+    assert chunks <= ceiling, f"{name} peaks at {chunks:.2f} chunk-sized arrays"
 
 
 # ---------------------------------------------------------------------------

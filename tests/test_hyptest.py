@@ -257,6 +257,48 @@ def test_iid_log2_beta_is_entry_b_minus_1_of_the_full_accumulate():
         assert cert.outcome_labels.dtype == np.int64
 
 
+def _test_betas_loop(qs, b, gamma):
+    """One beta per row, one prefix sum at a time."""
+    betas = []
+    for qrow, n_full, g in zip(qs, b.tolist(), gamma.tolist()):
+        beta = float(qrow[:n_full].sum())
+        if g > 0:
+            beta += g * float(qrow[n_full])
+        betas.append(beta)
+    return betas
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 300), st.integers(0, 2**32 - 1))
+def test_test_betas_equal_a_row_loop_bit_for_bit(rows, n, seed):
+    """Rows summed a prefix length at a time equal one sum per row, bit for
+    bit: prefixes of no cell and of every cell, fractional boundary cells,
+    rows sharing a length next to each other and apart, and values spread
+    over many magnitudes, so that the order of a sum shows in its bits."""
+    rng = np.random.default_rng(seed)
+    qs = rng.random((rows, n)) * np.exp2(rng.integers(-60, 1, (rows, n)))
+    b = rng.choice([0, n, *rng.integers(0, n + 1, 3)], rows)
+    gamma = np.where((b < n) & (rng.random(rows) < 0.6), rng.random(rows), 0.0)
+    got = hyptest._test_betas(qs, b, gamma)
+    assert [float.hex(x) for x in got] == [float.hex(x) for x in _test_betas_loop(qs, b, gamma)]
+
+
+def test_test_betas_on_rows_longer_than_the_reduction_buffer():
+    """Prefixes of more than 8,192 cells (numpy's reduction buffer), alone,
+    in adjacent rows and in rows apart, and a 2^20-cell single row as the
+    dense ``beta_epsilon`` sums it."""
+    rng = np.random.default_rng(4242)
+    n = 20_000
+    qs = rng.random((5, n)) * np.exp2(rng.integers(-40, 1, (5, n)))
+    b = np.array([15_000, 15_000, 9_000, 15_000, n])
+    gamma = np.array([0.25, 0.0, 0.5, 0.75, 0.0])
+    got = hyptest._test_betas(qs, b, gamma)
+    assert [float.hex(x) for x in got] == [float.hex(x) for x in _test_betas_loop(qs, b, gamma)]
+    big = rng.random((1, 1 << 20))
+    for b1, g1 in ((np.array([(1 << 20) - 5]), np.array([0.3])), (np.array([1 << 20]), np.zeros(1))):
+        assert hyptest._test_betas(big, b1, g1)[0] == _test_betas_loop(big, b1, g1)[0]
+
+
 def test_stein_limit_at_1e4():
     cert = beta_epsilon_iid(ber(0.3), ber(0.5), 10_000, 0.1)
     val = cert.neg_log2_beta / 10_000

@@ -1,5 +1,6 @@
 import decimal
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from skconverse.probcore import (
     save_dist,
     stable_order,
 )
-from skconverse.structure import _partition_masks
+from skconverse.structure import Partition, _partition_masks
 from support import BIT, ber, binary_entropy, dsbs, marginal_oracle, random_dist
 
 
@@ -272,6 +273,62 @@ def test_q_pi_rows_on_cells_equal_full_rows_bit_for_bit():
             full = build(masks)
             for cells in cell_lists:
                 assert np.array_equal(build(masks, cells), full[:, cells])
+
+
+def test_q_pi_rows_reuse_their_factors_across_calls_bit_for_bit():
+    """One builder serves the whole m = 7 scan of a source with a 64-symbol
+    eavesdropper, its calls interleaved: full rows, rows on random cells,
+    one-row calls.  At 8,192 cells its factor store holds at most 8 * 7 = 56
+    of the 128 masks, so it is emptied several times, and a stale row would
+    show.  Every row equals a fresh builder's, bit for bit."""
+    rng = np.random.default_rng(1616)
+    J = random_dist(rng, [2] * 7 + [64], names=[f"X{i}" for i in range(1, 8)] + ["Z"], eve="Z")
+    build, n = _q_pi_rows(J, ["Z"]), J.n_cells
+    assert _chunk_rows(n) == 8
+    held, emptied = set(), 0
+    for at, masks in enumerate(_partition_masks(7, _chunk_rows(n))):
+        keys = set(masks.ravel().tolist())
+        if len(held | keys) > 56:
+            held, emptied = set(), emptied + 1
+        held |= keys
+        fresh = _q_pi_rows(J, ["Z"])(masks)
+        cells = None if at % 3 == 0 else rng.choice(n, int(rng.integers(1, n)), replace=at % 3 == 2)
+        got = build(masks, cells)
+        assert got.tobytes() == (fresh if cells is None else fresh[:, cells]).tobytes()
+        assert build(masks[-1:]).tobytes() == fresh[-1:].tobytes()
+    assert emptied >= 3
+
+
+def _allocation_sources():
+    """(source, conditioning name, partitions): 8,192 cells with a 64-symbol
+    Z, and 65,536 cells over four 16-symbol parties."""
+    rng = np.random.default_rng(1717)
+    wide_z = random_dist(rng, [2] * 7 + [64], names=[f"X{i}" for i in range(1, 8)] + ["Z"],
+                         eve="Z")
+    return [(wide_z, "Z", ["1|2|3|4|5|6|7", "1,2,3|4,5,6,7", "1,7|2,6|3,5|4"]),
+            (random_dist(rng, [16] * 4), None, ["1|2|3|4", "1,2|3,4"])]
+
+
+def test_conditional_product_allocates_its_own_factors_only():
+    """A one-row build allocates a factor row per block, not the builder's
+    whole store: its traced peak above the input is at most the blocks plus
+    4.5 pmf-sized arrays (the result, the conditional law, the slice masses
+    at full size and one product temporary), as before the store."""
+    for J, z, parts in _allocation_sources():
+        m = len(J.vars) - (z is not None)
+        for text in parts:
+            pi = Partition.parse(text, m)
+            conditional_product(J, pi, z)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                Q = conditional_product(J, pi, z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del Q
+            arrays = (peak - before) / J.pmf.nbytes
+            assert arrays <= pi.num_blocks + 4.5, (text, arrays)
 
 
 _TIE_KINDS = st.sampled_from(["rounded", "equal rows", "signed zeros", "infinities"])
