@@ -246,9 +246,10 @@ def _slack_test(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
 def _cit_floor(q_on_t: np.ndarray, num_blocks, eta: float) -> np.ndarray:
     """A lower bound on the ``_cit_value`` of each Q^pi row, from its pmf
     ``q_on_t`` on the cells of a test T of P-mass at least 1 - eps - eta:
-    beta <= Q(T).  The factor 1 + 1e-12 covers the rounding of both sums
-    (float beta was measured at most 1.3e-14 above the exact one); the
-    caller's 1e-6 margin, any more."""
+    beta <= Q(T).  The factor 1 + 1e-12 is meant to cover the rounding of
+    both sums.  Float beta was measured at most a relative 1.9e-14 above the
+    exact one, which the factor covers, but no proof yet bounds that
+    excess.  The caller's 1e-6 margin covers any more."""
     with np.errstate(divide="ignore"):
         return _cit_value(-np.log2(q_on_t.sum(axis=1) * (1 + 1e-12)), num_blocks, eta)
 

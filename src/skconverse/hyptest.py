@@ -23,10 +23,12 @@ import numpy as np
 from ._typeclasses import typeclass_table
 from .errors import PreconditionError
 from .probcore import (
+    _BLOCK_CELLS,
     LOG2_ZERO,
     MASS_SLACK,
     JointDist,
     _check_same_shape,
+    _chunk_rows,
     divergence,
     log2_pmf,
     stable_order,
@@ -160,13 +162,22 @@ def _betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
     """beta_eps(p, q) for each row q of ``q_rows``.
 
     Equal, bit for bit, to ``beta_epsilon(P, Q, eps).beta`` of each row:
-    one batched sort and one batched threshold.  The order is dropped once
-    the rows are gathered, and so are the rows if the caller holds none.
+    one batched sort and one batched threshold per block of
+    ``_chunk_rows(p.size, _BLOCK_CELLS)`` rows, and every row goes through
+    the same float operations whatever rows share its block.  log2 p is
+    taken once and the ratio is written into each block's log2 q; a block's
+    order is dropped once its rows are gathered, and those rows before the
+    next block is sorted.
     """
-    order = _ratio_order(log2_pmf(p), log2_pmf(q_rows))
-    ps, qs = p[order], q_rows[np.arange(len(q_rows))[:, None], order]
-    del order, q_rows
-    return _np_tests(ps, qs, eps)[3]
+    logp, step, betas = log2_pmf(p), _chunk_rows(p.size, _BLOCK_CELLS), []
+    for lo in range(0, len(q_rows), step):
+        q = q_rows[lo:lo + step]
+        order = _ratio_order(logp, log2_pmf(q))
+        ps, qs = p[order], q[np.arange(len(q))[:, None], order]
+        del order
+        betas += _np_tests(ps, qs, eps)[3]
+        del ps, qs
+    return betas
 
 
 def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:

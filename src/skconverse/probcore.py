@@ -300,10 +300,13 @@ def _block_masks(partition, m: int) -> list[int]:
 
 #: cells of Q^pi rows built at a time; a chunk holds at least one row
 _CHUNK_CELLS = 1 << 16
+#: cells of rows that ``hyptest._betas`` orders and thresholds at a time, so
+#: that a block's temporaries fit in a 2 MB L2 cache; at least one row
+_BLOCK_CELLS = 1 << 15
 
 
-def _chunk_rows(cells: int) -> int:
-    return max(1, _CHUNK_CELLS // cells)
+def _chunk_rows(cells: int, chunk: int = _CHUNK_CELLS) -> int:
+    return max(1, chunk // cells)
 
 
 def _q_pi_rows(J: JointDist, z_names: Sequence[str]) -> Callable[..., np.ndarray]:
@@ -438,26 +441,6 @@ def fuse_vars(J: JointDist, groups: Sequence[Sequence[str]], names: Sequence[str
         new_vars.append((nm, Alphabet(tuple(symbols))))
     shape = tuple(len(a) for _, a in new_vars)
     return JointDist(tuple(new_vars), arr.reshape(shape).reshape(-1))
-
-
-def apply_channel(J: JointDist, ch: Channel) -> JointDist:
-    """Pushforward of J through a channel consuming all of J's variables."""
-    if ch.in_vars != J.vars:
-        raise PreconditionError("channel input variables must match J exactly")
-    out_size = math.prod(ch.out_shape)
-    out = np.zeros(out_size)
-    flat = J.pmf
-    for i, p in enumerate(flat):
-        if p == 0.0:
-            continue
-        key = tuple(int(k) for k in np.unravel_index(i, J.shape))
-        row = ch.rows.get(key)
-        if row is None:
-            raise PreconditionError(
-                f"channel has no row for positive-probability input {key}"
-            )
-        out += p * row
-    return JointDist(ch.out_vars, out)
 
 
 def extend_with_channel(J: JointDist, ch: Channel) -> JointDist:

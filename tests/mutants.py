@@ -172,6 +172,10 @@ MUTANTS = {
         "rows = (b == n).nonzero()[0]",
         "rows = (b <= n).nonzero()[0]",
     )]),
+    "beta-block-drops-its-last-row": ("src/skconverse/hyptest.py", [(
+        "q = q_rows[lo:lo + step]",
+        "q = q_rows[lo:lo + step - 1]",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

@@ -68,6 +68,15 @@ def _z_moved(pmf: list, to: int) -> list:
     return np.moveaxis(np.reshape(pmf, [2] * 9), 8, to).reshape(-1).tolist()
 
 
+def _ternary_binary_pmf() -> list:
+    """Two ternary parties, then six binary ones: the second party and the
+    fourth copy the first and the third more often than not, over weights
+    that vary from cell to cell."""
+    x = np.indices([3, 3, 2, 2, 2, 2, 2, 2]).reshape(8, -1)
+    w = (1 + 2 * (x[0] == x[1])) * (1 + (x[2] == x[3])) * (np.arange(576) % 5 + 1)
+    return (w / w.sum()).tolist()
+
+
 def write_inputs(base: Path) -> dict:
     """The hand-made input files, by short name -> path."""
     files = {
@@ -144,6 +153,11 @@ def write_inputs(base: Path) -> dict:
         "lat8e_zmid": {"variables": _bits(*(f"X{i}" for i in range(1, 5)), "Z",
                                           *(f"X{i}" for i in range(5, 9))),
                        "pmf": _z_moved(_lattice_style_pmf(), 4), "eve": "Z"},
+        # 576 cells: a chunk of 113 partitions has its betas found in
+        # blocks of 56, 56 and 1 rows
+        "t2b6": {"variables": [{"name": f"X{i}", "symbols": ["0", "1", "2"]} for i in (1, 2)]
+                 + _bits(*(f"X{i}" for i in range(3, 9))), "pmf": _ternary_binary_pmf()},
+        "g576": [bin(x).count("1") % 2 for x in range(576)],
         "grp8": {"variables": _bits(*(f"X{i}" for i in range(1, 9))),
                  "pmf": [((x >> 4) % 5 + 1) * ((x & 15) % 3 + 1) / 1426 for x in range(256)]},
         "params": {"eps": 0.1, "eta": 0.05},
@@ -256,6 +270,11 @@ def corpus(f: dict) -> list[list[str]]:
                  "--all-partitions"] for d in ("lat8e", "grp8", "lat8e_zfirst", "lat8e_zmid")]
     screened += [["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--partition",
                   "1,4,7|2,5,8|3,6"] for d in ("lat8e", "lat8e_zfirst", "lat8e_zmid")]
+    blocked = [
+        ["bound", "sk", "--dist", f["t2b6"], "--eps", "0.1", "--eta", "0.05", "--all-partitions"],
+        ["bound", "compute", "--dist", f["t2b6"], "--g", f["g576"], "--eps", ".02",
+         "--delta", ".02"],
+    ]
     symmetric = [call for d in ("iu8", "nc8") for call in (
         ["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--all-partitions"],
         ["bound", "compute", "--dist", f[d], "--g", f["g8"], "--eps", ".02", "--delta", ".02"],
@@ -285,7 +304,7 @@ def corpus(f: dict) -> list[list[str]]:
         ["structure", "mss", "--dist", f["j2"], "--given", "X1", "--target", "X1"],
     ]
     edge = [["smooth", "hmin", "--dist", f[name], "--eps", "0.1"] for name in EDGE_DISTS]
-    return ok + symmetric + screened + reduce + errors + edge + parser_texts()
+    return ok + symmetric + screened + blocked + reduce + errors + edge + parser_texts()
 
 
 #: the leaf commands of each command group

@@ -23,7 +23,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from skconverse import (
-    Alphabet, BCProtocol, JointDist, PreconditionError, Protocol, ideal_bc_protocol,
+    Alphabet, BCProtocol, Channel, JointDist, PreconditionError, Protocol, ideal_bc_protocol,
 )
 
 BIT = Alphabet(("0", "1"))
@@ -117,6 +117,27 @@ def disagreeing_keys(mass: float = 1.0) -> tuple[JointDist, Protocol]:
         key_symbols=("0", "1"),
     )
     return J, p
+
+
+def apply_channel(J: JointDist, ch: Channel) -> JointDist:
+    """Pushforward of J through a channel consuming all of J's variables, one
+    input cell at a time."""
+    if ch.in_vars != J.vars:
+        raise PreconditionError("channel input variables must match J exactly")
+    out_size = math.prod(ch.out_shape)
+    out = np.zeros(out_size)
+    flat = J.pmf
+    for i, p in enumerate(flat):
+        if p == 0.0:
+            continue
+        key = tuple(int(k) for k in np.unravel_index(i, J.shape))
+        row = ch.rows.get(key)
+        if row is None:
+            raise PreconditionError(
+                f"channel has no row for positive-probability input {key}"
+            )
+        out += p * row
+    return JointDist(ch.out_vars, out)
 
 
 def random_channel_rows(rng, n_in: int, n_out: int) -> dict:

@@ -39,10 +39,10 @@ from skconverse import (
     secure_transmission_check,
     sk_capacity_formula,
 )
-from skconverse.probcore import apply_channel
 from skconverse.protosim import ideal_ot_correlation
 from support import (
     BIT,
+    apply_channel,
     ber,
     beta_oracle,
     d_max_smooth_oracle,

@@ -22,9 +22,10 @@ from skconverse import hyptest
 from skconverse._typeclasses import compositions, typeclass_table
 from skconverse.errors import CapExceededError
 from skconverse.hyptest import default_gamma_grid
-from skconverse.probcore import LOG2_ZERO, apply_channel, Channel
+from skconverse.probcore import _BLOCK_CELLS, LOG2_ZERO, Channel, _chunk_rows
 from skconverse.smoothinfo import d_max
 from support import (
+    apply_channel,
     ber,
     beta_lp_oracle,
     beta_oracle,
@@ -297,6 +298,30 @@ def test_test_betas_on_rows_longer_than_the_reduction_buffer():
     big = rng.random((1, 1 << 20))
     for b1, g1 in ((np.array([(1 << 20) - 5]), np.array([0.3])), (np.array([1 << 20]), np.zeros(1))):
         assert hyptest._test_betas(big, b1, g1)[0] == _test_betas_loop(big, b1, g1)[0]
+
+
+def _normalized(weights):
+    return weights / weights.sum()
+
+
+@pytest.mark.parametrize("n, counts", [
+    (576, lambda block: [1, block - 1, block, block + 1, 3 * block + 5]),
+    ((1 << 15) + 3, lambda block: [1, 3]),  # rows wider than a block: one row each
+], ids=["576-cells", "wider-than-a-block"])
+def test_blocked_betas_equal_one_beta_epsilon_per_row(n, counts):
+    """``_betas`` over rows cut into blocks gives each row's own
+    ``beta_epsilon``, bit for bit: row counts on both sides of a multiple of
+    the block, and small integer weights, so that P and the rows have zero
+    cells and tied ratios."""
+    block = _chunk_rows(n, _BLOCK_CELLS)
+    rng = np.random.default_rng(n)
+    P = one_var_dist(_normalized(rng.integers(0, 4, n)))
+    for rows in counts(block):
+        Qs = [one_var_dist(_normalized(w)) for w in rng.integers(0, 4, (rows, n))]
+        for eps in (0.05, 0.3):
+            got = hyptest._betas(P.pmf, np.array([Q.pmf for Q in Qs]), eps)
+            want = [beta_epsilon(P, Q, eps).beta for Q in Qs]
+            assert [float.hex(x) for x in got] == [float.hex(x) for x in want], (rows, eps)
 
 
 def test_stein_limit_at_1e4():

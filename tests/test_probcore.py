@@ -26,7 +26,6 @@ from skconverse.probcore import (
     Channel,
     _chunk_rows,
     _q_pi_rows,
-    apply_channel,
     conditional_family,
     conditional_product,
     dist_from_json,
@@ -42,7 +41,7 @@ from skconverse.probcore import (
     stable_order,
 )
 from skconverse.structure import Partition, _partition_masks
-from support import BIT, ber, binary_entropy, dsbs, marginal_oracle, random_dist
+from support import BIT, apply_channel, ber, binary_entropy, dsbs, marginal_oracle, random_dist
 
 
 def test_construction_validation():

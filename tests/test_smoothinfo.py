@@ -21,10 +21,11 @@ from skconverse import (
     h_min_smooth,
     iid_extend,
 )
-from skconverse.probcore import Channel, apply_channel
+from skconverse.probcore import Channel
 from skconverse.smoothinfo import _SEGMENT_BLOCK, _dmax_cap_log, _waterfill_cap
 from support import (
     BIT,
+    apply_channel,
     ber,
     d_max_smooth_oracle,
     dense_pair,
