@@ -46,6 +46,7 @@ from .structure import (
     attach_label,
     mcf,
     mss,
+    unused_name,
 )
 
 _TOL = 1e-12
@@ -379,6 +380,15 @@ def _least_kl(J: JointDist, h: np.ndarray, margin: float):
     return best_val, best
 
 
+def _with_aux(J: JointDist, u_channel: Channel):
+    """(Z's names, the two parties, J with U attached, U's names)."""
+    zs = _z_names(J)
+    parties = _party_vars(J, zs)
+    if len(parties) != 2:
+        raise PreconditionError("this bound is for two parties")
+    return zs, parties, extend_with_channel(J, u_channel), [n for n, _ in u_channel.out_vars]
+
+
 def aux_singleshot_bound(
     J: JointDist, u_channel: Channel, eps: float, delta: float, eta: float,
     eta1: float, eta2: float,
@@ -396,15 +406,9 @@ def aux_singleshot_bound(
         raise PreconditionError("need eps, delta >= 0 with eps + 2*delta < 1")
     if not (0 <= eta1 and 0 <= eta2 and eta1 + eta2 < eta < 1 - eps - 2 * delta):
         raise PreconditionError("need 0 <= eta1 + eta2 < eta < 1 - eps - 2*delta")
-    zs = _z_names(J)
-    parties = _party_vars(J, zs)
-    if len(parties) != 2:
-        raise PreconditionError("this bound is for two parties")
-    J2 = extend_with_channel(J, u_channel)
-    u_names = [n for n, _ in u_channel.out_vars]
+    zs, parties, J2, u_names = _with_aux(J, u_channel)
     cond_vars = zs + u_names
-    pi2 = Partition((frozenset([1]), frozenset([2])), 2)
-    q_beta = conditional_product(J2, pi2, cond_vars)
+    q_beta = conditional_product(J2, [[1], [2]], cond_vars)
     cert = beta_epsilon(J2, q_beta, eps + 2 * delta + eta)
     base = marginal(J2, parties + zs)
     u_given_z = conditional_family(J2, u_names, zs)
@@ -437,12 +441,7 @@ def aux_singleshot_bound(
 
 def aux_capacity_bound(J: JointDist, u_channel: Channel) -> float:
     """I(X1; X2 | U) + I(X1, X2; U | Z) in bits, Z = ``J.eve`` if set."""
-    zs = _z_names(J)
-    parties = _party_vars(J, zs)
-    if len(parties) != 2:
-        raise PreconditionError("this bound is for two parties")
-    J2 = extend_with_channel(J, u_channel)
-    u_names = [n for n, _ in u_channel.out_vars]
+    zs, parties, J2, u_names = _with_aux(J, u_channel)
     first = mutual_information(J2, [parties[0]], [parties[1]], given=u_names)
     second = mutual_information(J2, parties, u_names, given=zs if zs else None)
     return first + second
@@ -464,31 +463,24 @@ def duplicated_statistic_joint(J: JointDist, lab: Labeling) -> tuple[JointDist, 
     The first places identical copies of the statistic on two coordinates;
     the second draws the two copies independently given X2.
     """
-    x1, x2 = _two_party_names(J)
-    JV = attach_label(J, lab, "_V")
-    pv_x2 = marginal(JV, ["_V", x2])
-    arr = np.transpose(pv_x2.array(), (pv_x2.axis("_V"), pv_x2.axis(x2)))
+    x2 = _two_party_names(J)[1]
+    v = unused_name(J, "V1")
+    arr = marginal(attach_label(J, lab, v), [v, x2]).array().T  # axes (V, X2)
     k, n2 = arr.shape
     px2 = arr.sum(axis=0)
-    rows = np.zeros_like(arr)
-    pos = px2 > 0
-    rows[:, pos] = arr[:, pos] / px2[pos]
+    rows = np.divide(arr, px2, out=np.zeros_like(arr), where=px2 > 0)
 
     p_dup = np.zeros((k, k, n2))
-    for v in range(k):
-        p_dup[v, v, :] = arr[v, :]
+    p_dup[np.arange(k), np.arange(k)] = arr
     q_dup = rows[:, None, :] * rows[None, :, :] * px2[None, None, :]
 
     v_alpha = lab.label_alphabet()
     vars3 = (
-        ("V1", v_alpha),
-        ("V1b", v_alpha),
+        (v, v_alpha),
+        (unused_name(J, "V1b"), v_alpha),
         (x2, J.alphabet(x2)),
     )
-    return (
-        JointDist(vars3, p_dup.reshape(-1)),
-        JointDist(vars3, q_dup.reshape(-1)),
-    )
+    return JointDist(vars3, p_dup), JointDist(vars3, q_dup)
 
 
 def _check_ot_bc_params(eps: float, delta1: float, delta2: float, xi: float) -> None:
@@ -523,9 +515,9 @@ def ot_bounds(
     two_log_xi = 2 * math.log2(1.0 / xi)
 
     lab0, _ = mcf(J, x1, x2)
-    JV0 = attach_label(J, lab0, "V0")
-    pi2 = Partition((frozenset([1]), frozenset([2])), 2)
-    q1 = conditional_product(JV0, pi2, "V0")
+    v0 = unused_name(J, "V0")
+    JV0 = attach_label(J, lab0, v0)
+    q1 = conditional_product(JV0, [[1], [2]], v0)
     cert1 = beta_epsilon(JV0, q1, eta)
     bound1 = cert1.neg_log2_beta + two_log_xi
 
@@ -551,8 +543,8 @@ def ot_capacity_bound(J: JointDist) -> float:
     """min{ I(X1; X2 | V0), H(V1 | X2) } in bits."""
     x1, x2 = _two_party_names(J)
     lab0, _ = mcf(J, x1, x2)
-    JV0 = attach_label(J, lab0, "V0")
-    first = mutual_information(JV0, [x1], [x2], given=["V0"])
+    v0 = unused_name(J, "V0")
+    first = mutual_information(attach_label(J, lab0, v0), [x1], [x2], given=[v0])
     return min(first, bc_capacity_bound(J))
 
 
@@ -587,8 +579,9 @@ def bc_capacity_bound(J: JointDist) -> float:
     """H(V1 | X2) in bits, V1 the minimum sufficient statistic of X1 for X2."""
     x1, x2 = _two_party_names(J)
     lab1 = mss(J, given=x1, target=x2)
-    JV1 = attach_label(J, lab1, "V1")
-    return entropy(JV1, ["V1", x2]) - entropy(JV1, [x2])
+    v1 = unused_name(J, "V1")
+    JV1 = attach_label(J, lab1, v1)
+    return entropy(JV1, [v1, x2]) - entropy(JV1, [x2])
 
 
 # ---------------------------------------------------------------------------
@@ -641,25 +634,21 @@ def sc_necessary_check(
     p_g = pushforward_function(J, g)
     lhs = h_min_smooth(p_g, xi).value
     extra = 2 * math.log2(1.0 / (2 * zeta)) + 1.0
-    labels, rhss, least = [], [], None
+    labels, rhss = [], []
     for masks, rows in _partition_scan(J, [], m, partition):
         nlbs = np.array([_neg_log2(beta) for beta in _betas(J.pmf, rows(), mu)])
         rhss.append(_cit_value(nlbs, _num_blocks(masks), eta) + extra)
         labels += _partition_labels(masks, m)
-        gap = rhss[-1] - lhs  # the rows' slacks
-        i = int(np.argmin(gap))
-        if least is None or gap[i] < least[0]:  # the first row of least slack
-            least = gap[i], masks[i].tolist()
     rhs = np.concatenate(rhss)
     slack = rhs - lhs
-    worst = int(np.argmin(slack))
+    worst = int(np.argmin(slack))  # the first row of least slack
     rows = tuple(zip(labels, rhs.tolist(), slack.tolist()))
     return CheckReport(
         passed=rows[worst][2] >= -_TOL,
         lhs=lhs,
         rhs=rows[worst][1],
         slack=rows[worst][2],
-        partition=_partition_of(least[1], m),
+        partition=Partition.parse(rows[worst][0], m),
         per_partition=rows,
         params={
             "eps": eps, "delta": delta, "xi": xi, "zeta": zeta, "eta": eta, "mu": mu,

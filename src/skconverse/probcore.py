@@ -247,19 +247,15 @@ def conditional_family(J, targets, given) -> Channel:
         raise PreconditionError("targets and given must be disjoint")
     sub = marginal(J, targets + given)
     # axes in sub follow J's variable order; move given axes to the front
-    g_axes = tuple(sub.axis(n) for n in given)
-    t_axes = tuple(sub.axis(n) for n in targets)
-    arr = np.transpose(sub.array(), g_axes + t_axes)
+    arr = np.transpose(sub.array(), [sub.axis(n) for n in given + targets])
     g_shape = arr.shape[: len(given)]
-    flat = arr.reshape(int(np.prod(g_shape, dtype=np.int64)), -1)
+    flat = arr.reshape(math.prod(g_shape), -1)
     masses = flat.sum(axis=1)
     if masses.sum() <= 0:
         raise PreconditionError("conditioning marginal is identically zero")
-    rows = {}
-    for i, m in enumerate(masses):
-        if m > 0:
-            key = tuple(int(k) for k in np.unravel_index(i, g_shape)) if g_shape else ()
-            rows[key] = flat[i] / m
+    pos = masses > 0
+    keys = map(tuple, np.argwhere(pos.reshape(g_shape)).tolist())
+    rows = dict(zip(keys, flat[pos] / masses[pos, None]))
     in_vars = tuple((n, J.alphabet(n)) for n in given)
     out_vars = tuple((n, J.alphabet(n)) for n in targets)
     return Channel(in_vars, out_vars, rows)
@@ -446,43 +442,32 @@ def fuse_vars(J: JointDist, groups: Sequence[Sequence[str]], names: Sequence[str
 def extend_with_channel(J: JointDist, ch: Channel) -> JointDist:
     """Joint law over J's variables plus the channel outputs.
 
-    The channel inputs must be a subset of J's variables; the output law is
-    P(x) * W(u | x_in).
+    The channel inputs must be a subset of J's variables; each output cell
+    is the one product P(x) * W(u | x_in).  Rows keyed outside the inputs'
+    range are ignored.
     """
-    in_names = [n for n, _ in ch.in_vars]
     for n, a in ch.in_vars:
         if J.alphabet(n).symbols != a.symbols:
             raise PreconditionError(f"channel input {n!r} has mismatched alphabet")
     for n, _ in ch.out_vars:
         if n in J.var_names:
             raise PreconditionError(f"channel output name {n!r} already present")
-    in_axes = [J.axis(n) for n in in_names]
-    rest_axes = [i for i in range(len(J.vars)) if i not in in_axes]
-    arr = np.transpose(J.array(), in_axes + rest_axes)
-    in_shape = arr.shape[: len(in_axes)]
-    in_size = int(np.prod(in_shape, dtype=np.int64))
-    rest_size = int(np.prod(arr.shape[len(in_axes):], dtype=np.int64))
-    flat = arr.reshape(in_size, rest_size)
-    out_size = math.prod(ch.out_shape)
-    W = np.zeros((in_size, out_size))
-    for i in range(in_size):
-        key = tuple(int(k) for k in np.unravel_index(i, in_shape)) if in_shape else ()
-        row = ch.rows.get(key)
-        if row is not None:
-            W[i] = row
-        elif flat[i].sum() > 0:
-            raise PreconditionError(
-                f"channel has no row for positive-probability input {key}"
-            )
-    big = np.einsum("ir,io->iro", flat, W)
-    big = big.reshape(in_shape + arr.shape[len(in_axes):] + ch.out_shape)
-    # restore original variable order, outputs appended
-    inv = [0] * len(J.vars)
-    for pos, ax in enumerate(in_axes + rest_axes):
-        inv[ax] = pos
-    big = np.transpose(big, inv + list(range(len(J.vars), len(J.vars) + len(ch.out_shape))))
-    new_vars = J.vars + ch.out_vars
-    return JointDist(new_vars, big.reshape(-1), eve=J.eve)
+    in_axes = [J.axis(n) for n, _ in ch.in_vars]
+    in_shape = tuple(J.shape[i] for i in in_axes)
+    W = np.zeros(in_shape + ch.out_shape)  # a row sums to 1, so a present row is nonzero
+    for key, row in ch.rows.items():
+        if len(key) == len(in_shape) and all(0 <= k < n for k, n in zip(key, in_shape)):
+            W[key] = row.reshape(ch.out_shape)
+    axes = list(range(len(J.vars)))  # J's axes, then the outputs'
+    outs = list(range(len(axes), len(axes) + len(ch.out_vars)))
+    mass = np.einsum(J.array(), axes, in_axes)  # the inputs' marginal
+    missing = np.argwhere((mass > 0) & ~W.any(axis=tuple(range(len(in_axes), W.ndim))))
+    if len(missing):
+        raise PreconditionError(
+            f"channel has no row for positive-probability input {tuple(missing[0].tolist())}"
+        )
+    big = np.einsum(J.array(), axes, W, in_axes + outs, axes + outs)
+    return JointDist(J.vars + ch.out_vars, big.reshape(-1), eve=J.eve)
 
 
 def pushforward_function(
@@ -497,9 +482,7 @@ def pushforward_function(
     labels = _function_table(J, fn)
     uniq = sorted(set(labels))
     idx = {s: i for i, s in enumerate(uniq)}
-    out = np.zeros(len(uniq))
-    for lab, p in zip(labels, J.pmf):
-        out[idx[lab]] += p
+    out = np.bincount([idx[lab] for lab in labels], weights=J.pmf)  # sums in cell order
     return JointDist((("G", Alphabet(tuple(uniq))),), out)
 
 

@@ -32,7 +32,7 @@ from .probcore import (
     _first_seen, _product_tv, _ravel, _region_mass, _sum, _tv, factorizes,
 )
 from .smoothinfo import _xy_matrix, h_min_cond, h_min_smooth
-from .structure import Partition, attach_label, mcf, mss
+from .structure import Partition, attach_label, mcf, mss, unused_name
 
 #: runs one enumeration may walk; an OT reduction takes 0.2-0.35 KB per run,
 #: so about 0.25 GB at the cap
@@ -856,7 +856,7 @@ def _reduced(
     eavesdropper observes X2, and party 2's message maps read (X2,) alone.
     """
     x1, x2 = J.var_names
-    name = "V0" if to_eve else "V1"
+    name = unused_name(J, "V0" if to_eve else "V1")
     obs2, eve = ((x2,), (name,)) if to_eve else ((name, x2), (x2,))
 
     def view(m):

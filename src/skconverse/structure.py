@@ -289,6 +289,13 @@ def mss(J: JointDist, given: str, target: str, tol: float = 1e-9) -> Labeling:
     return _renumber([(given, J.alphabet(given), raw)])[0]
 
 
+def unused_name(J: JointDist, name: str) -> str:
+    """``name``, primed until none of J's variables has it."""
+    while name in J.var_names:
+        name += "'"
+    return name
+
+
 def attach_label(J: JointDist, labeling: Labeling, name: str) -> JointDist:
     """Append the label of ``labeling.var`` as a new deterministic variable."""
     if name in J.var_names:

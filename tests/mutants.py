@@ -176,6 +176,38 @@ MUTANTS = {
         "q = q_rows[lo:lo + step]",
         "q = q_rows[lo:lo + step - 1]",
     )]),
+    "channel-inputs-einsummed-reversed": ("src/skconverse/probcore.py", [(
+        "W, in_axes + outs",
+        "W, in_axes[::-1] + outs",
+    )]),
+    "channel-row-of-negative-key-kept": ("src/skconverse/probcore.py", [(
+        "all(0 <= k < n for",
+        "all(k < n for",
+    )]),
+    "channel-missing-row-named-last": ("src/skconverse/probcore.py", [(
+        "tuple(missing[0].tolist())",
+        "tuple(missing[-1].tolist())",
+    )]),
+    "conditional-rows-over-wrong-masses": ("src/skconverse/probcore.py", [(
+        "flat[pos] / masses[pos, None]",
+        "flat[pos] / masses[pos][::-1, None]",
+    )]),
+    "pushforward-counts-cells": ("src/skconverse/probcore.py", [(
+        "np.bincount([idx[lab] for lab in labels], weights=J.pmf)",
+        "np.bincount([idx[lab] for lab in labels])",
+    )]),
+    "duplicated-diagonal-reversed": ("src/skconverse/bounds.py", [(
+        "p_dup[np.arange(k), np.arange(k)] = arr",
+        "p_dup[np.arange(k), np.arange(k)[::-1]] = arr",
+    )]),
+    "sc-check-reports-last-tie": ("src/skconverse/bounds.py", [(
+        "worst = int(np.argmin(slack))",
+        "worst = len(slack) - 1 - int(np.argmin(slack[::-1]))",
+    )]),
+    "statistic-name-not-primed": ("src/skconverse/structure.py", [(
+        "    while name in J.var_names:\n",
+        "    if False:\n",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

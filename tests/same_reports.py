@@ -160,6 +160,17 @@ def write_inputs(base: Path) -> dict:
         "g576": [bin(x).count("1") % 2 for x in range(576)],
         "grp8": {"variables": _bits(*(f"X{i}" for i in range(1, 9))),
                  "pmf": [((x >> 4) % 5 + 1) * ((x & 15) % 3 + 1) / 1426 for x in range(256)]},
+        # X1 = "c" has no mass, and "b"'s law of X2 is a third of "a"'s, so
+        # the minimum sufficient statistic merges them
+        "j34": {"variables": [{"name": "X1", "symbols": ["a", "b", "c"]},
+                              {"name": "X2", "symbols": ["0", "1", "2", "3"]}],
+                "pmf": [0.125, 0.25, 0.0625, 0.3125] + [w / 3 for w in (0.125, 0.25, 0.0625,
+                                                                        0.3125)] + [0.0] * 4},
+        # inputs in another order than j2e's, and a row keyed outside their range
+        "ch2": {"inputs": _bits("Z", "X1"), "outputs": [{"name": "U", "symbols": ["0", "1", "2"]}],
+                "rows": {"0,0": [0.7, 0.2, 0.1], "0,1": [0.1, 0.3, 0.6], "1,0": [0.5, 0.5, 0.0],
+                         "1,1": [0.2, 0.2, 0.6], "2,0": [1.0, 0.0, 0.0]}},
+        "g3": ["b", "a", "10", "b", "a", "10", "a", "b"],
         "params": {"eps": 0.1, "eta": 0.05},
         "params_unread": {"eps": 0.1, "eta": 0.05, "count": 3},
     }
@@ -266,6 +277,13 @@ def corpus(f: dict) -> list[list[str]]:
         ["protocol", "fuzz", "--count", "300", "--seed", "0"],
         ["protocol", "fuzz", "--count", "300", "--seed", "1", "--eta", "0.1"],
     ]
+    rewritten = [["bound", kind, "--dist", f["j34"], *args] for kind in ("ot", "bc") for args in (
+        ["--eps", ".02", "--delta1", ".02", "--delta2", ".02", "--xi", ".05"], ["--capacity"])]
+    rewritten += [
+        ["bound", "sk", "--dist", f["j2e"], "--aux-channel", f["ch2"], "--eps", "0.1",
+         "--delta", "0.05", "--eta", "0.3", "--eta1", "0.05", "--eta2", "0.05"],
+        ["bound", "compute", "--dist", f["j3"], "--g", f["g3"], "--eps", ".02", "--delta", ".02"],
+    ]
     screened = [["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05",
                  "--all-partitions"] for d in ("lat8e", "grp8", "lat8e_zfirst", "lat8e_zmid")]
     screened += [["bound", "sk", "--dist", f[d], "--eps", "0.1", "--eta", "0.05", "--partition",
@@ -304,7 +322,7 @@ def corpus(f: dict) -> list[list[str]]:
         ["structure", "mss", "--dist", f["j2"], "--given", "X1", "--target", "X1"],
     ]
     edge = [["smooth", "hmin", "--dist", f[name], "--eps", "0.1"] for name in EDGE_DISTS]
-    return ok + symmetric + screened + blocked + reduce + errors + edge + parser_texts()
+    return ok + rewritten + symmetric + screened + blocked + reduce + errors + edge + parser_texts()
 
 
 #: the leaf commands of each command group

@@ -10,7 +10,9 @@ commitment oracle sums the definitions over every (key, X1, X2, message),
 the leftover-hash oracle hashes one X value at a time, and the protocol
 oracles walk one run at a time into dict laws.  Expected values
 asserted in the tests are computed by these oracles, not copied from the
-code under test.
+code under test.  The per-row loops are the exception: they are the
+earlier forms of laws that the package now builds with array operations,
+kept so that tests can hold the new forms to the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from hypothesis import strategies as st
 
 from skconverse import (
     Alphabet, BCProtocol, Channel, JointDist, PreconditionError, Protocol, ideal_bc_protocol,
+    marginal,
 )
+from skconverse.structure import attach_label
 
 BIT = Alphabet(("0", "1"))
 
@@ -280,6 +284,101 @@ def marginal_oracle(J: JointDist, keep) -> np.ndarray:
         idx = np.unravel_index(flat, J.shape)
         out[tuple(idx[i] for i in keep_pos)] += w
     return out.reshape(-1)
+
+
+# ---------------------------------------------------------------------------
+# per-row loops: the references that probcore's and bounds' array forms of
+# the same laws must equal bit for bit
+
+
+def conditional_family_loop(J: JointDist, targets, given) -> Channel:
+    """``conditional_family``: rows divided one conditioning input at a time."""
+    targets, given = list(targets), list(given)
+    for n in targets + given:
+        J.axis(n)
+    if set(targets) & set(given):
+        raise PreconditionError("targets and given must be disjoint")
+    sub = marginal(J, targets + given)
+    arr = np.transpose(sub.array(), [sub.axis(n) for n in given + targets])
+    g_shape = arr.shape[: len(given)]
+    flat = arr.reshape(math.prod(g_shape), -1)
+    masses = flat.sum(axis=1)
+    if masses.sum() <= 0:
+        raise PreconditionError("conditioning marginal is identically zero")
+    rows = {}
+    for i, m in enumerate(masses):
+        if m > 0:
+            key = tuple(int(k) for k in np.unravel_index(i, g_shape)) if g_shape else ()
+            rows[key] = flat[i] / m
+    return Channel(tuple((n, J.alphabet(n)) for n in given),
+                   tuple((n, J.alphabet(n)) for n in targets), rows)
+
+
+def extend_with_channel_loop(J: JointDist, ch: Channel) -> JointDist:
+    """``extend_with_channel``: J laid out inputs first, the channel's row of
+    each input looked up one input at a time, and the product laid back."""
+    in_names = [n for n, _ in ch.in_vars]
+    for n, a in ch.in_vars:
+        if J.alphabet(n).symbols != a.symbols:
+            raise PreconditionError(f"channel input {n!r} has mismatched alphabet")
+    for n, _ in ch.out_vars:
+        if n in J.var_names:
+            raise PreconditionError(f"channel output name {n!r} already present")
+    in_axes = [J.axis(n) for n in in_names]
+    rest_axes = [i for i in range(len(J.vars)) if i not in in_axes]
+    arr = np.transpose(J.array(), in_axes + rest_axes)
+    in_shape = arr.shape[: len(in_axes)]
+    flat = arr.reshape(math.prod(in_shape), math.prod(arr.shape[len(in_axes):]))
+    W = np.zeros((len(flat), math.prod(ch.out_shape)))
+    for i in range(len(flat)):
+        key = tuple(int(k) for k in np.unravel_index(i, in_shape)) if in_shape else ()
+        row = ch.rows.get(key)
+        if row is not None:
+            W[i] = row
+        elif flat[i].sum() > 0:
+            raise PreconditionError(f"channel has no row for positive-probability input {key}")
+    big = np.einsum("ir,io->iro", flat, W)
+    big = big.reshape(in_shape + arr.shape[len(in_axes):] + ch.out_shape)
+    inv = [0] * len(J.vars)
+    for pos, ax in enumerate(in_axes + rest_axes):
+        inv[ax] = pos
+    big = np.transpose(big, inv + list(range(len(J.vars), len(J.vars) + len(ch.out_shape))))
+    return JointDist(J.vars + ch.out_vars, big.reshape(-1), eve=J.eve)
+
+
+def pushforward_function_loop(J: JointDist, fn) -> JointDist:
+    """``pushforward_function``: each cell's mass added to its label's in turn."""
+    if callable(fn):
+        labels = [str(fn(sym)) for sym in J.outcomes()]
+    else:
+        labels = [str(v) for v in fn]
+        if len(labels) != J.n_cells:
+            raise PreconditionError("function table length must match the outcome count")
+    uniq = sorted(set(labels))
+    idx = {s: i for i, s in enumerate(uniq)}
+    out = np.zeros(len(uniq))
+    for lab, p in zip(labels, J.pmf):
+        out[idx[lab]] += p
+    return JointDist((("G", Alphabet(tuple(uniq))),), out)
+
+
+def duplicated_statistic_loop(J: JointDist, lab) -> tuple[np.ndarray, np.ndarray]:
+    """The pmfs of ``duplicated_statistic_joint``, the diagonal of the first
+    filled one label at a time."""
+    x2 = J.var_names[1]
+    JV = attach_label(J, lab, "_V")
+    pv_x2 = marginal(JV, ["_V", x2])
+    arr = np.transpose(pv_x2.array(), (pv_x2.axis("_V"), pv_x2.axis(x2)))
+    k, n2 = arr.shape
+    px2 = arr.sum(axis=0)
+    rows = np.zeros_like(arr)
+    pos = px2 > 0
+    rows[:, pos] = arr[:, pos] / px2[pos]
+    p_dup = np.zeros((k, k, n2))
+    for v in range(k):
+        p_dup[v, v, :] = arr[v, :]
+    q_dup = rows[:, None, :] * rows[None, :, :] * px2[None, None, :]
+    return p_dup.reshape(-1), q_dup.reshape(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,14 @@ from skconverse.probcore import (
 from skconverse.protosim import ideal_ot_correlation
 from skconverse.smoothinfo import h_min_smooth
 from skconverse.errors import CapExceededError
-from skconverse.structure import _partition_count, _partition_of
+from skconverse.bounds import duplicated_statistic_joint
+from skconverse.structure import _partition_count, _partition_of, mcf, mss
 from support import (
     BIT,
     binary_entropy,
     conditional_product_oracle,
     dsbs,
+    duplicated_statistic_loop,
     random_dist,
     uniform_bits,
 )
@@ -394,6 +396,58 @@ def test_sc_check_equals_loop_over_partitions():
         assert (str(rep.partition), rep.rhs, rep.slack) == rows[worst]
         one = sc_necessary_check(J, g, 0.02, 0.02, xi, zeta, eta, partition=parts[-1])
         assert one.per_partition == (rows[-1],)
+
+
+def test_sc_check_reports_the_first_of_tied_least_slacks():
+    """Two uniform 16-ary symbols, each held by two parties: 2^16 cells, so
+    each partition is a chunk of its own.  Every mass and product is a power
+    of two, so partitions that keep both pairs whole, or split them all,
+    tie exactly; the first of them in enumeration order is reported."""
+    sym = Alphabet(tuple(map(str, range(16))))
+    arr = np.zeros((16,) * 4)
+    for a in range(16):
+        arr[a, a, :, :] = np.diag(np.full(16, 1 / 256))
+    J = JointDist(tuple((f"X{i}", sym) for i in range(1, 5)), arr.reshape(-1))
+    assert _chunk_rows(J.n_cells) == 1
+    rep = sc_necessary_check(J, [0] * J.n_cells, 0.0, 0.0, 0.125, 0.125, 0.125)
+    slacks = [row[2] for row in rep.per_partition]
+    tied = [row[0] for row in rep.per_partition if row[2] == min(slacks)]
+    assert tied == ["1,2|3,4", "1,2|3|4", "1|2|3,4", "1|2|3|4"]
+    assert [str(p) for p in enum_partitions(4) if str(p) in tied] == tied
+    assert rep.partition == Partition.parse("1,2|3,4", 4)
+    assert (str(rep.partition), rep.rhs, rep.slack) == rep.per_partition[2]
+
+
+def test_duplicated_statistic_joint_equals_its_loop():
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        shape = tuple(int(n) for n in rng.integers(1, 6, 2))
+        w = rng.integers(0, 4, shape).astype(float) * rng.random(shape)
+        w[rng.integers(shape[0])] = 0.0  # an X1 symbol of zero mass
+        if not w.any():
+            w[0, 0] = 1.0
+        J = random_dist(rng, shape, names=["X1", "X2"])
+        J = JointDist(J.vars, (w / w.sum()).reshape(-1))
+        for lab in (mss(J, given="X1", target="X2"), mcf(J, "X1", "X2")[0]):
+            p_dup, q_dup = duplicated_statistic_joint(J, lab)
+            p_loop, q_loop = duplicated_statistic_loop(J, lab)
+            assert p_dup.pmf.tobytes() == p_loop.tobytes()
+            assert q_dup.pmf.tobytes() == q_loop.tobytes()
+            assert p_dup.var_names == q_dup.var_names == ("V1", "V1b", "X2")
+
+
+@pytest.mark.parametrize("names", [("V0", "V1"), ("V1", "V1b"), ("V1b", "V0")])
+def test_ot_bc_on_sources_named_like_the_statistics(names):
+    rng = np.random.default_rng(24)
+    J = random_dist(rng, [3, 4], names=["X1", "X2"])
+    R = JointDist(tuple((n, a) for n, (_, a) in zip(names, J.vars)), J.pmf)
+    args = (0.02, 0.02, 0.02, 0.05)
+    for f in (ot_capacity_bound, bc_capacity_bound):
+        assert f(R) == f(J)
+    for f in (ot_bounds, bc_bound):
+        assert f(R, *args) == f(J, *args)
+    p, q = duplicated_statistic_joint(R, mss(R, given=names[0], target=names[1]))
+    assert len(set(p.var_names)) == 3 and p.var_names[2] == names[1]
 
 
 def test_partition_scan_across_chunks():

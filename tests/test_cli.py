@@ -142,6 +142,21 @@ def test_structure_verbs(tmp_path, capsys):
     assert json.loads(out)["result"]["num_labels"] == 2
 
 
+def test_bound_ot_bc_on_a_source_named_v0_v1(tmp_path, capsys):
+    J = random_dist(np.random.default_rng(5), [3, 4], names=["X1", "X2"])
+    renamed = skconverse.JointDist((("V0", J.vars[0][1]), ("V1", J.vars[1][1])), J.pmf)
+    paths = [write_dist(tmp_path, D, f"{i}.json") for i, D in enumerate((J, renamed))]
+    single = ["--eps", ".02", "--delta1", ".02", "--delta2", ".02", "--xi", ".05"]
+    for verb in ("ot", "bc"):
+        for args in (single, ["--capacity"]):
+            results = []
+            for path in paths:
+                code, out, err = run(capsys, ["bound", verb, "--dist", path, *args])
+                assert code == 0, err
+                results.append(json.loads(out)["result"])
+            assert results[0] == results[1]
+
+
 def test_smooth_verbs(tmp_path, capsys):
     d = write_dist(tmp_path, ber(0.5), "d.json")
     code, out, _ = run(capsys, ["smooth", "hmin", "--dist", d, "--eps", "0.1"])

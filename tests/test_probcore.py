@@ -41,7 +41,18 @@ from skconverse.probcore import (
     stable_order,
 )
 from skconverse.structure import Partition, _partition_masks
-from support import BIT, apply_channel, ber, binary_entropy, dsbs, marginal_oracle, random_dist
+from support import (
+    BIT,
+    apply_channel,
+    ber,
+    binary_entropy,
+    conditional_family_loop,
+    dsbs,
+    extend_with_channel_loop,
+    marginal_oracle,
+    pushforward_function_loop,
+    random_dist,
+)
 
 
 def test_construction_validation():
@@ -536,6 +547,92 @@ def test_extend_with_channel():
     assert abs(arr[1, 0, 1] - base[1, 0] * 0.8) <= 1e-15
     with pytest.raises(PreconditionError):
         Channel((("X1", BIT),), (("U", BIT),), {(0,): [math.nan, 1.0]})
+
+
+def _outcome(call):
+    """What ``call`` gives, as bytes and texts: its error's text, or the
+    vars, eve and pmf bytes of a law, or the vars and (key, row bytes)
+    pairs of a channel, rows in order."""
+    try:
+        out = call()
+    except PreconditionError as exc:
+        return "error", str(exc)
+    if isinstance(out, Channel):
+        return out.in_vars, out.out_vars, [(k, r.tobytes()) for k, r in out.rows.items()]
+    return out.vars, getattr(out, "eve", None), out.pmf.tobytes()
+
+
+def _random_law(rng, cls=JointDist):
+    """Up to four variables of 1-3 symbols, with zero cells and, at times, a
+    zero slice along one axis."""
+    shape = tuple(int(n) for n in rng.integers(1, 4, rng.integers(1, 5)))
+    w = rng.random(shape) * (rng.random(shape) < 0.7)
+    if rng.random() < 0.5:
+        axis = rng.integers(len(shape))
+        np.moveaxis(w, axis, 0)[rng.integers(shape[axis])] = 0.0
+    if not w.any():
+        w.flat[rng.integers(w.size)] = 1.0
+    vars = tuple((f"X{i + 1}", Alphabet(tuple(map(str, range(n))))) for i, n in enumerate(shape))
+    eve = {"eve": f"X{rng.integers(len(shape)) + 1}"} if cls is JointDist else {}
+    return cls(vars, (w / w.sum()).reshape(-1), **eve)
+
+
+def _random_subset(rng, names):
+    """Some of ``names``, maybe none, in a random order."""
+    return [names[i] for i in rng.permutation(len(names))[:rng.integers(len(names) + 1)]]
+
+
+def test_extend_with_channel_equals_its_loop():
+    rng = np.random.default_rng(20)
+    for _ in range(400):
+        J = _random_law(rng)
+        ins = [(n, J.alphabet(n)) for n in _random_subset(rng, list(J.var_names))]
+        in_shape = tuple(len(a) for _, a in ins)
+        outs = [(f"U{i}", Alphabet(tuple(map(str, range(rng.integers(1, 4))))))
+                for i in range(rng.integers(1, 3))]
+        if rng.random() < 0.05:  # an output named like one of J's variables
+            outs[0] = ("X1", outs[0][1])
+        if ins and rng.random() < 0.05:  # an input of another alphabet
+            ins[0] = (ins[0][0], Alphabet(tuple(f"s{i}" for i in range(in_shape[0]))))
+        size = math.prod(len(a) for _, a in outs)
+        rows = {key: rng.dirichlet(np.ones(size)) for key in np.ndindex(in_shape)
+                if rng.random() < 0.85}
+        # rows keyed outside the inputs' range, after the others: ignored
+        for key in ((-1,) * len(in_shape), in_shape, (0,) * (len(in_shape) + 1)):
+            if rng.random() < 0.3:
+                rows[key] = rng.dirichlet(np.ones(size))
+        ch = Channel(tuple(ins), tuple(outs), rows)
+        assert _outcome(lambda: extend_with_channel(J, ch)) == _outcome(
+            lambda: extend_with_channel_loop(J, ch))
+
+
+def test_conditional_family_equals_its_loop():
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        J = _random_law(rng, JointDist if rng.random() < 0.9 else SubDist)
+        given = _random_subset(rng, list(J.var_names))
+        targets = _random_subset(rng, [n for n in J.var_names if n not in given])
+        if not targets + given or rng.random() < 0.05:  # overlapping
+            targets = targets + [J.var_names[0]]
+            given = given + [J.var_names[0]]
+        assert _outcome(lambda: conditional_family(J, targets, given)) == _outcome(
+            lambda: conditional_family_loop(J, targets, given))
+    zero = SubDist((("X1", BIT), ("X2", BIT)), [0.0] * 4)
+    assert _outcome(lambda: conditional_family(zero, ["X2"], ["X1"])) == _outcome(
+        lambda: conditional_family_loop(zero, ["X2"], ["X1"]))
+
+
+def test_pushforward_function_equals_its_loop():
+    rng = np.random.default_rng(22)
+    pool = ["b", "a", "10", "2", "c", "a b"]  # out of sorted order
+    for _ in range(200):
+        J = _random_law(rng)
+        table = [pool[i] for i in rng.integers(0, rng.integers(1, len(pool) + 1), J.n_cells)]
+        if rng.random() < 0.05:
+            table = table[:-1]
+        for fn in (table, lambda sym: pool[len("".join(sym)) % 3 - int(sym[0])]):
+            assert _outcome(lambda: pushforward_function(J, fn)) == _outcome(
+                lambda: pushforward_function_loop(J, fn))
 
 
 def test_json_roundtrip(tmp_path):

@@ -469,6 +469,23 @@ def test_reduce_ot_variant2_perfect():
         reduce_ot_to_sk(J, otp, variant=3)
 
 
+def test_reductions_on_a_source_named_v0_v1():
+    # the attached statistic takes a primed name, and the figures are the same
+    def renamed(J):
+        return JointDist((("V0", J.vars[0][1]), ("V1", J.vars[1][1])), J.pmf)
+
+    J, otp = ideal_ot_protocol(1)
+    Jb, bcp = noisy_bc(1, 0)
+    for red, again in [(reduce_ot_to_sk(J, otp, v), reduce_ot_to_sk(renamed(J), otp, v))
+                       for v in (1, 2)] + [(reduce_bc_to_sk(Jb, bcp),
+                                            reduce_bc_to_sk(renamed(Jb), bcp))]:
+        assert again.dist.var_names == ("V0", "V1", again.dist.var_names[2])
+        assert again.dist.var_names[2] in ("V0'", "V1'")
+        assert again.dist.pmf.tobytes() == red.dist.pmf.tobytes()
+        assert eval_sk_security(again.dist, again.protocol) == eval_sk_security(
+            red.dist, red.protocol)
+
+
 def test_reduce_ot_variant2_fallback_flagged():
     # party 2's first message reveals its choice bit, so no transcript is
     # reachable under the flipped bit: the resampler must fall back
