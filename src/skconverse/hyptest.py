@@ -125,16 +125,6 @@ def _greedy_threshold(p_sorted: np.ndarray, target: float):
     return b, gamma, before + gamma * at
 
 
-def _np_tests(ps: np.ndarray, qs: np.ndarray, eps: float):
-    """Neyman-Pearson tests on ratio-sorted rows: (n_full, gamma, covered, betas).
-
-    The betas are summed by ``_test_betas`` a prefix length at a time, each
-    row's bits those of its own prefix sum (see there why).
-    """
-    b, gamma, covered = _greedy_threshold(ps, 1.0 - eps)
-    return b, gamma, covered, _test_betas(qs, b, gamma).tolist()
-
-
 def _test_betas(qs: np.ndarray, b: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """``qs[i, :b[i]].sum() + gamma[i] * qs[i, b[i]]`` for each row i, the
     second term only where ``gamma[i] > 0``.
@@ -175,7 +165,8 @@ def _betas(p: np.ndarray, q_rows: np.ndarray, eps: float) -> list[float]:
         order = _ratio_order(logp, log2_pmf(q))
         ps, qs = p[order], q[np.arange(len(q))[:, None], order]
         del order
-        betas += _np_tests(ps, qs, eps)[3]
+        b, gamma, _ = _greedy_threshold(ps, 1.0 - eps)
+        betas += _test_betas(qs, b, gamma).tolist()
         del ps, qs
     return betas
 
@@ -187,7 +178,8 @@ def beta_epsilon(P: JointDist, Q: JointDist, eps: float) -> BetaCertificate:
         raise PreconditionError("eps must lie in [0, 1)")
     p, q = P.pmf, Q.pmf
     order = _ratio_order(log2_pmf(p), log2_pmf(q))
-    b, gamma, covered, (beta,) = _np_tests(p[order][None], q[order][None], eps)
+    b, gamma, covered = _greedy_threshold(p[order][None], 1.0 - eps)
+    (beta,) = _test_betas(q[order][None], b, gamma).tolist()
     b, gamma, covered = int(b[0]), float(gamma[0]), float(covered[0])
     log2_beta = math.log2(beta) if beta > 0 else -math.inf
     return BetaCertificate(

@@ -229,8 +229,7 @@ def marginal(J, keep) -> "JointDist | SubDist":
     drop_axes = tuple(i for i, (n, _) in enumerate(J.vars) if n not in keep_set)
     arr = J.array().sum(axis=drop_axes) if drop_axes else J.array()
     new_vars = tuple(v for v in J.vars if v[0] in keep_set)
-    cls = JointDist if isinstance(J, JointDist) else SubDist
-    if cls is JointDist:
+    if isinstance(J, JointDist):
         eve = J.eve if J.eve in keep_set else None
         return JointDist(new_vars, arr.reshape(-1), eve=eve)
     return SubDist(new_vars, arr.reshape(-1))
@@ -261,11 +260,6 @@ def conditional_family(J, targets, given) -> Channel:
     return Channel(in_vars, out_vars, rows)
 
 
-def _partition_blocks(partition) -> list[list[int]]:
-    blocks = getattr(partition, "blocks", partition)
-    return [sorted(int(i) for i in b) for b in blocks]
-
-
 def conditional_product(J: JointDist, partition, z=None) -> JointDist:
     """Product distribution across partition blocks, conditioned on ``z``.
 
@@ -283,7 +277,7 @@ def conditional_product(J: JointDist, partition, z=None) -> JointDist:
 
 def _block_masks(partition, m: int) -> list[int]:
     """Bitmask of each block (bit i-1 for variable i), in the partition's order."""
-    blocks = _partition_blocks(partition)
+    blocks = [sorted(int(i) for i in b) for b in getattr(partition, "blocks", partition)]
     covered = sorted(i for b in blocks for i in b)
     if covered != list(range(1, m + 1)) or len(blocks) < 2:
         raise PreconditionError(
@@ -435,8 +429,7 @@ def fuse_vars(J: JointDist, groups: Sequence[Sequence[str]], names: Sequence[str
         alphas = [J.alphabet(n).symbols for n in g]
         symbols = ["|".join(combo) for combo in itertools.product(*alphas)]
         new_vars.append((nm, Alphabet(tuple(symbols))))
-    shape = tuple(len(a) for _, a in new_vars)
-    return JointDist(tuple(new_vars), arr.reshape(shape).reshape(-1))
+    return JointDist(tuple(new_vars), arr.reshape(-1))
 
 
 def extend_with_channel(J: JointDist, ch: Channel) -> JointDist:

@@ -635,8 +635,7 @@ def leftover_hash(
     pky = np.zeros((nk, flat.shape[1]))
     np.add.at(pky, key_idx, flat)  # rows added in X order, as a loop would
     py = flat.sum(axis=0)
-    ideal = np.tile(py / nk, (nk, 1))
-    distance = 0.5 * float(np.abs(pky - ideal).sum())
+    distance = 0.5 * float(np.abs(pky - py / nk).sum())
     return LeftoverHashResult(out_len=out_len, seed=seed, distance=distance)
 
 
@@ -654,8 +653,10 @@ def leftover_hash_search(
 ) -> LeftoverHashSearch:
     """Witness the leftover-hash existence claim over the seeds 0..63.
 
-    Output length floor(H_min^eps(X|Y) - 2 log2(1/(2 eta))); the claim is
-    that some 2-universal hash of that length lands within 2*eps + eta of
+    Output length floor(H_min^eps(X|Y) - 2 log2(1/(2 eta))), capped at X's
+    bit count, the most ``leftover_hash`` takes (once eta > 1/2 the formula
+    can ask for more; a shorter key keeps the claim).  The claim is that
+    some 2-universal hash of that length lands within 2*eps + eta of
     uniform-independent.  With side information present the smoothed entropy
     is only implemented at eps = 0 (the exact conditional min-entropy).
     """
@@ -671,7 +672,8 @@ def leftover_hash_search(
         raise PreconditionError(
             "smoothed conditional min-entropy is only supported at eps=0"
         )
-    out_len = max(0, math.floor(hval - 2 * math.log2(1.0 / (2 * eta))))
+    nbits = max(1, math.ceil(math.log2(_xy_matrix(J, x_vars, y_vars).shape[0])))
+    out_len = min(nbits, max(0, math.floor(hval - 2 * math.log2(1.0 / (2 * eta)))))
     best = None
     for seed in range(64):
         res = leftover_hash(J, x_vars, y_vars, out_len, seed)

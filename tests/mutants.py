@@ -208,6 +208,26 @@ MUTANTS = {
         "    while name in J.var_names:\n",
         "    if False:\n",
     )]),
+    "leftover-length-uncapped": ("src/skconverse/protosim.py", [(
+        "out_len = min(nbits, max(0, ",
+        "out_len = (max(0, ",
+    )]),
+    "fuzz-converse-violation-uncounted": ("src/skconverse/protosim.py", [(
+        "conv_bad += 1",
+        "conv_bad += 0",
+    )]),
+    "fuzz-region-violations-counted-once": ("src/skconverse/protosim.py", [(
+        "region_bad += sum(not t.ok for t in region_tests)",
+        "region_bad += any(not t.ok for t in region_tests)",
+    )]),
+    "fuzz-relation-violation-uncounted": ("src/skconverse/protosim.py", [(
+        "relation_bad += 1",
+        "relation_bad += 0",
+    )]),
+    "fuzz-delta-sec-relation-dropped": ("src/skconverse/protosim.py", [(
+        " or rep.delta_sec > rep.eps + _TOL:",
+        ":",
+    )]),
 }
 
 _SKIP = shutil.ignore_patterns(

@@ -417,6 +417,26 @@ def test_leftover_hash_search_meets_lemma_threshold():
         leftover_hash_search(Jxy, ["X"], ["Y"], eps=0.1, eta=0.25)
 
 
+def test_leftover_hash_search_caps_the_length_at_x_bits():
+    # once eta > 1/2, -2 log2(1/(2 eta)) is positive: a uniform 4-symbol X at
+    # eta = 0.9 asks for floor(2 + 1.70) = 3 bits, and a 3-symbol X for
+    # floor(1.58 + 1.70) = 3; each gets all of X's 2 bits
+    for k in (4, 3):
+        J = JointDist((("X", Alphabet(tuple(f"x{i}" for i in range(k)))),), [1 / k] * k)
+        out = leftover_hash_search(J, ["X"], [], eps=0.0, eta=0.9)
+        assert out.out_len == out.best.out_len == 2 and out.ok, (k, out)
+        assert out.best == min(
+            (leftover_hash(J, ["X"], [], 2, seed) for seed in range(64)),
+            key=lambda r: r.distance,
+        )
+    # with side information (a Y independent of X), and an eta below 1/2
+    # that the cap leaves alone
+    Jxy = JointDist((("X", Alphabet(("x0", "x1", "x2", "x3"))), ("Y", BIT)), [1 / 8] * 8)
+    assert leftover_hash_search(Jxy, ["X"], ["Y"], eps=0.0, eta=0.99).out_len == 2
+    u16 = JointDist((("X", Alphabet(tuple(f"x{i}" for i in range(16)))),), [1 / 16] * 16)
+    assert leftover_hash_search(u16, ["X"], [], eps=0.0, eta=0.25).out_len == 2
+
+
 # ---------------------------------------------------------------------------
 # ideal protocols and reductions
 
@@ -697,6 +717,46 @@ def test_fuzz_quick():
     assert rep.converse_violations == 0
     assert rep.region_test_violations == 0
     assert rep.criteria_relation_violations == 0
+
+
+#: ((eps, eps_rec, delta_sec), region test verdicts, converse ok) of one
+#: fuzzed instance, then the (converse, region test, relation) counts it gives
+FUZZ_CASES = {
+    "sound": ((0.1, 0.06, 0.05), [True, True], True, (0, 0, 0)),
+    "converse-fails": ((0.1, 0.06, 0.05), [True], False, (1, 0, 0)),
+    "two-region-tests-fail": ((0.1, 0.06, 0.05), [False, True, False], True, (0, 2, 0)),
+    "eps-above-its-split-sum": ((0.3, 0.1, 0.1), [True], True, (0, 0, 1)),
+    "eps-rec-above-eps": ((0.1, 0.2, 0.0), [True], True, (0, 0, 1)),
+    "delta-sec-above-eps": ((0.1, 0.05, 0.2), [True], True, (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", [[c] for c in FUZZ_CASES] + [list(FUZZ_CASES)])
+def test_fuzz_counts_each_violation(case, monkeypatch):
+    # the converse and region tests are scripted per instance, so every
+    # counter of the fuzzer is seen to count (real instances give zeros)
+    scripts, slacks = [FUZZ_CASES[c] for c in case], []
+
+    def region_tests(J, proto, scan, eta):
+        (eps, eps_rec, delta_sec), verdicts, _, _ = scripts[len(slacks)]
+        rep = protosim.SecurityReport(eps, eps_rec, delta_sec, 1.0, 2)
+        return rep, [protosim.RegionTestReport(0.0, 0.0, 0.0, 0.0 if ok else 1.0, 0.5)
+                     for ok in verdicts]
+
+    def converse(J, proto, rep, eta, scan):
+        slacks.append(0.25 * len(slacks) + (0.5 if scripts[len(slacks)][2] else -0.5))
+        return protosim.ConverseReport(rep.eps, 1.0, 1.0 + slacks[-1], slacks[-1], None, False)
+
+    monkeypatch.setattr(protosim, "_party_scan", lambda J, proto: [])
+    monkeypatch.setattr(protosim, "_region_tests", region_tests)
+    monkeypatch.setattr(protosim, "_converse", converse)
+    rep = fuzz_converse(count=len(case), seed=7)
+    want = [sum(FUZZ_CASES[c][3][i] for c in case) for i in range(3)]
+    assert [rep.converse_violations, rep.region_test_violations,
+            rep.criteria_relation_violations] == want
+    assert rep.ok == (want == [0, 0, 0])
+    assert rep.max_eps == max(FUZZ_CASES[c][0][0] for c in case)
+    assert rep.min_converse_slack == min(slacks)
 
 
 def test_fuzz_checks_arguments_before_any_instance(monkeypatch):
