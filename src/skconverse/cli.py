@@ -15,44 +15,11 @@ import math
 import sys
 
 from . import __version__
-from .bounds import (
-    _TOL,
-    bc_bound,
-    bc_capacity_bound,
-    cit_bound,
-    cit_bound_best,
-    even_slack_split,
-    aux_capacity_bound,
-    aux_singleshot_bound,
-    ot_bounds,
-    ot_capacity_bound,
-    sc_necessary_check,
-    secure_transmission_check,
-    sk_capacity_formula,
-)
 from .errors import CapExceededError, PreconditionError
-from .hyptest import beta_epsilon, beta_epsilon_iid, stein_scan
-from .probcore import (
-    Alphabet,
-    Channel,
-    _json_pmf,
-    conditional_product,
-    divergence,
-    fuse_vars,
-    load_dist,
-    read_json,
-)
-from .protosim import (
-    eval_sk_security,
-    fuzz_converse,
-    ideal_bc_protocol,
-    ideal_ot_protocol,
-    protocol_from_json,
-    reduce_bc_to_sk,
-    reduce_ot_to_sk,
-)
-from .smoothinfo import d_max_smooth, dmax_convergence_scan, h_min_smooth
-from .structure import Partition, mcf, mss
+
+# Each handler imports the library functions it calls when it runs, so a run
+# loads only its own verb's modules, and --help, --version and usage errors
+# load no numpy.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +40,8 @@ def _emit(text: str, out_path: str | None) -> None:
 def _load_params(args) -> dict:
     if not args.params:
         return {}
+    from .probcore import read_json
+
     merged = read_json(args.params, "parameters JSON")
     if not isinstance(merged, dict):
         raise PreconditionError("malformed parameters JSON: expected an object")
@@ -185,9 +154,8 @@ def build_parser(argv=None) -> _Parser:
             modes={"--partition": {}, "--all-partitions": switch,
                    "--capacity": switch | {"help": "capacity formula only"},
                    "--aux-channel": {"help": "auxiliary channel JSON for the two-party bound"}})
-    for task, bound_fn, capacity_fn in (("ot", ot_bounds, ot_capacity_bound),
-                                        ("bc", bc_bound, bc_capacity_bound)):
-        command(bsub, task, _two_party(bound_fn, capacity_fn), ("dist",),
+    for task in ("ot", "bc"):
+        command(bsub, task, _two_party, ("dist",),
                 ("eps", "delta1", "delta2", "xi"), flags={"--capacity": switch})
     command(bsub, "compute", _bound_compute, ("dist", "g"),
             ("eps", "delta", "xi", "zeta", "eta"), flags={"--partition": {}})
@@ -195,10 +163,8 @@ def build_parser(argv=None) -> _Parser:
             ("kappa", "eps", "delta", "xi", "zeta", "eta"))
 
     csub = group("scan", "what", "CSV convergence scans")
-    command(csub, "stein", _kl_scan("n,neg_log_beta_over_n,kl_limit", stein_scan),
-            ("p", "q", "n"), ("eps",))
-    command(csub, "dmax", _kl_scan("n,dmax_eps_over_n,kl_limit", dmax_convergence_scan),
-            ("p", "q", "n"), ("eps",))
+    for what in ("stein", "dmax"):
+        command(csub, what, _kl_scan, ("p", "q", "n"), ("eps",))
     command(csub, "capacity", _capacity_scan, ("dist", "n"), ("eps", "eta"))
 
     psub = group("protocol", "action", "exact protocol evaluation")
@@ -215,7 +181,9 @@ def build_parser(argv=None) -> _Parser:
     return top
 
 
-def _channel_from_json(path: str) -> Channel:
+def _channel_from_json(path: str):
+    from .probcore import Alphabet, Channel, _json_pmf, read_json
+
     obj = read_json(path, "channel JSON")
     try:
         in_vars = tuple((v["name"], Alphabet(tuple(v["symbols"]))) for v in obj["inputs"])
@@ -240,6 +208,9 @@ def _with_dist(rep, args):
 
 
 def _beta(args, merged):
+    from .hyptest import beta_epsilon
+    from .probcore import load_dist
+
     P, Q = load_dist(args.p), load_dist(args.q)
     eps = _num(args, merged, "eps")
     cert = beta_epsilon(P, Q, eps)
@@ -248,12 +219,18 @@ def _beta(args, merged):
 
 
 def _hmin(args, merged):
+    from .probcore import load_dist
+    from .smoothinfo import h_min_smooth
+
     eps = _num(args, merged, "eps")
     res = h_min_smooth(load_dist(args.dist), eps)
     return {"eps": eps, "dist": args.dist}, {"value": res.value, "removed_mass": res.removed_mass}
 
 
 def _dmax(args, merged):
+    from .probcore import load_dist
+    from .smoothinfo import d_max_smooth
+
     eps = _num(args, merged, "eps")
     res = d_max_smooth(load_dist(args.p), load_dist(args.q), eps)
     return ({"eps": eps, "p": args.p, "q": args.q},
@@ -261,6 +238,9 @@ def _dmax(args, merged):
 
 
 def _mcf(args, merged):
+    from .probcore import load_dist
+    from .structure import mcf
+
     lab1, lab2 = mcf(load_dist(args.dist), args.v1, args.v2)
     return {"dist": args.dist, "v1": args.v1, "v2": args.v2}, {
         "labels_v1": lab1.as_table(),
@@ -270,6 +250,9 @@ def _mcf(args, merged):
 
 
 def _mss(args, merged):
+    from .probcore import load_dist
+    from .structure import mss
+
     tol = _num(args, merged, "tol", default=1e-9)
     lab = mss(load_dist(args.dist), given=args.given, target=args.target, tol=tol)
     return ({"dist": args.dist, "given": args.given, "target": args.target, "tol": tol},
@@ -277,6 +260,11 @@ def _mss(args, merged):
 
 
 def _bound_sk(args, merged):
+    from .bounds import (aux_capacity_bound, aux_singleshot_bound, cit_bound,
+                         cit_bound_best, sk_capacity_formula)
+    from .probcore import load_dist
+    from .structure import Partition
+
     if args.q and args.partition is None:
         raise PreconditionError("--q needs --partition")
     J = load_dist(args.dist)
@@ -299,23 +287,28 @@ def _bound_sk(args, merged):
     return _with_dist(cit_bound(J, pi, eps, eta, q=q), args)
 
 
-def _two_party(bound_fn, capacity_fn):
-    """The handler of ``bound ot`` or ``bound bc``."""
+def _two_party(args, merged):
+    """The handler of ``bound ot`` and ``bound bc``."""
+    from .bounds import bc_bound, bc_capacity_bound, ot_bounds, ot_capacity_bound
+    from .probcore import load_dist
 
-    def run(args, merged):
-        J = load_dist(args.dist)
-        if args.capacity:
-            return {"dist": args.dist, "capacity": True}, {"value": capacity_fn(J)}
-        eps = _num(args, merged, "eps")
-        d1 = _num(args, merged, "delta1")
-        d2 = _num(args, merged, "delta2")
-        xi = _num(args, merged, "xi")
-        return _with_dist(bound_fn(J, eps, d1, d2, xi), args)
-
-    return run
+    bound_fn, capacity_fn = ((ot_bounds, ot_capacity_bound) if args.task == "ot"
+                             else (bc_bound, bc_capacity_bound))
+    J = load_dist(args.dist)
+    if args.capacity:
+        return {"dist": args.dist, "capacity": True}, {"value": capacity_fn(J)}
+    eps = _num(args, merged, "eps")
+    d1 = _num(args, merged, "delta1")
+    d2 = _num(args, merged, "delta2")
+    xi = _num(args, merged, "xi")
+    return _with_dist(bound_fn(J, eps, d1, d2, xi), args)
 
 
 def _bound_compute(args, merged):
+    from .bounds import sc_necessary_check
+    from .probcore import load_dist, read_json
+    from .structure import Partition
+
     J = load_dist(args.dist)
     table = read_json(args.g, "function JSON")
     if isinstance(table, dict):
@@ -330,6 +323,9 @@ def _bound_compute(args, merged):
 
 
 def _bound_transmit(args, merged):
+    from .bounds import secure_transmission_check
+    from .probcore import load_dist
+
     J = load_dist(args.dist)
     kappa = _num(args, merged, "kappa")
     eps = _num(args, merged, "eps")
@@ -339,6 +335,8 @@ def _bound_transmit(args, merged):
 
 
 def _slacks(args, merged: dict, eps: float, delta: float) -> dict:
+    from .bounds import even_slack_split
+
     xi = _num(args, merged, "xi", required=False)
     zeta = _num(args, merged, "zeta", required=False)
     eta = _num(args, merged, "eta", required=False)
@@ -349,21 +347,30 @@ def _slacks(args, merged: dict, eps: float, delta: float) -> dict:
     return {"xi": xi, "zeta": zeta, "eta": eta}
 
 
-def _kl_scan(header: str, scan_fn):
-    """The handler of a scan whose values trend to D(P||Q)."""
+def _kl_scan(args, merged):
+    """The handler of ``scan stein`` and ``scan dmax``, whose values trend to D(P||Q)."""
+    from .probcore import divergence, load_dist
 
-    def run(args, merged):
-        eps = _num(args, merged, "eps")
-        ns = _ns(args.n)
-        P, Q = load_dist(args.p), load_dist(args.q)
-        limit = divergence(P, Q, kind="kl")
-        return _scan_csv(header, scan_fn(P, Q, eps, ns), limit)
-
-    return run
+    if args.what == "stein":
+        from .hyptest import stein_scan as scan_fn
+        header = "n,neg_log_beta_over_n,kl_limit"
+    else:
+        from .smoothinfo import dmax_convergence_scan as scan_fn
+        header = "n,dmax_eps_over_n,kl_limit"
+    eps = _num(args, merged, "eps")
+    ns = _ns(args.n)
+    P, Q = load_dist(args.p), load_dist(args.q)
+    limit = divergence(P, Q, kind="kl")
+    return _scan_csv(header, scan_fn(P, Q, eps, ns), limit)
 
 
 def _capacity_scan(args, merged):
     """Rows (n, (1/n) cit bound on the n-fold source) and the capacity limit."""
+    from .bounds import sk_capacity_formula
+    from .hyptest import beta_epsilon_iid
+    from .probcore import conditional_product, fuse_vars, load_dist
+    from .structure import Partition
+
     eps = _num(args, merged, "eps")
     ns = _ns(args.n)
     eta = _num(args, merged, "eta")
@@ -391,12 +398,19 @@ def _scan_csv(header: str, rows, limit: float) -> str:
 
 
 def _protocol_eval(args, merged):
+    from .probcore import load_dist, read_json
+    from .protosim import eval_sk_security, protocol_from_json
+
     J = load_dist(args.dist)
     proto = protocol_from_json(read_json(args.protocol, "protocol JSON"))
     return {"dist": args.dist, "protocol": args.protocol}, eval_sk_security(J, proto).as_json()
 
 
 def _protocol_reduce(args, merged):
+    from .bounds import _TOL
+    from .protosim import (eval_sk_security, ideal_bc_protocol, ideal_ot_protocol,
+                           reduce_bc_to_sk, reduce_ot_to_sk)
+
     l = args.length
     if args.kind == "bc":
         red = reduce_bc_to_sk(*ideal_bc_protocol(l))
@@ -420,6 +434,8 @@ def _protocol_reduce(args, merged):
 
 
 def _protocol_fuzz(args, merged):
+    from .protosim import fuzz_converse
+
     eta = _num(args, merged, "eta", default=0.05)
     rep = fuzz_converse(count=args.count, seed=args.seed, eta=eta)
     return {"count": args.count, "seed": args.seed, "eta": eta}, rep.as_json()

@@ -2,13 +2,14 @@
 
 Oracles here deliberately avoid the implementation's algorithms: the beta
 oracles enumerate candidate tests as subset-plus-one-fractional-point
-vertices of the linear program or hand the program to scipy's LP solver,
-the composition oracle filters all k-tuples by their sum, the smoothing
-oracles bisect the monotone feasibility functions, the conditional
-product oracle accumulates marginals one cell at a time, the bit
-commitment oracle sums the definitions over every (key, X1, X2, message),
-the leftover-hash oracle hashes one X value at a time, and the protocol
-oracles walk one run at a time into dict laws.  Expected values
+vertices of the linear program, hand the program to scipy's LP solver, or
+fill the test in exact rational arithmetic, the composition oracle
+filters all k-tuples by their sum, the smoothing oracles bisect the
+monotone feasibility functions, the conditional product oracle
+accumulates marginals one cell at a time, the bit commitment oracle sums
+the definitions over every (key, X1, X2, message), the leftover-hash
+oracle hashes one X value at a time, and the protocol oracles walk one
+run at a time into dict laws.  Expected values
 asserted in the tests are computed by these oracles, not copied from the
 code under test.  The per-row loops are the exception: they are the
 earlier forms of laws that the package now builds with array operations,
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -183,6 +185,24 @@ def beta_oracle(P: JointDist, Q: JointDist, eps: float) -> float:
                 frac = (target - pmass) / p[j]
                 best = min(best, qmass + frac * q[j])
     return best
+
+
+def beta_exact_oracle(p: np.ndarray, q: np.ndarray, eps: float) -> Fraction:
+    """Exact beta_eps of the input floats, in rational arithmetic.
+
+    Cells are taken in decreasing exact p/q (ties by index, p = 0 cells
+    last), whole while the P-mass stays below min(1 - eps, P's total),
+    then the rest of that mass as a fraction of the next cell.
+    """
+    ps, qs = [Fraction(float(v)) for v in p], [Fraction(float(v)) for v in q]
+    # q = 0 < p cells first; Fraction compares with -inf
+    ratio = [-(a / b) if b else -math.inf for a, b in zip(ps, qs)]
+    target = min(1 - Fraction(eps), sum(ps))  # > 0, so a p > 0 cell reaches it
+    mass = beta = Fraction(0)
+    for i in sorted(range(len(ps)), key=lambda i: (ps[i] == 0, ratio[i], i)):
+        if mass + ps[i] >= target:
+            return beta + (target - mass) / ps[i] * qs[i]
+        mass, beta = mass + ps[i], beta + qs[i]
 
 
 def beta_lp_oracle(P: JointDist, Q: JointDist, eps: float) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import skconverse
-from skconverse import Channel, Partition, cli, divergence, save_dist, stein_scan
+from skconverse import Channel, Partition, cli, divergence, protosim, save_dist, stein_scan
 from skconverse.bounds import aux_capacity_bound, aux_singleshot_bound, cit_bound
 from skconverse.cli import main
 from skconverse.probcore import conditional_product, load_dist
@@ -535,15 +535,41 @@ def test_failing_check_is_still_exit_zero(tmp_path, capsys):
     assert json.loads(out)["result"]["passed"] is False
 
 
+def fresh_modules(code, cwd=None):
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(skconverse.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\nprint(*sorted(sys.modules))"],
+        env=env, cwd=cwd, capture_output=True, text=True, check=True)
+    return set(proc.stdout.split("\n")[-2].split())
+
+
 def test_import_leaves_thread_pool_out():
     # an import-cost guard: the CLI runs every scan serially, so loading it
     # must not pull in concurrent.futures and its thread machinery
-    env = dict(os.environ, PYTHONPATH=str(Path(skconverse.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, skconverse.cli; "
-         "print('concurrent.futures' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "False\n"
+    assert "concurrent.futures" not in fresh_modules("import skconverse.cli")
+
+
+def test_parser_loads_no_library_module():
+    # an import-cost guard: --help, --version and usage errors need neither
+    # numpy nor any module but the front door's own
+    loaded = fresh_modules("import skconverse.cli as cli\ncli.build_parser()")
+    assert not loaded & {"numpy", "orjson"}
+    assert {m for m in loaded if m.startswith("skconverse")} == {
+        "skconverse", "skconverse.cli", "skconverse.errors"}
+
+
+def test_beta_loads_only_its_modules(tmp_path):
+    # an import-cost guard: a beta run loads no bounds, structure or protocols
+    for name, pmf in (("p.json", [0.5, 0.5]), ("q.json", [0.25, 0.75])):
+        (tmp_path / name).write_text(json.dumps(
+            {"variables": [{"name": "X", "symbols": ["0", "1"]}], "pmf": pmf}))
+    loaded = fresh_modules(
+        "import skconverse.cli as cli\n"
+        "assert cli.main(['beta', '--p', 'p.json', '--q', 'q.json', '--eps', '0.1']) == 0",
+        cwd=tmp_path)
+    assert "skconverse.hyptest" in loaded
+    assert not loaded & {"skconverse.protosim", "skconverse.bounds", "skconverse.structure"}
 
 
 def test_eval_on_mass_within_input_tolerance(tmp_path, capsys):
@@ -712,7 +738,7 @@ def test_internal_assertion_exits_two(monkeypatch, capsys):
     def fault(**kwargs):
         raise AssertionError("distance 1.5 exceeds the mean of its masses")
 
-    monkeypatch.setattr(cli, "fuzz_converse", fault)
+    monkeypatch.setattr(protosim, "fuzz_converse", fault)  # the handler imports it per run
     assert run(capsys, ["protocol", "fuzz", "--count", "1"]) == (
         2, "", "internal assertion failed: distance 1.5 exceeds the mean of its masses\n"
     )

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from skconverse.smoothinfo import d_max
 from support import (
     apply_channel,
     ber,
+    beta_exact_oracle,
     beta_lp_oracle,
     beta_oracle,
     compositions_oracle,
@@ -61,6 +63,23 @@ def test_beta_matches_vertex_enumeration_oracle():
             got = beta_epsilon(P, Q, eps).beta
             want = beta_oracle(P, Q, eps)
             assert abs(got - want) <= 1e-9, (trial, eps)
+
+
+def test_beta_within_relative_1e12_of_exact():
+    # bounds._cit_floor relies on float beta lying within a factor 1 + 1e-12
+    # of the exact one; its direction is not asserted (float beta can be
+    # above the exact value)
+    rng = np.random.default_rng(17)
+    for trial in range(15):
+        k = int(rng.integers(64, 1025))
+        p, q_rows = rng.dirichlet(np.full(k, 0.5)), rng.dirichlet(np.full(k, 0.5), size=2)
+        for eps in (0.1, 0.3):
+            rows = hyptest._betas(p, q_rows, eps)
+            for q, row in zip(q_rows, rows):
+                exact = beta_exact_oracle(p, q, eps)
+                got = beta_epsilon(one_var_dist(p), one_var_dist(q), eps).beta
+                for value in (got, row):
+                    assert abs(Fraction(value) - exact) <= Fraction(1e-12) * exact, (trial, eps)
 
 
 def test_certificate_reconstruction():

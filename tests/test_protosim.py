@@ -644,8 +644,8 @@ def test_each_map_runs_once_per_distinct_input():
 def cli_reduce_bc(monkeypatch, capsys, length):
     """Exit code, stderr and reveal-test calls of ``protocol reduce --kind bc``."""
     calls = []
-    monkeypatch.setattr(
-        cli, "ideal_bc_protocol",
+    monkeypatch.setattr(  # the handler imports it from protosim per run
+        protosim, "ideal_bc_protocol",
         lambda l: (lambda J, bcp: (J, counting_test(bcp, calls)))(*ideal_bc_protocol(l)),
     )
     code = cli.main(["protocol", "reduce", "--kind", "bc", "--length", str(length)])
