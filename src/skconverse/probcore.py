@@ -293,6 +293,8 @@ _CHUNK_CELLS = 1 << 16
 #: cells of rows that ``hyptest._betas`` orders and thresholds at a time, so
 #: that a block's temporaries fit in a 2 MB L2 cache; at least one row
 _BLOCK_CELLS = 1 << 15
+#: cells that ``stable_order`` prepares or checks per numpy pass
+_ORDER_BLOCK = 1 << 13
 
 
 def _chunk_rows(cells: int, chunk: int = _CHUNK_CELLS) -> int:
@@ -516,34 +518,112 @@ def log2_pmf(pmf: np.ndarray) -> np.ndarray:
     return np.log2(pmf, out=np.full(pmf.shape, LOG2_ZERO), where=pmf > 0)
 
 
-def stable_order(key: np.ndarray) -> np.ndarray:
-    """``np.argsort(key, axis=-1, kind="stable")``, from numpy's default sort.
+def _ordered_bits(bits: np.ndarray) -> np.ndarray:
+    """Float64 bit patterns, viewed as int64, to int64s in the floats' order,
+    in place: negative floats get their magnitude bits flipped.  -0.0 must
+    have been merged into 0.0 (``x + 0.0``)."""
+    sign = bits >> 63
+    bits ^= np.bitwise_and(sign, 0x7FFF_FFFF_FFFF_FFFF, out=sign)
+    return bits
 
-    The default sort is the fast one, but it may leave equal keys out of
-    index order.  If two neighbouring sorted keys are equal, each run of
-    equal keys is put back in index order: positions get the run's number
-    (a prefix count of key changes), and sorting run * n + index and
-    taking it modulo n gives the stable order, whatever order the default
-    sort left inside each run.  Keys must not be NaN.  Each temporary is
-    dropped or reused as soon as it is spent, so the peak memory stays near
-    the stable sort's.
+
+def stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, axis=-1, kind="stable")`` of float64 keys, from one
+    in-place int64 sort.
+
+    Each key becomes an int64 word in the same order (``_ordered_bits`` of
+    ``key + 0.0``), whose low s = bit_length(n - 1) bits are replaced by
+    the cell's index.  Sorting the words orders cells by key and, in each
+    group of keys that share their high bits, by index; masking the high
+    bits out leaves the order.  Only neighbours in one group can be out of
+    key order, so the keys are read back at those pairs only, a block at a
+    time, and each group holding an out-of-order pair is re-sorted by
+    ``_resort_groups``.  Keys must not be NaN; ``key`` is not modified.
+    Temporaries besides the words are bounded by the blocks and the largest
+    group that is re-sorted.
     """
-    order = np.argsort(key, axis=-1)
     n = key.shape[-1]
-    sorted_key = np.take_along_axis(key, order, axis=-1)
-    changed = sorted_key[..., 1:] != sorted_key[..., :-1]
-    del sorted_key
-    if changed.all():
-        return order
-    runs = np.zeros(key.shape, dtype=np.int64)
-    runs[..., 1:] = changed  # a cumsum straight from bool would cast a copy
-    del changed
-    np.cumsum(runs, axis=-1, out=runs)
-    runs *= n
-    runs += order
-    del order
-    runs.sort(axis=-1)
-    return np.remainder(runs, n, out=runs)
+    low = (1 << max(n - 1, 0).bit_length()) - 1
+    flat = np.add(key, 0.0).view(np.int64).reshape(-1)
+    rows, step = flat.reshape(-1, max(n, 1)), max(1, _ORDER_BLOCK // max(n, 1))
+    for r in range(0, len(rows), step):
+        for c in range(0, n, _ORDER_BLOCK):
+            part = _ordered_bits(rows[r:r + step, c:c + _ORDER_BLOCK])
+            part &= ~low
+            part |= np.arange(c, c + part.shape[1])
+    flat.reshape(key.shape).sort(axis=-1)
+
+    keys, redo = key.reshape(-1), []
+    for a in range(0, flat.size - 1, _ORDER_BLOCK):
+        part = flat[a:a + _ORDER_BLOCK + 1]
+        shared = np.bitwise_xor(part[1:], part[:-1]).view(np.uint64) <= low
+        shared[(n - 1 - a) % n::n] = False  # pairs across two rows
+        if not shared.any():
+            continue
+        cells = np.zeros(part.size, dtype=bool)
+        cells[:-1] = shared
+        cells[1:] |= shared
+        at = np.flatnonzero(cells) + a
+        w = flat[at]
+        r = a - a % n
+        kv = keys[(r if a + part.size <= r + n else at // n * n) + (w & low)]
+        # at[i] and at[i + 1] are one group's neighbours where link is set;
+        # any other two cells are in key order, or in two rows
+        link = shared[at[:-1] - a]
+        drop = np.flatnonzero(link & (kv[1:] < kv[:-1]))
+        if drop.size:  # one cell per group and row
+            at, w = at[drop], w[drop] & ~low
+            new = np.ones(drop.size, dtype=bool)
+            new[1:] = (w[1:] != w[:-1]) | (at[1:] // n != at[:-1] // n)
+            redo.append(at[new])
+    if redo:
+        _resort_groups(flat, keys, np.concatenate(redo), n, low)
+    return np.bitwise_and(flat, low, out=flat).reshape(key.shape)
+
+
+def _resort_groups(flat: np.ndarray, keys: np.ndarray, at: np.ndarray, n: int, low: int) -> None:
+    """Re-sort, by (key, index), the group of sorted words around each cell
+    in ``at``.
+
+    ``flat`` holds ``stable_order``'s sorted words (rows of ``n``) and
+    ``keys`` the keys they came from.  A group is the run of words in one
+    row that share their high bits, so it is found by two searches in that
+    row.  Groups are re-sorted a batch of about ``_ORDER_BLOCK`` cells at a
+    time: each cell's (group number in the batch, ordered key bits under
+    the group's high bits, index) packed into one int64, which holds rows
+    of up to 2^25 cells (the cell cap is 10^7).
+    """
+    s = low.bit_length()
+    rows, highs = at // n * n, flat[at] & ~low
+    lo, hi = np.empty_like(at), np.empty_like(at)
+    edges = [0, *(np.flatnonzero(rows[1:] != rows[:-1]) + 1).tolist(), at.size]
+    for i, j in zip(edges, edges[1:]):  # the cells of one row
+        row = flat[rows[i]:rows[i] + n]
+        lo[i:j] = rows[i] + np.searchsorted(row, highs[i:j])
+        hi[i:j] = rows[i] + np.searchsorted(row, highs[i:j] | low, side="right")
+    first = np.ones(at.size, dtype=bool)  # a group met in two blocks is listed twice
+    first[1:] = lo[1:] != lo[:-1]
+    lo, sizes = lo[first], hi[first] - lo[first]
+    batch = (np.cumsum(sizes) - sizes) // _ORDER_BLOCK
+    for g in np.split(np.arange(lo.size), np.flatnonzero(np.diff(batch)) + 1):
+        size = sizes[g]
+        at = np.repeat(lo[g] - np.cumsum(size) + size, size)
+        at += np.arange(at.size)
+        w = flat[at]
+        bits = at // n
+        bits *= n
+        bits += w & low
+        bits = keys[bits]  # in place from here, so the batch holds four arrays
+        bits = _ordered_bits(np.add(bits, 0.0, out=bits).view(np.int64))
+        bits &= low
+        bits <<= s
+        bits |= np.repeat(np.arange(g.size) << 2 * s, size)
+        index = w & low
+        bits |= index
+        bits.sort()
+        w ^= index
+        w |= bits & low
+        flat[at] = w
 
 
 def divergence(P: JointDist, Q: JointDist, kind: str = "kl", alpha: float | None = None) -> float:

@@ -110,8 +110,16 @@ MUTANTS = {
         "np.logaddexp2.accumulate(logq_sorted[:b - 1])",
     )]),
     "no-tie-repair": ("src/skconverse/probcore.py", [(
-        "    if changed.all():\n",
-        "    if True:\n",
+        "    if redo:\n",
+        "    if False:\n",
+    )]),
+    "signed-zero-unmerged": ("src/skconverse/probcore.py", [(
+        "np.add(key, 0.0)",
+        "key.copy()",
+    )]),
+    "resort-splits-a-group": ("src/skconverse/probcore.py", [(
+        "lo[i:j] = rows[i] + np.searchsorted(row, highs[i:j])",
+        "lo[i:j] = at[i:j]",
     )]),
     "nested-pmf-read": ("src/skconverse/probcore.py", [(
         "    if not ours or _count_strings(doc, _PMF_MARKER) != 1:\n",

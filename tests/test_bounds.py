@@ -607,8 +607,8 @@ def test_one_chunk_scans_build_no_rows_on_cells(monkeypatch, capsys):
 #: (call, ceiling): peak traced memory of each partition scan on the
 #: partition-lattice benchmark's seed-11 m = 8 sources, in arrays of one
 #: chunk (2^16 float64 cells).  ``_betas`` sorts a chunk's rows in blocks of
-#: half a chunk, so the measured peaks are 3.56, 4.57 and 5.09 (5.11, 5.24
-#: and 6.64 when it sorted whole chunks); the ceilings add about 0.15.
+#: half a chunk, so the measured peaks are 3.44, 4.57 and 4.97 (5.11, 5.24
+#: and 6.64 when it sorted whole chunks); the ceilings lie 0.13 to 0.28 above.
 SCAN_WORKING_SETS = {
     "cit_bound_best": (lambda s: cit_bound_best(s["joint"], 0.1, 0.05), 3.7),
     "cit_bound_best with Z": (lambda s: cit_bound_best(s["joint-eve"], 0.1, 0.05), 4.7),

@@ -47,6 +47,7 @@ from support import (
     ber,
     binary_entropy,
     conditional_family_loop,
+    dense_pair,
     dsbs,
     extend_with_channel_loop,
     marginal_oracle,
@@ -341,16 +342,21 @@ def test_conditional_product_allocates_its_own_factors_only():
             assert arrays <= pi.num_blocks + 4.5, (text, arrays)
 
 
-_TIE_KINDS = st.sampled_from(["rounded", "equal rows", "signed zeros", "infinities"])
+_TIE_KINDS = st.sampled_from(
+    ["rounded", "equal rows", "signed zeros", "infinities", "shared high bits"])
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 5), st.integers(1, 700), st.integers(0, 2**32 - 1), _TIE_KINDS)
 @example(rows=8, n=256, seed=0, kind="rounded")
+@example(rows=0, n=700, seed=0, kind="shared high bits")
+@example(rows=3, n=500, seed=1, kind="shared high bits")
 def test_stable_order_is_the_stable_argsort(rows, n, seed, kind):
     """Tie-heavy 1-D (rows = 0) and 2-D keys, as the likelihood orders see
-    them: rounded ratios, rows of one value, -0.0 next to 0.0, and -inf or
-    +inf for cells where P = 0."""
+    them: rounded ratios, rows of one value, -0.0 next to 0.0, -inf or +inf
+    for cells where P = 0, and keys up to 3,000 ulps above a few base
+    values, so that many neighbours with distinct keys share their high
+    bits and the int64 sort leaves them out of key order."""
     rng = np.random.default_rng(seed)
     shape = (n,) if rows == 0 else (rows, n)
     key = np.round(rng.normal(size=shape), 1)
@@ -361,9 +367,48 @@ def test_stable_order_is_the_stable_argsort(rows, n, seed, kind):
     elif kind == "infinities":
         key[rng.random(shape) < 0.3] = -np.inf
         key[rng.random(shape) < 0.1] = np.inf
+    elif kind == "shared high bits":
+        base = rng.choice(rng.normal(size=3) * 10.0 ** rng.integers(-300, 300, 3), size=shape)
+        key = (base.view(np.int64) + rng.integers(0, 3000, size=shape)).view(np.float64)
     got = stable_order(key)
     assert got.dtype == np.intp
     assert np.array_equal(got, np.argsort(key, axis=-1, kind="stable"))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 2**16 + 1])
+def test_stable_order_sizes_sentinels_and_infinities(n):
+    """Sizes at the edges of the index bits, 1-D and 2-D, on keys derived
+    from the LOG2_ZERO sentinel (+-1e18 moved by a few ulps, as a ratio
+    against log2 0 rounds), +-inf, signed zeros and small integers; the key
+    is left as it was."""
+    rng = np.random.default_rng(n)
+    for shape in [(n,), (3, n)]:
+        base = rng.choice([LOG2_ZERO, -LOG2_ZERO, -np.inf, np.inf, 0.0], size=shape)
+        key = base + rng.integers(-600, 600, size=shape)
+        key[rng.random(shape) < 0.1] = -0.0
+        key[rng.random(shape) < 0.1] = 0.0
+        before = key.copy()
+        got = stable_order(key)
+        assert got.dtype == np.intp and got.shape == shape
+        assert np.array_equal(got, np.argsort(key, axis=-1, kind="stable"))
+        assert np.array_equal(key.view(np.uint64), before.view(np.uint64))
+
+
+def test_stable_order_on_the_dense_log_ratio_key():
+    """The key that ``beta_epsilon`` orders on ``dense_pair(18, 5)`` (minus
+    the log-ratio, +inf where P = 0) is the stable argsort, and the repair
+    runs on it: some neighbours in that order have distinct keys whose
+    ordered bit patterns agree above the 18 index bits (25 pairs)."""
+    P, Q = dense_pair(18, 5)
+    logp, logq = log2_pmf(P.pmf), log2_pmf(Q.pmf)
+    key = np.where(logp <= LOG2_ZERO, np.inf, -(logp - logq))
+    want = np.argsort(key, kind="stable")
+    assert np.array_equal(stable_order(key), want)
+    # ordinal of each key among the doubles, 0.0 and -0.0 as one
+    srt = key[want]
+    ordinal = np.where(srt < 0, -1 - np.abs(srt).view(np.int64), (srt + 0.0).view(np.int64))
+    high = ordinal >> (key.size - 1).bit_length()
+    assert np.count_nonzero((high[1:] == high[:-1]) & (srt[1:] != srt[:-1])) > 0
 
 
 def _masked_log2_pmf(pmf):

@@ -212,11 +212,11 @@ _DENSE = dense_pair(18, 5)
 
 #: (call, ceiling): peak traced memory above the inputs, in pmf-sized float64
 #: arrays, of each dense call at 2^18 cells with ties and zeros in P and Q.
-#: The measured peaks are about 5.1 (dmax), 3.2 (hmin) and 4.25 (beta).
+#: The measured peaks are about 5.0 (dmax), 3.2 (hmin) and 3.25 (beta).
 WORKING_SETS = {
     "d_max_smooth": (lambda P, Q: d_max_smooth(P, Q, 0.2), 7.0),
     "h_min_smooth": (lambda P, Q: h_min_smooth(P, 0.1), 4.0),
-    "beta_epsilon": (lambda P, Q: beta_epsilon(P, Q, 0.1), 4.5),
+    "beta_epsilon": (lambda P, Q: beta_epsilon(P, Q, 0.1), 3.5),
 }
 
 
